@@ -88,7 +88,8 @@ def trace_profile(grid: dg.DiskGrid, spec: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Source:
-    """Time-dependent source: zero, separable profile*T(t), or tabulated frames.
+    """Time-dependent source: zero, separable profile*T(t), tabulated
+    frames, or the sum of two sources.
 
     Picklable (plain data only) so runs can be farmed out to worker
     processes by the harness.
@@ -102,10 +103,13 @@ class _Source:
     omega: float = 0.0
     times: tuple = ()
     frames: np.ndarray | None = None
+    parts: tuple = ()
 
     def __call__(self, t: float) -> np.ndarray:
         if self.kind == 'zero':
             return np.zeros(self.shape)
+        if self.kind == 'sum':
+            return self.parts[0](t) + self.parts[1](t)
         if self.kind == 'separable':
             if self.time_kind == 'constant':
                 factor = 1.0
@@ -135,6 +139,13 @@ class _Source:
                            self.time_kind, self.rate, self.omega)
         return _Source(self.shape, 'tabulated', times=self.times,
                        frames=factor * self.frames)
+
+    def __add__(self, other: '_Source') -> '_Source':
+        if self.kind == 'zero':
+            return other
+        if other.kind == 'zero':
+            return self
+        return _Source(self.shape, 'sum', parts=(self, other))
 
 
 def _source_from_spec(shape, profile_fn, grid, spec: dict | None) -> _Source:
@@ -192,11 +203,11 @@ class ProblemData:
 
     @property
     def m0(self) -> float:
-        return dg.mean_bulk(dg.BulkField(self.grid, self.u0))
+        return dg.mean_bulk(self.grid, self.u0)
 
     @property
     def m_gamma0(self) -> float:
-        return dg.mean_trace(dg.TraceField(self.grid, self.v0))
+        return dg.mean_trace(self.grid, self.v0)
 
 
 @dataclass
@@ -348,14 +359,18 @@ def validate(problem: ProblemData, config: SolverConfig) -> ValidationReport:
 
 @dataclass
 class StepSolution:
-    """Discrete sextuplet at one time level plus Newton bookkeeping."""
+    """Discrete sextuplet at one time level plus Newton bookkeeping.
+
+    Bulk arrays u, mu, xi have shape (n_r, n_theta); boundary arrays
+    v, w, eta have shape (n_theta,).
+    """
     t: float
-    u: dg.BulkField
-    mu: dg.BulkField
-    xi: dg.BulkField
-    v: dg.TraceField
-    w: dg.TraceField
-    eta: dg.TraceField
+    u: np.ndarray
+    mu: np.ndarray
+    xi: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    eta: np.ndarray
     newton_iters: int
     residual: float
 
@@ -400,15 +415,10 @@ def _overshoot(values: np.ndarray, spec: mg.GraphSpec) -> float:
 
 def energy(state: StepSolution, problem: ProblemData, config: SolverConfig) -> float:
     """Discrete Lyapunov functional at a time level (sources at state.t)."""
-    return _energy_arrays(problem, config, state.t, state.u.values, state.v.values)
-
-
-def _energy_arrays(problem, config, t, u, v):
     g = problem.grid
+    t, u, v = state.t, state.u, state.v
     lam = config.lam
-    uf = dg.BulkField(g, u)
-    vf = dg.TraceField(g, v)
-    grad2 = dg.h1_seminorm_bulk(uf, vf) ** 2
+    grad2 = dg.h1_seminorm_bulk(g, u, v) ** 2
     wv = g.weights
     bw = g.boundary_weights
     bulk = np.sum(wv * (np.asarray(mg.yosida_primitive(problem.bulk_graph, u, lam))
@@ -417,7 +427,7 @@ def _energy_arrays(problem, config, t, u, v):
     surf = np.sum(bw * (np.asarray(mg.yosida_primitive(problem.boundary_graph, v, lam))
                         + np.asarray(problem.pi_gamma.primitive(v))
                         - problem.g(t) * v))
-    surf_grad2 = dg.h1_seminorm_trace(vf) ** 2
+    surf_grad2 = dg.h1_seminorm_trace(g, v) ** 2
     return float(0.5 * grad2 + bulk + 0.5 * config.delta * surf_grad2 + surf)
 
 
@@ -585,6 +595,11 @@ class NewtonStepper:
                 best_res = res
                 nm_left = 5
 
+        # NaN compares False against the tolerance and would end the loop
+        # as if converged.
+        if not math.isfinite(res):
+            raise NewtonDivergence(f'non-finite residual {res} after {iters} iterations',
+                                   t=t1, iters=iters, residual=res)
         return x[:n].reshape(u0.shape), x[n:2 * n].reshape(u0.shape), \
             x[2 * n:2 * n + nt], x[2 * n + nt:], iters, res
 
@@ -596,18 +611,12 @@ def step(state: StepSolution, problem: ProblemData, config: SolverConfig) -> Ste
 
 
 def _advance(stepper: NewtonStepper, state: StepSolution, problem, config) -> StepSolution:
-    g = problem.grid
     u1, mu1, v1, w1, iters, res = stepper.step(
-        state.t, state.u.values, state.v.values,
-        state.mu.values, state.w.values)
+        state.t, state.u, state.v, state.mu, state.w)
     lam = config.lam
     xi = np.asarray(mg.yosida(problem.bulk_graph, u1, lam))
     eta = np.asarray(mg.yosida(problem.boundary_graph, v1, lam))
-    return StepSolution(state.t + stepper.dt,
-                        dg.BulkField(g, u1), dg.BulkField(g, mu1),
-                        dg.BulkField(g, xi),
-                        dg.TraceField(g, v1), dg.TraceField(g, w1),
-                        dg.TraceField(g, eta), iters, res)
+    return StepSolution(state.t + stepper.dt, u1, mu1, xi, v1, w1, eta, iters, res)
 
 
 def initial_state(problem: ProblemData, config: SolverConfig) -> StepSolution:
@@ -618,10 +627,8 @@ def initial_state(problem: ProblemData, config: SolverConfig) -> StepSolution:
     zeros_t = np.zeros(g.n_theta)
     xi = np.asarray(mg.yosida(problem.bulk_graph, problem.u0, config.lam))
     eta = np.asarray(mg.yosida(problem.boundary_graph, problem.v0, config.lam))
-    return StepSolution(0.0, dg.BulkField(g, problem.u0.copy()),
-                        dg.BulkField(g, zeros_b), dg.BulkField(g, xi),
-                        dg.TraceField(g, problem.v0.copy()),
-                        dg.TraceField(g, zeros_t), dg.TraceField(g, eta), 0, 0.0)
+    return StepSolution(0.0, problem.u0.copy(), zeros_b, xi,
+                        problem.v0.copy(), zeros_t, eta, 0, 0.0)
 
 
 def _diag_row(problem, config, state: StepSolution, prev_energy: float | None):
@@ -629,14 +636,14 @@ def _diag_row(problem, config, state: StepSolution, prev_energy: float | None):
     e = energy(state, problem, config)
     return DiagnosticsRow(
         t=state.t,
-        mass_bulk=dg.mean_bulk(state.u),
-        mass_trace=dg.mean_trace(state.v),
+        mass_bulk=dg.mean_bulk(g, state.u),
+        mass_trace=dg.mean_trace(g, state.v),
         energy=e,
         d_energy=0.0 if prev_energy is None else e - prev_energy,
-        grad_mu=dg.h1_seminorm_bulk(state.mu),
-        grad_w=dg.h1_seminorm_trace(state.w),
-        overshoot=_overshoot(state.v.values, problem.boundary_graph),
-        delta_h1v=config.delta * dg.h1_seminorm_trace(state.v),
+        grad_mu=dg.h1_seminorm_bulk(g, state.mu),
+        grad_w=dg.h1_seminorm_trace(g, state.w),
+        overshoot=_overshoot(state.v, problem.boundary_graph),
+        delta_h1v=config.delta * dg.h1_seminorm_trace(g, state.v),
         newton_iters=state.newton_iters,
     ), e
 

@@ -50,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument('--stride', type=int, help='trajectory dump stride')
         sp.add_argument('--plots', action='store_true', help='also emit SVG charts')
         sp.add_argument('--workers', type=int, help='parallel run workers')
-        sp.add_argument('--seed', type=int,
-                        help='recorded in summaries for provenance '
-                             '(the experiments themselves draw no random numbers)')
     return parser
 
 
@@ -66,8 +63,6 @@ def _load(args) -> harness.ExperimentConfig:
         cfg.plots = True
     if args.workers is not None:
         cfg.workers = args.workers
-    if args.seed is not None:
-        cfg.seed = args.seed
     cfg._check_lists()
     return cfg
 

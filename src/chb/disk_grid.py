@@ -21,13 +21,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sps
 
-from .errors import ShapeMismatch
-
 __all__ = (
-    'DiskGrid', 'BulkField', 'TraceField',
+    'DiskGrid',
     'integrate_bulk', 'integrate_trace', 'mean_bulk', 'mean_trace',
     'l2_norm_bulk', 'l2_norm_trace',
-    'laplacian_bulk', 'laplace_beltrami', 'trace', 'normal_derivative',
     'h1_seminorm_bulk', 'h1_seminorm_trace',
     'neumann_laplacian_matrix', 'dirichlet_laplacian_matrices',
     'circle_laplacian_matrix', 'stiffness_matrix_bulk',
@@ -81,79 +78,33 @@ class DiskGrid:
         return self.n_r * self.n_theta
 
 
-@dataclass
-class BulkField:
-    grid: DiskGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_r, self.grid.n_theta):
-            raise ShapeMismatch(
-                f'bulk field shape {self.values.shape} does not match grid '
-                f'({self.grid.n_r}, {self.grid.n_theta})')
-        if not np.all(np.isfinite(self.values)):
-            raise ShapeMismatch('bulk field contains non-finite values')
-
-
-@dataclass
-class TraceField:
-    grid: DiskGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_theta,):
-            raise ShapeMismatch(
-                f'trace field shape {self.values.shape} does not match grid '
-                f'({self.grid.n_theta},)')
-        if not np.all(np.isfinite(self.values)):
-            raise ShapeMismatch('trace field contains non-finite values')
-
-
-def _bulk_values(field: BulkField) -> np.ndarray:
-    if not isinstance(field, BulkField):
-        raise ShapeMismatch('expected a BulkField')
-    return field.values
-
-
-def _trace_values(field: TraceField) -> np.ndarray:
-    if not isinstance(field, TraceField):
-        raise ShapeMismatch('expected a TraceField')
-    return field.values
-
-
 # ---------------------------------------------------------------------------
-# quadrature
+# quadrature (bulk arrays have shape (n_r, n_theta), trace arrays (n_theta,))
 
-def integrate_bulk(field: BulkField) -> float:
-    g = field.grid
+def integrate_bulk(grid: DiskGrid, u: np.ndarray) -> float:
     # midpoint rule is exact in r for constants: sum_i r_i*dr = 1/2 exactly
-    return float(g.dr * g.dtheta * (g.r @ _bulk_values(field).sum(axis=1)))
+    return float(grid.dr * grid.dtheta * (grid.r @ u.sum(axis=1)))
 
 
-def integrate_trace(field: TraceField) -> float:
-    g = field.grid
-    return float(g.dtheta * _trace_values(field).sum())
+def integrate_trace(grid: DiskGrid, v: np.ndarray) -> float:
+    return float(grid.dtheta * v.sum())
 
 
-def mean_bulk(field: BulkField) -> float:
-    return integrate_bulk(field) / math.pi
+def mean_bulk(grid: DiskGrid, u: np.ndarray) -> float:
+    return integrate_bulk(grid, u) / math.pi
 
 
-def mean_trace(field: TraceField) -> float:
-    return integrate_trace(field) / (2.0 * math.pi)
+def mean_trace(grid: DiskGrid, v: np.ndarray) -> float:
+    return integrate_trace(grid, v) / (2.0 * math.pi)
 
 
-def l2_norm_bulk(field: BulkField) -> float:
-    g = field.grid
-    vals = _bulk_values(field)
-    return math.sqrt(float(g.dr * g.dtheta * (g.r @ (vals * vals) @ np.ones(g.n_theta))))
+def l2_norm_bulk(grid: DiskGrid, u: np.ndarray) -> float:
+    return math.sqrt(float(grid.dr * grid.dtheta
+                           * (grid.r @ (u * u) @ np.ones(grid.n_theta))))
 
 
-def l2_norm_trace(field: TraceField) -> float:
-    vals = _trace_values(field)
-    return math.sqrt(float(field.grid.dtheta * (vals @ vals)))
+def l2_norm_trace(grid: DiskGrid, v: np.ndarray) -> float:
+    return math.sqrt(float(grid.dtheta * (v @ v)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,80 +230,27 @@ def circle_laplacian_matrix(grid: DiskGrid) -> sps.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# field operations
+# seminorms
 
-def laplacian_bulk(u: BulkField, boundary_values: TraceField | None = None) -> BulkField:
-    """Finite-volume Laplacian of a bulk field.
-
-    With ``boundary_values=None`` the outer face is zero-flux (conservative:
-    the weighted sum of the result vanishes identically); otherwise the
-    boundary face flux is (v_j - u_{n_r,j})/(dr/2) toward the Dirichlet ring.
-    """
-    g = u.grid
-    flat = _bulk_values(u).ravel()
-    if boundary_values is None:
-        out = neumann_laplacian_matrix(g) @ flat
-    else:
-        if boundary_values.grid != g:
-            raise ShapeMismatch('bulk and trace fields live on different grids')
-        A, B = dirichlet_laplacian_matrices(g)
-        out = A @ flat + B @ _trace_values(boundary_values)
-    return BulkField(g, out.reshape(g.n_r, g.n_theta))
-
-
-def laplace_beltrami(v: TraceField) -> TraceField:
-    """Periodic second difference (v_{j-1} - 2 v_j + v_{j+1})/dtheta^2."""
-    vals = _trace_values(v)
-    h2 = v.grid.dtheta ** 2
-    out = (np.roll(vals, 1) - 2.0 * vals + np.roll(vals, -1)) / h2
-    return TraceField(v.grid, out)
-
-
-def trace(u: BulkField, v: TraceField) -> TraceField:
-    """The discrete trace of (u, v) is the boundary ring v itself.
-
-    The coupling u|_Gamma = v is enforced by unknown identification, so
-    this is the identity on v; it exists as an operation to keep call
-    sites explicit about which object carries the boundary values.
-    """
-    if u.grid != v.grid:
-        raise ShapeMismatch('bulk and trace fields live on different grids')
-    return v
-
-
-def normal_derivative(u: BulkField, v: TraceField) -> TraceField:
-    """One-sided outward normal derivative at r = 1: (v_j - u_{n_r,j})/(dr/2)."""
-    if u.grid != v.grid:
-        raise ShapeMismatch('bulk and trace fields live on different grids')
-    g = u.grid
-    out = (_trace_values(v) - _bulk_values(u)[-1, :]) / (g.dr / 2.0)
-    return TraceField(g, out)
-
-
-def h1_seminorm_bulk(u: BulkField, v: TraceField | None = None) -> float:
+def h1_seminorm_bulk(grid: DiskGrid, u: np.ndarray, v: np.ndarray | None = None) -> float:
     """Face-based Dirichlet energy sqrt(sum_faces (s/d)*(du)^2).
 
     Matches the Laplacian stencils exactly (discrete summation by parts);
     when the boundary ring ``v`` is supplied the boundary faces
     (v_j - u_{n_r,j}) enter with coefficient dtheta/(dr/2).
     """
-    g = u.grid
-    vals = _bulk_values(u)
-    kappa_rad, kappa_ang = _face_coefficients(g)
-    dru = np.diff(vals, axis=0)
-    dthu = np.roll(vals, -1, axis=1) - vals
-    total = float(kappa_rad @ (dru * dru) @ np.ones(g.n_theta))
-    total += float(kappa_ang @ (dthu * dthu) @ np.ones(g.n_theta))
+    kappa_rad, kappa_ang = _face_coefficients(grid)
+    dru = np.diff(u, axis=0)
+    dthu = np.roll(u, -1, axis=1) - u
+    total = float(kappa_rad @ (dru * dru) @ np.ones(grid.n_theta))
+    total += float(kappa_ang @ (dthu * dthu) @ np.ones(grid.n_theta))
     if v is not None:
-        if v.grid != g:
-            raise ShapeMismatch('bulk and trace fields live on different grids')
-        jump = _trace_values(v) - vals[-1, :]
-        total += _boundary_kappa(g) * float(jump @ jump)
+        jump = v - u[-1, :]
+        total += _boundary_kappa(grid) * float(jump @ jump)
     return math.sqrt(total)
 
 
-def h1_seminorm_trace(v: TraceField) -> float:
+def h1_seminorm_trace(grid: DiskGrid, v: np.ndarray) -> float:
     """sqrt(sum_j (v_{j+1} - v_j)^2 / dtheta), matching the circle stencil."""
-    vals = _trace_values(v)
-    dv = np.roll(vals, -1) - vals
-    return math.sqrt(float(dv @ dv) / v.grid.dtheta)
+    dv = np.roll(v, -1) - v
+    return math.sqrt(float(dv @ dv) / grid.dtheta)

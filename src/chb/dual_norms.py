@@ -16,18 +16,14 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from . import disk_grid as dg
-from .errors import NonzeroMean, ShapeMismatch, SolveFailure
+from .errors import NonzeroMean, SolveFailure
 
-__all__ = ('NormToolkit', 'v_norm_bulk', 'v_norm_trace')
+__all__ = ('NormToolkit', 'v_norm_bulk')
 
 
-def v_norm_bulk(u: dg.BulkField, v: dg.TraceField | None = None) -> float:
+def v_norm_bulk(grid: dg.DiskGrid, u: np.ndarray, v: np.ndarray | None = None) -> float:
     """Full H1 norm sqrt(seminorm^2 + L2^2); boundary faces enter when v is given."""
-    return math.hypot(dg.h1_seminorm_bulk(u, v), dg.l2_norm_bulk(u))
-
-
-def v_norm_trace(v: dg.TraceField) -> float:
-    return math.hypot(dg.h1_seminorm_trace(v), dg.l2_norm_trace(v))
+    return math.hypot(dg.h1_seminorm_bulk(grid, u, v), dg.l2_norm_bulk(grid, u))
 
 
 class NormToolkit:
@@ -43,7 +39,6 @@ class NormToolkit:
         self.grid = grid
         self.stiffness = dg.stiffness_matrix_bulk(grid)
         self.weight_vector = grid.weights.ravel()
-        n = grid.size
         bordered = sps.bmat(
             [[self.stiffness, self.weight_vector[:, None]],
              [self.weight_vector[None, :], None]], format='csc')
@@ -52,19 +47,18 @@ class NormToolkit:
 
     # -- bulk ---------------------------------------------------------------
 
-    def f_inverse_bulk(self, z: dg.BulkField) -> dg.BulkField:
+    def f_inverse_bulk(self, z: np.ndarray) -> np.ndarray:
         """Solve -Lap psi = z with zero flux and mean(psi) = 0.
 
-        Requires |mean(z)| <= 1e-10 * ||z||; the residual of the weighted
-        system is checked to 1e-11 relative.
+        z and psi have shape (n_r, n_theta).  Requires |mean(z)| <= 1e-10 *
+        ||z||; the residual of the weighted system is checked to 1e-11
+        relative.
         """
         g = self.grid
-        if z.grid != g:
-            raise ShapeMismatch('field grid does not match toolkit grid')
-        vals = z.values.ravel()
+        vals = z.ravel()
         rhs = self.weight_vector * vals
         scale = math.sqrt(float(rhs @ vals))  # weighted L2 norm of z
-        if abs(dg.mean_bulk(z)) > 1e-10 * max(scale, 1e-300):
+        if abs(dg.mean_bulk(g, z)) > 1e-10 * max(scale, 1e-300):
             raise NonzeroMean('f_inverse_bulk needs a zero-mean operand')
         sol = self._lu.solve(np.concatenate([rhs, [0.0]]))
         psi = sol[:-1]
@@ -72,25 +66,23 @@ class NormToolkit:
         rnorm = float(np.linalg.norm(residual))
         if rnorm > 1e-11 * max(float(np.linalg.norm(rhs)), 1e-300):
             raise SolveFailure(f'zero-mean Poisson residual {rnorm:.3e} too large')
-        return dg.BulkField(g, psi.reshape(g.n_r, g.n_theta))
+        return psi.reshape(g.n_r, g.n_theta)
 
-    def dual_norm_bulk(self, z: dg.BulkField) -> float:
+    def dual_norm_bulk(self, z: np.ndarray) -> float:
         """|z|_* = sqrt((z - m, F^{-1}(z - m))_w + m^2), m the bulk mean."""
-        m = dg.mean_bulk(z)
-        z0 = dg.BulkField(self.grid, z.values - m)
+        m = dg.mean_bulk(self.grid, z)
+        z0 = z - m
         psi = self.f_inverse_bulk(z0)
-        pairing = float(np.sum(self.grid.weights * z0.values * psi.values))
+        pairing = float(np.sum(self.grid.weights * z0 * psi))
         return math.sqrt(max(pairing, 0.0) + m * m)
 
     # -- boundary (spectral) ------------------------------------------------
 
-    def _mode_energies(self, z: dg.TraceField) -> np.ndarray:
-        if z.grid != self.grid:
-            raise ShapeMismatch('field grid does not match toolkit grid')
-        zhat = np.fft.fft(z.values) / self.grid.n_theta
+    def _mode_energies(self, z: np.ndarray) -> np.ndarray:
+        zhat = np.fft.fft(z) / self.grid.n_theta
         return (zhat * zhat.conj()).real
 
-    def dual_norm_trace(self, z: dg.TraceField) -> float:
+    def dual_norm_trace(self, z: np.ndarray) -> float:
         """|z|_{Gamma,*} with the exact symbol: 2*pi*sum_{k!=0} |zhat_k|^2/k^2 + m^2."""
         e = self._mode_energies(z)
         k = self._wavenumbers
@@ -98,7 +90,7 @@ class NormToolkit:
         m = math.sqrt(e[0])  # |zhat_0| = |mean|
         return math.sqrt(zero_mean_part + m * m)
 
-    def h_half_norm_trace(self, z: dg.TraceField) -> float:
+    def h_half_norm_trace(self, z: np.ndarray) -> float:
         """H^{1/2}(Gamma) norm sqrt(2*pi*sum_k (1+|k|)*|zhat_k|^2)."""
         e = self._mode_energies(z)
         return math.sqrt(2.0 * math.pi * float(np.sum((1.0 + np.abs(self._wavenumbers)) * e)))

@@ -5,8 +5,7 @@ optional.
 
 All reports are deterministic: runs are assembled in configured order
 (also under a process pool), floats are printed with 17 significant
-digits, and nothing here draws random numbers — the seed option is only
-recorded in the summary for provenance of user-supplied noise studies.
+digits, and nothing here draws random numbers.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class ExperimentConfig:
     stride: int = 1
     plots: bool = False
     workers: int = 1
-    seed: int | None = None
 
     @staticmethod
     def from_dict(raw: dict) -> 'ExperimentConfig':
@@ -88,7 +86,6 @@ class ExperimentConfig:
             stride=int(out.get('stride', 1)),
             plots=bool(out.get('plots', False)),
             workers=int(out.get('workers', 1)),
-            seed=out.get('seed'),
         )
         cfg._check_lists()
         return cfg
@@ -210,7 +207,7 @@ def fit_rate(points) -> tuple:
 # ---------------------------------------------------------------------------
 # error composites between two trajectories
 
-def _trajectory_norms(grid, toolkit, steps_a, steps_b):
+def _trajectory_norms(toolkit, steps_a, steps_b):
     """Per-level difference norms between two step lists on a common grid.
 
     Returns dict of arrays: dual_bulk, dual_trace, v_bulk, h_half, t.
@@ -221,11 +218,11 @@ def _trajectory_norms(grid, toolkit, steps_a, steps_b):
     for k in range(n):
         sa, sb = steps_a[k], steps_b[k]
         ts[k] = sa.t
-        du = dg.BulkField(grid, sa.u.values - sb.u.values)
-        dv = dg.TraceField(grid, sa.v.values - sb.v.values)
+        du = sa.u - sb.u
+        dv = sa.v - sb.v
         out['dual_bulk'][k] = toolkit.dual_norm_bulk(du)
         out['dual_trace'][k] = toolkit.dual_norm_trace(dv)
-        out['v_bulk'][k] = dn.v_norm_bulk(du, dv)
+        out['v_bulk'][k] = dn.v_norm_bulk(toolkit.grid, du, dv)
         out['h_half'][k] = toolkit.h_half_norm_trace(dv)
     out['t'] = ts
     return out
@@ -273,7 +270,7 @@ def _write_bulk_csv(path, grid, steps, name, stride):
         writer.writerow(['t', 'i', 'j', 'value'])
         for k in idx:
             s = steps[k]
-            vals = getattr(s, name).values
+            vals = getattr(s, name)
             t_s = _fmt(s.t)
             for i in range(grid.n_r):
                 row_vals = vals[i]
@@ -288,7 +285,7 @@ def _write_trace_csv(path, grid, steps, name, stride):
         writer.writerow(['t', 'j', 'value'])
         for k in idx:
             s = steps[k]
-            vals = getattr(s, name).values
+            vals = getattr(s, name)
             t_s = _fmt(s.t)
             for j in range(grid.n_theta):
                 writer.writerow([t_s, j, _fmt(vals[j])])
@@ -342,7 +339,6 @@ def run_single(cfg: ExperimentConfig) -> dict:
         'max_energy_increment': max(r.d_energy for r in rows[1:]) if len(rows) > 1 else 0.0,
         'newton_iters_max': max(r.newton_iters for r in rows),
         'wall_time': result.wall_time,
-        'seed': cfg.seed,
         'solver_error': None if result.error is None else str(result.error),
     }
     with open(os.path.join(cfg.out_dir, 'summary.json'), 'w') as fh:
@@ -440,9 +436,9 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
         if res.error is not None:
             rows.append(SweepRow(d, None, None, None, f'failed: {res.error}', False))
             continue
-        norms = _trajectory_norms(cfg.grid, toolkit, res.steps, ref_result.steps)
+        norms = _trajectory_norms(toolkit, res.steps, ref_result.steps)
         e, comps = _combined_error(norms)
-        sup_gradv = max(dg.h1_seminorm_trace(s.v) for s in res.steps)
+        sup_gradv = max(dg.h1_seminorm_trace(cfg.grid, s.v) for s in res.steps)
         rows.append(SweepRow(d, e, comps, d * sup_gradv, 'ok', False))
 
     zero_error = all(r.error == 0.0 for r in rows if r.status == 'ok') \
@@ -489,7 +485,6 @@ def _write_sweep_artifacts(cfg, report: SweepReport):
         else report.same_growth.feasible,
         'same_growth_m': None if report.same_growth is None
         else report.same_growth.m_value,
-        'seed': cfg.seed,
     }
     with open(os.path.join(cfg.out_dir, 'sweep_delta_fit.json'), 'w') as fh:
         json.dump(fit_meta, fh, indent=2)
@@ -540,44 +535,24 @@ def _perturbation_sources(cfg, problem, amplitude):
     if target in ('f', 'both'):
         extra = cs.make_bulk_source(grid, {'kind': 'separable', 'spatial': shape,
                                            'time': tspec}).scaled(amplitude)
-        f = _sum_sources(f, extra)
+        f = f + extra
     if target in ('g', 'both'):
         extra = cs.make_trace_source(grid, {'kind': 'separable', 'spatial': trace_shape,
                                             'time': tspec}).scaled(amplitude)
-        g = _sum_sources(g, extra)
+        g = g + extra
     if target == 'initial':
         bump = cs.bulk_profile(grid, shape)
-        bump = bump - dg.mean_bulk(dg.BulkField(grid, bump))
+        bump = bump - dg.mean_bulk(grid, bump)
         tbump = cs.trace_profile(grid, trace_shape)
-        tbump = tbump - dg.mean_trace(dg.TraceField(grid, tbump))
+        tbump = tbump - dg.mean_trace(grid, tbump)
         u0 = u0 + amplitude * bump
         v0 = v0 + amplitude * tbump
         scale = max(1.0, float(np.max(np.abs(u0))))
-        if abs(dg.mean_bulk(dg.BulkField(grid, u0)) - problem.m0) > 1e-12 * scale \
-                or abs(dg.mean_trace(dg.TraceField(grid, v0)) - problem.m_gamma0) \
-                > 1e-12 * scale:
+        if abs(dg.mean_bulk(grid, u0) - problem.m0) > 1e-12 * scale \
+                or abs(dg.mean_trace(grid, v0) - problem.m_gamma0) > 1e-12 * scale:
             raise MeanMismatch('mean-corrected initial perturbation still '
                                'changes a conserved mean beyond 1e-12')
     return f, g, u0, v0
-
-
-@dataclass(frozen=True)
-class _SumSource:
-    parts: tuple
-
-    def __call__(self, t: float):
-        out = self.parts[0](t)
-        for p in self.parts[1:]:
-            out = out + p(t)
-        return out
-
-
-def _sum_sources(a, b):
-    if getattr(a, 'kind', None) == 'zero':
-        return b
-    if getattr(b, 'kind', None) == 'zero':
-        return a
-    return _SumSource((a, b))
 
 
 def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
@@ -616,8 +591,7 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
             rows.append(StabilityRow(a, math.nan, math.nan, math.nan,
                                      f'failed: {res.error}'))
             continue
-        rows.append(_stability_row(cfg.grid, toolkit, a, problem, p2,
-                                   base.steps, res.steps))
+        rows.append(_stability_row(toolkit, a, problem, p2, base.steps, res.steps))
 
     ratios = [r.sup_ratio for r in rows if r.status == 'ok' and np.isfinite(r.sup_ratio)]
     if len(ratios) >= 2:
@@ -634,11 +608,11 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
     return report
 
 
-def _stability_row(grid, toolkit, amplitude, prob_a, prob_b, steps_a, steps_b):
-    norms = _trajectory_norms(grid, toolkit, steps_b, steps_a)
+def _stability_row(toolkit, amplitude, prob_a, prob_b, steps_a, steps_b):
+    norms = _trajectory_norms(toolkit, steps_b, steps_a)
     ts = norms['t']
     n = ts.size
-    wv, bw = grid.weights, grid.boundary_weights
+    wv, bw = toolkit.grid.weights, toolkit.grid.boundary_weights
 
     df_sq = np.zeros(n)
     dg_sq = np.zeros(n)
@@ -675,7 +649,7 @@ def _write_stability_artifacts(cfg, report: StabilityReport):
             writer.writerow([_fmt(r.amplitude), _fmt(r.sup_ratio),
                              _fmt(r.lhs_final), _fmt(r.rhs_final), r.status])
     meta = {'band': report.band, 'band_limit': report.band_limit,
-            'band_ok': report.band_ok, 'target': report.target, 'seed': cfg.seed}
+            'band_ok': report.band_ok, 'target': report.target}
     with open(os.path.join(cfg.out_dir, 'stability.json'), 'w') as fh:
         json.dump(meta, fh, indent=2)
         fh.write('\n')
@@ -717,10 +691,10 @@ def sweep_lambda(cfg: ExperimentConfig) -> LambdaReport:
         vb = np.zeros(n)
         lt = np.zeros(n)
         for k in range(n):
-            du = dg.BulkField(grid, a.steps[k].u.values - b.steps[k].u.values)
-            dv = dg.TraceField(grid, a.steps[k].v.values - b.steps[k].v.values)
-            vb[k] = dn.v_norm_bulk(du, dv)
-            lt[k] = dg.l2_norm_trace(dv)
+            du = a.steps[k].u - b.steps[k].u
+            dv = a.steps[k].v - b.steps[k].v
+            vb[k] = dn.v_norm_bulk(grid, du, dv)
+            lt[k] = dg.l2_norm_trace(grid, dv)
         diff_bulk.append(math.sqrt(_left_rule(ts, vb ** 2)))
         diff_trace.append(math.sqrt(_left_rule(ts, lt ** 2)))
 

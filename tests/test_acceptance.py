@@ -227,7 +227,7 @@ def test_criterion_4_dual_norm_oracles(verdict):
     for k in range(1, grid.size):
         vec = phi[:, k]
         vec = vec - (w @ vec) / w.sum()
-        z = dg.BulkField(grid, vec.reshape(grid.n_r, grid.n_theta))
+        z = vec.reshape(grid.n_r, grid.n_theta)
         l2 = np.sqrt(float(np.sum(w * vec ** 2)))
         ref = l2 / np.sqrt(sig[k])
         gap = abs(toolkit.dual_norm_bulk(z) - ref) / max(1.0, ref)
@@ -235,7 +235,7 @@ def test_criterion_4_dual_norm_oracles(verdict):
 
     trace_worst = 0.0
     for k in range(1, grid.n_theta // 4 + 1):
-        z = dg.TraceField(grid, np.cos(k * grid.theta))
+        z = np.cos(k * grid.theta)
         trace_worst = max(
             trace_worst,
             abs(toolkit.dual_norm_trace(z) - np.sqrt(np.pi) / k),
@@ -267,8 +267,7 @@ def test_criterion_5_linear_propagator(verdict):
                            np.asarray(problem.pi_gamma(problem.v0)),
                            problem.f(cfg.dt).ravel(), problem.g(cfg.dt))
     dense = np.linalg.solve(J, J @ x0 - r0)
-    got = np.concatenate([out.u.values.ravel(), out.mu.values.ravel(),
-                          out.v.values, out.w.values])
+    got = np.concatenate([out.u.ravel(), out.mu.ravel(), out.v, out.w])
     rel = float(np.max(np.abs(got - dense)) / np.max(np.abs(dense)))
     verdict(5, 'linear propagator', rel <= 1e-8,
             f'relative gap {rel:.2e} <= 1e-8')

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from chb import disk_grid as dg
-from chb.errors import ShapeMismatch
 
 
 @pytest.fixture(scope='module')
@@ -17,8 +16,13 @@ def grid():
 
 def bulk(grid, fn):
     vals = fn(grid.r[:, None], grid.theta[None, :])
-    vals = np.broadcast_to(vals, (grid.n_r, grid.n_theta)).copy()
-    return dg.BulkField(grid, vals)
+    return np.broadcast_to(vals, (grid.n_r, grid.n_theta)).copy()
+
+
+def dirichlet_laplacian(grid, u, v):
+    """Lap u with the boundary ring v, through the matrices the solver uses."""
+    A, B = dg.dirichlet_laplacian_matrices(grid)
+    return (A @ u.ravel() + B @ v).reshape(grid.n_r, grid.n_theta)
 
 
 def test_weights_sum_to_disk_area():
@@ -30,12 +34,12 @@ def test_weights_sum_to_disk_area():
 
 def test_integrate_constant_exact(grid):
     c = 0.7310562
-    f = dg.BulkField(grid, np.full((grid.n_r, grid.n_theta), c))
-    assert abs(dg.integrate_bulk(f) - c * np.pi) < 1e-14
-    assert abs(dg.mean_bulk(f) - c) < 1e-15
-    t = dg.TraceField(grid, np.full(grid.n_theta, c))
-    assert abs(dg.integrate_trace(t) - 2 * np.pi * c) < 1e-13
-    assert abs(dg.mean_trace(t) - c) < 1e-15
+    f = np.full((grid.n_r, grid.n_theta), c)
+    assert abs(dg.integrate_bulk(grid, f) - c * np.pi) < 1e-14
+    assert abs(dg.mean_bulk(grid, f) - c) < 1e-15
+    t = np.full(grid.n_theta, c)
+    assert abs(dg.integrate_trace(grid, t) - 2 * np.pi * c) < 1e-13
+    assert abs(dg.mean_trace(grid, t) - c) < 1e-15
 
 
 def test_integrate_r_squared(grid):
@@ -44,8 +48,8 @@ def test_integrate_r_squared(grid):
     vals = []
     for n in (8, 16, 32):
         g = dg.DiskGrid(n, 16)
-        f = dg.BulkField(g, np.tile((g.r ** 2)[:, None], (1, g.n_theta)))
-        vals.append(abs(dg.integrate_bulk(f) - np.pi / 2))
+        f = np.tile((g.r ** 2)[:, None], (1, g.n_theta))
+        vals.append(abs(dg.integrate_bulk(g, f) - np.pi / 2))
     assert vals[1] < vals[0] / 3.5 and vals[2] < vals[1] / 3.5
 
 
@@ -60,10 +64,10 @@ def test_neumann_laplacian_row_sums_zero(grid):
 
 
 def test_laplacian_annihilates_constants(grid):
-    u = dg.BulkField(grid, np.full((grid.n_r, grid.n_theta), 2.25))
-    out = dg.laplacian_bulk(u)
+    u = np.full(grid.size, 2.25)
+    out = dg.neumann_laplacian_matrix(grid) @ u
     # rounding only: the diagonal is the rounded sum of the face terms
-    assert np.max(np.abs(out.values)) < 1e-11
+    assert np.max(np.abs(out)) < 1e-11
 
 
 def test_dirichlet_laplacian_exact_on_r_squared(grid):
@@ -72,11 +76,11 @@ def test_dirichlet_laplacian_exact_on_r_squared(grid):
     # carries a pointwise O(1) deviation confined to the last ring (the
     # operator is consistent in the summation-by-parts/weak sense).
     u = bulk(grid, lambda r, th: r ** 2)
-    v = dg.TraceField(grid, np.ones(grid.n_theta))
-    out = dg.laplacian_bulk(u, boundary_values=v)
-    assert np.max(np.abs(out.values[:-1] - 4.0)) < 1e-11
+    v = np.ones(grid.n_theta)
+    out = dirichlet_laplacian(grid, u, v)
+    assert np.max(np.abs(out[:-1] - 4.0)) < 1e-11
     ring_dev = -1.0 / (2.0 * grid.r[-1])   # one-sided flux error / cell volume
-    assert np.max(np.abs(out.values[-1] - 4.0 - ring_dev)) < 1e-10
+    assert np.max(np.abs(out[-1] - 4.0 - ring_dev)) < 1e-10
 
 
 def test_laplacian_refinement_on_r4():
@@ -84,10 +88,10 @@ def test_laplacian_refinement_on_r4():
     errs = []
     for n in (8, 16, 32):
         g = dg.DiskGrid(n, 8)
-        u = dg.BulkField(g, np.tile((g.r ** 4)[:, None], (1, g.n_theta)))
-        v = dg.TraceField(g, np.ones(g.n_theta))
-        out = dg.laplacian_bulk(u, boundary_values=v)
-        errs.append(np.max(np.abs(out.values[:-1] - 16.0 * g.r[:-1, None] ** 2)))
+        u = np.tile((g.r ** 4)[:, None], (1, g.n_theta))
+        v = np.ones(g.n_theta)
+        out = dirichlet_laplacian(g, u, v)
+        errs.append(np.max(np.abs(out[:-1] - 16.0 * g.r[:-1, None] ** 2)))
     assert errs[1] < errs[0] / 3.7 and errs[2] < errs[1] / 3.7
 
 
@@ -96,33 +100,33 @@ def test_beltrami_eigenvectors(grid):
     th = grid.theta
     dth = grid.dtheta
     for k in (1, 2, 5):
-        v = dg.TraceField(grid, np.cos(k * th))
-        out = dg.laplace_beltrami(v)
+        v = np.cos(k * th)
+        out = dg.circle_laplacian_matrix(grid) @ v
         sigma = (2.0 - 2.0 * np.cos(k * dth)) / dth ** 2
-        assert np.max(np.abs(out.values + sigma * v.values)) < 1e-11
+        assert np.max(np.abs(out + sigma * v)) < 1e-11
 
 
 def test_summation_by_parts_interior(grid):
     rng = np.random.default_rng(3)
-    u = dg.BulkField(grid, rng.standard_normal((grid.n_r, grid.n_theta)))
-    z = dg.BulkField(grid, rng.standard_normal((grid.n_r, grid.n_theta)))
-    Au = dg.laplacian_bulk(u).values
-    lhs = -float(np.sum(grid.weights * Au * z.values))
+    u = rng.standard_normal((grid.n_r, grid.n_theta))
+    z = rng.standard_normal((grid.n_r, grid.n_theta))
+    Au = (dg.neumann_laplacian_matrix(grid) @ u.ravel()).reshape(u.shape)
+    lhs = -float(np.sum(grid.weights * Au * z))
     # interior form: sum over faces of kappa * du * dz
     S = dg.stiffness_matrix_bulk(grid)
-    rhs = float(z.values.ravel() @ (S @ u.values.ravel()))
+    rhs = float(z.ravel() @ (S @ u.ravel()))
     assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
 def test_summation_by_parts_with_boundary(grid):
     rng = np.random.default_rng(4)
-    u = dg.BulkField(grid, rng.standard_normal((grid.n_r, grid.n_theta)))
-    v = dg.TraceField(grid, rng.standard_normal(grid.n_theta))
-    Au = dg.laplacian_bulk(u, boundary_values=v).values
-    dnu = dg.normal_derivative(u, v).values
-    lhs = -float(np.sum(grid.weights * Au * u.values)) \
-        + float(np.sum(grid.boundary_weights * dnu * v.values))
-    rhs = dg.h1_seminorm_bulk(u, v) ** 2
+    u = rng.standard_normal((grid.n_r, grid.n_theta))
+    v = rng.standard_normal(grid.n_theta)
+    Au = dirichlet_laplacian(grid, u, v)
+    dnu = (v - u[-1]) / (grid.dr / 2.0)     # one-sided normal derivative
+    lhs = -float(np.sum(grid.weights * Au * u)) \
+        + float(np.sum(grid.boundary_weights * dnu * v))
+    rhs = dg.h1_seminorm_bulk(grid, u, v) ** 2
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -139,10 +143,10 @@ def test_stiffness_matrix_is_spd_kernel_constants(grid):
 def test_h1_trace_seminorm_of_mode(grid):
     dth = grid.dtheta
     for k in (1, 3, 4):
-        v = dg.TraceField(grid, np.cos(k * grid.theta))
+        v = np.cos(k * grid.theta)
         # sum_j (v_{j+1}-v_j)^2 = (n/2) * (2-2cos(k dth)) for a pure mode
         ref = np.sqrt(grid.n_theta * (2.0 - 2.0 * np.cos(k * dth)) / (2.0 * dth))
-        assert abs(dg.h1_seminorm_trace(v) - ref) < 1e-12
+        assert abs(dg.h1_seminorm_trace(grid, v) - ref) < 1e-12
 
 
 def test_m_matrix_monotonicity(grid):
@@ -157,21 +161,18 @@ def test_m_matrix_monotonicity(grid):
 
 
 def test_normal_derivative_one_sided(grid):
+    # the Dirichlet matrices differ from the zero-flux ones only by the
+    # boundary flux (v - u_{n_r})/(dr/2) across the arclength dtheta,
+    # divided by the volume of the outer ring's cells
     u = bulk(grid, lambda r, th: r ** 2)
-    v = dg.TraceField(grid, np.ones(grid.n_theta))
-    dn = dg.normal_derivative(u, v)
+    v = np.ones(grid.n_theta)
+    flux = dirichlet_laplacian(grid, u, v) \
+        - (dg.neumann_laplacian_matrix(grid) @ u.ravel()).reshape(u.shape)
+    assert np.max(np.abs(flux[:-1])) < 1e-12
     r_last = grid.r[-1]
+    dn = flux[-1] * (r_last * grid.dr * grid.dtheta) / grid.dtheta
     expected = (1.0 - r_last ** 2) / (grid.dr / 2.0)
-    assert np.max(np.abs(dn.values - expected)) < 1e-12
-
-
-def test_field_shape_validation(grid):
-    with pytest.raises(ShapeMismatch):
-        dg.BulkField(grid, np.zeros((3, 3)))
-    with pytest.raises(ShapeMismatch):
-        dg.TraceField(grid, np.zeros(5))
-    with pytest.raises(ShapeMismatch):
-        dg.BulkField(grid, np.full((grid.n_r, grid.n_theta), np.nan))
+    assert np.max(np.abs(dn - expected)) < 1e-12
 
 
 def test_grid_validation():

@@ -438,10 +438,53 @@ def test_cli_stability_pass(tmp_path, capsys):
     assert 'band' in capsys.readouterr().out
 
 
-def test_cli_seed_recorded_in_summary(tmp_path):
+def test_cli_accepts_old_config_with_seed(tmp_path):
+    # output.seed was a no-op and is no longer read; old configs still run
     raw = json.loads(json.dumps(BASE_SINGLE))
+    raw['output'] = {'seed': 1}
     path = cli_cfg(tmp_path, raw, 'seed.json')
-    assert cli.main(['solve', path, '--out', str(tmp_path / 'se'),
-                     '--seed', '42']) == 0
+    assert cli.main(['solve', path, '--out', str(tmp_path / 'se')]) == 0
     summary = json.loads((tmp_path / 'se' / 'summary.json').read_text())
-    assert summary['seed'] == 42
+    assert 'seed' not in summary
+
+
+EXPERIMENT_SECTIONS = {
+    'solve': {},
+    'sweep-delta': {'experiment': 'sweep_delta',
+                    'sweep_delta': {'deltas': [0.4, 0.2, 0.1]}},
+    'stability': {'experiment': 'stability', 'stability': {'amplitudes': [1e-2]}},
+}
+
+
+@pytest.mark.parametrize('command', sorted(EXPERIMENT_SECTIONS))
+def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command):
+    u0 = np.zeros((8, 16))
+    u0[3, 5] = math.nan
+    cubic = {'kind': 'power_odd', 'exponent': 3, 'scale': 1.0}
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    raw.update(EXPERIMENT_SECTIONS[command])
+    raw['problem'] = {'bulk_graph': cubic, 'boundary_graph': cubic,
+                      'u0': {'kind': 'tabulated', 'values': u0.tolist()},
+                      'v0': {'kind': 'constant', 'value': 0.0}}
+    path = cli_cfg(tmp_path, raw, 'nan.json')     # json writes and reads NaN
+    assert cli.main([command, path, '--out', str(tmp_path / 'no')]) == 2
+    assert 'error:' in capsys.readouterr().err
+
+
+def test_cli_non_finite_residual_is_exit_3_with_partial_trajectory(tmp_path, capsys):
+    # a source that turns NaN at t = 3e-3 fails the third step
+    shape = (8, 16)
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    raw['problem'] = {
+        'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+        'u0': {'kind': 'harmonic', 'amplitude': 0.1, 'mode': 2},
+        'f': {'kind': 'tabulated', 'times': [0.0, 2.5e-3, 2.6e-3],
+              'frames': [np.zeros(shape).tolist(), np.zeros(shape).tolist(),
+                         np.full(shape, math.nan).tolist()]},
+    }
+    path = cli_cfg(tmp_path, raw, 'nanf.json')
+    assert cli.main(['solve', path, '--out', str(tmp_path / 'nf')]) == 3
+    assert 'failed step target time' in capsys.readouterr().err
+    summary = json.loads((tmp_path / 'nf' / 'summary.json').read_text())
+    assert summary['steps'] == 2
+    assert 'non-finite residual' in summary['solver_error']

@@ -36,7 +36,7 @@ def test_dual_norm_bulk_matches_eigen_oracle(grid, toolkit):
     for k in range(1, 8):
         vec = phi[:, k]
         vec = vec - (w @ vec) / w.sum()          # enforce zero weighted mean
-        z = dg.BulkField(grid, vec.reshape(grid.n_r, grid.n_theta))
+        z = vec.reshape(grid.n_r, grid.n_theta)
         val = toolkit.dual_norm_bulk(z)
         # |phi|_* = |phi|_H / sqrt(sigma) for a normalized eigenvector
         l2 = np.sqrt(float(np.sum(w * vec ** 2)))
@@ -49,40 +49,40 @@ def test_f_inverse_bulk_inverts_the_weak_laplacian(grid, toolkit):
     raw = rng.standard_normal(grid.size)
     w = grid.weights.ravel()
     raw -= (w @ raw) / w.sum()
-    z = dg.BulkField(grid, raw.reshape(grid.n_r, grid.n_theta))
+    z = raw.reshape(grid.n_r, grid.n_theta)
     psi = toolkit.f_inverse_bulk(z)
     S = dg.stiffness_matrix_bulk(grid)
-    resid = S @ psi.values.ravel() - w * raw
+    resid = S @ psi.ravel() - w * raw
     assert np.max(np.abs(resid)) < 1e-10 * max(1.0, np.abs(w * raw).max())
-    assert abs(float(w @ psi.values.ravel())) < 1e-10
+    assert abs(float(w @ psi.ravel())) < 1e-10
 
 
 def test_f_inverse_rejects_nonzero_mean(grid, toolkit):
-    z = dg.BulkField(grid, np.ones((grid.n_r, grid.n_theta)))
+    z = np.ones((grid.n_r, grid.n_theta))
     with pytest.raises(NonzeroMean):
         toolkit.f_inverse_bulk(z)
 
 
 def test_dual_norm_bulk_of_mean_is_the_mean(grid, toolkit):
     c = -0.625
-    z = dg.BulkField(grid, np.full((grid.n_r, grid.n_theta), c))
+    z = np.full((grid.n_r, grid.n_theta), c)
     assert abs(toolkit.dual_norm_bulk(z) - abs(c)) < 1e-13
 
 
 def test_dual_norm_trace_modes(grid, toolkit):
     # |cos(k.)|_{Gamma,*} = sqrt(pi)/k on the unit circle
     for k in range(1, grid.n_theta // 4 + 1):
-        z = dg.TraceField(grid, np.cos(k * grid.theta))
+        z = np.cos(k * grid.theta)
         assert abs(toolkit.dual_norm_trace(z) - np.sqrt(np.pi) / k) < 1e-12
 
 
 def test_h_half_norm_modes(grid, toolkit):
     # |cos(k.)|_{H^1/2} = sqrt((1+k) pi); constants carry sqrt(2 pi)
     for k in range(1, grid.n_theta // 4 + 1):
-        z = dg.TraceField(grid, np.cos(k * grid.theta))
+        z = np.cos(k * grid.theta)
         assert abs(toolkit.h_half_norm_trace(z) - np.sqrt((1 + k) * np.pi)) < 1e-12
     c = 1.7
-    z = dg.TraceField(grid, np.full(grid.n_theta, c))
+    z = np.full(grid.n_theta, c)
     assert abs(toolkit.h_half_norm_trace(z) - c * np.sqrt(2 * np.pi)) < 1e-12
     assert abs(toolkit.dual_norm_trace(z) - c) < 1e-13
 
@@ -90,27 +90,27 @@ def test_h_half_norm_modes(grid, toolkit):
 def test_norm_interpolation_ordering(grid, toolkit):
     # dual <= l2 <= h_half on zero-mean modes (k >= 1 on the unit circle)
     for k in (1, 2, 4):
-        z = dg.TraceField(grid, np.cos(k * grid.theta))
+        z = np.cos(k * grid.theta)
         dual = toolkit.dual_norm_trace(z)
-        l2 = dg.l2_norm_trace(z)
+        l2 = dg.l2_norm_trace(grid, z)
         half = toolkit.h_half_norm_trace(z)
         assert dual <= l2 + 1e-12 <= half + 2e-12
 
 
 def test_v_norm_bulk_hypot(grid):
     rng = np.random.default_rng(21)
-    u = dg.BulkField(grid, rng.standard_normal((grid.n_r, grid.n_theta)))
-    ref = np.hypot(dg.h1_seminorm_bulk(u), dg.l2_norm_bulk(u))
-    assert abs(dn.v_norm_bulk(u) - ref) < 1e-13
+    u = rng.standard_normal((grid.n_r, grid.n_theta))
+    ref = np.hypot(dg.h1_seminorm_bulk(grid, u), dg.l2_norm_bulk(grid, u))
+    assert abs(dn.v_norm_bulk(grid, u) - ref) < 1e-13
 
 
 def test_v_norm_includes_boundary_jump(grid):
-    u = dg.BulkField(grid, np.zeros((grid.n_r, grid.n_theta)))
-    v = dg.TraceField(grid, np.ones(grid.n_theta))
+    u = np.zeros((grid.n_r, grid.n_theta))
+    v = np.ones(grid.n_theta)
     # zero bulk with unit trace: only the boundary jump term contributes
-    jump = dg.h1_seminorm_bulk(u, v)
+    jump = dg.h1_seminorm_bulk(grid, u, v)
     assert jump > 0
-    assert abs(dn.v_norm_bulk(u, v) - jump) < 1e-13
+    assert abs(dn.v_norm_bulk(grid, u, v) - jump) < 1e-13
 
 
 def test_dual_norm_scales_linearly(grid, toolkit):
@@ -118,8 +118,8 @@ def test_dual_norm_scales_linearly(grid, toolkit):
     raw = rng.standard_normal(grid.size)
     w = grid.weights.ravel()
     raw -= (w @ raw) / w.sum()
-    z1 = dg.BulkField(grid, raw.reshape(grid.n_r, grid.n_theta))
-    z3 = dg.BulkField(grid, 3.0 * raw.reshape(grid.n_r, grid.n_theta))
+    z1 = raw.reshape(grid.n_r, grid.n_theta)
+    z3 = 3.0 * raw.reshape(grid.n_r, grid.n_theta)
     a, b = toolkit.dual_norm_bulk(z1), toolkit.dual_norm_bulk(z3)
     assert abs(b - 3.0 * a) < 1e-12 * max(1.0, b)
 
@@ -127,7 +127,7 @@ def test_dual_norm_scales_linearly(grid, toolkit):
 def test_trace_norms_parseval_consistency(grid, toolkit):
     # a two-mode combination: norms add in quadrature mode by mode
     th = grid.theta
-    z = dg.TraceField(grid, 2.0 * np.cos(th) + 0.5 * np.sin(3 * th))
+    z = 2.0 * np.cos(th) + 0.5 * np.sin(3 * th)
     ref_dual = np.sqrt(np.pi * (4.0 / 1 + 0.25 / 9))
     ref_half = np.sqrt(np.pi * (4.0 * 2 + 0.25 * 4))
     assert abs(toolkit.dual_norm_trace(z) - ref_dual) < 1e-12

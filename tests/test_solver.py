@@ -4,6 +4,7 @@ linear exactness against a dense solve, validation, and failure modes."""
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -32,11 +33,11 @@ def test_constant_state_is_stationary():
     p = cs.preset_problem('backward', g, amplitude=0.0, offset=0.3)
     res = cs.run(p, config())
     for s in res.steps:
-        assert np.max(np.abs(s.u.values - 0.3)) < 1e-12
-        assert np.max(np.abs(s.v.values - 0.3)) < 1e-12
+        assert np.max(np.abs(s.u - 0.3)) < 1e-12
+        assert np.max(np.abs(s.v - 0.3)) < 1e-12
         assert s.newton_iters <= 1
     # pi(0.3) = -0.3 shifts both potentials by the same constant
-    mu_vals = res.steps[-1].mu.values
+    mu_vals = res.steps[-1].mu
     assert np.max(np.abs(mu_vals - mu_vals.mean())) < 1e-10
 
 
@@ -94,8 +95,7 @@ def test_one_step_matches_dense_solve_for_linear_problem():
                            p.f(cfg.dt).ravel(), p.g(cfg.dt))
     x_dense = np.linalg.solve(J, J @ x0 - r0)
 
-    got = np.concatenate([out.u.values.ravel(), out.mu.values.ravel(),
-                          out.v.values, out.w.values])
+    got = np.concatenate([out.u.ravel(), out.mu.ravel(), out.v, out.w])
     scale = np.max(np.abs(x_dense))
     assert np.max(np.abs(got - x_dense)) < 1e-8 * max(1.0, scale)
 
@@ -108,7 +108,7 @@ def test_linear_homogeneity_of_one_step():
     cfg = config(t_end=1e-3)
     s1 = cs.run(p1, cfg).steps[-1]
     s2 = cs.run(p2, cfg).steps[-1]
-    assert np.max(np.abs(2.0 * s1.u.values - s2.u.values)) < 1e-11
+    assert np.max(np.abs(2.0 * s1.u - s2.u)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +120,10 @@ def test_selection_fields_match_definition():
     cfg = config(t_end=2e-3)
     res = cs.run(p, cfg)
     s = res.steps[-1]
-    xi_ref = np.asarray(mg.yosida(p.bulk_graph, s.u.values, cfg.lam))
-    eta_ref = np.asarray(mg.yosida(p.boundary_graph, s.v.values, cfg.lam))
-    assert np.array_equal(s.xi.values, xi_ref)
-    assert np.array_equal(s.eta.values, eta_ref)
+    xi_ref = np.asarray(mg.yosida(p.bulk_graph, s.u, cfg.lam))
+    eta_ref = np.asarray(mg.yosida(p.boundary_graph, s.v, cfg.lam))
+    assert np.array_equal(s.xi, xi_ref)
+    assert np.array_equal(s.eta, eta_ref)
 
 
 def test_chemical_potential_equation_residual():
@@ -134,10 +134,11 @@ def test_chemical_potential_equation_residual():
     cfg = config(t_end=1e-3)
     res = cs.run(p, cfg)
     s0, s1 = res.steps[0], res.steps[1]
-    lap_u = dg.laplacian_bulk(s1.u, boundary_values=s1.v).values
-    lhs = s1.mu.values
-    rhs = (cfg.lam / cfg.dt) * (s1.u.values - s0.u.values) - lap_u \
-        + s1.xi.values + np.asarray(p.pi(s0.u.values))
+    A, B = dg.dirichlet_laplacian_matrices(g)
+    lap_u = (A @ s1.u.ravel() + B @ s1.v).reshape(s1.u.shape)
+    lhs = s1.mu
+    rhs = (cfg.lam / cfg.dt) * (s1.u - s0.u) - lap_u \
+        + s1.xi + np.asarray(p.pi(s0.u))
     assert np.max(np.abs(lhs - rhs)) < 1e-7
 
 
@@ -147,8 +148,8 @@ def test_mass_flux_equation_residual():
     cfg = config(t_end=1e-3)
     res = cs.run(p, cfg)
     s0, s1 = res.steps[0], res.steps[1]
-    lap_mu = dg.laplacian_bulk(s1.mu).values
-    lhs = (s1.u.values - s0.u.values) / cfg.dt
+    lap_mu = (dg.neumann_laplacian_matrix(g) @ s1.mu.ravel()).reshape(s1.mu.shape)
+    lhs = (s1.u - s0.u) / cfg.dt
     assert np.max(np.abs(lhs - lap_mu)) < 1e-6
 
 
@@ -184,6 +185,37 @@ def test_newton_divergence_is_captured():
 
     with pytest.raises(NewtonDivergence):
         cs.step(cs.initial_state(p, cfg), p, cfg)
+
+
+def test_non_finite_residual_is_newton_divergence():
+    # NaN compares False against the tolerance; the step must not take the
+    # unchanged iterate for a converged one
+    g = small_grid()
+    p = cs.preset_problem('cubic', g)
+    cfg = config()
+    state = cs.initial_state(p, cfg)
+    state.mu[3, 5] = math.nan
+    with pytest.raises(NewtonDivergence) as info:
+        cs.step(state, p, cfg)
+    assert info.value.iters == 0 and math.isnan(info.value.residual)
+    assert abs(info.value.t - cfg.dt) < 1e-15
+
+
+def test_run_keeps_trajectory_before_non_finite_residual():
+    # the tabulated source turns NaN from t = 3e-3 on: two good steps
+    g = small_grid()
+    p = cs.preset_problem('cubic', g)
+    shape = (g.n_r, g.n_theta)
+    f = cs.make_bulk_source(g, {'kind': 'tabulated', 'times': [0.0, 2.5e-3, 2.6e-3],
+                                'frames': [np.zeros(shape), np.zeros(shape),
+                                           np.full(shape, math.nan)]})
+    p_nan = cs.ProblemData(g, p.bulk_graph, p.boundary_graph, p.pi, p.pi_gamma,
+                           f, p.g, p.u0, p.v0)
+    res = cs.run(p_nan, config(t_end=5e-3))
+    assert isinstance(res.error, NewtonDivergence)
+    assert abs(res.error.t - 3e-3) < 1e-15 and math.isnan(res.error.residual)
+    assert len(res.steps) == 3 and len(res.diagnostics.rows) == 3
+    assert all(np.all(np.isfinite(s.u)) for s in res.steps)
 
 
 def test_run_returns_wall_time_and_dt_lipschitz():
@@ -281,6 +313,20 @@ def test_tabulated_source_interpolates():
     assert np.allclose(src(0.25), 0.25)
     assert np.allclose(src(2.0), 1.0)     # constant continuation
     assert np.allclose(src(-1.0), 0.0)
+
+
+def test_source_sum_skips_zero_and_pickles():
+    g = small_grid()
+    shape = (g.n_r, g.n_theta)
+    a = cs.make_bulk_source(g, {'kind': 'separable',
+                                'spatial': {'kind': 'constant', 'value': 2.0},
+                                'time': {'kind': 'exp', 'rate': -1.0}})
+    b = cs.make_bulk_source(g, {'kind': 'tabulated', 'times': [0.0, 1.0],
+                                'frames': [np.zeros(shape), np.ones(shape)]})
+    zero = cs.make_bulk_source(g, None)
+    assert zero + a is a and a + zero is a
+    total = pickle.loads(pickle.dumps(a + b))   # worker processes get a copy
+    assert np.array_equal(total(0.25), a(0.25) + b(0.25))
 
 
 def test_preset_rejects_unknown_name():
