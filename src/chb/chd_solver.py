@@ -35,13 +35,14 @@ from scipy.sparse.linalg import splu
 
 from . import disk_grid as dg
 from . import monotone_graphs as mg
-from .errors import (LinearSolveFailure, NewtonDivergence, ShapeMismatch,
+from .errors import (LinearSolveFailure, NewtonDivergence, NonFiniteInput,
+                     RootFindFailure, ShapeMismatch, SolveFailure,
                      ValidationFailure)
 
 __all__ = (
     'SolverConfig', 'ProblemData', 'StepSolution', 'DiagnosticsRow',
     'Diagnostics', 'RunResult', 'ValidationReport', 'NewtonStepper',
-    'validate', 'step', 'run', 'energy', 'initial_state',
+    'validate', 'graph_reports', 'step', 'run', 'energy', 'initial_state',
     'bulk_profile', 'trace_profile', 'make_bulk_source', 'make_trace_source',
     'preset_problem', 'PRESET_NAMES', 'DIAGNOSTIC_COLUMNS',
 )
@@ -105,6 +106,10 @@ class _Source:
     frames: np.ndarray | None = None
     parts: tuple = ()
 
+    def __post_init__(self):
+        if self.time_kind not in ('constant', 'exp', 'cos'):
+            raise ValueError(f'unknown time profile {self.time_kind!r}')
+
     def __call__(self, t: float) -> np.ndarray:
         if self.kind == 'zero':
             return np.zeros(self.shape)
@@ -115,10 +120,8 @@ class _Source:
                 factor = 1.0
             elif self.time_kind == 'exp':
                 factor = math.exp(self.rate * t)
-            elif self.time_kind == 'cos':
-                factor = math.cos(self.omega * t)
             else:
-                raise ValueError(f'unknown time profile {self.time_kind!r}')
+                factor = math.cos(self.omega * t)
             return factor * self.spatial
         # tabulated: linear interpolation in t, constant continuation
         ts = np.asarray(self.times)
@@ -291,15 +294,18 @@ def _range_inside(values: np.ndarray, spec: mg.GraphSpec, margin: float = 1e-12)
     return lo > spec.domain_lower + margin and hi < spec.domain_upper - margin
 
 
-def _default_sample_grid(problem: ProblemData, n: int = 201) -> np.ndarray:
-    """Samples spanning the initial-data ranges widened by 50%, inside D(beta_Gamma)."""
+def graph_reports(problem: ProblemData, n: int = 201) -> tuple:
+    """(domination, same-growth) reports of the graph pair on n samples
+    spanning the initial-data ranges widened by 50%, inside D(beta_Gamma)."""
     radius = 1.5 * max(float(np.max(np.abs(problem.u0))),
                        float(np.max(np.abs(problem.v0))), 1e-6)
     pts = np.linspace(-radius, radius, n)
     b = problem.boundary_graph
     lo = b.domain_lower if b.lower_closed else b.domain_lower + 1e-12
     hi = b.domain_upper if b.upper_closed else b.domain_upper - 1e-12
-    return np.unique(np.clip(pts, lo, hi))
+    samples = np.unique(np.clip(pts, lo, hi))
+    return (mg.check_domination(problem.bulk_graph, b, samples),
+            mg.check_same_growth(problem.bulk_graph, b, samples))
 
 
 def validate(problem: ProblemData, config: SolverConfig) -> ValidationReport:
@@ -332,15 +338,12 @@ def validate(problem: ProblemData, config: SolverConfig) -> ValidationReport:
     if not _range_inside(v0, problem.boundary_graph):
         failures.append('IncompatibleRange: range of v0 not inside int D(beta_Gamma)')
 
-    domination = None
-    same_growth = None
+    domination = same_growth = None
     try:
-        samples = _default_sample_grid(problem)
-        domination = mg.check_domination(problem.bulk_graph, problem.boundary_graph, samples)
+        domination, same_growth = graph_reports(problem)
         if not domination.feasible:
             failures.append(f'DominationViolation: {domination.message} '
                             f'(witness {domination.witness})')
-        same_growth = mg.check_same_growth(problem.bulk_graph, problem.boundary_graph, samples)
     except Exception as exc:  # pragma: no cover - defensive; samples are in-domain
         failures.append(f'GrowthCheckError: {exc}')
 
@@ -399,7 +402,7 @@ class Diagnostics:
 class RunResult:
     steps: list              # StepSolution at every time level, t=0 first
     diagnostics: Diagnostics
-    error: NewtonDivergence | None
+    error: SolveFailure | None
     wall_time: float
 
 
@@ -532,68 +535,78 @@ class NewtonStepper:
     # -- the step ------------------------------------------------------------
 
     def step(self, t0: float, u0, v0, mu_prev, w_prev):
-        """Advance from t0 to t0+dt; returns (u, mu, v, w, iters, residual)."""
+        """Advance from t0 to t0+dt; returns (u, mu, v, w, iters, residual).
+
+        Raises a SolveFailure with the target time t0+dt on any failure.
+        """
         cfg = self.config
         prob = self.problem
-        t1 = t0 + self.dt
-        pi_u0 = np.asarray(prob.pi(u0))
-        pig_v0 = np.asarray(prob.pi_gamma(v0))
-        f1 = prob.f(t1).ravel()
-        g1 = prob.g(t1)
-        u0f = u0.ravel()
-        pi_u0 = pi_u0.ravel()
-
-        x = np.concatenate([u0f, mu_prev.ravel(), v0, w_prev])
-        r = self._residual(x, u0f, v0, pi_u0, pig_v0, f1, g1)
-        res = self._res_norm(r)
-        iters = 0
-        prev_res = math.inf
-        best_res = res
-        nm_left = 5   # budget of non-monotone kink-crossing steps
         n, nt = self.n, self.nt
+        t1 = t0 + self.dt
+        iters, res = 0, math.nan
+        try:
+            pi_u0 = np.asarray(prob.pi(u0))
+            pig_v0 = np.asarray(prob.pi_gamma(v0))
+            f1 = prob.f(t1).ravel()
+            g1 = prob.g(t1)
+            u0f = u0.ravel()
+            pi_u0 = pi_u0.ravel()
 
-        while res > cfg.newton_tol:
-            if iters >= cfg.newton_max_iter:
-                raise NewtonDivergence(
-                    f'no convergence in {iters} iterations (residual {res:.3e})',
-                    t=t1, iters=iters, residual=res)
-            if self._lu is None or res > 0.25 * prev_res:
-                self._refresh_lu(x[:n], x[2 * n:2 * n + nt])
-            try:
-                dx = self._lu.solve(-r)
-            except RuntimeError as exc:
-                raise LinearSolveFailure(f'triangular solve failed: {exc}') from exc
-            accepted = False
-            alpha = 1.0
-            for _ in range(9):  # full step + 8 damped retries
-                x_try = x + alpha * dx
-                r_try = self._residual(x_try, u0f, v0, pi_u0, pig_v0, f1, g1)
-                res_try = self._res_norm(r_try)
-                if res_try <= cfg.newton_tol or res_try < res * (1.0 - 1e-4):
-                    accepted = True
-                    break
-                alpha *= 0.5
-            iters += 1
-            if not accepted:
-                if self._refresh_lu(x[:n], x[2 * n:2 * n + nt]):
-                    continue  # retry with a fresh Jacobian at the same iterate
-                # Fresh Jacobian and no damped step decreases the merit: the
-                # Newton direction crosses an active-set kink where |R| rises
-                # transiently.  Take the full step anyway (bounded budget);
-                # for the piecewise-linear obstacle system the next fresh
-                # solve is exact once the active set settles.
-                if nm_left == 0:
+            x = np.concatenate([u0f, mu_prev.ravel(), v0, w_prev])
+            r = self._residual(x, u0f, v0, pi_u0, pig_v0, f1, g1)
+            res = self._res_norm(r)
+            prev_res = math.inf
+            best_res = res
+            nm_left = 5   # budget of non-monotone kink-crossing steps
+
+            while res > cfg.newton_tol:
+                if iters >= cfg.newton_max_iter:
                     raise NewtonDivergence(
-                        f'damped Newton stalled at residual {res:.3e}',
+                        f'no convergence in {iters} iterations (residual {res:.3e})',
                         t=t1, iters=iters, residual=res)
-                nm_left -= 1
-                x_try = x + dx
-                r_try = self._residual(x_try, u0f, v0, pi_u0, pig_v0, f1, g1)
-                res_try = self._res_norm(r_try)
-            x, r, prev_res, res = x_try, r_try, res, res_try
-            if res < best_res:
-                best_res = res
-                nm_left = 5
+                if self._lu is None or res > 0.25 * prev_res:
+                    self._refresh_lu(x[:n], x[2 * n:2 * n + nt])
+                try:
+                    dx = self._lu.solve(-r)
+                except RuntimeError as exc:
+                    raise LinearSolveFailure(f'triangular solve failed: {exc}') from exc
+                accepted = False
+                alpha = 1.0
+                for _ in range(9):  # full step + 8 damped retries
+                    x_try = x + alpha * dx
+                    r_try = self._residual(x_try, u0f, v0, pi_u0, pig_v0, f1, g1)
+                    res_try = self._res_norm(r_try)
+                    if res_try <= cfg.newton_tol or res_try < res * (1.0 - 1e-4):
+                        accepted = True
+                        break
+                    alpha *= 0.5
+                iters += 1
+                if not accepted:
+                    if self._refresh_lu(x[:n], x[2 * n:2 * n + nt]):
+                        continue  # retry with a fresh Jacobian at the same iterate
+                    # Fresh Jacobian and no damped step decreases the merit: the
+                    # Newton direction crosses an active-set kink where |R| rises
+                    # transiently.  Take the full step anyway (bounded budget);
+                    # for the piecewise-linear obstacle system the next fresh
+                    # solve is exact once the active set settles.
+                    if nm_left == 0:
+                        raise NewtonDivergence(
+                            f'damped Newton stalled at residual {res:.3e}',
+                            t=t1, iters=iters, residual=res)
+                    nm_left -= 1
+                    x_try = x + dx
+                    r_try = self._residual(x_try, u0f, v0, pi_u0, pig_v0, f1, g1)
+                    res_try = self._res_norm(r_try)
+                x, r, prev_res, res = x_try, r_try, res, res_try
+                if res < best_res:
+                    best_res = res
+                    nm_left = 5
+        except (NonFiniteInput, RootFindFailure) as exc:
+            raise NewtonDivergence(f'graph map failed on a Newton iterate: {exc}',
+                                   t=t1, iters=iters, residual=res) from exc
+        except LinearSolveFailure as exc:
+            exc.t, exc.iters, exc.residual = t1, iters, res
+            raise
 
         # NaN compares False against the tolerance and would end the loop
         # as if converged.
@@ -648,18 +661,18 @@ def _diag_row(problem, config, state: StepSolution, prev_energy: float | None):
     ), e
 
 
-def run(problem: ProblemData, config: SolverConfig,
-        check: bool = True) -> RunResult:
-    """Integrate from 0 to t_end; returns every time level plus diagnostics.
+def run(problem: ProblemData, config: SolverConfig) -> RunResult:
+    """Validate the data, then integrate from 0 to t_end; returns every
+    time level plus diagnostics.
 
-    A trailing partial step is taken when t_end is not a multiple of dt.
-    On NewtonDivergence the trajectory up to the last good step is
-    returned together with the error.
+    Inadmissible data raise ValidationFailure before the first step.  A
+    trailing partial step is taken when t_end is not a multiple of dt.
+    On a SolveFailure the trajectory up to the last good step is returned
+    together with the error.
     """
-    if check:
-        report = validate(problem, config)
-        if not report.ok:
-            raise ValidationFailure('; '.join(report.failures))
+    report = validate(problem, config)
+    if not report.ok:
+        raise ValidationFailure('; '.join(report.failures))
 
     t_start = time.perf_counter()
     n_full = int(math.floor(config.t_end / config.dt + 1e-9))
@@ -682,7 +695,7 @@ def run(problem: ProblemData, config: SolverConfig,
             stepper = NewtonStepper(problem, config, dt_k)
         try:
             state = _advance(stepper, state, problem, config)
-        except NewtonDivergence as exc:
+        except SolveFailure as exc:
             error = exc
             break
         row, e_prev = _diag_row(problem, config, state, e_prev)

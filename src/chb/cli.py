@@ -6,8 +6,9 @@
     chb sweep-lambda <config.json>   viscosity ladder differences
     chb graph-check <config.json>    domination / same-growth reports
 
-Exit codes: 0 ok, 2 validation or configuration failure, 3 solver
-failure, 4 experiment assertion failed.
+Exit codes: 0 ok, 2 validation or configuration failure (every
+experiment validates its data), 3 solver failure inside a step, 4
+experiment assertion failed.
 """
 
 from __future__ import annotations
@@ -18,18 +19,13 @@ import sys
 
 from . import chd_solver as cs
 from . import harness
-from . import monotone_graphs as mg
-from .errors import (ChbError, ConfigError, LinearSolveFailure, MeanMismatch,
-                     NewtonDivergence, SolveFailure, ValidationFailure)
+from .errors import ChbError, SolveFailure
+from .harness import _fmt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_ASSERTION = 4
-
-
-def _fmt(x) -> str:
-    return format(float(x), '.17g')
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,10 +125,7 @@ def _cmd_sweep_lambda(cfg) -> int:
 
 
 def _cmd_graph_check(cfg) -> int:
-    problem = harness.problem_from_config(cfg)
-    samples = cs._default_sample_grid(problem)
-    dom = mg.check_domination(problem.bulk_graph, problem.boundary_graph, samples)
-    growth = mg.check_same_growth(problem.bulk_graph, problem.boundary_graph, samples)
+    dom, growth = cs.graph_reports(harness.problem_from_config(cfg))
     out = {
         'domination': {
             'feasible': dom.feasible, 'rho1': dom.rho1, 'c1': dom.c1,
@@ -159,16 +152,9 @@ def main(argv=None) -> int:
             'graph-check': _cmd_graph_check,
         }[args.command]
         return handler(cfg)
-    except (ConfigError, ValidationFailure, MeanMismatch) as exc:
-        print(f'error: {exc}', file=sys.stderr)
-        return EXIT_VALIDATION
-    except NewtonDivergence as exc:
-        t = 'unknown' if exc.t is None else _fmt(exc.t)
-        print(f'solver failure: {exc} (failed step target time {t})',
-              file=sys.stderr)
-        return EXIT_SOLVER
-    except (LinearSolveFailure, SolveFailure) as exc:
-        print(f'solver failure: {exc}', file=sys.stderr)
+    except SolveFailure as exc:
+        at = '' if exc.t is None else f' (failed step target time {_fmt(exc.t)})'
+        print(f'solver failure: {exc}{at}', file=sys.stderr)
         return EXIT_SOLVER
     except ChbError as exc:
         print(f'error: {exc}', file=sys.stderr)

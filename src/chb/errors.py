@@ -37,14 +37,10 @@ class NonzeroMean(ChbError):
 
 
 class SolveFailure(ChbError):
-    """A linear solve failed or its residual exceeded tolerance."""
+    """A failure inside a time step.
 
-
-class NewtonDivergence(ChbError):
-    """Newton loop failed to converge after damped retries.
-
-    Usually means dt is too large or lambda too small for the
-    requested tolerance.
+    Carries the target time of the failed step, the Newton iterations
+    spent on it, and the last residual norm (each None when unknown).
     """
 
     def __init__(self, msg, t=None, iters=None, residual=None):
@@ -53,8 +49,21 @@ class NewtonDivergence(ChbError):
         self.iters = iters
         self.residual = residual
 
+    def __reduce__(self):
+        # keep t/iters/residual when the error crosses a process pool
+        return type(self), (str(self), self.t, self.iters, self.residual)
 
-class LinearSolveFailure(ChbError):
+
+class NewtonDivergence(SolveFailure):
+    """Newton loop failed to converge after damped retries, or a graph
+    map met a non-finite iterate.
+
+    Usually means dt is too large or lambda too small for the
+    requested tolerance.
+    """
+
+
+class LinearSolveFailure(SolveFailure):
     """Sparse factorization or triangular solve failed inside Newton."""
 
 

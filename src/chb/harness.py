@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,8 +24,7 @@ from . import disk_grid as dg
 from . import dual_norms as dn
 from . import monotone_graphs as mg
 from . import svg_plots
-from .errors import (ConfigError, MeanMismatch, NonPositivePoint,
-                     TooFewPoints, ValidationFailure)
+from .errors import ConfigError, MeanMismatch, NonPositivePoint, TooFewPoints
 
 __all__ = (
     'ExperimentConfig', 'SweepRow', 'SweepReport', 'StabilityRow',
@@ -35,11 +33,26 @@ __all__ = (
     'load_config', 'problem_from_config', 'solver_from_config',
 )
 
-_FIELD_NAMES = ('u', 'mu', 'xi', 'v', 'w', 'eta')
 
+# ---------------------------------------------------------------------------
+# report writing
 
 def _fmt(x) -> str:
     return format(float(x), '.17g')
+
+
+def _write_csv(path, header, rows):
+    """Every CSV artifact goes through here: csv's default dialect (CRLF)."""
+    with open(path, 'w', newline='') as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, obj):
+    with open(path, 'w') as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write('\n')
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +87,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f'bad grid: {exc}') from exc
         out = raw.get('output', {})
+        try:
+            stride, workers = int(out.get('stride', 1)), int(out.get('workers', 1))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f'bad output section: {exc}') from exc
         cfg = ExperimentConfig(
             experiment=experiment,
             grid=grid,
@@ -83,9 +100,9 @@ class ExperimentConfig:
             stability=raw.get('stability', {}),
             sweep_lambda=raw.get('sweep_lambda', {}),
             out_dir=str(out.get('dir', 'chb-out')),
-            stride=int(out.get('stride', 1)),
+            stride=stride,
             plots=bool(out.get('plots', False)),
-            workers=int(out.get('workers', 1)),
+            workers=workers,
         )
         cfg._check_lists()
         return cfg
@@ -95,7 +112,7 @@ class ExperimentConfig:
             deltas = self.sweep_delta.get('deltas')
             if not deltas:
                 raise ConfigError('sweep_delta.deltas is required')
-            dl = [float(d) for d in deltas]
+            dl = _floats(deltas, 'deltas')
             if any(not 0.0 < d <= 1.0 for d in dl):
                 raise ConfigError('deltas must lie in (0, 1]')
             if sorted(dl, reverse=True) != dl or len(set(dl)) != len(dl):
@@ -103,23 +120,35 @@ class ExperimentConfig:
             ref = self.sweep_delta.get('reference', 'delta_zero')
             if ref not in ('delta_zero', 'finest'):
                 raise ConfigError("reference must be 'delta_zero' or 'finest'")
+            _floats([v for k, v in self.sweep_delta.items() if k.startswith('assert_')],
+                    'assert_slope and assert_r2')
         if self.experiment == 'stability':
             amps = self.stability.get('amplitudes')
             if not amps:
                 raise ConfigError('stability.amplitudes is required')
-            if any(float(a) <= 0 for a in amps):
+            if any(a <= 0 for a in _floats(amps, 'amplitudes')):
                 raise ConfigError('amplitudes must be positive')
+            _floats([self.stability.get('band', 3.0)], 'band')
+            if self.stability.get('target', 'f') not in ('f', 'g', 'both', 'initial'):
+                raise ConfigError("target must be 'f', 'g', 'both' or 'initial'")
         if self.experiment == 'sweep_lambda':
             lams = self.sweep_lambda.get('lambdas')
             if lams is None or len(lams) < 2:
                 raise ConfigError('sweep_lambda.lambdas needs at least two values')
-            ll = [float(x) for x in lams]
+            ll = _floats(lams, 'lambdas')
             if sorted(ll, reverse=True) != ll or len(set(ll)) != len(ll):
                 raise ConfigError('lambdas must be strictly decreasing')
         if self.stride < 1:
             raise ConfigError('stride must be >= 1')
         if self.workers < 1:
             raise ConfigError('workers must be >= 1')
+
+
+def _floats(values, what: str) -> list:
+    try:
+        return [float(x) for x in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'{what} must be numeric: {exc}') from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -136,12 +165,12 @@ def load_config(path: str) -> ExperimentConfig:
 def problem_from_config(cfg: ExperimentConfig) -> cs.ProblemData:
     spec = cfg.problem_spec
     grid = cfg.grid
-    if 'preset' in spec:
-        kwargs = {k: spec[k] for k in
-                  ('amplitude', 'mode', 'offset', 'log_scale', 'anti_slope_c')
-                  if k in spec}
-        return cs.preset_problem(spec['preset'], grid, **kwargs)
     try:
+        if 'preset' in spec:
+            kwargs = {k: spec[k] for k in
+                      ('amplitude', 'mode', 'offset', 'log_scale', 'anti_slope_c')
+                      if k in spec}
+            return cs.preset_problem(spec['preset'], grid, **kwargs)
         bulk_graph = mg.graph_from_json(spec['bulk_graph'])
         boundary_graph = mg.graph_from_json(spec['boundary_graph'])
         pi = mg.perturbation_from_json(spec.get('pi', {'kind': 'linear', 'slope': 0.0}))
@@ -158,7 +187,7 @@ def problem_from_config(cfg: ExperimentConfig) -> cs.ProblemData:
             raise ConfigError('v0 is required when u0 is tabulated')
         f = cs.make_bulk_source(grid, spec.get('f'))
         g = cs.make_trace_source(grid, spec.get('g'))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f'bad problem spec: {exc}') from exc
     compat = spec.get('compat_tol')
     return cs.ProblemData(grid, bulk_graph, boundary_graph, pi, pi_gamma,
@@ -249,7 +278,7 @@ def _combined_error(norms) -> tuple:
 
 def _execute_run(task):
     problem, config = task
-    return cs.run(problem, config, check=False)
+    return cs.run(problem, config)
 
 
 def _run_many(tasks, workers: int):
@@ -263,43 +292,30 @@ def _run_many(tasks, workers: int):
 # ---------------------------------------------------------------------------
 # single run artifacts
 
-def _write_bulk_csv(path, grid, steps, name, stride):
+def _levels(steps, stride):
+    """(level, formatted t) for every stride-th level and the last one."""
     idx = sorted(set(range(0, len(steps), stride)) | {len(steps) - 1})
-    with open(path, 'w', newline='\n') as fh:
-        writer = csv.writer(fh)
-        writer.writerow(['t', 'i', 'j', 'value'])
-        for k in idx:
-            s = steps[k]
-            vals = getattr(s, name)
-            t_s = _fmt(s.t)
-            for i in range(grid.n_r):
-                row_vals = vals[i]
-                for j in range(grid.n_theta):
-                    writer.writerow([t_s, i, j, _fmt(row_vals[j])])
+    return [(steps[k], _fmt(steps[k].t)) for k in idx]
 
 
-def _write_trace_csv(path, grid, steps, name, stride):
-    idx = sorted(set(range(0, len(steps), stride)) | {len(steps) - 1})
-    with open(path, 'w', newline='\n') as fh:
-        writer = csv.writer(fh)
-        writer.writerow(['t', 'j', 'value'])
-        for k in idx:
-            s = steps[k]
-            vals = getattr(s, name)
-            t_s = _fmt(s.t)
-            for j in range(grid.n_theta):
-                writer.writerow([t_s, j, _fmt(vals[j])])
+def _write_bulk_csv(path, steps, name, stride):
+    _write_csv(path, ('t', 'i', 'j', 'value'),
+               ((t_s, i, j, _fmt(x))
+                for s, t_s in _levels(steps, stride)
+                for i, row in enumerate(getattr(s, name).tolist())
+                for j, x in enumerate(row)))
+
+
+def _write_trace_csv(path, steps, name, stride):
+    _write_csv(path, ('t', 'j', 'value'),
+               ((t_s, j, _fmt(x))
+                for s, t_s in _levels(steps, stride)
+                for j, x in enumerate(getattr(s, name).tolist())))
 
 
 def _write_diagnostics_csv(path, diag):
-    with open(path, 'w', newline='\n') as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cs.DIAGNOSTIC_COLUMNS)
-        for r in diag.rows:
-            writer.writerow([_fmt(r.t), _fmt(r.mass_bulk), _fmt(r.mass_trace),
-                             _fmt(r.energy), _fmt(r.d_energy), _fmt(r.grad_mu),
-                             _fmt(r.grad_w), _fmt(r.overshoot),
-                             _fmt(r.delta_h1v), r.newton_iters])
+    _write_csv(path, cs.DIAGNOSTIC_COLUMNS,
+               ([_fmt(getattr(r, c)) for c in cs.DIAGNOSTIC_COLUMNS] for r in diag.rows))
 
 
 def run_single(cfg: ExperimentConfig) -> dict:
@@ -308,20 +324,14 @@ def run_single(cfg: ExperimentConfig) -> dict:
     Raises ValidationFailure (caller exit 2) or SolveFailure-family errors
     (caller exit 3); returns the summary dict on success.
     """
-    problem = problem_from_config(cfg)
-    solver = solver_from_config(cfg)
-    report = cs.validate(problem, solver)
-    if not report.ok:
-        raise ValidationFailure('; '.join(report.failures))
-
-    result = cs.run(problem, solver, check=False)
+    result = cs.run(problem_from_config(cfg), solver_from_config(cfg))
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name in ('u', 'mu', 'xi'):
         _write_bulk_csv(os.path.join(cfg.out_dir, f'{name}.csv'),
-                        cfg.grid, result.steps, name, cfg.stride)
+                        result.steps, name, cfg.stride)
     for name in ('v', 'w', 'eta'):
         _write_trace_csv(os.path.join(cfg.out_dir, f'{name}.csv'),
-                         cfg.grid, result.steps, name, cfg.stride)
+                         result.steps, name, cfg.stride)
     _write_diagnostics_csv(os.path.join(cfg.out_dir, 'diagnostics.csv'),
                            result.diagnostics)
 
@@ -341,9 +351,7 @@ def run_single(cfg: ExperimentConfig) -> dict:
         'wall_time': result.wall_time,
         'solver_error': None if result.error is None else str(result.error),
     }
-    with open(os.path.join(cfg.out_dir, 'summary.json'), 'w') as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write('\n')
+    _write_json(os.path.join(cfg.out_dir, 'summary.json'), summary)
 
     if cfg.plots:
         ts = [r.t for r in rows]
@@ -394,7 +402,8 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
     Each delta reuses identical data, grid, dt, and viscosity; the error
     functional combines the four norms of the difference trajectory and
     a log-log OLS fit estimates the rate.  Rows of failed runs are
-    flagged and excluded from the fit.
+    flagged and excluded from the fit; a failed reference run raises its
+    SolveFailure.
     """
     problem = problem_from_config(cfg)
     deltas = [float(d) for d in cfg.sweep_delta['deltas']]
@@ -402,36 +411,22 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
     ref_delta = 0.0 if ref_mode == 'delta_zero' else deltas[-1]
     sweep_deltas = deltas if ref_mode == 'delta_zero' else deltas[:-1]
 
-    same_growth = None
-    rate_claimed = True
-    message = ''
-    try:
-        samples = cs._default_sample_grid(problem)
-        same_growth = mg.check_same_growth(problem.bulk_graph,
-                                           problem.boundary_graph, samples)
-        if not same_growth.feasible:
-            rate_claimed = False
-            message = ('same-growth condition not satisfied on the sample grid; '
-                       'rate fit reported without a rate claim')
-    except Exception as exc:  # pragma: no cover - defensive
-        rate_claimed = False
-        message = f'same-growth check failed: {exc}'
-
     tasks = [(problem, solver_from_config(cfg, delta=ref_delta))]
     tasks += [(problem, solver_from_config(cfg, delta=d)) for d in sweep_deltas]
     results = _run_many(tasks, cfg.workers)
     ref_result, run_results = results[0], results[1:]
+    if ref_result.error is not None:
+        raise ref_result.error
+
+    # the runs validated the data, so the graph checks cannot fail here
+    same_growth = cs.graph_reports(problem)[1]
+    rate_claimed = same_growth.feasible
+    message = '' if rate_claimed else (
+        'same-growth condition not satisfied on the sample grid; '
+        'rate fit reported without a rate claim')
 
     toolkit = dn.NormToolkit(cfg.grid)
     rows = []
-    if ref_result.error is not None:
-        for d in sweep_deltas:
-            rows.append(SweepRow(d, None, None, None,
-                                 f'reference failed: {ref_result.error}', False))
-        return SweepReport(rows, None, None, None, False, False,
-                           same_growth, ref_mode,
-                           f'reference run failed: {ref_result.error}')
-
     for d, res in zip(sweep_deltas, run_results):
         if res.error is not None:
             rows.append(SweepRow(d, None, None, None, f'failed: {res.error}', False))
@@ -467,16 +462,13 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
 
 def _write_sweep_artifacts(cfg, report: SweepReport):
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, 'sweep_delta.csv'), 'w', newline='\n') as fh:
-        writer = csv.writer(fh)
-        writer.writerow(['delta', 'e', 'sup_dual_bulk', 'l2_v', 'sup_dual_trace',
-                         'l2_h_half', 'delta_sup_gradv', 'status', 'in_fit'])
-        for r in report.rows:
-            comps = r.components or (None,) * 4
-            writer.writerow([_fmt(r.delta)]
-                            + ['' if v is None else _fmt(v) for v in (r.error, *comps)]
-                            + ['' if r.delta_sup_gradv is None else _fmt(r.delta_sup_gradv)]
-                            + [r.status, int(r.in_fit)])
+    _write_csv(os.path.join(cfg.out_dir, 'sweep_delta.csv'),
+               ('delta', 'e', 'sup_dual_bulk', 'l2_v', 'sup_dual_trace',
+                'l2_h_half', 'delta_sup_gradv', 'status', 'in_fit'),
+               ([_fmt(r.delta)]
+                + ['' if v is None else _fmt(v)
+                   for v in (r.error, *(r.components or (None,) * 4), r.delta_sup_gradv)]
+                + [r.status, int(r.in_fit)] for r in report.rows))
     fit_meta = {
         'slope': report.slope, 'intercept': report.intercept, 'r2': report.r2,
         'zero_error': report.zero_error, 'rate_claimed': report.rate_claimed,
@@ -486,9 +478,7 @@ def _write_sweep_artifacts(cfg, report: SweepReport):
         'same_growth_m': None if report.same_growth is None
         else report.same_growth.m_value,
     }
-    with open(os.path.join(cfg.out_dir, 'sweep_delta_fit.json'), 'w') as fh:
-        json.dump(fit_meta, fh, indent=2)
-        fh.write('\n')
+    _write_json(os.path.join(cfg.out_dir, 'sweep_delta_fit.json'), fit_meta)
     if cfg.plots:
         pts = [(r.delta, r.error) for r in report.rows
                if r.status == 'ok' and r.error and r.error > 0]
@@ -642,17 +632,13 @@ def _stability_row(toolkit, amplitude, prob_a, prob_b, steps_a, steps_b):
 
 def _write_stability_artifacts(cfg, report: StabilityReport):
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, 'stability.csv'), 'w', newline='\n') as fh:
-        writer = csv.writer(fh)
-        writer.writerow(['amplitude', 'sup_ratio', 'lhs_final', 'rhs_final', 'status'])
-        for r in report.rows:
-            writer.writerow([_fmt(r.amplitude), _fmt(r.sup_ratio),
-                             _fmt(r.lhs_final), _fmt(r.rhs_final), r.status])
-    meta = {'band': report.band, 'band_limit': report.band_limit,
-            'band_ok': report.band_ok, 'target': report.target}
-    with open(os.path.join(cfg.out_dir, 'stability.json'), 'w') as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write('\n')
+    _write_csv(os.path.join(cfg.out_dir, 'stability.csv'),
+               ('amplitude', 'sup_ratio', 'lhs_final', 'rhs_final', 'status'),
+               ([_fmt(r.amplitude), _fmt(r.sup_ratio), _fmt(r.lhs_final),
+                 _fmt(r.rhs_final), r.status] for r in report.rows))
+    _write_json(os.path.join(cfg.out_dir, 'stability.json'),
+                {'band': report.band, 'band_limit': report.band_limit,
+                 'band_ok': report.band_ok, 'target': report.target})
     if cfg.plots:
         ok = [r for r in report.rows if r.status == 'ok']
         svg_plots.write_chart(
@@ -679,7 +665,7 @@ def sweep_lambda(cfg: ExperimentConfig) -> LambdaReport:
     lams = [float(x) for x in cfg.sweep_lambda['lambdas']]
     tasks = [(problem, solver_from_config(cfg, **{'lambda': lam})) for lam in lams]
     results = _run_many(tasks, cfg.workers)
-    for lam, res in zip(lams, results):
+    for res in results:
         if res.error is not None:
             raise res.error
 
@@ -703,13 +689,10 @@ def sweep_lambda(cfg: ExperimentConfig) -> LambdaReport:
     report = LambdaReport(lams, diff_bulk, diff_trace, monotone)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, 'sweep_lambda.csv'), 'w', newline='\n') as fh:
-        writer = csv.writer(fh)
-        writer.writerow(['lambda_high', 'lambda_low', 'diff_bulk_l2v',
-                         'diff_trace_l2h'])
-        for k in range(len(lams) - 1):
-            writer.writerow([_fmt(lams[k]), _fmt(lams[k + 1]),
-                             _fmt(diff_bulk[k]), _fmt(diff_trace[k])])
+    _write_csv(os.path.join(cfg.out_dir, 'sweep_lambda.csv'),
+               ('lambda_high', 'lambda_low', 'diff_bulk_l2v', 'diff_trace_l2h'),
+               ([_fmt(x) for x in row]
+                for row in zip(lams[:-1], lams[1:], diff_bulk, diff_trace)))
     if cfg.plots:
         mids = lams[1:]
         svg_plots.write_chart(

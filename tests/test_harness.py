@@ -373,6 +373,21 @@ def test_cli_newton_divergence_is_exit_3(tmp_path, capsys):
     assert 'failed step target time' in capsys.readouterr().err
 
 
+def test_cli_sweep_delta_reference_failure_is_exit_3(tmp_path, capsys):
+    raw = {
+        'experiment': 'sweep_delta',
+        'grid': {'n_r': 8, 'n_theta': 16},
+        'problem': {'preset': 'cubic', 'amplitude': 0.4},
+        'solver': {'delta': 1.0, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 3e-3,
+                   'newton_max_iter': 1},
+        'sweep_delta': {'deltas': [0.4, 0.2, 0.1]},
+    }
+    path = cli_cfg(tmp_path, raw, 'sdf.json')
+    assert cli.main(['sweep-delta', path, '--out', str(tmp_path / 'sdf'),
+                     '--workers', '2']) == 3
+    assert 'failed step target time 0.001' in capsys.readouterr().err
+
+
 def test_cli_sweep_delta_assertion_gate(tmp_path, capsys):
     raw = {
         'experiment': 'sweep_delta',
@@ -453,21 +468,58 @@ EXPERIMENT_SECTIONS = {
     'sweep-delta': {'experiment': 'sweep_delta',
                     'sweep_delta': {'deltas': [0.4, 0.2, 0.1]}},
     'stability': {'experiment': 'stability', 'stability': {'amplitudes': [1e-2]}},
+    'sweep-lambda': {'experiment': 'sweep_lambda',
+                     'sweep_lambda': {'lambdas': [1e-2, 1e-3]}},
 }
 
 
-@pytest.mark.parametrize('command', sorted(EXPERIMENT_SECTIONS))
-def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command):
+def _nan_u0():
     u0 = np.zeros((8, 16))
     u0[3, 5] = math.nan
+    return {'kind': 'tabulated', 'values': u0.tolist()}
+
+
+# Inadmissible initial data: a NaN in u0, or constant u0 and v0 that are
+# not trace-compatible.
+INADMISSIBLE_DATA = {
+    '': (_nan_u0(), {'kind': 'constant', 'value': 0.0}),
+    '-trace': ({'kind': 'constant', 'value': 0.1}, {'kind': 'constant', 'value': 0.6}),
+}
+
+
+@pytest.mark.parametrize('command, data', [
+    pytest.param(command, data, id=command + data)
+    for data in INADMISSIBLE_DATA for command in sorted(EXPERIMENT_SECTIONS)])
+def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
+    # every experiment validates its data, also inside a worker process
+    u0, v0 = INADMISSIBLE_DATA[data]
     cubic = {'kind': 'power_odd', 'exponent': 3, 'scale': 1.0}
     raw = json.loads(json.dumps(BASE_SINGLE))
     raw.update(EXPERIMENT_SECTIONS[command])
-    raw['problem'] = {'bulk_graph': cubic, 'boundary_graph': cubic,
-                      'u0': {'kind': 'tabulated', 'values': u0.tolist()},
-                      'v0': {'kind': 'constant', 'value': 0.0}}
-    path = cli_cfg(tmp_path, raw, 'nan.json')     # json writes and reads NaN
-    assert cli.main([command, path, '--out', str(tmp_path / 'no')]) == 2
+    raw['problem'] = {'bulk_graph': cubic, 'boundary_graph': cubic, 'u0': u0, 'v0': v0}
+    path = cli_cfg(tmp_path, raw, 'bad.json')     # json writes and reads NaN
+    workers = ['--workers', '2'] if command.startswith('sweep') else []
+    assert cli.main([command, path, '--out', str(tmp_path / 'no')] + workers) == 2
+    assert 'error:' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('command, update', [
+    ('solve', {'output': {'stride': 'x'}}),
+    ('sweep-delta', {'sweep_delta': {'deltas': ['x', 0.1, 0.05]}}),
+    ('solve', {'problem': {'preset': 'nosuch'}}),
+    ('sweep-delta', {'sweep_delta': {'deltas': [0.4, 0.2, 0.1], 'assert_r2': 'x'}}),
+    ('stability', {'stability': {'amplitudes': [1e-2], 'band': 'x'}}),
+    ('stability', {'stability': {'amplitudes': [1e-2], 'target': 'h'}}),
+    ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                           'u0': {'kind': 'constant', 'value': 0.1},
+                           'f': {'kind': 'separable', 'time': {'kind': 'sin'}}}}),
+], ids=['stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile'])
+def test_cli_malformed_values_are_exit_2(tmp_path, capsys, command, update):
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    raw.update(EXPERIMENT_SECTIONS[command])
+    raw.update(update)
+    path = cli_cfg(tmp_path, raw, 'malformed.json')
+    assert cli.main([command, path, '--out', str(tmp_path / 'mo')]) == 2
     assert 'error:' in capsys.readouterr().err
 
 

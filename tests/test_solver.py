@@ -12,7 +12,8 @@ import pytest
 from chb import chd_solver as cs
 from chb import disk_grid as dg
 from chb import monotone_graphs as mg
-from chb.errors import NewtonDivergence, ShapeMismatch, ValidationFailure
+from chb.errors import (NewtonDivergence, ShapeMismatch, SolveFailure,
+                        ValidationFailure)
 
 
 def small_grid():
@@ -199,6 +200,22 @@ def test_non_finite_residual_is_newton_divergence():
         cs.step(state, p, cfg)
     assert info.value.iters == 0 and math.isnan(info.value.residual)
     assert abs(info.value.t - cfg.dt) < 1e-15
+
+
+def test_non_finite_iterate_is_solve_failure():
+    # the graph maps reject a NaN argument; inside a step that is a solver
+    # failure with the step's target time, also after crossing a process pool
+    g = small_grid()
+    p = cs.preset_problem('cubic', g)
+    cfg = config()
+    state = cs.initial_state(p, cfg)
+    state.u[3, 5] = math.nan
+    with pytest.raises(SolveFailure) as info:
+        cs.step(state, p, cfg)
+    assert isinstance(info.value, NewtonDivergence)
+    assert abs(info.value.t - cfg.dt) < 1e-15 and info.value.iters == 0
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (copy.t, copy.iters, str(copy)) == (info.value.t, 0, str(info.value))
 
 
 def test_run_keeps_trajectory_before_non_finite_residual():
