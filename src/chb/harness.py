@@ -91,6 +91,9 @@ class ExperimentConfig:
             stride, workers = int(out.get('stride', 1)), int(out.get('workers', 1))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f'bad output section: {exc}') from exc
+        plots = out.get('plots', False)
+        if not isinstance(plots, bool):
+            raise ConfigError(f'output.plots must be true or false, got {plots!r}')
         cfg = ExperimentConfig(
             experiment=experiment,
             grid=grid,
@@ -101,7 +104,7 @@ class ExperimentConfig:
             sweep_lambda=raw.get('sweep_lambda', {}),
             out_dir=str(out.get('dir', 'chb-out')),
             stride=stride,
-            plots=bool(out.get('plots', False)),
+            plots=plots,
             workers=workers,
         )
         cfg._check_lists()
@@ -298,19 +301,23 @@ def _levels(steps, stride):
     return [(steps[k], _fmt(steps[k].t)) for k in idx]
 
 
+def _write_field_csv(path, header, steps, name, stride):
+    """The bytes `_write_csv` gives for (t, cell index..., value) rows in C
+    order: one %-format per kept level of a row template whose NUL is t."""
+    cells = np.ndindex(getattr(steps[0], name).shape)
+    rows = ''.join('\0,' + ','.join(map(str, ix)) + ',%.17g\r\n' for ix in cells)
+    with open(path, 'w', newline='') as fh:
+        fh.write(','.join(header) + '\r\n')
+        for s, t_s in _levels(steps, stride):
+            fh.write(rows.replace('\0', t_s) % tuple(getattr(s, name).ravel().tolist()))
+
+
 def _write_bulk_csv(path, steps, name, stride):
-    _write_csv(path, ('t', 'i', 'j', 'value'),
-               ((t_s, i, j, _fmt(x))
-                for s, t_s in _levels(steps, stride)
-                for i, row in enumerate(getattr(s, name).tolist())
-                for j, x in enumerate(row)))
+    _write_field_csv(path, ('t', 'i', 'j', 'value'), steps, name, stride)
 
 
 def _write_trace_csv(path, steps, name, stride):
-    _write_csv(path, ('t', 'j', 'value'),
-               ((t_s, j, _fmt(x))
-                for s, t_s in _levels(steps, stride)
-                for j, x in enumerate(getattr(s, name).tolist())))
+    _write_field_csv(path, ('t', 'j', 'value'), steps, name, stride)
 
 
 def _write_diagnostics_csv(path, diag):

@@ -116,17 +116,31 @@ def graph_to_json(spec: GraphSpec) -> dict:
     return {'kind': 'double_obstacle', 'lower': spec.lower, 'upper': spec.upper}
 
 
-def graph_from_json(d: dict) -> GraphSpec:
+def _check_keys(d, params: dict, what: str) -> str:
+    """Reject a key that `params[d['kind']]` does not name: a misspelled
+    parameter would otherwise silently take its default."""
+    if not isinstance(d, dict):
+        raise ValueError(f'a {what} must be a JSON object, got {d!r}')
     kind = d.get('kind')
+    if kind not in params:
+        raise ValueError(f'unknown {what} kind {kind!r}')
+    extra = sorted(set(d) - {'kind', *params[kind]})
+    if extra:
+        raise ValueError(f'unknown {kind} {what} parameter(s) {extra}')
+    return kind
+
+
+def graph_from_json(d: dict) -> GraphSpec:
+    kind = _check_keys(d, {'zero': (), 'power_odd': ('exponent', 'coefficient'),
+                           'logarithmic': ('scale',), 'double_obstacle': ('lower', 'upper')},
+                       'graph')
     if kind == 'zero':
         return zero()
     if kind == 'power_odd':
         return power_odd(d.get('exponent', 3), d.get('coefficient', 1.0))
     if kind == 'logarithmic':
         return logarithmic(d.get('scale', 1.0))
-    if kind == 'double_obstacle':
-        return double_obstacle(d.get('lower', -1.0), d.get('upper', 1.0))
-    raise ValueError(f'unknown graph kind {kind!r}')
+    return double_obstacle(d.get('lower', -1.0), d.get('upper', 1.0))
 
 
 def _as_array(r):
@@ -536,9 +550,8 @@ def perturbation_to_json(p: Perturbation) -> dict:
 
 
 def perturbation_from_json(d: dict) -> Perturbation:
-    kind = d.get('kind')
+    kind = _check_keys(d, {'linear': ('slope',),
+                           'tabulated': ('xs', 'ys', 'lipschitz_constant')}, 'perturbation')
     if kind == 'linear':
         return Perturbation.linear(d.get('slope', 0.0))
-    if kind == 'tabulated':
-        return Perturbation.tabulated(d['xs'], d['ys'], d.get('lipschitz_constant'))
-    raise ValueError(f'unknown perturbation kind {kind!r}')
+    return Perturbation.tabulated(d['xs'], d['ys'], d.get('lipschitz_constant'))

@@ -3,9 +3,12 @@ determinism, and the command-line front end (exit codes included)."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,8 +109,8 @@ def test_config_validation_failures(tmp_path, mutate, exp):
 def test_explicit_problem_spec(tmp_path):
     raw = dict(BASE_SINGLE)
     raw['problem'] = {
-        'bulk_graph': {'kind': 'power_odd', 'exponent': 3, 'scale': 1.0},
-        'boundary_graph': {'kind': 'power_odd', 'exponent': 3, 'scale': 1.0},
+        'bulk_graph': {'kind': 'power_odd', 'exponent': 3, 'coefficient': 1.0},
+        'boundary_graph': {'kind': 'power_odd', 'exponent': 3, 'coefficient': 1.0},
         'pi': {'kind': 'linear', 'slope': -1.0},
         'u0': {'kind': 'harmonic', 'amplitude': 0.2, 'mode': 2, 'offset': 0.05},
     }
@@ -181,6 +184,54 @@ def test_plots_written_when_requested(tmp_path):
     harness.run_single(cfg)
     svg = (tmp_path / 'p' / 'energy.svg').read_text()
     assert svg.startswith('<svg') and 'polyline' in svg
+
+
+# Every value class the field dumps must print exactly: signed zeros, nan,
+# both infinities, the smallest subnormal, the largest float, a value that
+# needs 17 digits and an integral one.
+GOLDEN_VALUES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                 1.7976931348623157e308, 0.1, 2.0, -1.0 / 3.0]
+
+
+def _golden_steps(n_levels):
+    """Levels k = 0..n_levels-1 at t = k*1e-3 with a (2, 5) bulk field `u`
+    and a (10,) trace field `v`, both rotations of GOLDEN_VALUES."""
+    steps = []
+    for k in range(n_levels):
+        vals = np.roll(GOLDEN_VALUES, k)
+        steps.append(SimpleNamespace(t=k * 1e-3, u=vals.reshape(2, 5), v=vals))
+    return steps
+
+
+def _reference_csv(steps, name, keep):
+    """csv.writer + format(x, '.17g') bytes: the writer the block format replaces."""
+    buf = io.StringIO(newline='')
+    writer = csv.writer(buf)
+    writer.writerow(('t', 'i', 'j', 'value') if name == 'u' else ('t', 'j', 'value'))
+    for k in keep:
+        t_s = format(steps[k].t, '.17g')
+        field = getattr(steps[k], name).tolist()
+        if name == 'u':
+            writer.writerows((t_s, i, j, format(x, '.17g'))
+                             for i, row in enumerate(field) for j, x in enumerate(row))
+        else:
+            writer.writerows((t_s, j, format(x, '.17g')) for j, x in enumerate(field))
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize('n_levels, stride, keep', [
+    (8, 3, [0, 3, 6, 7]),     # every third level plus the last
+    (1, 1, [0]),              # a run that failed its first step
+], ids=['stride3', 'one_level'])
+@pytest.mark.parametrize('name', ['u', 'v'])
+def test_field_csv_golden_bytes(tmp_path, n_levels, stride, keep, name):
+    steps = _golden_steps(n_levels)
+    write = harness._write_bulk_csv if name == 'u' else harness._write_trace_csv
+    write(tmp_path / 'f.csv', steps, name, stride)
+    data = (tmp_path / 'f.csv').read_bytes()
+    assert data == _reference_csv(steps, name, keep)
+    assert data.count(b'\r\n') == 1 + len(keep) * getattr(steps[0], name).size
+    assert b'nan' in data and b'-inf' in data and b'4.9406564584124654e-324' in data
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +480,8 @@ def test_cli_graph_check(tmp_path, capsys):
 
     bad_raw = json.loads(json.dumps(ok_raw))
     bad_raw['problem'] = {
-        'bulk_graph': {'kind': 'power_odd', 'exponent': 5, 'scale': 1.0},
-        'boundary_graph': {'kind': 'power_odd', 'exponent': 3, 'scale': 1.0},
+        'bulk_graph': {'kind': 'power_odd', 'exponent': 5, 'coefficient': 1.0},
+        'boundary_graph': {'kind': 'power_odd', 'exponent': 3, 'coefficient': 1.0},
         'u0': {'kind': 'constant', 'value': 0.1},
     }
     path = cli_cfg(tmp_path, bad_raw, 'gc_bad.json')
@@ -493,7 +544,7 @@ INADMISSIBLE_DATA = {
 def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
     # every experiment validates its data, also inside a worker process
     u0, v0 = INADMISSIBLE_DATA[data]
-    cubic = {'kind': 'power_odd', 'exponent': 3, 'scale': 1.0}
+    cubic = {'kind': 'power_odd', 'exponent': 3, 'coefficient': 1.0}
     raw = json.loads(json.dumps(BASE_SINGLE))
     raw.update(EXPERIMENT_SECTIONS[command])
     raw['problem'] = {'bulk_graph': cubic, 'boundary_graph': cubic, 'u0': u0, 'v0': v0}
@@ -513,7 +564,17 @@ def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
     ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
                            'u0': {'kind': 'constant', 'value': 0.1},
                            'f': {'kind': 'separable', 'time': {'kind': 'sin'}}}}),
-], ids=['stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile'])
+    ('solve', {'problem': {'bulk_graph': {'kind': 'power_odd', 'exponent': 3, 'scale': 2.0},
+                           'boundary_graph': {'kind': 'power_odd', 'exponent': 3},
+                           'u0': {'kind': 'constant', 'value': 0.1}}}),
+    ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                           'pi': {'kind': 'linear', 'slope': -1.0, 'lipschitz': 1.0},
+                           'u0': {'kind': 'constant', 'value': 0.1}}}),
+    ('solve', {'problem': {'bulk_graph': 'cubic', 'boundary_graph': {'kind': 'zero'},
+                           'u0': {'kind': 'constant', 'value': 0.1}}}),
+    ('solve', {'output': {'plots': 'false'}}),
+], ids=['stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile',
+        'graph_key', 'pi_key', 'graph_str', 'plots'])
 def test_cli_malformed_values_are_exit_2(tmp_path, capsys, command, update):
     raw = json.loads(json.dumps(BASE_SINGLE))
     raw.update(EXPERIMENT_SECTIONS[command])
