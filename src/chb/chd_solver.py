@@ -1,9 +1,10 @@
 """Backward-Euler time integration of the viscous Cahn-Hilliard system
 with a dynamic Cahn-Hilliard-type boundary condition on the unit disk.
 
-Unknowns per time level are the sextuplet (u, mu, xi, v, w, eta): bulk
-state and chemical potential with the graph selection xi = beta_lam(u),
-and their boundary counterparts.  One step solves
+The paper's unknowns are the sextuplet (u, mu, xi, v, w, eta).  With
+the Yosida approximation the selections xi = beta_lam(u) and
+eta = beta_Gamma_lam(v) are functions of the state, so Newton solves for
+(u, mu, v, w) only and a time level stores those four.  One step solves
 
     (u' - u)/dt = Lap mu',                         zero flux on mu',
     mu' = lam*(u'-u)/dt + s*(u'-u) - Lap u' + beta_lam(u') + pi(u) - f(t'),
@@ -41,7 +42,7 @@ from .errors import (LinearSolveFailure, NewtonDivergence, NonFiniteInput,
 
 __all__ = (
     'SolverConfig', 'ProblemData', 'StepSolution', 'DiagnosticsRow',
-    'Diagnostics', 'RunResult', 'ValidationReport', 'NewtonStepper',
+    'Diagnostics', 'RunResult', 'NewtonStepper',
     'validate', 'graph_reports', 'step', 'run', 'energy', 'initial_state',
     'bulk_profile', 'trace_profile', 'make_bulk_source', 'make_trace_source',
     'preset_problem', 'PRESET_NAMES', 'DIAGNOSTIC_COLUMNS',
@@ -243,56 +244,35 @@ PRESET_NAMES = ('cubic', 'logarithmic', 'obstacle', 'backward')
 
 def preset_problem(name: str, grid: dg.DiskGrid, amplitude: float = 0.2,
                    mode: int = 2, offset: float = 0.05, log_scale: float = 0.5,
-                   anti_slope_c: float = 1.0) -> ProblemData:
+                   anti_slope_c: float = 1.0, compat_tol: float | None = None) -> ProblemData:
     """Named problem families with compatible smooth initial data.
 
     u0 = offset + amplitude*r^mode*cos(mode*theta) with the matching trace
-    ring; f = g = 0.  The logarithmic family exposes the potential scale
-    and the anti-monotone slope c (pi = -2c r) as parameters.
+    ring; f = g = 0; beta = beta_Gamma and pi = pi_Gamma.  The logarithmic
+    family exposes the potential scale and the anti-monotone slope c
+    (pi = -2c r) as parameters.
     """
+    if name == 'cubic':
+        graph, slope = mg.power_odd(3, 1.0), -1.0
+    elif name == 'logarithmic':
+        graph, slope = mg.logarithmic(log_scale), -2.0 * anti_slope_c
+    elif name == 'obstacle':
+        graph, slope = mg.double_obstacle(-1.0, 1.0), -1.0
+    elif name == 'backward':
+        graph, slope = mg.zero(), -1.0
+    else:
+        raise ValueError(f'unknown preset {name!r}; choose from {PRESET_NAMES}')
     u0 = bulk_profile(grid, {'kind': 'harmonic', 'amplitude': amplitude,
                              'mode': mode, 'offset': offset})
     v0 = trace_profile(grid, {'kind': 'mode', 'amplitude': amplitude,
                               'mode': mode, 'offset': offset})
-    zero_f = make_bulk_source(grid, None)
-    zero_g = make_trace_source(grid, None)
-    if name == 'cubic':
-        graph = mg.power_odd(3, 1.0)
-        pi = mg.Perturbation.linear(-1.0)
-        return ProblemData(grid, graph, graph, pi, pi, zero_f, zero_g, u0, v0)
-    if name == 'logarithmic':
-        graph = mg.logarithmic(log_scale)
-        pi = mg.Perturbation.linear(-2.0 * anti_slope_c)
-        return ProblemData(grid, graph, graph, pi, pi, zero_f, zero_g, u0, v0)
-    if name == 'obstacle':
-        graph = mg.double_obstacle(-1.0, 1.0)
-        pi = mg.Perturbation.linear(-1.0)
-        return ProblemData(grid, graph, graph, pi, pi, zero_f, zero_g, u0, v0)
-    if name == 'backward':
-        graph = mg.zero()
-        pi = mg.Perturbation.linear(-1.0)
-        return ProblemData(grid, graph, graph, pi, pi, zero_f, zero_g, u0, v0)
-    raise ValueError(f'unknown preset {name!r}; choose from {PRESET_NAMES}')
+    pi = mg.Perturbation.linear(slope)
+    return ProblemData(grid, graph, graph, pi, pi, make_bulk_source(grid, None),
+                       make_trace_source(grid, None), u0, v0, compat_tol)
 
 
 # ---------------------------------------------------------------------------
 # validation
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    failures: list
-    domination: mg.DominationReport | None
-    same_growth: mg.SameGrowthReport | None
-    compat_error: float
-    compat_tol: float
-    dt_lipschitz: float
-
-
-def _range_inside(values: np.ndarray, spec: mg.GraphSpec, margin: float = 1e-12) -> bool:
-    lo, hi = float(np.min(values)), float(np.max(values))
-    return lo > spec.domain_lower + margin and hi < spec.domain_upper - margin
-
 
 def graph_reports(problem: ProblemData, n: int = 201) -> tuple:
     """(domination, same-growth) reports of the graph pair on n samples
@@ -308,8 +288,9 @@ def graph_reports(problem: ProblemData, n: int = 201) -> tuple:
             mg.check_same_growth(problem.bulk_graph, b, samples))
 
 
-def validate(problem: ProblemData, config: SolverConfig) -> ValidationReport:
-    """Check the admissibility assumptions; returns a report, never raises.
+def validate(problem: ProblemData, config: SolverConfig) -> list:
+    """Check the admissibility assumptions; returns the list of failures
+    (empty when the data are admissible), never raises.
 
     Verifies trace compatibility of (u0, v0) with the one-sided boundary
     stencil, initial ranges strictly inside the graph domains, and
@@ -333,14 +314,13 @@ def validate(problem: ProblemData, config: SolverConfig) -> ValidationReport:
         failures.append(f'TraceIncompatibility: |u0 ring extrapolation - v0| = '
                         f'{compat_error:.3e} exceeds {compat_tol:.3e}')
 
-    if not _range_inside(u0, problem.bulk_graph):
+    if not np.all(problem.bulk_graph.contains(u0, strict_margin=1e-12)):
         failures.append('IncompatibleRange: essential range of u0 not inside int D(beta)')
-    if not _range_inside(v0, problem.boundary_graph):
+    if not np.all(problem.boundary_graph.contains(v0, strict_margin=1e-12)):
         failures.append('IncompatibleRange: range of v0 not inside int D(beta_Gamma)')
 
-    domination = same_growth = None
     try:
-        domination, same_growth = graph_reports(problem)
+        domination = graph_reports(problem)[0]
         if not domination.feasible:
             failures.append(f'DominationViolation: {domination.message} '
                             f'(witness {domination.witness})')
@@ -353,8 +333,7 @@ def validate(problem: ProblemData, config: SolverConfig) -> ValidationReport:
         warnings.warn(f'dt*(L + L_Gamma) = {dt_lip:.3g} exceeds 0.5; the explicit '
                       'perturbation treatment may be inaccurate', stacklevel=2)
 
-    return ValidationReport(not failures, failures, domination, same_growth,
-                            compat_error, compat_tol, dt_lip)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +341,19 @@ def validate(problem: ProblemData, config: SolverConfig) -> ValidationReport:
 
 @dataclass
 class StepSolution:
-    """Discrete sextuplet at one time level plus Newton bookkeeping.
+    """What Newton solves for at one time level, (u, mu, v, w), and the
+    iterations it took.
 
-    Bulk arrays u, mu, xi have shape (n_r, n_theta); boundary arrays
-    v, w, eta have shape (n_theta,).
+    Bulk arrays u, mu have shape (n_r, n_theta); boundary arrays v, w have
+    shape (n_theta,).  The selections xi = beta_lam(u) and
+    eta = beta_Gamma_lam(v) are not stored; `mg.yosida` gives them.
     """
     t: float
     u: np.ndarray
     mu: np.ndarray
-    xi: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    eta: np.ndarray
     newton_iters: int
-    residual: float
 
 
 @dataclass
@@ -474,13 +452,16 @@ class NewtonStepper:
 
     # -- assembly ----------------------------------------------------------
 
+    def _slopes(self, u, v):
+        """A.e. Yosida slopes (du, dv) at (u, v): the Jacobian's nonlinear
+        diagonals."""
+        lam = self.config.lam
+        return (np.asarray(mg.yosida_derivative(self.problem.bulk_graph, u.ravel(), lam)),
+                np.asarray(mg.yosida_derivative(self.problem.boundary_graph, v, lam)))
+
     def jacobian_at(self, u: np.ndarray, v: np.ndarray) -> sps.csc_matrix:
         """4-block Jacobian with the a.e. Yosida slopes at (u, v)."""
-        du = np.asarray(mg.yosida_derivative(self.problem.bulk_graph,
-                                             u.ravel(), self.config.lam))
-        dv = np.asarray(mg.yosida_derivative(self.problem.boundary_graph,
-                                             v, self.config.lam))
-        return self._jacobian_from_diags(du, dv)
+        return self._jacobian_from_diags(*self._slopes(u, v))
 
     def _jacobian_from_diags(self, du, dv):
         return sps.bmat(
@@ -491,20 +472,15 @@ class NewtonStepper:
             format='csc')
 
     def _refresh_lu(self, u, v):
-        du = np.asarray(mg.yosida_derivative(self.problem.bulk_graph,
-                                             u, self.config.lam))
-        dv = np.asarray(mg.yosida_derivative(self.problem.boundary_graph,
-                                             v, self.config.lam))
-        key = (du, dv)
-        if self._lu is not None and self._lu_key is not None \
-                and np.array_equal(self._lu_key[0], du) \
+        du, dv = self._slopes(u, v)
+        if self._lu is not None and np.array_equal(self._lu_key[0], du) \
                 and np.array_equal(self._lu_key[1], dv):
             return False  # factorization already matches this iterate
         try:
             self._lu = splu(self._jacobian_from_diags(du, dv))
         except RuntimeError as exc:
             raise LinearSolveFailure(f'sparse factorization failed: {exc}') from exc
-        self._lu_key = key
+        self._lu_key = (du, dv)
         return True
 
     # -- residual ------------------------------------------------------------
@@ -620,28 +596,20 @@ class NewtonStepper:
 def step(state: StepSolution, problem: ProblemData, config: SolverConfig) -> StepSolution:
     """Single time step from an existing StepSolution (fresh stepper)."""
     stepper = NewtonStepper(problem, config, config.dt)
-    return _advance(stepper, state, problem, config)
+    return _advance(stepper, state)
 
 
-def _advance(stepper: NewtonStepper, state: StepSolution, problem, config) -> StepSolution:
-    u1, mu1, v1, w1, iters, res = stepper.step(
-        state.t, state.u, state.v, state.mu, state.w)
-    lam = config.lam
-    xi = np.asarray(mg.yosida(problem.bulk_graph, u1, lam))
-    eta = np.asarray(mg.yosida(problem.boundary_graph, v1, lam))
-    return StepSolution(state.t + stepper.dt, u1, mu1, xi, v1, w1, eta, iters, res)
+def _advance(stepper: NewtonStepper, state: StepSolution) -> StepSolution:
+    u1, mu1, v1, w1, iters, _ = stepper.step(state.t, state.u, state.v, state.mu, state.w)
+    return StepSolution(state.t + stepper.dt, u1, mu1, v1, w1, iters)
 
 
-def initial_state(problem: ProblemData, config: SolverConfig) -> StepSolution:
+def initial_state(problem: ProblemData) -> StepSolution:
     """Time-zero StepSolution; mu and w are not defined by the scheme at t=0
     and are stored as zeros."""
     g = problem.grid
-    zeros_b = np.zeros((g.n_r, g.n_theta))
-    zeros_t = np.zeros(g.n_theta)
-    xi = np.asarray(mg.yosida(problem.bulk_graph, problem.u0, config.lam))
-    eta = np.asarray(mg.yosida(problem.boundary_graph, problem.v0, config.lam))
-    return StepSolution(0.0, problem.u0.copy(), zeros_b, xi,
-                        problem.v0.copy(), zeros_t, eta, 0, 0.0)
+    return StepSolution(0.0, problem.u0.copy(), np.zeros((g.n_r, g.n_theta)),
+                        problem.v0.copy(), np.zeros(g.n_theta), 0)
 
 
 def _diag_row(problem, config, state: StepSolution, prev_energy: float | None):
@@ -670,9 +638,9 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
     On a SolveFailure the trajectory up to the last good step is returned
     together with the error.
     """
-    report = validate(problem, config)
-    if not report.ok:
-        raise ValidationFailure('; '.join(report.failures))
+    failures = validate(problem, config)
+    if failures:
+        raise ValidationFailure('; '.join(failures))
 
     t_start = time.perf_counter()
     n_full = int(math.floor(config.t_end / config.dt + 1e-9))
@@ -682,7 +650,7 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
 
     diag = Diagnostics(dt_lipschitz=config.dt * (
         problem.pi.lipschitz_constant + problem.pi_gamma.lipschitz_constant))
-    state = initial_state(problem, config)
+    state = initial_state(problem)
     row, e_prev = _diag_row(problem, config, state, None)
     diag.rows.append(row)
     steps = [state]
@@ -694,7 +662,7 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
         if dt_k != stepper.dt:
             stepper = NewtonStepper(problem, config, dt_k)
         try:
-            state = _advance(stepper, state, problem, config)
+            state = _advance(stepper, state)
         except SolveFailure as exc:
             error = exc
             break

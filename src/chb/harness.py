@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -165,15 +166,30 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+_PRESET_KNOBS = ('amplitude', 'mode', 'offset', 'log_scale', 'anti_slope_c')
+_SOLVER_KEYS = ('delta', 'lambda', 'lam', 'dt', 't_end', 'newton_tol', 'newton_max_iter',
+                'stabilization')
+
+
+def _check_section(spec: dict, keys, what: str):
+    """Reject a key the section does not read: a misspelled one would
+    otherwise silently take its default."""
+    extra = sorted(set(spec) - set(keys))
+    if extra:
+        raise ValueError(f'unknown {what} key(s) {extra}')
+
+
 def problem_from_config(cfg: ExperimentConfig) -> cs.ProblemData:
     spec = cfg.problem_spec
     grid = cfg.grid
     try:
+        compat = None if spec.get('compat_tol') is None else float(spec['compat_tol'])
         if 'preset' in spec:
-            kwargs = {k: spec[k] for k in
-                      ('amplitude', 'mode', 'offset', 'log_scale', 'anti_slope_c')
-                      if k in spec}
-            return cs.preset_problem(spec['preset'], grid, **kwargs)
+            _check_section(spec, ('preset', 'compat_tol') + _PRESET_KNOBS, 'preset')
+            return cs.preset_problem(spec['preset'], grid, compat_tol=compat,
+                                     **{k: spec[k] for k in _PRESET_KNOBS if k in spec})
+        _check_section(spec, ('bulk_graph', 'boundary_graph', 'pi', 'pi_gamma', 'u0', 'v0',
+                              'f', 'g', 'compat_tol'), 'problem')
         bulk_graph = mg.graph_from_json(spec['bulk_graph'])
         boundary_graph = mg.graph_from_json(spec['boundary_graph'])
         pi = mg.perturbation_from_json(spec.get('pi', {'kind': 'linear', 'slope': 0.0}))
@@ -190,18 +206,16 @@ def problem_from_config(cfg: ExperimentConfig) -> cs.ProblemData:
             raise ConfigError('v0 is required when u0 is tabulated')
         f = cs.make_bulk_source(grid, spec.get('f'))
         g = cs.make_trace_source(grid, spec.get('g'))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f'bad problem spec: {exc}') from exc
-    compat = spec.get('compat_tol')
     return cs.ProblemData(grid, bulk_graph, boundary_graph, pi, pi_gamma,
-                          f, g, u0, v0,
-                          compat_tol=None if compat is None else float(compat))
+                          f, g, u0, v0, compat_tol=compat)
 
 
 def solver_from_config(cfg: ExperimentConfig, **overrides) -> cs.SolverConfig:
-    spec = dict(cfg.solver_spec)
-    spec.update(overrides)
     try:
+        spec = dict(cfg.solver_spec, **overrides)
+        _check_section(spec, _SOLVER_KEYS, 'solver')
         return cs.SolverConfig(
             delta=float(spec.get('delta', 0.0)),
             lam=float(spec.get('lambda', spec.get('lam', 1e-3))),
@@ -211,7 +225,7 @@ def solver_from_config(cfg: ExperimentConfig, **overrides) -> cs.SolverConfig:
             newton_max_iter=int(spec.get('newton_max_iter', 50)),
             stabilization=float(spec.get('stabilization', 0.0)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f'bad solver spec: {exc}') from exc
 
 
@@ -301,23 +315,26 @@ def _levels(steps, stride):
     return [(steps[k], _fmt(steps[k].t)) for k in idx]
 
 
-def _write_field_csv(path, header, steps, name, stride):
+def _write_field_csv(path, header, steps, values_of, stride):
     """The bytes `_write_csv` gives for (t, cell index..., value) rows in C
-    order: one %-format per kept level of a row template whose NUL is t."""
-    cells = np.ndindex(getattr(steps[0], name).shape)
-    rows = ''.join('\0,' + ','.join(map(str, ix)) + ',%.17g\r\n' for ix in cells)
+    order, with `values_of(level)` the array of a kept level: one %-format
+    per level of a row template whose NUL is t."""
+    rows = None
     with open(path, 'w', newline='') as fh:
         fh.write(','.join(header) + '\r\n')
         for s, t_s in _levels(steps, stride):
-            fh.write(rows.replace('\0', t_s) % tuple(getattr(s, name).ravel().tolist()))
+            values = values_of(s)
+            rows = rows or ''.join('\0,' + ','.join(map(str, ix)) + ',%.17g\r\n'
+                                   for ix in np.ndindex(values.shape))
+            fh.write(rows.replace('\0', t_s) % tuple(values.ravel().tolist()))
 
 
-def _write_bulk_csv(path, steps, name, stride):
-    _write_field_csv(path, ('t', 'i', 'j', 'value'), steps, name, stride)
+def _write_bulk_csv(path, steps, values_of, stride):
+    _write_field_csv(path, ('t', 'i', 'j', 'value'), steps, values_of, stride)
 
 
-def _write_trace_csv(path, steps, name, stride):
-    _write_field_csv(path, ('t', 'j', 'value'), steps, name, stride)
+def _write_trace_csv(path, steps, values_of, stride):
+    _write_field_csv(path, ('t', 'j', 'value'), steps, values_of, stride)
 
 
 def _write_diagnostics_csv(path, diag):
@@ -331,14 +348,18 @@ def run_single(cfg: ExperimentConfig) -> dict:
     Raises ValidationFailure (caller exit 2) or SolveFailure-family errors
     (caller exit 3); returns the summary dict on success.
     """
-    result = cs.run(problem_from_config(cfg), solver_from_config(cfg))
+    problem, solver = problem_from_config(cfg), solver_from_config(cfg)
+    result = cs.run(problem, solver)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    for name in ('u', 'mu', 'xi'):
-        _write_bulk_csv(os.path.join(cfg.out_dir, f'{name}.csv'),
-                        result.steps, name, cfg.stride)
-    for name in ('v', 'w', 'eta'):
-        _write_trace_csv(os.path.join(cfg.out_dir, f'{name}.csv'),
-                         result.steps, name, cfg.stride)
+    # xi = beta_lam(u) and eta = beta_Gamma_lam(v) of the written levels only,
+    # each from a whole level array
+    fields = {'u': attrgetter('u'), 'mu': attrgetter('mu'),
+              'xi': lambda s: mg.yosida(problem.bulk_graph, s.u, solver.lam),
+              'v': attrgetter('v'), 'w': attrgetter('w'),
+              'eta': lambda s: mg.yosida(problem.boundary_graph, s.v, solver.lam)}
+    for name, values_of in fields.items():
+        write = _write_bulk_csv if name in ('u', 'mu', 'xi') else _write_trace_csv
+        write(os.path.join(cfg.out_dir, f'{name}.csv'), result.steps, values_of, cfg.stride)
     _write_diagnostics_csv(os.path.join(cfg.out_dir, 'diagnostics.csv'),
                            result.diagnostics)
 

@@ -32,8 +32,7 @@ __all__ = (
     'zero', 'power_odd', 'logarithmic', 'double_obstacle',
     'resolvent', 'yosida', 'yosida_derivative', 'minimal_section',
     'primitive', 'yosida_primitive', 'check_domination', 'check_same_growth',
-    'graph_from_json', 'graph_to_json', 'perturbation_from_json',
-    'perturbation_to_json',
+    'graph_from_json', 'perturbation_from_json',
 )
 
 _REL_TOL = 1e-13    # relative residual for the scalar resolvent solves
@@ -103,17 +102,6 @@ def double_obstacle(lower: float = -1.0, upper: float = 1.0) -> GraphSpec:
     return GraphSpec('double_obstacle', lower=float(lower), upper=float(upper),
                      domain_lower=float(lower), domain_upper=float(upper),
                      lower_closed=True, upper_closed=True)
-
-
-def graph_to_json(spec: GraphSpec) -> dict:
-    if spec.kind == 'zero':
-        return {'kind': 'zero'}
-    if spec.kind == 'power_odd':
-        return {'kind': 'power_odd', 'exponent': spec.exponent,
-                'coefficient': spec.coefficient}
-    if spec.kind == 'logarithmic':
-        return {'kind': 'logarithmic', 'scale': spec.scale}
-    return {'kind': 'double_obstacle', 'lower': spec.lower, 'upper': spec.upper}
 
 
 def _check_keys(d, params: dict, what: str) -> str:
@@ -258,14 +246,14 @@ def yosida_derivative(spec: GraphSpec, r, lam: float):
         out = np.zeros_like(arr)
     elif spec.kind == 'double_obstacle':
         out = np.where((arr >= spec.upper) | (arr <= spec.lower), 1.0 / lam, 0.0)
-    elif spec.kind == 'power_odd':
-        x = _resolvent_power(spec, arr, lam)
-        bp = spec.coefficient * spec.exponent * x ** (spec.exponent - 1)
-        out = bp / (1.0 + lam * bp)
     else:
-        x = np.tanh(_log_resolvent_y(spec, arr, lam))
-        # 1/beta'(x) = (1 - x^2)/(2*s); stable even when x saturates
-        out = 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
+        x = resolvent(spec, arr, lam)
+        if spec.kind == 'power_odd':
+            bp = spec.coefficient * spec.exponent * x ** (spec.exponent - 1)
+            out = bp / (1.0 + lam * bp)
+        else:
+            # 1/beta'(x) = (1 - x^2)/(2*s); J_lam keeps |x| < 1
+            out = 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
     return _scalar_like(out, r)
 
 
@@ -335,7 +323,6 @@ class DominationReport:
     rho1: float
     c1: float
     witness: float | None
-    n_samples: int
     message: str = ''
 
 
@@ -346,7 +333,6 @@ class SameGrowthReport:
     domains_equal: bool
     m_value: float
     witness: float | None
-    n_samples: int
     message: str = ''
 
 
@@ -397,7 +383,7 @@ def check_domination(bulk: GraphSpec, boundary: GraphSpec, sample_grid) -> Domin
     if grid.size == 0:
         raise EmptySampleGrid('domination check needs at least one sample')
     if not _domain_contains(bulk, boundary):
-        return DominationReport(False, False, math.nan, math.nan, None, grid.size,
+        return DominationReport(False, False, math.nan, math.nan, None,
                                 'D(beta_Gamma) is not contained in D(beta)')
     a, b = _abs_sections(bulk, boundary, grid)
     design = np.column_stack([a, np.ones_like(a)])
@@ -415,13 +401,13 @@ def check_domination(bulk: GraphSpec, boundary: GraphSpec, sample_grid) -> Domin
                 and math.isfinite(boundary.domain_upper)
             if not bounded:
                 witness = float(ext[bad][np.argmin(np.abs(ext[bad]))])
-                return DominationReport(False, True, rho, c, witness, grid.size,
+                return DominationReport(False, True, rho, c, witness,
                                         'fitted bound fails beyond the sampled range')
             # bounded domain: the extension reaches the ends of
             # D(beta_Gamma), so take the supremum there instead
             c += float(np.max(be - rho * ae - c))
             message = 'c1 lifted over the domain ends of D(beta_Gamma)'
-    return DominationReport(True, True, rho, c, None, grid.size, message)
+    return DominationReport(True, True, rho, c, None, message)
 
 
 def check_same_growth(bulk: GraphSpec, boundary: GraphSpec, sample_grid) -> SameGrowthReport:
@@ -438,7 +424,7 @@ def check_same_growth(bulk: GraphSpec, boundary: GraphSpec, sample_grid) -> Same
         raise EmptySampleGrid('same-growth check needs at least one sample')
     domains_equal = _domain_contains(bulk, boundary) and _domain_contains(boundary, bulk)
     if not domains_equal:
-        return SameGrowthReport(False, False, math.nan, None, grid.size,
+        return SameGrowthReport(False, False, math.nan, None,
                                 'D(beta) and D(beta_Gamma) differ')
     a, b = _abs_sections(bulk, boundary, grid)
     m_upper = float(np.max(b / (a + 1.0)))
@@ -452,9 +438,9 @@ def check_same_growth(bulk: GraphSpec, boundary: GraphSpec, sample_grid) -> Same
         bad = (be > m * (ae + 1.0) + slack_hi) | (be < ae / m - m - slack_lo)
         if np.any(bad):
             witness = float(ext[bad][np.argmin(np.abs(ext[bad]))])
-            return SameGrowthReport(False, True, m, witness, grid.size,
+            return SameGrowthReport(False, True, m, witness,
                                     'fitted M fails beyond the sampled range')
-    return SameGrowthReport(True, True, m, None, grid.size)
+    return SameGrowthReport(True, True, m, None)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +526,6 @@ class Perturbation:
         below = ys[0] * (arr - xs[0])
         above = knot_int[-1] + ys[-1] * (arr - xs[-1])
         return np.where(arr < xs[0], below, np.where(arr > xs[-1], above, seg))
-
-
-def perturbation_to_json(p: Perturbation) -> dict:
-    if p.kind == 'linear':
-        return {'kind': 'linear', 'slope': p.slope}
-    return {'kind': 'tabulated', 'xs': list(p.xs), 'ys': list(p.ys),
-            'lipschitz_constant': p.lipschitz_constant}
 
 
 def perturbation_from_json(d: dict) -> Perturbation:

@@ -256,7 +256,7 @@ def test_criterion_5_linear_propagator(verdict):
     cfg = cs.SolverConfig(delta=0.25, lam=5e-3, dt=2e-3, t_end=2e-3)
 
     stepper = cs.NewtonStepper(problem, cfg, cfg.dt)
-    out = cs.step(cs.initial_state(problem, cfg), problem, cfg)
+    out = cs.step(cs.initial_state(problem), problem, cfg)
 
     n, nt = grid.size, grid.n_theta
     x0 = np.concatenate([problem.u0.ravel(), np.zeros(n),

@@ -317,10 +317,27 @@ def test_graph_spec_validation():
         mg.double_obstacle(0.5, 2.0)   # must contain 0
 
 
-def test_graph_json_roundtrip():
-    for spec in GRAPHS.values():
-        again = mg.graph_from_json(mg.graph_to_json(spec))
-        assert again == spec
+# config object -> graph it must parse to, every kind with and without its
+# parameters (the defaults) and every graph of GRAPHS
+GRAPH_JSON_TABLE = [
+    ({'kind': 'zero'}, mg.zero()),
+    ({'kind': 'power_odd'}, mg.power_odd(3, 1.0)),
+    ({'kind': 'power_odd', 'exponent': 3, 'coefficient': 1.0}, GRAPHS['power3']),
+    ({'kind': 'power_odd', 'exponent': 5, 'coefficient': 0.5}, GRAPHS['power5']),
+    ({'kind': 'logarithmic'}, mg.logarithmic(1.0)),
+    ({'kind': 'logarithmic', 'scale': 1.0}, GRAPHS['log']),
+    ({'kind': 'logarithmic', 'scale': 0.5}, GRAPHS['log_half']),
+    ({'kind': 'double_obstacle'}, GRAPHS['obstacle']),
+    ({'kind': 'double_obstacle', 'lower': -0.5, 'upper': 2.0}, mg.double_obstacle(-0.5, 2.0)),
+]
+
+
+def test_graph_from_json_table():
+    for d, spec in GRAPH_JSON_TABLE:
+        assert mg.graph_from_json(d) == spec, d
+    assert {spec.kind for _, spec in GRAPH_JSON_TABLE} == {
+        'zero', 'power_odd', 'logarithmic', 'double_obstacle'}
+    assert {spec for _, spec in GRAPH_JSON_TABLE} >= set(GRAPHS.values())
 
 
 def test_perturbation_linear_and_tabulated():
@@ -341,8 +358,18 @@ def test_perturbation_linear_and_tabulated():
         assert abs(float(tab.primitive(r)) - ref) < 1e-10
 
 
-def test_perturbation_json_roundtrip():
-    for p in (mg.Perturbation.linear(-1.0),
-              mg.Perturbation.tabulated((0.0, 1.0), (0.0, -1.0))):
-        again = mg.perturbation_from_json(mg.perturbation_to_json(p))
-        assert again == p
+def test_perturbation_from_json_table():
+    table = [
+        ({'kind': 'linear'}, mg.Perturbation.linear(0.0)),
+        ({'kind': 'linear', 'slope': -1.0}, mg.Perturbation.linear(-1.0)),
+        # the Lipschitz constant defaults to the steepest table slope
+        ({'kind': 'tabulated', 'xs': [0.0, 1.0], 'ys': [0.0, -1.0]},
+         mg.Perturbation.tabulated((0.0, 1.0), (0.0, -1.0))),
+        ({'kind': 'tabulated', 'xs': [0.0, 1.0], 'ys': [0.0, -1.0], 'lipschitz_constant': 1.0},
+         mg.Perturbation('tabulated', xs=(0.0, 1.0), ys=(0.0, -1.0), lipschitz_constant=1.0)),
+        ({'kind': 'tabulated', 'xs': [-1, 0, 2], 'ys': [1, 0, 0], 'lipschitz_constant': 3.0},
+         mg.Perturbation('tabulated', xs=(-1.0, 0.0, 2.0), ys=(1.0, 0.0, 0.0),
+                         lipschitz_constant=3.0)),
+    ]
+    for d, p in table:
+        assert mg.perturbation_from_json(d) == p, d

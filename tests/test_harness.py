@@ -227,7 +227,7 @@ def _reference_csv(steps, name, keep):
 def test_field_csv_golden_bytes(tmp_path, n_levels, stride, keep, name):
     steps = _golden_steps(n_levels)
     write = harness._write_bulk_csv if name == 'u' else harness._write_trace_csv
-    write(tmp_path / 'f.csv', steps, name, stride)
+    write(tmp_path / 'f.csv', steps, lambda s: getattr(s, name), stride)
     data = (tmp_path / 'f.csv').read_bytes()
     assert data == _reference_csv(steps, name, keep)
     assert data.count(b'\r\n') == 1 + len(keep) * getattr(steps[0], name).size
@@ -573,8 +573,18 @@ def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
     ('solve', {'problem': {'bulk_graph': 'cubic', 'boundary_graph': {'kind': 'zero'},
                            'u0': {'kind': 'constant', 'value': 0.1}}}),
     ('solve', {'output': {'plots': 'false'}}),
+    ('solve', {'solver': {'delta': 0.5, 'lamda': 0.5, 'dt': 1e-3, 't_end': 3e-3}}),
+    ('solve', {'problem': {'preset': 'cubic', 'amplitud': 0.3}}),
+    ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                           'u0': {'kind': 'constant', 'value': 0.1}, 'pi_Gamma': {}}}),
+    ('solve', {'problem': {'preset': 'cubic', 'compat_tol': 1e-12}}),
+    ('solve', {'solver': {'delta': 0.5, 'lambda': 1e-2, 'dt': None, 't_end': 3e-3}}),
+    ('solve', {'problem': [{'preset': 'cubic'}]}),
+    ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                           'u0': 'cubic'}}),
 ], ids=['stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile',
-        'graph_key', 'pi_key', 'graph_str', 'plots'])
+        'graph_key', 'pi_key', 'graph_str', 'plots', 'solver_key', 'preset_key',
+        'problem_key', 'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str'])
 def test_cli_malformed_values_are_exit_2(tmp_path, capsys, command, update):
     raw = json.loads(json.dumps(BASE_SINGLE))
     raw.update(EXPERIMENT_SECTIONS[command])

@@ -3,6 +3,7 @@ linear exactness against a dense solve, validation, and failure modes."""
 
 from __future__ import annotations
 
+import json
 import math
 import pickle
 
@@ -11,6 +12,7 @@ import pytest
 
 from chb import chd_solver as cs
 from chb import disk_grid as dg
+from chb import harness
 from chb import monotone_graphs as mg
 from chb.errors import (NewtonDivergence, ShapeMismatch, SolveFailure,
                         ValidationFailure)
@@ -83,7 +85,7 @@ def test_one_step_matches_dense_solve_for_linear_problem():
     cfg = config(delta=0.25, lam=5e-3, dt=2e-3, t_end=2e-3)
 
     stepper = cs.NewtonStepper(p, cfg, cfg.dt)
-    state0 = cs.initial_state(p, cfg)
+    state0 = cs.initial_state(p)
     out = cs.step(state0, p, cfg)
 
     # assemble the same linear system densely: J x = J x0 - R(x0)
@@ -115,16 +117,35 @@ def test_linear_homogeneity_of_one_step():
 # ---------------------------------------------------------------------------
 # sextuplet consistency
 
-def test_selection_fields_match_definition():
+def _field_levels(path, shape):
+    """(times, values) of a field CSV, values shaped (levels, *shape);
+    %.17g round-trips every double exactly."""
+    data = np.loadtxt(path, delimiter=',', skiprows=1, ndmin=2)
+    cells = math.prod(shape)
+    return data[::cells, 0], data[:, -1].reshape((-1,) + shape)
+
+
+def test_selection_fields_match_definition(tmp_path):
+    # xi.csv / eta.csv hold beta_lam(u) / beta_Gamma_lam(v) of every written
+    # level, bit for bit
     g = small_grid()
-    p = cs.preset_problem('logarithmic', g)
-    cfg = config(t_end=2e-3)
-    res = cs.run(p, cfg)
-    s = res.steps[-1]
-    xi_ref = np.asarray(mg.yosida(p.bulk_graph, s.u, cfg.lam))
-    eta_ref = np.asarray(mg.yosida(p.boundary_graph, s.v, cfg.lam))
-    assert np.array_equal(s.xi, xi_ref)
-    assert np.array_equal(s.eta, eta_ref)
+    shapes = {'u': (g.n_r, g.n_theta), 'v': (g.n_theta,)}
+    for preset in ('cubic', 'logarithmic'):
+        raw = {'experiment': 'single', 'grid': {'n_r': g.n_r, 'n_theta': g.n_theta},
+               'problem': {'preset': preset},
+               'solver': {'delta': 0.5, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 5e-3},
+               'output': {'dir': str(tmp_path / preset), 'stride': 2}}
+        (tmp_path / f'{preset}.json').write_text(json.dumps(raw))
+        cfg = harness.load_config(tmp_path / f'{preset}.json')
+        harness.run_single(cfg)
+        p = harness.problem_from_config(cfg)
+        lam = harness.solver_from_config(cfg).lam
+        for state, sel, graph in (('u', 'xi', p.bulk_graph), ('v', 'eta', p.boundary_graph)):
+            ts, values = _field_levels(tmp_path / preset / f'{state}.csv', shapes[state])
+            ts_sel, selections = _field_levels(tmp_path / preset / f'{sel}.csv', shapes[state])
+            assert np.array_equal(ts, ts_sel) and np.allclose(ts, [0.0, 2e-3, 4e-3, 5e-3])
+            for level, selection in zip(values, selections):
+                assert np.array_equal(selection, mg.yosida(graph, level, lam))
 
 
 def test_chemical_potential_equation_residual():
@@ -139,7 +160,7 @@ def test_chemical_potential_equation_residual():
     lap_u = (A @ s1.u.ravel() + B @ s1.v).reshape(s1.u.shape)
     lhs = s1.mu
     rhs = (cfg.lam / cfg.dt) * (s1.u - s0.u) - lap_u \
-        + s1.xi + np.asarray(p.pi(s0.u))
+        + mg.yosida(p.bulk_graph, s1.u, cfg.lam) + np.asarray(p.pi(s0.u))
     assert np.max(np.abs(lhs - rhs)) < 1e-7
 
 
@@ -185,7 +206,7 @@ def test_newton_divergence_is_captured():
     assert len(res.steps) >= 1          # trajectory up to the failure
 
     with pytest.raises(NewtonDivergence):
-        cs.step(cs.initial_state(p, cfg), p, cfg)
+        cs.step(cs.initial_state(p), p, cfg)
 
 
 def test_non_finite_residual_is_newton_divergence():
@@ -194,7 +215,7 @@ def test_non_finite_residual_is_newton_divergence():
     g = small_grid()
     p = cs.preset_problem('cubic', g)
     cfg = config()
-    state = cs.initial_state(p, cfg)
+    state = cs.initial_state(p)
     state.mu[3, 5] = math.nan
     with pytest.raises(NewtonDivergence) as info:
         cs.step(state, p, cfg)
@@ -208,7 +229,7 @@ def test_non_finite_iterate_is_solve_failure():
     g = small_grid()
     p = cs.preset_problem('cubic', g)
     cfg = config()
-    state = cs.initial_state(p, cfg)
+    state = cs.initial_state(p)
     state.u[3, 5] = math.nan
     with pytest.raises(SolveFailure) as info:
         cs.step(state, p, cfg)
@@ -252,8 +273,8 @@ def test_validate_accepts_presets():
     g = small_grid()
     for preset in cs.PRESET_NAMES:
         p = cs.preset_problem(preset, g)
-        rep = cs.validate(p, config())
-        assert rep.ok, rep.failures
+        failures = cs.validate(p, config())
+        assert failures == [], failures
 
 
 def test_validate_rejects_trace_mismatch():
@@ -262,9 +283,9 @@ def test_validate_rejects_trace_mismatch():
     v_bad = p.v0 + 0.5
     p_bad = cs.ProblemData(g, p.bulk_graph, p.boundary_graph, p.pi, p.pi_gamma,
                            p.f, p.g, p.u0, v_bad)
-    rep = cs.validate(p_bad, config())
-    assert not rep.ok
-    assert any('TraceIncompatibility' in f for f in rep.failures)
+    failures = cs.validate(p_bad, config())
+    assert failures
+    assert any('TraceIncompatibility' in f for f in failures)
     with pytest.raises(ValidationFailure):
         cs.run(p_bad, config())
 
@@ -274,9 +295,9 @@ def test_validate_rejects_domination_violation():
     p = cs.preset_problem('cubic', g)
     p_bad = cs.ProblemData(g, mg.power_odd(5, 1.0), mg.power_odd(3, 1.0),
                            p.pi, p.pi_gamma, p.f, p.g, p.u0, p.v0)
-    rep = cs.validate(p_bad, config())
-    assert not rep.ok
-    assert any('DominationViolation' in f for f in rep.failures)
+    failures = cs.validate(p_bad, config())
+    assert failures
+    assert any('DominationViolation' in f for f in failures)
 
 
 def test_validate_rejects_out_of_domain_data():
@@ -287,9 +308,9 @@ def test_validate_rejects_out_of_domain_data():
                            mg.Perturbation.linear(0.0), mg.Perturbation.linear(0.0),
                            cs.make_bulk_source(g, None), cs.make_trace_source(g, None),
                            u0, v0)
-    rep = cs.validate(p_bad, config())
-    assert not rep.ok
-    assert any('IncompatibleRange' in f for f in rep.failures)
+    failures = cs.validate(p_bad, config())
+    assert failures
+    assert any('IncompatibleRange' in f for f in failures)
 
 
 def test_validate_warns_on_large_dt_lipschitz():
