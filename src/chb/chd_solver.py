@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sps
@@ -44,48 +44,24 @@ __all__ = (
     'SolverConfig', 'ProblemData', 'StepSolution', 'DiagnosticsRow',
     'Diagnostics', 'RunResult', 'NewtonStepper',
     'validate', 'graph_reports', 'step', 'run', 'energy', 'initial_state',
-    'bulk_profile', 'trace_profile', 'make_bulk_source', 'make_trace_source',
-    'preset_problem', 'PRESET_NAMES', 'DIAGNOSTIC_COLUMNS',
+    'harmonic', 'preset_problem', 'PRESET_NAMES', 'TIME_KINDS', 'DIAGNOSTIC_COLUMNS',
 )
-
-DIAGNOSTIC_COLUMNS = ('t', 'mass_bulk', 'mass_trace', 'energy', 'd_energy',
-                      'grad_mu', 'grad_w', 'overshoot', 'delta_h1v',
-                      'newton_iters')
 
 
 # ---------------------------------------------------------------------------
 # sources and analytic profiles
 
-def bulk_profile(grid: dg.DiskGrid, spec: dict) -> np.ndarray:
-    """Materialize an analytic bulk profile from its JSON spec."""
-    kind = spec.get('kind', 'constant')
-    if kind == 'constant':
-        return np.full((grid.n_r, grid.n_theta), float(spec.get('value', 0.0)))
-    if kind == 'harmonic':
-        a = float(spec.get('amplitude', 1.0))
-        m = int(spec.get('mode', 1))
-        phase = float(spec.get('phase', 0.0))
-        off = float(spec.get('offset', 0.0))
-        rm = grid.r[:, None] ** m
-        return off + a * rm * np.cos(m * grid.theta[None, :] + phase)
-    if kind == 'tabulated':
-        return np.array(spec['values'], dtype=float).reshape(grid.n_r, grid.n_theta)
-    raise ValueError(f'unknown bulk profile kind {kind!r}')
+TIME_KINDS = ('constant', 'exp', 'cos')
 
 
-def trace_profile(grid: dg.DiskGrid, spec: dict) -> np.ndarray:
-    kind = spec.get('kind', 'constant')
-    if kind == 'constant':
-        return np.full(grid.n_theta, float(spec.get('value', 0.0)))
-    if kind in ('mode', 'harmonic'):
-        a = float(spec.get('amplitude', 1.0))
-        m = int(spec.get('mode', 1))
-        phase = float(spec.get('phase', 0.0))
-        off = float(spec.get('offset', 0.0))
-        return off + a * np.cos(m * grid.theta + phase)
-    if kind == 'tabulated':
-        return np.array(spec['values'], dtype=float).reshape(grid.n_theta)
-    raise ValueError(f'unknown trace profile kind {kind!r}')
+def harmonic(grid: dg.DiskGrid, amplitude: float, mode: int, phase: float = 0.0,
+             offset: float = 0.0, trace: bool = False) -> np.ndarray:
+    """offset + amplitude*r^mode*cos(mode*theta + phase) on the bulk cells,
+    or its trace at r = 1 on the circle."""
+    if trace:
+        return offset + amplitude * np.cos(mode * grid.theta + phase)
+    rm = grid.r[:, None] ** mode
+    return offset + amplitude * rm * np.cos(mode * grid.theta[None, :] + phase)
 
 
 @dataclass(frozen=True)
@@ -108,8 +84,11 @@ class _Source:
     parts: tuple = ()
 
     def __post_init__(self):
-        if self.time_kind not in ('constant', 'exp', 'cos'):
+        if self.time_kind not in TIME_KINDS:
             raise ValueError(f'unknown time profile {self.time_kind!r}')
+        if self.kind == 'tabulated' and (sorted(self.times) != list(self.times)
+                                         or not 0 < len(self.times) == len(self.frames)):
+            raise ValueError('a tabulated source needs increasing times, one frame each')
 
     def __call__(self, t: float) -> np.ndarray:
         if self.kind == 'zero':
@@ -150,32 +129,6 @@ class _Source:
         if other.kind == 'zero':
             return self
         return _Source(self.shape, 'sum', parts=(self, other))
-
-
-def _source_from_spec(shape, profile_fn, grid, spec: dict | None) -> _Source:
-    if spec is None or spec.get('kind', 'zero') == 'zero':
-        return _Source(shape)
-    kind = spec['kind']
-    if kind == 'separable':
-        spatial = profile_fn(grid, spec.get('spatial', {'kind': 'constant', 'value': 1.0}))
-        tspec = spec.get('time', {'kind': 'constant'})
-        return _Source(shape, 'separable', spatial, tspec.get('kind', 'constant'),
-                       float(tspec.get('rate', 0.0)), float(tspec.get('omega', 0.0)))
-    if kind == 'tabulated':
-        times = tuple(float(t) for t in spec['times'])
-        frames = np.array([np.asarray(fr, float).reshape(shape) for fr in spec['frames']])
-        if sorted(times) != list(times):
-            raise ValueError('tabulated source times must be increasing')
-        return _Source(shape, 'tabulated', times=times, frames=frames)
-    raise ValueError(f'unknown source kind {kind!r}')
-
-
-def make_bulk_source(grid: dg.DiskGrid, spec: dict | None) -> _Source:
-    return _source_from_spec((grid.n_r, grid.n_theta), bulk_profile, grid, spec)
-
-
-def make_trace_source(grid: dg.DiskGrid, spec: dict | None) -> _Source:
-    return _source_from_spec((grid.n_theta,), trace_profile, grid, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +195,7 @@ class SolverConfig:
 PRESET_NAMES = ('cubic', 'logarithmic', 'obstacle', 'backward')
 
 
-def preset_problem(name: str, grid: dg.DiskGrid, amplitude: float = 0.2,
+def preset_problem(preset: str, grid: dg.DiskGrid, amplitude: float = 0.2,
                    mode: int = 2, offset: float = 0.05, log_scale: float = 0.5,
                    anti_slope_c: float = 1.0, compat_tol: float | None = None) -> ProblemData:
     """Named problem families with compatible smooth initial data.
@@ -252,23 +205,21 @@ def preset_problem(name: str, grid: dg.DiskGrid, amplitude: float = 0.2,
     family exposes the potential scale and the anti-monotone slope c
     (pi = -2c r) as parameters.
     """
-    if name == 'cubic':
+    if preset == 'cubic':
         graph, slope = mg.power_odd(3, 1.0), -1.0
-    elif name == 'logarithmic':
+    elif preset == 'logarithmic':
         graph, slope = mg.logarithmic(log_scale), -2.0 * anti_slope_c
-    elif name == 'obstacle':
+    elif preset == 'obstacle':
         graph, slope = mg.double_obstacle(-1.0, 1.0), -1.0
-    elif name == 'backward':
+    elif preset == 'backward':
         graph, slope = mg.zero(), -1.0
     else:
-        raise ValueError(f'unknown preset {name!r}; choose from {PRESET_NAMES}')
-    u0 = bulk_profile(grid, {'kind': 'harmonic', 'amplitude': amplitude,
-                             'mode': mode, 'offset': offset})
-    v0 = trace_profile(grid, {'kind': 'mode', 'amplitude': amplitude,
-                              'mode': mode, 'offset': offset})
+        raise ValueError(f'unknown preset {preset!r}; choose from {PRESET_NAMES}')
+    u0 = harmonic(grid, amplitude, mode, offset=offset)
+    v0 = harmonic(grid, amplitude, mode, offset=offset, trace=True)
     pi = mg.Perturbation.linear(slope)
-    return ProblemData(grid, graph, graph, pi, pi, make_bulk_source(grid, None),
-                       make_trace_source(grid, None), u0, v0, compat_tol)
+    return ProblemData(grid, graph, graph, pi, pi, _Source((grid.n_r, grid.n_theta)),
+                       _Source((grid.n_theta,)), u0, v0, compat_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +319,9 @@ class DiagnosticsRow:
     overshoot: float
     delta_h1v: float
     newton_iters: int
+
+
+DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 @dataclass

@@ -49,20 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> harness.ExperimentConfig:
-    cfg = harness.load_config(args.config)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.stride is not None:
-        cfg.stride = args.stride
-    if args.plots:
-        cfg.plots = True
-    if args.workers is not None:
-        cfg.workers = args.workers
-    cfg._check_lists()
-    return cfg
-
-
 def _cmd_solve(cfg) -> int:
     summary = harness.run_single(cfg)
     for key in ('final_mass_bulk', 'final_mass_trace', 'mass_drift_bulk',
@@ -87,15 +73,11 @@ def _cmd_sweep_delta(cfg) -> int:
     if not report.rate_claimed and report.slope is not None:
         print('note: same-growth condition unverified; no rate claim attached')
 
-    want_slope = cfg.sweep_delta.get('assert_slope')
-    want_r2 = cfg.sweep_delta.get('assert_r2')
-    if want_slope is not None:
-        if report.slope is None or report.slope < float(want_slope):
-            print(f'assertion failed: slope below {want_slope}')
-            return EXIT_ASSERTION
-    if want_r2 is not None:
-        if report.r2 is None or report.r2 < float(want_r2):
-            print(f'assertion failed: r2 below {want_r2}')
+    gates = (('slope', cfg.sweep_delta.assert_slope, report.slope),
+             ('r2', cfg.sweep_delta.assert_r2, report.r2))
+    for name, want, got in gates:
+        if want is not None and (got is None or got < want):
+            print(f'assertion failed: {name} below {want}')
             return EXIT_ASSERTION
     return EXIT_OK
 
@@ -143,7 +125,8 @@ def _cmd_graph_check(cfg) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfg = harness.load_config(args.config, dir=args.out, stride=args.stride,
+                                  plots=args.plots or None, workers=args.workers)
         handler = {
             'solve': _cmd_solve,
             'sweep-delta': _cmd_sweep_delta,

@@ -15,8 +15,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +32,7 @@ __all__ = (
     'ExperimentConfig', 'SweepRow', 'SweepReport', 'StabilityRow',
     'StabilityReport', 'LambdaReport', 'fit_rate', 'run_single',
     'sweep_delta', 'stability_experiment', 'sweep_lambda',
-    'load_config', 'problem_from_config', 'solver_from_config',
+    'section', 'load_config', 'problem_from_config', 'solver_from_config',
 )
 
 
@@ -57,175 +58,289 @@ def _write_json(path, obj):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: one reader, `section`; a schema maps each key to (convert,
+# default), where convert(value, 'section.key') returns the typed value
 
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    grid: dg.DiskGrid
-    problem_spec: dict
-    solver_spec: dict
-    sweep_delta: dict = field(default_factory=dict)
-    stability: dict = field(default_factory=dict)
-    sweep_lambda: dict = field(default_factory=dict)
-    out_dir: str = 'chb-out'
-    stride: int = 1
-    plots: bool = False
-    workers: int = 1
+_REQUIRED = object()
+EXPERIMENTS = ('single', 'sweep_delta', 'stability', 'sweep_lambda', 'graph_check')
+
+
+def section(spec, schema: dict, what: str) -> SimpleNamespace:
+    """Read one JSON object of a config: reject a non-object and any key
+    outside `schema` (a misspelled key would otherwise take its default),
+    convert each value, fill each missing or null key with its default
+    (`_REQUIRED`: it must be given; None: left out).  Raises ConfigError."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f'{what or "the config"} must be a JSON object, got {spec!r:.60}')
+    unknown = sorted(set(spec) - set(schema))
+    if unknown:
+        raise ConfigError(f'unknown {what or "top-level"} key(s) {unknown}')
+    out = {}
+    for key, (convert, default) in schema.items():
+        name = f'{what}.{key}'.lstrip('.')
+        value = default if spec.get(key) is None else spec[key]
+        if value is _REQUIRED:
+            raise ConfigError(f'{name} is required')
+        try:
+            out[key] = None if value is None else convert(value, name)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f'bad {name}: {exc}') from exc
+    return SimpleNamespace(**out)
+
+
+def _given(spec) -> dict:
+    """A read section as keyword arguments, less None values and `kind`."""
+    return {k: v for k, v in vars(spec).items() if v is not None and k != 'kind'}
+
+
+def _check(ok, make, expected: str):
+    """Converter of the values for which ok(value) holds, to make(value)."""
+    def convert(x, what):
+        if not ok(x):
+            raise TypeError(f'expected {expected}, got {x!r:.60}')
+        return make(x)
+    return convert
+
+
+_keep = _check(lambda x: True, lambda x: x, '')
+_str = _check(lambda x: isinstance(x, str), str, 'a string')
+_bool = _check(lambda x: isinstance(x, bool), bool, 'true or false')
+_float = _check(lambda x: not isinstance(x, bool), float, 'a number')
+_int = _check(lambda x: not isinstance(x, bool) and (not isinstance(x, float) or x.is_integer()),
+               int, 'an integer')
+_count = _check(lambda x: _int(x, '') >= 1, int, 'an integer >= 1')
+_array = _check(lambda x: isinstance(x, list), lambda x: np.array(x, dtype=float),
+                'a JSON array')
+
+
+def _one_of(*choices):
+    return _check(lambda x: x in choices, lambda x: x, f'one of {choices}')
+
+
+def _numbers(ok=lambda v: True, expected='a JSON array of numbers'):
+    """Converter of the JSON arrays of numbers v for which ok(v) holds."""
+    return _check(lambda x: isinstance(x, list) and ok([_float(a, '') for a in x]),
+                  lambda x: [float(a) for a in x], expected)
+
+
+def _ladder(n: int):
+    return _numbers(lambda v: len(v) >= n and sorted(set(v), reverse=True) == v
+                    and 0 < v[-1] <= v[0] <= 1,
+                    f'{n} or more strictly decreasing numbers in (0, 1]')
+
+
+_amplitudes = _numbers(lambda v: v and not any(a <= 0 for a in v), 'positive numbers')
+
+
+def _object(schema: dict, build=None):
+    """Converter of a nested object: build(**values), or the section itself."""
+    def convert(x, what):
+        spec = section(x, schema, what)
+        return spec if build is None else build(**_given(spec))
+    return convert
+
+
+def _kind(kinds: dict, default=_REQUIRED):
+    """Converter of an object whose `kind` picks its (build, schema) in `kinds`."""
+    def convert(x, what):
+        given = x.get('kind') if isinstance(x, dict) else x
+        kind = default if given is None else given
+        if kind not in tuple(kinds):
+            raise ValueError(f'kind must be one of {tuple(kinds)}, got {given!r:.60}')
+        build, schema = kinds[kind]
+        return _object({'kind': (_keep, kind), **schema}, build)(x, what)
+    return convert
+
+
+_GRAPH = _kind({
+    'zero': (mg.zero, {}),
+    'power_odd': (mg.power_odd, {'exponent': (_int, None), 'coefficient': (_float, None)}),
+    'logarithmic': (mg.logarithmic, {'scale': (_float, None)}),
+    'double_obstacle': (mg.double_obstacle, {'lower': (_float, None), 'upper': (_float, None)}),
+})
+_PERTURBATION = _kind({
+    'linear': (mg.Perturbation.linear, {'slope': (_float, None)}),
+    'tabulated': (mg.Perturbation.tabulated, {'xs': (_numbers(), _REQUIRED),
+                                              'ys': (_numbers(), _REQUIRED),
+                                              'lipschitz_constant': (_float, None)}),
+})
+# profiles and sources stay sections until `_profile`/`_source` put them on the grid
+_HARMONIC = {'amplitude': (_float, 1.0), 'mode': (_int, 1), 'phase': (_float, 0.0),
+             'offset': (_float, 0.0)}
+_PROFILES = {'constant': (None, {'value': (_float, 0.0)}),
+             'harmonic': (None, _HARMONIC),
+             'tabulated': (None, {'values': (_array, _REQUIRED)})}
+_BULK_PROFILE = _kind(_PROFILES, 'constant')
+_TRACE_PROFILE = _kind(dict(_PROFILES, mode=(None, _HARMONIC)), 'constant')
+_TIME = {'kind': (_one_of(*cs.TIME_KINDS), 'constant'), 'rate': (_float, 0.0),
+         'omega': (_float, 0.0)}
+
+
+def _source_kind(profile):
+    return _kind({
+        'zero': (None, {}),
+        'separable': (None, {'spatial': (profile, {'kind': 'constant', 'value': 1.0}),
+                             'time': (_object(_TIME), {})}),
+        'tabulated': (None, {'times': (_numbers(), _REQUIRED), 'frames': (_array, _REQUIRED)}),
+    }, 'zero')
+
+
+_PRESET = {
+    'preset': (_one_of(*cs.PRESET_NAMES), _REQUIRED),
+    'amplitude': (_float, None),
+    'mode': (_int, None),
+    'offset': (_float, None),
+    'log_scale': (_float, None),
+    'anti_slope_c': (_float, None),
+    'compat_tol': (_float, None),
+}
+_EXPLICIT = {
+    'bulk_graph': (_GRAPH, _REQUIRED),
+    'boundary_graph': (_GRAPH, _REQUIRED),
+    'pi': (_PERTURBATION, {'kind': 'linear'}),
+    'pi_gamma': (_PERTURBATION, {'kind': 'linear'}),
+    'u0': (_BULK_PROFILE, _REQUIRED),
+    'v0': (_TRACE_PROFILE, None),       # the trace of u0 unless u0 is tabulated
+    'f': (_source_kind(_BULK_PROFILE), {}),
+    'g': (_source_kind(_TRACE_PROFILE), {}),
+    'compat_tol': (_float, None),
+}
+_SOLVER = {
+    'delta': (_float, 0.0),
+    'lambda': (_float, 1e-3),
+    'lam': (_float, None),              # another name for lambda
+    'dt': (_float, _REQUIRED),
+    't_end': (_float, _REQUIRED),
+    'newton_tol': (_float, None),
+    'newton_max_iter': (_int, None),
+    'stabilization': (_float, None),
+}
+
+
+def _problem(x, what):
+    return section(x, _PRESET if isinstance(x, dict) and 'preset' in x else _EXPLICIT, what)
+
+
+def _solver(x, what):
+    s = section(x, _SOLVER, what)
+    if s.lam is not None and x.get('lambda') is not None:
+        raise ValueError('lambda and lam name the same value; give one of them')
+    lam = vars(s).pop('lambda')
+    s.lam = lam if s.lam is None else s.lam
+    return s
+
+
+_CONFIG = {
+    'experiment': (_one_of(*EXPERIMENTS), _REQUIRED),
+    'grid': (_object({'n_r': (_int, 32), 'n_theta': (_int, 64)}, dg.DiskGrid), {}),
+    'problem': (_problem, _REQUIRED),
+    'solver': (_solver, None),
+    'sweep_delta': (_object({
+        'deltas': (_ladder(1), _REQUIRED),
+        'reference': (_one_of('delta_zero', 'finest'), 'delta_zero'),
+        'assert_slope': (_float, None),
+        'assert_r2': (_float, None),
+    }), None),
+    'stability': (_object({
+        'amplitudes': (_amplitudes, _REQUIRED),
+        'target': (_one_of('f', 'g', 'both', 'initial'), 'f'),
+        'band': (_float, 3.0),
+        'shape': (_BULK_PROFILE, {'kind': 'harmonic', 'amplitude': 1.0, 'mode': 2}),
+        'trace_shape': (_TRACE_PROFILE, {'kind': 'mode', 'amplitude': 1.0, 'mode': 2}),
+        'time': (_object(_TIME), {}),
+    }), None),
+    'sweep_lambda': (_object({'lambdas': (_ladder(2), _REQUIRED)}), None),
+    'output': (_object({
+        'dir': (_str, 'chb-out'),
+        'stride': (_count, 1),
+        'plots': (_bool, False),
+        'workers': (_count, 1),
+        'seed': (_keep, None),          # no longer read; old configs still load
+    }), {}),
+}
+
+
+class ExperimentConfig(SimpleNamespace):
+    """A read config: the values of `_CONFIG` (an absent optional section is
+    None), with the output entries as `out_dir`, `stride`, `plots`, `workers`."""
 
     @staticmethod
-    def from_dict(raw: dict) -> 'ExperimentConfig':
-        try:
-            experiment = raw['experiment']
-        except KeyError:
-            raise ConfigError("config is missing the 'experiment' key")
-        kinds = ('single', 'sweep_delta', 'stability', 'sweep_lambda', 'graph_check')
-        if experiment not in kinds:
-            raise ConfigError(f'experiment must be one of {kinds}, got {experiment!r}')
-        gspec = raw.get('grid', {})
-        try:
-            grid = dg.DiskGrid(int(gspec.get('n_r', 32)), int(gspec.get('n_theta', 64)))
-        except ValueError as exc:
-            raise ConfigError(f'bad grid: {exc}') from exc
-        out = raw.get('output', {})
-        try:
-            stride, workers = int(out.get('stride', 1)), int(out.get('workers', 1))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f'bad output section: {exc}') from exc
-        plots = out.get('plots', False)
-        if not isinstance(plots, bool):
-            raise ConfigError(f'output.plots must be true or false, got {plots!r}')
-        cfg = ExperimentConfig(
-            experiment=experiment,
-            grid=grid,
-            problem_spec=raw.get('problem', {}),
-            solver_spec=raw.get('solver', {}),
-            sweep_delta=raw.get('sweep_delta', {}),
-            stability=raw.get('stability', {}),
-            sweep_lambda=raw.get('sweep_lambda', {}),
-            out_dir=str(out.get('dir', 'chb-out')),
-            stride=stride,
-            plots=plots,
-            workers=workers,
-        )
-        cfg._check_lists()
+    def from_dict(raw) -> 'ExperimentConfig':
+        c = vars(section(raw, _CONFIG, ''))
+        out = c.pop('output')
+        cfg = ExperimentConfig(**c, out_dir=out.dir, stride=out.stride, plots=out.plots,
+                               workers=out.workers)
+        if cfg.experiment in ('sweep_delta', 'stability', 'sweep_lambda'):
+            cfg.needs(cfg.experiment)
         return cfg
 
-    def _check_lists(self):
-        if self.experiment == 'sweep_delta':
-            deltas = self.sweep_delta.get('deltas')
-            if not deltas:
-                raise ConfigError('sweep_delta.deltas is required')
-            dl = _floats(deltas, 'deltas')
-            if any(not 0.0 < d <= 1.0 for d in dl):
-                raise ConfigError('deltas must lie in (0, 1]')
-            if sorted(dl, reverse=True) != dl or len(set(dl)) != len(dl):
-                raise ConfigError('deltas must be strictly decreasing')
-            ref = self.sweep_delta.get('reference', 'delta_zero')
-            if ref not in ('delta_zero', 'finest'):
-                raise ConfigError("reference must be 'delta_zero' or 'finest'")
-            _floats([v for k, v in self.sweep_delta.items() if k.startswith('assert_')],
-                    'assert_slope and assert_r2')
-        if self.experiment == 'stability':
-            amps = self.stability.get('amplitudes')
-            if not amps:
-                raise ConfigError('stability.amplitudes is required')
-            if any(a <= 0 for a in _floats(amps, 'amplitudes')):
-                raise ConfigError('amplitudes must be positive')
-            _floats([self.stability.get('band', 3.0)], 'band')
-            if self.stability.get('target', 'f') not in ('f', 'g', 'both', 'initial'):
-                raise ConfigError("target must be 'f', 'g', 'both' or 'initial'")
-        if self.experiment == 'sweep_lambda':
-            lams = self.sweep_lambda.get('lambdas')
-            if lams is None or len(lams) < 2:
-                raise ConfigError('sweep_lambda.lambdas needs at least two values')
-            ll = _floats(lams, 'lambdas')
-            if sorted(ll, reverse=True) != ll or len(set(ll)) != len(ll):
-                raise ConfigError('lambdas must be strictly decreasing')
-        if self.stride < 1:
-            raise ConfigError('stride must be >= 1')
-        if self.workers < 1:
-            raise ConfigError('workers must be >= 1')
+    def needs(self, name: str) -> SimpleNamespace:
+        """The section `name`; ConfigError when the config has none."""
+        if getattr(self, name) is None:
+            raise ConfigError(f'the config has no {name} section')
+        return getattr(self, name)
 
 
-def _floats(values, what: str) -> list:
-    try:
-        return [float(x) for x in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f'{what} must be numeric: {exc}') from exc
-
-
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **output) -> ExperimentConfig:
+    """Read a config file; the `output` values that are not None (the
+    command-line flags) replace the file's output entries."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f'cannot read config {path}: {exc}') from exc
-    if not isinstance(raw, dict):
-        raise ConfigError('config root must be a JSON object')
+    out = raw.get('output') if isinstance(raw, dict) else None
+    if isinstance(raw, dict) and (out is None or isinstance(out, dict)):
+        raw['output'] = dict(out or {}, **{k: v for k, v in output.items() if v is not None})
     return ExperimentConfig.from_dict(raw)
 
 
-_PRESET_KNOBS = ('amplitude', 'mode', 'offset', 'log_scale', 'anti_slope_c')
-_SOLVER_KEYS = ('delta', 'lambda', 'lam', 'dt', 't_end', 'newton_tol', 'newton_max_iter',
-                'stabilization')
+def _profile(grid: dg.DiskGrid, p, trace: bool = False) -> np.ndarray:
+    """The array of a read profile on the bulk cells or on the circle."""
+    shape = (grid.n_theta,) if trace else (grid.n_r, grid.n_theta)
+    if p.kind == 'constant':
+        return np.full(shape, p.value)
+    if p.kind != 'tabulated':
+        return cs.harmonic(grid, p.amplitude, p.mode, p.phase, p.offset, trace)
+    if p.values.size != math.prod(shape):
+        raise ConfigError(f'a tabulated profile needs {math.prod(shape)} values')
+    return p.values.reshape(shape)
 
 
-def _check_section(spec: dict, keys, what: str):
-    """Reject a key the section does not read: a misspelled one would
-    otherwise silently take its default."""
-    extra = sorted(set(spec) - set(keys))
-    if extra:
-        raise ValueError(f'unknown {what} key(s) {extra}')
+def _source(grid: dg.DiskGrid, trace=False, kind='zero', spatial=None, time=None,
+            times=None, frames=None):
+    """The source of a read `f` or `g` section, given as keywords."""
+    shape = (grid.n_theta,) if trace else (grid.n_r, grid.n_theta)
+    if kind == 'separable':
+        return cs._Source(shape, 'separable', _profile(grid, spatial, trace), time.kind,
+                          time.rate, time.omega)
+    if kind == 'tabulated':
+        return cs._Source(shape, 'tabulated', times=tuple(times),
+                          frames=frames.reshape((len(frames),) + shape))
+    return cs._Source(shape)
 
 
 def problem_from_config(cfg: ExperimentConfig) -> cs.ProblemData:
-    spec = cfg.problem_spec
-    grid = cfg.grid
+    p, grid = cfg.problem, cfg.grid
     try:
-        compat = None if spec.get('compat_tol') is None else float(spec['compat_tol'])
-        if 'preset' in spec:
-            _check_section(spec, ('preset', 'compat_tol') + _PRESET_KNOBS, 'preset')
-            return cs.preset_problem(spec['preset'], grid, compat_tol=compat,
-                                     **{k: spec[k] for k in _PRESET_KNOBS if k in spec})
-        _check_section(spec, ('bulk_graph', 'boundary_graph', 'pi', 'pi_gamma', 'u0', 'v0',
-                              'f', 'g', 'compat_tol'), 'problem')
-        bulk_graph = mg.graph_from_json(spec['bulk_graph'])
-        boundary_graph = mg.graph_from_json(spec['boundary_graph'])
-        pi = mg.perturbation_from_json(spec.get('pi', {'kind': 'linear', 'slope': 0.0}))
-        pi_gamma = mg.perturbation_from_json(
-            spec.get('pi_gamma', {'kind': 'linear', 'slope': 0.0}))
-        u0_spec = spec['u0']
-        u0 = cs.bulk_profile(grid, u0_spec)
-        if 'v0' in spec:
-            v0 = cs.trace_profile(grid, spec['v0'])
-        elif u0_spec.get('kind') in ('constant', 'harmonic'):
-            v0 = cs.trace_profile(grid, dict(u0_spec, kind='mode')
-                                  if u0_spec.get('kind') == 'harmonic' else u0_spec)
-        else:
+        if hasattr(p, 'preset'):
+            return cs.preset_problem(grid=grid, **_given(p))
+        if p.v0 is None and p.u0.kind == 'tabulated':
             raise ConfigError('v0 is required when u0 is tabulated')
-        f = cs.make_bulk_source(grid, spec.get('f'))
-        g = cs.make_trace_source(grid, spec.get('g'))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return cs.ProblemData(grid, p.bulk_graph, p.boundary_graph, p.pi, p.pi_gamma,
+                              _source(grid, **vars(p.f)), _source(grid, True, **vars(p.g)),
+                              _profile(grid, p.u0),
+                              _profile(grid, p.u0 if p.v0 is None else p.v0, trace=True),
+                              compat_tol=p.compat_tol)
+    except ValueError as exc:
         raise ConfigError(f'bad problem spec: {exc}') from exc
-    return cs.ProblemData(grid, bulk_graph, boundary_graph, pi, pi_gamma,
-                          f, g, u0, v0, compat_tol=compat)
 
 
 def solver_from_config(cfg: ExperimentConfig, **overrides) -> cs.SolverConfig:
+    """The run's SolverConfig; `overrides` (delta, lam) vary it across a sweep."""
     try:
-        spec = dict(cfg.solver_spec, **overrides)
-        _check_section(spec, _SOLVER_KEYS, 'solver')
-        return cs.SolverConfig(
-            delta=float(spec.get('delta', 0.0)),
-            lam=float(spec.get('lambda', spec.get('lam', 1e-3))),
-            dt=float(spec['dt']),
-            t_end=float(spec['t_end']),
-            newton_tol=float(spec.get('newton_tol', 1e-10)),
-            newton_max_iter=int(spec.get('newton_max_iter', 50)),
-            stabilization=float(spec.get('stabilization', 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return cs.SolverConfig(**{**_given(cfg.needs('solver')), **overrides})
+    except ValueError as exc:
         raise ConfigError(f'bad solver spec: {exc}') from exc
 
 
@@ -434,8 +549,8 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
     SolveFailure.
     """
     problem = problem_from_config(cfg)
-    deltas = [float(d) for d in cfg.sweep_delta['deltas']]
-    ref_mode = cfg.sweep_delta.get('reference', 'delta_zero')
+    sd = cfg.needs('sweep_delta')
+    deltas, ref_mode = sd.deltas, sd.reference
     ref_delta = 0.0 if ref_mode == 'delta_zero' else deltas[-1]
     sweep_deltas = deltas if ref_mode == 'delta_zero' else deltas[:-1]
 
@@ -542,26 +657,17 @@ class StabilityReport:
 
 
 def _perturbation_sources(cfg, problem, amplitude):
-    """Perturbed copies of (f, g, u0, v0) for one amplitude."""
-    st = cfg.stability
-    target = st.get('target', 'f')
-    shape = st.get('shape', {'kind': 'harmonic', 'amplitude': 1.0, 'mode': 2})
-    trace_shape = st.get('trace_shape', {'kind': 'mode', 'amplitude': 1.0, 'mode': 2})
-    tspec = st.get('time', {'kind': 'constant'})
-    grid = cfg.grid
+    """The problem with (f, g, u0, v0) perturbed at one amplitude."""
+    st, grid = cfg.stability, cfg.grid
     f, g, u0, v0 = problem.f, problem.g, problem.u0, problem.v0
-    if target in ('f', 'both'):
-        extra = cs.make_bulk_source(grid, {'kind': 'separable', 'spatial': shape,
-                                           'time': tspec}).scaled(amplitude)
-        f = f + extra
-    if target in ('g', 'both'):
-        extra = cs.make_trace_source(grid, {'kind': 'separable', 'spatial': trace_shape,
-                                            'time': tspec}).scaled(amplitude)
-        g = g + extra
-    if target == 'initial':
-        bump = cs.bulk_profile(grid, shape)
+    if st.target in ('f', 'both'):
+        f = f + _source(grid, False, 'separable', st.shape, st.time).scaled(amplitude)
+    if st.target in ('g', 'both'):
+        g = g + _source(grid, True, 'separable', st.trace_shape, st.time).scaled(amplitude)
+    if st.target == 'initial':
+        bump = _profile(grid, st.shape)
         bump = bump - dg.mean_bulk(grid, bump)
-        tbump = cs.trace_profile(grid, trace_shape)
+        tbump = _profile(grid, st.trace_shape, trace=True)
         tbump = tbump - dg.mean_trace(grid, tbump)
         u0 = u0 + amplitude * bump
         v0 = v0 + amplitude * tbump
@@ -570,7 +676,7 @@ def _perturbation_sources(cfg, problem, amplitude):
                 or abs(dg.mean_trace(grid, v0) - problem.m_gamma0) > 1e-12 * scale:
             raise MeanMismatch('mean-corrected initial perturbation still '
                                'changes a conserved mean beyond 1e-12')
-    return f, g, u0, v0
+    return replace(problem, f=f, g=g, u0=u0, v0=v0)
 
 
 def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
@@ -583,28 +689,18 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
     per amplitude and checks that the ratios stay within a fixed band.
     """
     problem = problem_from_config(cfg)
-    amps = [float(a) for a in cfg.stability['amplitudes']]
-    band_limit = float(cfg.stability.get('band', 3.0))
-    target = cfg.stability.get('target', 'f')
+    st = cfg.needs('stability')
     solver = solver_from_config(cfg)
 
-    tasks = [(problem, solver)]
-    pert_data = []
-    for a in amps:
-        f, g, u0, v0 = _perturbation_sources(cfg, problem, a)
-        p2 = cs.ProblemData(cfg.grid, problem.bulk_graph, problem.boundary_graph,
-                            problem.pi, problem.pi_gamma, f, g, u0, v0,
-                            compat_tol=problem.compat_tol)
-        pert_data.append(p2)
-        tasks.append((p2, solver))
-    results = _run_many(tasks, cfg.workers)
+    pert_data = [_perturbation_sources(cfg, problem, a) for a in st.amplitudes]
+    results = _run_many([(p, solver) for p in [problem] + pert_data], cfg.workers)
     base, pert_results = results[0], results[1:]
     if base.error is not None:
         raise base.error
 
     toolkit = dn.NormToolkit(cfg.grid)
     rows = []
-    for a, p2, res in zip(amps, pert_data, pert_results):
+    for a, p2, res in zip(st.amplitudes, pert_data, pert_results):
         if res.error is not None:
             rows.append(StabilityRow(a, math.nan, math.nan, math.nan,
                                      f'failed: {res.error}'))
@@ -617,11 +713,11 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
             band = max(ratios) / min(ratios)
         else:
             band = 1.0 if max(ratios) == 0.0 else math.inf
-        band_ok = band < band_limit
+        band_ok = band < st.band
     else:
         band = None
         band_ok = all(r.status == 'ok' for r in rows)  # nothing to compare
-    report = StabilityReport(rows, band, band_limit, band_ok, target)
+    report = StabilityReport(rows, band, st.band, band_ok, st.target)
     _write_stability_artifacts(cfg, report)
     return report
 
@@ -690,8 +786,8 @@ class LambdaReport:
 def sweep_lambda(cfg: ExperimentConfig) -> LambdaReport:
     """Successive-difference norms along a decreasing viscosity ladder."""
     problem = problem_from_config(cfg)
-    lams = [float(x) for x in cfg.sweep_lambda['lambdas']]
-    tasks = [(problem, solver_from_config(cfg, **{'lambda': lam})) for lam in lams]
+    lams = cfg.needs('sweep_lambda').lambdas
+    tasks = [(problem, solver_from_config(cfg, lam=lam)) for lam in lams]
     results = _run_many(tasks, cfg.workers)
     for res in results:
         if res.error is not None:

@@ -32,7 +32,6 @@ __all__ = (
     'zero', 'power_odd', 'logarithmic', 'double_obstacle',
     'resolvent', 'yosida', 'yosida_derivative', 'minimal_section',
     'primitive', 'yosida_primitive', 'check_domination', 'check_same_growth',
-    'graph_from_json', 'perturbation_from_json',
 )
 
 _REL_TOL = 1e-13    # relative residual for the scalar resolvent solves
@@ -89,7 +88,7 @@ def zero() -> GraphSpec:
     return GraphSpec('zero')
 
 
-def power_odd(exponent: int, coefficient: float = 1.0) -> GraphSpec:
+def power_odd(exponent: int = 3, coefficient: float = 1.0) -> GraphSpec:
     return GraphSpec('power_odd', exponent=int(exponent), coefficient=float(coefficient))
 
 
@@ -102,33 +101,6 @@ def double_obstacle(lower: float = -1.0, upper: float = 1.0) -> GraphSpec:
     return GraphSpec('double_obstacle', lower=float(lower), upper=float(upper),
                      domain_lower=float(lower), domain_upper=float(upper),
                      lower_closed=True, upper_closed=True)
-
-
-def _check_keys(d, params: dict, what: str) -> str:
-    """Reject a key that `params[d['kind']]` does not name: a misspelled
-    parameter would otherwise silently take its default."""
-    if not isinstance(d, dict):
-        raise ValueError(f'a {what} must be a JSON object, got {d!r}')
-    kind = d.get('kind')
-    if kind not in params:
-        raise ValueError(f'unknown {what} kind {kind!r}')
-    extra = sorted(set(d) - {'kind', *params[kind]})
-    if extra:
-        raise ValueError(f'unknown {kind} {what} parameter(s) {extra}')
-    return kind
-
-
-def graph_from_json(d: dict) -> GraphSpec:
-    kind = _check_keys(d, {'zero': (), 'power_odd': ('exponent', 'coefficient'),
-                           'logarithmic': ('scale',), 'double_obstacle': ('lower', 'upper')},
-                       'graph')
-    if kind == 'zero':
-        return zero()
-    if kind == 'power_odd':
-        return power_odd(d.get('exponent', 3), d.get('coefficient', 1.0))
-    if kind == 'logarithmic':
-        return logarithmic(d.get('scale', 1.0))
-    return double_obstacle(d.get('lower', -1.0), d.get('upper', 1.0))
 
 
 def _as_array(r):
@@ -478,7 +450,7 @@ class Perturbation:
             raise ValueError('lipschitz_constant must be nonnegative')
 
     @staticmethod
-    def linear(slope: float) -> 'Perturbation':
+    def linear(slope: float = 0.0) -> 'Perturbation':
         return Perturbation('linear', slope=float(slope),
                             lipschitz_constant=abs(float(slope)))
 
@@ -527,10 +499,3 @@ class Perturbation:
         above = knot_int[-1] + ys[-1] * (arr - xs[-1])
         return np.where(arr < xs[0], below, np.where(arr > xs[-1], above, seg))
 
-
-def perturbation_from_json(d: dict) -> Perturbation:
-    kind = _check_keys(d, {'linear': ('slope',),
-                           'tabulated': ('xs', 'ys', 'lipschitz_constant')}, 'perturbation')
-    if kind == 'linear':
-        return Perturbation.linear(d.get('slope', 0.0))
-    return Perturbation.tabulated(d['xs'], d['ys'], d.get('lipschitz_constant'))

@@ -335,18 +335,19 @@ def test_criterion_8_gradient_damping(delta_sweep, verdict):
 # 9: obstacle overshoot along the viscosity ladder
 
 def test_criterion_9_obstacle_overshoot(verdict):
-    grid = dg.DiskGrid(24, 48)
-    base = cs.preset_problem('obstacle', grid, amplitude=0.95, offset=0.0)
-    f = cs.make_bulk_source(grid, {
-        'kind': 'separable',
-        'spatial': {'kind': 'harmonic', 'amplitude': 4.0, 'mode': 2},
-        'time': {'kind': 'constant'}})
-    g = cs.make_trace_source(grid, {
-        'kind': 'separable',
-        'spatial': {'kind': 'mode', 'amplitude': 4.0, 'mode': 2},
-        'time': {'kind': 'constant'}})
-    problem = cs.ProblemData(grid, base.bulk_graph, base.boundary_graph,
-                             base.pi, base.pi_gamma, f, g, base.u0, base.v0)
+    # the obstacle preset at amplitude 0.95 and offset 0, forced through f and g
+    obstacle = {'kind': 'double_obstacle', 'lower': -1.0, 'upper': 1.0}
+    raw = {'experiment': 'single', 'grid': {'n_r': 24, 'n_theta': 48}, 'problem': {
+        'bulk_graph': obstacle, 'boundary_graph': obstacle,
+        'pi': {'kind': 'linear', 'slope': -1.0}, 'pi_gamma': {'kind': 'linear', 'slope': -1.0},
+        'u0': {'kind': 'harmonic', 'amplitude': 0.95, 'mode': 2, 'offset': 0.0},
+        'f': {'kind': 'separable',
+              'spatial': {'kind': 'harmonic', 'amplitude': 4.0, 'mode': 2},
+              'time': {'kind': 'constant'}},
+        'g': {'kind': 'separable',
+              'spatial': {'kind': 'mode', 'amplitude': 4.0, 'mode': 2},
+              'time': {'kind': 'constant'}}}}
+    problem = harness.problem_from_config(harness.ExperimentConfig.from_dict(raw))
     overshoots = []
     for lam in (1e-2, 1e-3, 1e-4):
         result = cs.run(problem, cs.SolverConfig(delta=0.5, lam=lam,

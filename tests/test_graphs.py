@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from chb import harness
 from chb import monotone_graphs as mg
 from chb.errors import OutOfDomain
 
@@ -332,9 +333,19 @@ GRAPH_JSON_TABLE = [
 ]
 
 
+def read_problem(**problem):
+    """The problem section as the config reader reads it, with zero graphs
+    and a zero u0 unless given."""
+    zero = {'kind': 'zero'}
+    spec = dict({'bulk_graph': zero, 'boundary_graph': zero, 'u0': {}}, **problem)
+    return harness.ExperimentConfig.from_dict({'experiment': 'graph_check',
+                                               'problem': spec}).problem
+
+
 def test_graph_from_json_table():
     for d, spec in GRAPH_JSON_TABLE:
-        assert mg.graph_from_json(d) == spec, d
+        assert read_problem(bulk_graph=d).bulk_graph == spec, d
+        assert read_problem(boundary_graph=d).boundary_graph == spec, d
     assert {spec.kind for _, spec in GRAPH_JSON_TABLE} == {
         'zero', 'power_odd', 'logarithmic', 'double_obstacle'}
     assert {spec for _, spec in GRAPH_JSON_TABLE} >= set(GRAPHS.values())
@@ -372,4 +383,5 @@ def test_perturbation_from_json_table():
                          lipschitz_constant=3.0)),
     ]
     for d, p in table:
-        assert mg.perturbation_from_json(d) == p, d
+        assert read_problem(pi=d).pi == p, d
+        assert read_problem(pi_gamma=d).pi_gamma == p, d

@@ -3,15 +3,23 @@ determinism, and the command-line front end (exit codes included)."""
 
 from __future__ import annotations
 
+import copy
 import csv
+import functools
+import importlib.util
 import io
 import json
 import math
+import operator
 import os
+import re
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chb import cli, harness
 from chb.errors import ConfigError, NonPositivePoint, TooFewPoints
@@ -104,6 +112,34 @@ def test_config_validation_failures(tmp_path, mutate, exp):
     mutate(raw)
     with pytest.raises(ConfigError):
         harness.load_config(make_cfg(tmp_path, raw))
+
+
+def test_section_checks_keys_converts_and_fills_defaults():
+    schema = {'n': (harness._int, 3), 'x': (harness._float, harness._REQUIRED),
+              'xs': (harness._numbers(), None)}
+    got = harness.section({'x': '0.5', 'xs': [1, 2.5]}, schema, 'demo')
+    assert (got.n, got.x, got.xs) == (3, 0.5, [1.0, 2.5])
+    assert harness.section({'x': 1, 'n': 4.0, 'xs': None}, schema, 'demo').xs is None
+    assert type(harness.section({'x': 1, 'n': 4.0}, schema, 'demo').n) is int
+    for spec, message in (([1], 'must be a JSON object'), ({}, 'demo.x is required'),
+                          ({'x': 1, 'm': 2}, "unknown demo key(s) ['m']"),
+                          ({'x': None}, 'demo.x is required'),
+                          ({'x': 1, 'n': 2.5}, 'bad demo.n'), ({'x': 1, 'n': True}, 'bad demo.n'),
+                          ({'x': True}, 'bad demo.x'), ({'x': 1, 'xs': '12'}, 'bad demo.xs')):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.section(spec, schema, 'demo')
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    raw['grid'] = {'n_r': 8.0, 'n_theta': 16.0}
+    raw['problem'] = {'preset': 'cubic', 'mode': 2.0}
+    raw['solver']['newton_max_iter'] = 20.0
+    raw['output'] = {'stride': 2.0, 'workers': 1.0}
+    cfg = harness.load_config(make_cfg(tmp_path, raw))
+    values = (cfg.grid.n_r, cfg.grid.n_theta, cfg.problem.mode, cfg.stride, cfg.workers,
+              harness.solver_from_config(cfg).newton_max_iter)
+    assert values == (8, 16, 2, 2, 1, 20) and all(type(v) is int for v in values)
 
 
 def test_explicit_problem_spec(tmp_path):
@@ -582,9 +618,54 @@ def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
     ('solve', {'problem': [{'preset': 'cubic'}]}),
     ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
                            'u0': 'cubic'}}),
+    # lists must be JSON arrays, sections JSON objects
+    ('stability', {'stability': {'amplitudes': '12'}}),
+    ('sweep-lambda', {'sweep_lambda': {'lambdas': 5}}),
+    ('solve', {'grid': [8, 16]}),
+    ('solve', {'output': [1]}),
+    ('sweep-delta', {'sweep_delta': [0.4, 0.2, 0.1]}),
+    ('stability', {'stability': [1e-2]}),
+    ('sweep-lambda', {'sweep_lambda': [1e-2, 1e-3]}),
+    # integers must be integral numbers, not booleans
+    ('solve', {'grid': {'n_r': 8.7, 'n_theta': 16}}),
+    ('solve', {'grid': {'n_r': 8, 'n_theta': 16.5}}),
+    ('solve', {'output': {'stride': 2.5}}),
+    ('solve', {'output': {'workers': True}}),
+    ('solve', {'solver': {'delta': 0.5, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 3e-3,
+                          'newton_max_iter': 50.5}}),
+    ('solve', {'problem': {'preset': 'cubic', 'mode': 2.5}}),
+    ('solve', {'problem': {'bulk_graph': {'kind': 'power_odd', 'exponent': 3.5},
+                           'boundary_graph': {'kind': 'power_odd', 'exponent': 3.5},
+                           'u0': {'kind': 'constant', 'value': 0.1}}}),
+    ('solve', {'solver': {'delta': 0.5, 'lambda': 1e-2, 'lam': 0.5, 'dt': 1e-3,
+                          't_end': 3e-3}}),
+    # misspelled keys in every section
+    ('solve', {'grid': {'nr': 8, 'n_theta': 16}}),
+    ('solve', {'output': {'strid': 2}}),
+    ('sweep-delta', {'sweep_delta': {'deltas': [0.4, 0.2, 0.1], 'assert_slop': 5.0}}),
+    ('stability', {'stability': {'amplitudes': [1e-2],
+                                 'shape': {'kind': 'harmonic', 'amplitud': 2.0}}}),
+    ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                           'u0': {'kind': 'harmonic', 'amplitud': 0.1, 'mode': 2}}}),
+    ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                           'u0': {'kind': 'constant', 'value': 0.1},
+                           'f': {'kind': 'separable', 'spatal': {'kind': 'constant'}}}}),
+    ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                           'u0': {'kind': 'constant', 'value': 0.1},
+                           'f': {'kind': 'separable', 'time': {'kind': 'exp', 'rat': -1.0}}}}),
+    # a tabulated source with fewer frames than times
+    ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                           'u0': {'kind': 'constant', 'value': 0.1},
+                           'f': {'kind': 'tabulated', 'times': [0.0, 1e-3],
+                                 'frames': [[0.0] * 128]}}}),
 ], ids=['stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile',
         'graph_key', 'pi_key', 'graph_str', 'plots', 'solver_key', 'preset_key',
-        'problem_key', 'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str'])
+        'problem_key', 'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str',
+        'amplitudes_str', 'lambdas_int', 'grid_list', 'output_list', 'sweep_delta_list',
+        'stability_list', 'sweep_lambda_list', 'n_r_float', 'n_theta_float', 'stride_float',
+        'workers_bool', 'newton_max_iter_float', 'mode_float', 'exponent_float',
+        'lambda_and_lam', 'grid_nr', 'output_strid', 'assert_slop', 'shape_amplitud',
+        'u0_amplitud', 'f_spatal', 'f_time_rat', 'source_frames'])
 def test_cli_malformed_values_are_exit_2(tmp_path, capsys, command, update):
     raw = json.loads(json.dumps(BASE_SINGLE))
     raw.update(EXPERIMENT_SECTIONS[command])
@@ -592,6 +673,64 @@ def test_cli_malformed_values_are_exit_2(tmp_path, capsys, command, update):
     path = cli_cfg(tmp_path, raw, 'malformed.json')
     assert cli.main([command, path, '--out', str(tmp_path / 'mo')]) == 2
     assert 'error:' in capsys.readouterr().err
+
+
+# Values the fuzz puts in place of a config value: one of each JSON type.
+# The numbers keep a run short when they land on t_end or dt.
+FUZZ_VALUES = ([0.5, 0.25], 'x', None, True, -1.0, 2.5e-3, {})
+FUZZ_BASES = {
+    command: dict(json.loads(json.dumps(BASE_SINGLE)), **sections,
+                  output={'stride': 1, 'plots': False, 'workers': 1})
+    for command, sections in dict(EXPERIMENT_SECTIONS,
+                                  **{'graph-check': {'experiment': 'graph_check'}}).items()}
+
+
+def _key_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_config_fuzz_exits_cleanly(tmp_path_factory, data):
+    # drop or rename keys, swap value types; a config error is exit 2, never a traceback
+    command = data.draw(st.sampled_from(sorted(FUZZ_BASES)))
+    raw = json.loads(json.dumps(FUZZ_BASES[command]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_key_paths(raw))
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths))
+        owner = functools.reduce(operator.getitem, parents, raw)
+        op = data.draw(st.sampled_from(['drop', 'rename', 'swap']))
+        value = owner.pop(key)
+        if op == 'rename':
+            owner[key + '_'] = value
+        elif op == 'swap':
+            owner[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
+    root = tmp_path_factory.mktemp('fuzz')
+    path = cli_cfg(root, raw, 'fuzz.json')
+    assert cli.main([command, path, '--out', str(root / 'out')]) in (0, 2, 3, 4)
+
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / 'perfbench' / 'workloads.py'
+
+
+@pytest.mark.parametrize('seed', [1, 2, 3])
+def test_benchmark_configs_pass_the_reader(monkeypatch, seed):
+    # tier-1 does not run perfbench/tests; a stricter reader must still read
+    # every config the benchmark generates
+    spec = importlib.util.spec_from_file_location('perfbench_workloads', _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclasses
+    spec.loader.exec_module(workloads)
+    for w in workloads.WORKLOADS.values():
+        cfg = harness.ExperimentConfig.from_dict(workloads.make_config(w, seed))
+        problem, solver = harness.problem_from_config(cfg), harness.solver_from_config(cfg)
+        assert (problem.grid.n_r, problem.grid.n_theta) == w.grid
+        assert (solver.delta, solver.t_end, cfg.workers) == (w.delta, w.t_end, w.workers)
 
 
 def test_cli_non_finite_residual_is_exit_3_with_partial_trajectory(tmp_path, capsys):

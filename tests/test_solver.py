@@ -28,6 +28,17 @@ def config(**kw):
     return cs.SolverConfig(**base)
 
 
+def read_source(grid, spec, trace=False):
+    """The bulk source (`f`) or trace source (`g`) that the config reader
+    builds from a JSON spec."""
+    zero = {'kind': 'zero'}
+    raw = {'experiment': 'single', 'grid': {'n_r': grid.n_r, 'n_theta': grid.n_theta},
+           'problem': {'bulk_graph': zero, 'boundary_graph': zero, 'u0': {},
+                       'g' if trace else 'f': spec}}
+    problem = harness.problem_from_config(harness.ExperimentConfig.from_dict(raw))
+    return problem.g if trace else problem.f
+
+
 # ---------------------------------------------------------------------------
 # stationarity, conservation, dissipation
 
@@ -244,9 +255,9 @@ def test_run_keeps_trajectory_before_non_finite_residual():
     g = small_grid()
     p = cs.preset_problem('cubic', g)
     shape = (g.n_r, g.n_theta)
-    f = cs.make_bulk_source(g, {'kind': 'tabulated', 'times': [0.0, 2.5e-3, 2.6e-3],
-                                'frames': [np.zeros(shape), np.zeros(shape),
-                                           np.full(shape, math.nan)]})
+    f = read_source(g, {'kind': 'tabulated', 'times': [0.0, 2.5e-3, 2.6e-3],
+                        'frames': [np.zeros(shape).tolist(), np.zeros(shape).tolist(),
+                                   np.full(shape, math.nan).tolist()]})
     p_nan = cs.ProblemData(g, p.bulk_graph, p.boundary_graph, p.pi, p.pi_gamma,
                            f, p.g, p.u0, p.v0)
     res = cs.run(p_nan, config(t_end=5e-3))
@@ -306,7 +317,7 @@ def test_validate_rejects_out_of_domain_data():
     v0 = np.full(g.n_theta, 1.2)
     p_bad = cs.ProblemData(g, mg.logarithmic(1.0), mg.logarithmic(1.0),
                            mg.Perturbation.linear(0.0), mg.Perturbation.linear(0.0),
-                           cs.make_bulk_source(g, None), cs.make_trace_source(g, None),
+                           cs._Source((g.n_r, g.n_theta)), cs._Source((g.n_theta,)),
                            u0, v0)
     failures = cs.validate(p_bad, config())
     assert failures
@@ -334,20 +345,20 @@ def test_problem_data_shape_checks():
 def test_separable_source_time_profiles():
     g = small_grid()
     spatial = {'kind': 'constant', 'value': 2.0}
-    exp_src = cs.make_bulk_source(g, {'kind': 'separable', 'spatial': spatial,
-                                      'time': {'kind': 'exp', 'rate': -1.0}})
+    exp_src = read_source(g, {'kind': 'separable', 'spatial': spatial,
+                              'time': {'kind': 'exp', 'rate': -1.0}})
     assert abs(exp_src(1.0)[0, 0] - 2.0 * math.exp(-1.0)) < 1e-15
-    cos_src = cs.make_trace_source(g, {'kind': 'separable',
-                                       'spatial': {'kind': 'constant', 'value': 1.0},
-                                       'time': {'kind': 'cos', 'omega': 2.0}})
+    cos_src = read_source(g, {'kind': 'separable',
+                              'spatial': {'kind': 'constant', 'value': 1.0},
+                              'time': {'kind': 'cos', 'omega': 2.0}}, trace=True)
     assert abs(cos_src(0.25)[0] - math.cos(0.5)) < 1e-15
 
 
 def test_tabulated_source_interpolates():
     g = small_grid()
     frames = [np.zeros((g.n_r, g.n_theta)), np.ones((g.n_r, g.n_theta))]
-    src = cs.make_bulk_source(g, {'kind': 'tabulated', 'times': [0.0, 1.0],
-                                  'frames': [f.tolist() for f in frames]})
+    src = read_source(g, {'kind': 'tabulated', 'times': [0.0, 1.0],
+                          'frames': [f.tolist() for f in frames]})
     assert np.allclose(src(0.25), 0.25)
     assert np.allclose(src(2.0), 1.0)     # constant continuation
     assert np.allclose(src(-1.0), 0.0)
@@ -356,12 +367,12 @@ def test_tabulated_source_interpolates():
 def test_source_sum_skips_zero_and_pickles():
     g = small_grid()
     shape = (g.n_r, g.n_theta)
-    a = cs.make_bulk_source(g, {'kind': 'separable',
-                                'spatial': {'kind': 'constant', 'value': 2.0},
-                                'time': {'kind': 'exp', 'rate': -1.0}})
-    b = cs.make_bulk_source(g, {'kind': 'tabulated', 'times': [0.0, 1.0],
-                                'frames': [np.zeros(shape), np.ones(shape)]})
-    zero = cs.make_bulk_source(g, None)
+    a = read_source(g, {'kind': 'separable',
+                        'spatial': {'kind': 'constant', 'value': 2.0},
+                        'time': {'kind': 'exp', 'rate': -1.0}})
+    b = read_source(g, {'kind': 'tabulated', 'times': [0.0, 1.0],
+                        'frames': [np.zeros(shape).tolist(), np.ones(shape).tolist()]})
+    zero = read_source(g, None)
     assert zero + a is a and a + zero is a
     total = pickle.loads(pickle.dumps(a + b))   # worker processes get a copy
     assert np.array_equal(total(0.25), a(0.25) + b(0.25))
@@ -389,14 +400,12 @@ def test_obstacle_overshoot_bounded_by_lambda():
     over = []
     for lam in (1e-2, 1e-3):
         p = cs.preset_problem('obstacle', g, amplitude=0.95, offset=0.0)
-        f = cs.make_bulk_source(g, {'kind': 'separable',
-                                    'spatial': {'kind': 'harmonic', 'amplitude': 4.0,
-                                                'mode': 2},
-                                    'time': {'kind': 'constant'}})
-        gg = cs.make_trace_source(g, {'kind': 'separable',
-                                      'spatial': {'kind': 'mode', 'amplitude': 4.0,
-                                                  'mode': 2},
-                                      'time': {'kind': 'constant'}})
+        f = read_source(g, {'kind': 'separable',
+                            'spatial': {'kind': 'harmonic', 'amplitude': 4.0, 'mode': 2},
+                            'time': {'kind': 'constant'}})
+        gg = read_source(g, {'kind': 'separable',
+                             'spatial': {'kind': 'mode', 'amplitude': 4.0, 'mode': 2},
+                             'time': {'kind': 'constant'}}, trace=True)
         p = cs.ProblemData(g, p.bulk_graph, p.boundary_graph, p.pi, p.pi_gamma,
                            f, gg, p.u0, p.v0)
         res = cs.run(p, cs.SolverConfig(delta=0.5, lam=lam, dt=1e-3, t_end=5e-2))
