@@ -491,6 +491,8 @@ def run_single(cfg: ExperimentConfig) -> dict:
         'energy_drop': rows[0].energy - rows[-1].energy,
         'max_energy_increment': max(r.d_energy for r in rows[1:]) if len(rows) > 1 else 0.0,
         'newton_iters_max': max(r.newton_iters for r in rows),
+        'lu_factorizations': result.lu_factorizations,
+        'lu_updates': result.lu_updates,
         'wall_time': result.wall_time,
         'solver_error': None if result.error is None else str(result.error),
     }

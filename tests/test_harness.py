@@ -192,6 +192,31 @@ def test_run_single_writes_artifacts(tmp_path):
     assert on_disk['steps'] == 3
 
 
+_TRACING = Path(__file__).resolve().parent.parent / 'perfbench' / 'tracing.py'
+
+
+@pytest.mark.parametrize('problem', [
+    {'preset': 'cubic', 'amplitude': 0.8},
+    {'bulk_graph': {'kind': 'double_obstacle', 'lower': -1.0, 'upper': 1.0},
+     'boundary_graph': {'kind': 'double_obstacle', 'lower': -1.0, 'upper': 1.0},
+     'u0': {'kind': 'harmonic', 'amplitude': 0.95, 'mode': 2},
+     'f': {'kind': 'separable', 'spatial': {'kind': 'harmonic', 'amplitude': 4.0, 'mode': 2}},
+     'g': {'kind': 'separable', 'spatial': {'kind': 'mode', 'amplitude': 4.0, 'mode': 2}}},
+], ids=['cubic', 'forced_obstacle'])
+def test_summary_lu_counts_match_the_tracer(tmp_path, problem):
+    spec = importlib.util.spec_from_file_location('perfbench_tracing', _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cfg = run_single_cfg(tmp_path, grid={'n_r': 12, 'n_theta': 24}, problem=problem,
+                         solver={'delta': 0.5, 'lambda': 1e-3, 'dt': 1e-2, 't_end': 5e-2})
+    with tracing.Tracer() as tracer:
+        summary = harness.run_single(cfg)
+    counts = tracing.layer_metrics(tracer, 0)['counts']
+    assert summary['lu_factorizations'] == counts['chd_solver.lu_factorizations']
+    refreshes = summary['lu_factorizations'] + summary['lu_updates']
+    assert refreshes > 1 and (summary['lu_updates'] > 0) == ('preset' not in problem)
+
+
 def test_run_single_is_deterministic(tmp_path):
     cfg1 = run_single_cfg(tmp_path, sub='a')
     cfg2 = run_single_cfg(tmp_path, sub='b')

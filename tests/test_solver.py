@@ -9,13 +9,15 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from chb import chd_solver as cs
+from chb import cli
 from chb import disk_grid as dg
 from chb import harness
 from chb import monotone_graphs as mg
-from chb.errors import (NewtonDivergence, ShapeMismatch, SolveFailure,
-                        ValidationFailure)
+from chb.errors import (LinearSolveFailure, NewtonDivergence, ShapeMismatch,
+                        SolveFailure, ValidationFailure)
 
 
 def small_grid():
@@ -123,6 +125,144 @@ def test_linear_homogeneity_of_one_step():
     s1 = cs.run(p1, cfg).steps[-1]
     s2 = cs.run(p2, cfg).steps[-1]
     assert np.max(np.abs(2.0 * s1.u - s2.u)) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# LU reuse: low-rank updates of the kept factorization
+
+OBSTACLE = {'kind': 'double_obstacle', 'lower': -1.0, 'upper': 1.0}
+
+
+def forced_obstacle_raw(n_r=16, n_theta=32):
+    """Acceptance check 9's forced double-obstacle data as a config."""
+    return {'experiment': 'single', 'grid': {'n_r': n_r, 'n_theta': n_theta}, 'problem': {
+        'bulk_graph': OBSTACLE, 'boundary_graph': OBSTACLE,
+        'pi': {'kind': 'linear', 'slope': -1.0}, 'pi_gamma': {'kind': 'linear', 'slope': -1.0},
+        'u0': {'kind': 'harmonic', 'amplitude': 0.95, 'mode': 2, 'offset': 0.0},
+        'f': {'kind': 'separable',
+              'spatial': {'kind': 'harmonic', 'amplitude': 4.0, 'mode': 2}},
+        'g': {'kind': 'separable',
+              'spatial': {'kind': 'mode', 'amplitude': 4.0, 'mode': 2}}},
+        'solver': {'delta': 0.5, 'lambda': 1e-3, 'dt': 1e-3, 't_end': 0.1}}
+
+
+def forced_obstacle(n_r=16, n_theta=32):
+    cfg = harness.ExperimentConfig.from_dict(forced_obstacle_raw(n_r, n_theta))
+    return harness.problem_from_config(cfg), harness.solver_from_config(cfg)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts the factorizations the solver asks for."""
+    calls = []
+    factorize = cs.splu
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return factorize(matrix)
+    monkeypatch.setattr(cs, 'splu', counting)
+    return calls
+
+
+def _contact(problem, k):
+    """(u, v) with the first k of every third bulk cell and every fourth
+    boundary node pushed past the upper obstacle: k slopes of 1/lambda."""
+    g = problem.grid
+    u, v = problem.u0.copy().ravel(), problem.v0.copy()
+    n_bdry = min(k // 4, g.n_theta // 4)
+    u[3 * np.arange(k - n_bdry)] = 1.5
+    v[4 * np.arange(n_bdry)] = 1.5
+    return u.reshape(problem.u0.shape), v
+
+
+@pytest.mark.parametrize('k', [0, 1, 8])
+def test_updated_solve_matches_fresh_factorization(splu_calls, k):
+    problem, solver = forced_obstacle()
+    stepper = cs.NewtonStepper(problem, solver, solver.dt)
+    assert stepper._refresh_lu(problem.u0, problem.v0)    # the base: zero slopes
+    # four contacts first; the k-set then reuses their columns of Z, and
+    # k = 0 goes back to the base slopes
+    target = _contact(problem, k) if k else (problem.u0, problem.v0)
+    b = np.random.default_rng(k).standard_normal(2 * (stepper.n + stepper.nt))
+    for u, v in (_contact(problem, 4), target):
+        assert stepper._refresh_lu(u, v)
+        fresh = splu(stepper.jacobian_at(u, v)).solve(b)
+        assert np.linalg.norm(stepper._solve(b) - fresh) <= 1e-10 * np.linalg.norm(fresh)
+    assert len(splu_calls) == 1 == stepper.lu_factorizations
+    assert stepper.lu_updates == 2
+
+
+def test_update_past_the_budget_refactorizes(splu_calls):
+    problem, solver = forced_obstacle()
+    stepper = cs.NewtonStepper(problem, solver, solver.dt)
+    stepper._refresh_lu(problem.u0, problem.v0)
+    stepper._refresh_lu(*_contact(problem, cs.UPDATE_BUDGET))
+    assert len(splu_calls) == 1 and stepper.lu_updates == 1
+    stepper._refresh_lu(*_contact(problem, cs.UPDATE_BUDGET + 1))
+    assert len(splu_calls) == 2 and stepper.lu_factorizations == 2
+    assert stepper.lu_updates == 1
+
+
+def test_forced_obstacle_run_factorizes_once(splu_calls):
+    problem, solver = forced_obstacle()
+    result = cs.run(problem, solver)
+    assert result.error is None
+    assert len(splu_calls) == 1 == result.lu_factorizations
+    assert result.lu_updates > 0
+
+
+def test_cubic_run_never_takes_the_update_path(splu_calls):
+    # smooth slopes move nearly everywhere between refreshes
+    problem = cs.preset_problem('cubic', dg.DiskGrid(16, 32), amplitude=0.8)
+    result = cs.run(problem, config(dt=1e-2, t_end=4e-2))
+    assert result.error is None
+    assert len(splu_calls) == result.lu_factorizations > 1
+    assert result.lu_updates == 0
+
+
+class _BadColumns:
+    """SuperLU stand-in whose multi-column solves (the columns of Z) make
+    the capacitance matrix I - D V^T Z non-finite, or zero for a first
+    contact at slope 1/lambda."""
+
+    def __init__(self, lu, kind, lam, n, nt):
+        self._lu, self._kind, self._lam, self._n, self._nt = lu, kind, lam, n, nt
+
+    def solve(self, b):
+        if b.ndim == 1:
+            return self._lu.solve(b)
+        if self._kind == 'nan':
+            return np.full(b.shape, np.nan)
+        rows, cols = np.nonzero(b)     # row n+i picks u_i, row 2n+nt+j picks v_j
+        z = np.zeros(b.shape)
+        z[np.where(rows < 2 * self._n, rows - self._n, rows - self._nt), cols] = self._lam
+        return z
+
+
+@pytest.mark.parametrize('kind, message', [('nan', 'non-finite capacitance'),
+                                           ('singular', 'singular capacitance')])
+def test_capacitance_failure_is_linear_solve_failure(monkeypatch, tmp_path, kind, message):
+    problem, solver = forced_obstacle()
+    factorize = cs.splu
+
+    g = problem.grid
+    monkeypatch.setattr(cs, 'splu', lambda matrix: _BadColumns(
+        factorize(matrix), kind, solver.lam, g.size, g.n_theta))
+    result = cs.run(problem, solver)
+    err = result.error
+    assert isinstance(err, LinearSolveFailure)
+    assert message in str(err)
+    assert err.t == result.steps[-1].t + solver.dt and err.iters >= 1
+    assert math.isfinite(err.residual) and err.residual > solver.newton_tol
+    assert len(result.steps) > 1 and all(np.all(np.isfinite(s.u)) for s in result.steps)
+
+    raw = forced_obstacle_raw()
+    path = tmp_path / 'forced.json'
+    path.write_text(json.dumps(raw))
+    assert cli.main(['solve', str(path), '--out', str(tmp_path / 'o')]) == 3
+    summary = json.loads((tmp_path / 'o' / 'summary.json').read_text())
+    assert summary['steps'] == len(result.steps) - 1
+    assert message in summary['solver_error']
 
 
 # ---------------------------------------------------------------------------
