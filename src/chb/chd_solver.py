@@ -45,7 +45,7 @@ from .errors import (LinearSolveFailure, NewtonDivergence, NonFiniteInput,
 __all__ = (
     'SolverConfig', 'ProblemData', 'StepSolution', 'DiagnosticsRow',
     'Diagnostics', 'RunResult', 'NewtonStepper',
-    'validate', 'graph_reports', 'step', 'run', 'energy', 'initial_state',
+    'validate', 'graph_reports', 'run', 'energy', 'initial_state',
     'harmonic', 'preset_problem', 'PRESET_NAMES', 'TIME_KINDS', 'DIAGNOSTIC_COLUMNS',
 )
 
@@ -234,9 +234,9 @@ def graph_reports(problem: ProblemData, n: int = 201) -> tuple:
                        float(np.max(np.abs(problem.v0))), 1e-6)
     pts = np.linspace(-radius, radius, n)
     b = problem.boundary_graph
-    lo = b.domain_lower if b.lower_closed else b.domain_lower + 1e-12
-    hi = b.domain_upper if b.upper_closed else b.domain_upper - 1e-12
-    samples = np.unique(np.clip(pts, lo, hi))
+    lo, hi, closed = b.domain
+    margin = 0.0 if closed else 1e-12
+    samples = np.unique(np.clip(pts, lo + margin, hi - margin))
     return (mg.check_domination(problem.bulk_graph, b, samples),
             mg.check_same_growth(problem.bulk_graph, b, samples))
 
@@ -294,8 +294,7 @@ def validate(problem: ProblemData, config: SolverConfig) -> list:
 
 @dataclass
 class StepSolution:
-    """What Newton solves for at one time level, (u, mu, v, w), and the
-    iterations it took.
+    """What Newton solves for at one time level, (u, mu, v, w).
 
     Bulk arrays u, mu have shape (n_r, n_theta); boundary arrays v, w have
     shape (n_theta,).  The selections xi = beta_lam(u) and
@@ -306,7 +305,6 @@ class StepSolution:
     mu: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    newton_iters: int
 
 
 @dataclass
@@ -329,7 +327,6 @@ DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 @dataclass
 class Diagnostics:
     rows: list = field(default_factory=list)
-    dt_lipschitz: float = 0.0
 
 
 @dataclass
@@ -344,12 +341,8 @@ class RunResult:
 
 def _overshoot(values: np.ndarray, spec: mg.GraphSpec) -> float:
     """Max distance of the values beyond the (bounded) graph domain."""
-    out = 0.0
-    if np.isfinite(spec.domain_upper):
-        out = max(out, float(np.max(values - spec.domain_upper)))
-    if np.isfinite(spec.domain_lower):
-        out = max(out, float(np.max(spec.domain_lower - values)))
-    return max(out, 0.0)
+    lo, hi, _ = spec.domain
+    return max(0.0, float(np.max(values - hi)), float(np.max(lo - values)))
 
 
 def energy(state: StepSolution, problem: ProblemData, config: SolverConfig) -> float:
@@ -377,7 +370,9 @@ def energy(state: StepSolution, problem: ProblemData, config: SolverConfig) -> f
 # factorization is served by a capacitance update instead of a new LU.  On
 # the 128x256 obstacle Jacobian (66,048 unknowns, 2 cores) SuperLU takes
 # 1.7 s to factorize and 15.5 ms per column of a multi-right-hand-side
-# solve, so about 110 new columns cost as much as one factorization.
+# solve, so about 110 new columns cost as much as one factorization.  On
+# small grids the budget is half the slopes: an update of nearly full rank
+# is no cheaper than a new LU.
 UPDATE_BUDGET = 96
 
 
@@ -453,7 +448,7 @@ class NewtonStepper:
         if self._d is not None and np.array_equal(self._d, d):
             return False
         changed = None if self._base is None else np.flatnonzero(d != self._base_d)
-        if changed is None or changed.size > UPDATE_BUDGET:
+        if changed is None or changed.size > min(UPDATE_BUDGET, d.size // 2):
             self._factorize(d)
         else:
             self._update(changed, d)
@@ -622,26 +617,15 @@ class NewtonStepper:
             x[2 * n:2 * n + nt], x[2 * n + nt:], iters, res
 
 
-def step(state: StepSolution, problem: ProblemData, config: SolverConfig) -> StepSolution:
-    """Single time step from an existing StepSolution (fresh stepper)."""
-    stepper = NewtonStepper(problem, config, config.dt)
-    return _advance(stepper, state)
-
-
-def _advance(stepper: NewtonStepper, state: StepSolution) -> StepSolution:
-    u1, mu1, v1, w1, iters, _ = stepper.step(state.t, state.u, state.v, state.mu, state.w)
-    return StepSolution(state.t + stepper.dt, u1, mu1, v1, w1, iters)
-
-
 def initial_state(problem: ProblemData) -> StepSolution:
     """Time-zero StepSolution; mu and w are not defined by the scheme at t=0
     and are stored as zeros."""
     g = problem.grid
     return StepSolution(0.0, problem.u0.copy(), np.zeros((g.n_r, g.n_theta)),
-                        problem.v0.copy(), np.zeros(g.n_theta), 0)
+                        problem.v0.copy(), np.zeros(g.n_theta))
 
 
-def _diag_row(problem, config, state: StepSolution, prev_energy: float | None):
+def _diag_row(problem, config, state: StepSolution, iters: int, prev_energy: float | None):
     g = problem.grid
     e = energy(state, problem, config)
     return DiagnosticsRow(
@@ -654,7 +638,7 @@ def _diag_row(problem, config, state: StepSolution, prev_energy: float | None):
         grad_w=dg.h1_seminorm_trace(g, state.w),
         overshoot=_overshoot(state.v, problem.boundary_graph),
         delta_h1v=config.delta * dg.h1_seminorm_trace(g, state.v),
-        newton_iters=state.newton_iters,
+        newton_iters=iters,
     ), e
 
 
@@ -677,10 +661,9 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
     if remainder < 1e-12 * config.t_end:
         remainder = 0.0
 
-    diag = Diagnostics(dt_lipschitz=config.dt * (
-        problem.pi.lipschitz_constant + problem.pi_gamma.lipschitz_constant))
+    diag = Diagnostics()
     state = initial_state(problem)
-    row, e_prev = _diag_row(problem, config, state, None)
+    row, e_prev = _diag_row(problem, config, state, 0, None)
     diag.rows.append(row)
     steps = [state]
     error = None
@@ -694,11 +677,12 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
             updates += stepper.lu_updates
             stepper = NewtonStepper(problem, config, dt_k)
         try:
-            state = _advance(stepper, state)
+            u, mu, v, w, iters, _ = stepper.step(state.t, state.u, state.v, state.mu, state.w)
         except SolveFailure as exc:
             error = exc
             break
-        row, e_prev = _diag_row(problem, config, state, e_prev)
+        state = StepSolution(state.t + dt_k, u, mu, v, w)
+        row, e_prev = _diag_row(problem, config, state, iters, e_prev)
         diag.rows.append(row)
         steps.append(state)
 

@@ -368,31 +368,39 @@ def fit_rate(points) -> tuple:
 # ---------------------------------------------------------------------------
 # error composites between two trajectories
 
-def _trajectory_norms(toolkit, steps_a, steps_b):
-    """Per-level difference norms between two step lists on a common grid.
-
-    Returns dict of arrays: dual_bulk, dual_trace, v_bulk, h_half, t.
-    """
+def _trajectory_norms(steps_a, steps_b, norms: dict) -> dict:
+    """Per-level norms of the difference of two trajectories on a common
+    grid: `norms` maps a name to norm(du, dv), and the result maps it to
+    the array over the common levels, and 't' to their times (from
+    steps_a).  Only one level's difference is held at a time."""
     n = min(len(steps_a), len(steps_b))
-    out = {k: np.zeros(n) for k in ('dual_bulk', 'dual_trace', 'v_bulk', 'h_half')}
-    ts = np.zeros(n)
-    for k in range(n):
-        sa, sb = steps_a[k], steps_b[k]
-        ts[k] = sa.t
-        du = sa.u - sb.u
-        dv = sa.v - sb.v
-        out['dual_bulk'][k] = toolkit.dual_norm_bulk(du)
-        out['dual_trace'][k] = toolkit.dual_norm_trace(dv)
-        out['v_bulk'][k] = dn.v_norm_bulk(toolkit.grid, du, dv)
-        out['h_half'][k] = toolkit.h_half_norm_trace(dv)
-    out['t'] = ts
+    out = {name: np.zeros(n) for name in norms}
+    out['t'] = np.array([s.t for s in steps_a[:n]])
+    for k, (sa, sb) in enumerate(zip(steps_a, steps_b)):
+        du, dv = sa.u - sb.u, sa.v - sb.v
+        for name, norm in norms.items():
+            out[name][k] = norm(du, dv)
     return out
+
+
+def _four_norms(toolkit) -> dict:
+    """The norms of the sweep error functional and of the continuous-
+    dependence estimate: |du|_*, |dv|_{Gamma,*}, |(du, dv)|_V, |dv|_{H^1/2}."""
+    return {'dual_bulk': lambda du, dv: toolkit.dual_norm_bulk(du),
+            'dual_trace': lambda du, dv: toolkit.dual_norm_trace(dv),
+            'v_bulk': lambda du, dv: dn.v_norm_bulk(toolkit.grid, du, dv),
+            'h_half': lambda du, dv: toolkit.h_half_norm_trace(dv)}
 
 
 def _left_rule(ts, values_sq):
     """Left-endpoint rectangle rule of values_sq over the step partition."""
     dt = np.diff(ts)
     return float(np.sum(dt * values_sq[:-1]))
+
+
+def _running_left_rule(ts, values_sq):
+    """The left rule from ts[0] to every level (0 at ts[0])."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(ts) * values_sq[:-1])])
 
 
 def _combined_error(norms) -> tuple:
@@ -570,14 +578,13 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
         'same-growth condition not satisfied on the sample grid; '
         'rate fit reported without a rate claim')
 
-    toolkit = dn.NormToolkit(cfg.grid)
+    norms = _four_norms(dn.NormToolkit(cfg.grid))
     rows = []
     for d, res in zip(sweep_deltas, run_results):
         if res.error is not None:
             rows.append(SweepRow(d, None, None, None, f'failed: {res.error}', False))
             continue
-        norms = _trajectory_norms(toolkit, res.steps, ref_result.steps)
-        e, comps = _combined_error(norms)
+        e, comps = _combined_error(_trajectory_norms(res.steps, ref_result.steps, norms))
         sup_gradv = max(dg.h1_seminorm_trace(cfg.grid, s.v) for s in res.steps)
         rows.append(SweepRow(d, e, comps, d * sup_gradv, 'ok', False))
 
@@ -700,14 +707,15 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
     if base.error is not None:
         raise base.error
 
-    toolkit = dn.NormToolkit(cfg.grid)
+    grid = cfg.grid
+    norms = _four_norms(dn.NormToolkit(grid))
     rows = []
     for a, p2, res in zip(st.amplitudes, pert_data, pert_results):
         if res.error is not None:
             rows.append(StabilityRow(a, math.nan, math.nan, math.nan,
                                      f'failed: {res.error}'))
             continue
-        rows.append(_stability_row(toolkit, a, problem, p2, base.steps, res.steps))
+        rows.append(_stability_row(grid, norms, a, problem, p2, base.steps, res.steps))
 
     ratios = [r.sup_ratio for r in rows if r.status == 'ok' and np.isfinite(r.sup_ratio)]
     if len(ratios) >= 2:
@@ -724,28 +732,18 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
     return report
 
 
-def _stability_row(toolkit, amplitude, prob_a, prob_b, steps_a, steps_b):
-    norms = _trajectory_norms(toolkit, steps_b, steps_a)
+def _stability_row(grid, table, amplitude, prob_a, prob_b, steps_a, steps_b):
+    norms = _trajectory_norms(steps_b, steps_a, table)
     ts = norms['t']
-    n = ts.size
-    wv, bw = toolkit.grid.weights, toolkit.grid.boundary_weights
+    wv, bw = grid.weights, grid.boundary_weights
+    df_sq = np.array([float(np.sum(wv * (prob_b.f(t) - prob_a.f(t)) ** 2)) for t in ts])
+    dg_sq = np.array([float(np.sum(bw * (prob_b.g(t) - prob_a.g(t)) ** 2)) for t in ts])
 
-    df_sq = np.zeros(n)
-    dg_sq = np.zeros(n)
-    for k in range(n):
-        df = prob_b.f(ts[k]) - prob_a.f(ts[k])
-        dgv = prob_b.g(ts[k]) - prob_a.g(ts[k])
-        df_sq[k] = float(np.sum(wv * df ** 2))
-        dg_sq[k] = float(np.sum(bw * dgv ** 2))
-
-    dts = np.diff(ts)
-    int_v = np.concatenate([[0.0], np.cumsum(dts * norms['v_bulk'][:-1] ** 2)])
-    int_h = np.concatenate([[0.0], np.cumsum(dts * norms['h_half'][:-1] ** 2)])
-    int_f = np.concatenate([[0.0], np.cumsum(dts * df_sq[:-1])])
-    int_g = np.concatenate([[0.0], np.cumsum(dts * dg_sq[:-1])])
-
-    lhs = norms['dual_bulk'] ** 2 + norms['dual_trace'] ** 2 + int_v + int_h
-    rhs = (norms['dual_bulk'][0] ** 2 + norms['dual_trace'][0] ** 2) + int_f + int_g
+    lhs = (norms['dual_bulk'] ** 2 + norms['dual_trace'] ** 2
+           + _running_left_rule(ts, norms['v_bulk'] ** 2)
+           + _running_left_rule(ts, norms['h_half'] ** 2))
+    rhs = (norms['dual_bulk'][0] ** 2 + norms['dual_trace'][0] ** 2) \
+        + _running_left_rule(ts, df_sq) + _running_left_rule(ts, dg_sq)
 
     floor = 1e-14 * rhs[-1] if rhs[-1] > 0 else 0.0
     valid = rhs > floor
@@ -796,19 +794,13 @@ def sweep_lambda(cfg: ExperimentConfig) -> LambdaReport:
             raise res.error
 
     grid = cfg.grid
+    norms = {'v_bulk': lambda du, dv: dn.v_norm_bulk(grid, du, dv),
+             'l2_trace': lambda du, dv: dg.l2_norm_trace(grid, dv)}
     diff_bulk, diff_trace = [], []
     for a, b in zip(results[:-1], results[1:]):
-        n = min(len(a.steps), len(b.steps))
-        ts = np.array([a.steps[k].t for k in range(n)])
-        vb = np.zeros(n)
-        lt = np.zeros(n)
-        for k in range(n):
-            du = a.steps[k].u - b.steps[k].u
-            dv = a.steps[k].v - b.steps[k].v
-            vb[k] = dn.v_norm_bulk(grid, du, dv)
-            lt[k] = dg.l2_norm_trace(grid, dv)
-        diff_bulk.append(math.sqrt(_left_rule(ts, vb ** 2)))
-        diff_trace.append(math.sqrt(_left_rule(ts, lt ** 2)))
+        d = _trajectory_norms(a.steps, b.steps, norms)
+        diff_bulk.append(math.sqrt(_left_rule(d['t'], d['v_bulk'] ** 2)))
+        diff_trace.append(math.sqrt(_left_rule(d['t'], d['l2_trace'] ** 2)))
 
     monotone = all(b <= a for a, b in zip(diff_bulk[:-1], diff_bulk[1:])) and \
         all(b <= a for a, b in zip(diff_trace[:-1], diff_trace[1:]))

@@ -40,12 +40,8 @@ _MAX_ITER = 100
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Immutable description of one maximal monotone graph.
-
-    ``domain_lower``/``domain_upper`` describe D(beta) as an interval with
-    the given closedness flags (the obstacle domain is closed, the
-    logarithmic one is open, power/zero graphs live on all of R).
-    """
+    """Immutable description of one maximal monotone graph; its kind fixes
+    the domain D(beta) (see `domain`)."""
 
     kind: str
     exponent: int = 3
@@ -53,10 +49,6 @@ class GraphSpec:
     scale: float = 1.0
     lower: float = -1.0
     upper: float = 1.0
-    domain_lower: float = -math.inf
-    domain_upper: float = math.inf
-    lower_closed: bool = False
-    upper_closed: bool = False
 
     def __post_init__(self):
         if self.kind not in ('zero', 'power_odd', 'logarithmic', 'double_obstacle'):
@@ -75,13 +67,24 @@ class GraphSpec:
             if not (self.lower <= 0.0 <= self.upper):
                 raise ValueError('double_obstacle interval must contain 0')
 
+    @property
+    def domain(self) -> tuple:
+        """D(beta) as (lower, upper, closed): the obstacle interval is
+        closed, the logarithmic one open, power/zero graphs live on all of R."""
+        if self.kind == 'double_obstacle':
+            return self.lower, self.upper, True
+        if self.kind == 'logarithmic':
+            return -1.0, 1.0, False
+        return -math.inf, math.inf, False
+
     def contains(self, r, strict_margin=0.0):
         """Elementwise test r in D(beta), optionally shrunk by a margin."""
         r = np.asarray(r, dtype=float)
-        lo, hi = self.domain_lower + strict_margin, self.domain_upper - strict_margin
-        ok_lo = r >= lo if (self.lower_closed and strict_margin == 0.0) else r > lo
-        ok_hi = r <= hi if (self.upper_closed and strict_margin == 0.0) else r < hi
-        return ok_lo & ok_hi
+        lo, hi, closed = self.domain
+        lo, hi = lo + strict_margin, hi - strict_margin
+        if closed and strict_margin == 0.0:
+            return (r >= lo) & (r <= hi)
+        return (r > lo) & (r < hi)
 
 
 def zero() -> GraphSpec:
@@ -93,14 +96,11 @@ def power_odd(exponent: int = 3, coefficient: float = 1.0) -> GraphSpec:
 
 
 def logarithmic(scale: float = 1.0) -> GraphSpec:
-    return GraphSpec('logarithmic', scale=float(scale),
-                     domain_lower=-1.0, domain_upper=1.0)
+    return GraphSpec('logarithmic', scale=float(scale))
 
 
 def double_obstacle(lower: float = -1.0, upper: float = 1.0) -> GraphSpec:
-    return GraphSpec('double_obstacle', lower=float(lower), upper=float(upper),
-                     domain_lower=float(lower), domain_upper=float(upper),
-                     lower_closed=True, upper_closed=True)
+    return GraphSpec('double_obstacle', lower=float(lower), upper=float(upper))
 
 
 def _as_array(r):
@@ -310,13 +310,9 @@ class SameGrowthReport:
 
 def _domain_contains(outer: GraphSpec, inner: GraphSpec) -> bool:
     """Structural interval check D(inner) subseteq D(outer)."""
-    lo_ok = outer.domain_lower < inner.domain_lower or (
-        outer.domain_lower == inner.domain_lower
-        and (outer.lower_closed or not inner.lower_closed))
-    hi_ok = outer.domain_upper > inner.domain_upper or (
-        outer.domain_upper == inner.domain_upper
-        and (outer.upper_closed or not inner.upper_closed))
-    return lo_ok and hi_ok
+    (olo, ohi, oc), (ilo, ihi, ic) = outer.domain, inner.domain
+    ends_ok = oc or not ic       # a shared end must be closed in D(outer) if in D(inner)
+    return (olo < ilo or (olo == ilo and ends_ok)) and (ohi > ihi or (ohi == ihi and ends_ok))
 
 
 def _extension_grid(boundary: GraphSpec, grid: np.ndarray, n: int = 64) -> np.ndarray:
@@ -326,8 +322,9 @@ def _extension_grid(boundary: GraphSpec, grid: np.ndarray, n: int = 64) -> np.nd
         radius = 1.0
     ext = np.linspace(radius, 1.5 * radius, n + 1)[1:]
     pts = np.concatenate([ext, -ext])
-    lo = boundary.domain_lower if boundary.lower_closed else np.nextafter(boundary.domain_lower, 0.0)
-    hi = boundary.domain_upper if boundary.upper_closed else np.nextafter(boundary.domain_upper, 0.0)
+    lo, hi, closed = boundary.domain
+    if not closed:
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)
     pts = np.unique(np.clip(pts, lo, hi))
     return pts[np.abs(pts) > radius * (1.0 + 1e-12)] if radius > 0 else pts
 
@@ -369,9 +366,8 @@ def check_domination(bulk: GraphSpec, boundary: GraphSpec, sample_grid) -> Domin
         ae, be = _abs_sections(bulk, boundary, ext)
         bad = be > 1.1 * (rho * ae + c) + 1e-9
         if np.any(bad):
-            bounded = math.isfinite(boundary.domain_lower) \
-                and math.isfinite(boundary.domain_upper)
-            if not bounded:
+            lo, hi, _ = boundary.domain
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 witness = float(ext[bad][np.argmin(np.abs(ext[bad]))])
                 return DominationReport(False, True, rho, c, witness,
                                         'fitted bound fails beyond the sampled range')

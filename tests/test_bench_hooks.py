@@ -44,7 +44,7 @@ def test_stepper_step_returns_iterations_at_index_4():
                        np.zeros(g.n_theta))
     assert len(out) == 6
     assert isinstance(out[4], int) and out[4] > 0
-    assert out[4] == cs.run(problem, config).steps[1].newton_iters
+    assert out[4] == cs.run(problem, config).diagnostics.rows[1].newton_iters
 
 
 def test_tracer_counts_the_run_and_restores_the_names():
@@ -53,6 +53,6 @@ def test_tracer_counts_the_run_and_restores_the_names():
     originals = {(owner, attr): owner.__dict__[attr] for owner, attr, _ in tracing._targets()}
     with tracing.Tracer() as tracer:
         result = cs.run(problem, config)
-    assert tracer.newton_iters == sum(s.newton_iters for s in result.steps) > 0
+    assert tracer.newton_iters == sum(r.newton_iters for r in result.diagnostics.rows) > 0
     assert len(tracer.runs) == 1 and tracer.runs[0]['steps'] == 3
     assert all(owner.__dict__[attr] is fn for (owner, attr), fn in originals.items())

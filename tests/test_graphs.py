@@ -216,7 +216,8 @@ def test_yosida_lipschitz_and_monotone(name, r1, r2, lam):
 def test_resolvent_stays_in_domain_and_contracts(name, r, lam):
     spec = GRAPHS[name]
     x = float(mg.resolvent(spec, r, lam))
-    assert spec.domain_lower <= x <= spec.domain_upper
+    lower, upper, _ = spec.domain
+    assert lower <= x <= upper
     # 0 in beta(0) for every kind here, so the resolvent contracts toward 0
     assert abs(x) <= abs(r) * (1 + 1e-12) + 1e-300
 
@@ -316,6 +317,14 @@ def test_graph_spec_validation():
         mg.logarithmic(0.0)
     with pytest.raises(ValueError):
         mg.double_obstacle(0.5, 2.0)   # must contain 0
+
+
+def test_spec_built_directly_has_the_domain_of_its_kind():
+    # the domain follows the kind, also without the factory functions
+    assert not mg.GraphSpec('logarithmic', scale=0.5).contains(2.0)
+    assert not mg.GraphSpec('double_obstacle', lower=-0.5, upper=0.5).contains(0.9)
+    assert mg.GraphSpec('double_obstacle', lower=-0.5, upper=0.5).domain == (-0.5, 0.5, True)
+    assert mg.GraphSpec('logarithmic', scale=0.5) == mg.logarithmic(0.5)
 
 
 # config object -> graph it must parse to, every kind with and without its

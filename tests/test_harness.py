@@ -12,6 +12,7 @@ import json
 import math
 import operator
 import os
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chb
 from chb import cli, harness
 from chb.errors import ConfigError, NonPositivePoint, TooFewPoints
 
@@ -775,3 +777,12 @@ def test_cli_non_finite_residual_is_exit_3_with_partial_trajectory(tmp_path, cap
     summary = json.loads((tmp_path / 'nf' / 'summary.json').read_text())
     assert summary['steps'] == 2
     assert 'non-finite residual' in summary['solver_error']
+
+
+def test_every_name_in_all_is_defined():
+    # `from chb.<module> import *` fails on a listed name the module lacks
+    modules = [chb] + [importlib.import_module(f'chb.{m.name}')
+                       for m in pkgutil.iter_modules(chb.__path__)]
+    missing = [f'{module.__name__}.{name}' for module in modules
+               for name in getattr(module, '__all__', ()) if not hasattr(module, name)]
+    assert missing == [] and len(modules) > 1
