@@ -18,7 +18,8 @@ splitting), which makes the discrete energy nonincreasing for autonomous
 data and conserves both means exactly (conservative stencils).
 
 Newton uses the a.e. derivative of the Yosida terms.  The sparse LU of
-the 4-block Jacobian is reused across iterations and steps and only
+the 4-block Jacobian, taken in the row order that makes it symmetric
+quasi-definite, is reused across iterations and steps and only
 refreshed when the residual stalls.  A refresh that changes few slopes
 (an obstacle's moving active set) updates the kept LU through a small
 capacitance matrix instead of factorizing again.  Convergence is always
@@ -337,6 +338,7 @@ class RunResult:
     wall_time: float
     lu_factorizations: int = 0
     lu_updates: int = 0
+    lu_nnz: int = 0          # largest L+U nnz of the run's factorizations
 
 
 def _overshoot(values: np.ndarray, spec: mg.GraphSpec) -> float:
@@ -369,11 +371,11 @@ def energy(state: StepSolution, problem: ProblemData, config: SolverConfig) -> f
 # A refresh that changes at most this many Yosida slopes against the kept
 # factorization is served by a capacitance update instead of a new LU.  On
 # the 128x256 obstacle Jacobian (66,048 unknowns, 2 cores) SuperLU takes
-# 1.7 s to factorize and 15.5 ms per column of a multi-right-hand-side
-# solve, so about 110 new columns cost as much as one factorization.  On
-# small grids the budget is half the slopes: an update of nearly full rank
-# is no cheaper than a new LU.
-UPDATE_BUDGET = 96
+# about 0.95 s to factorize and 13 ms per column of Z, so about 70 new
+# columns cost as much as one factorization.  On small grids the budget is
+# half the slopes: an update of nearly full rank is no cheaper than a new
+# LU.
+UPDATE_BUDGET = 64
 
 
 class NewtonStepper:
@@ -384,7 +386,7 @@ class NewtonStepper:
     the built-in path factorizes it with SuperLU and reuses the
     factorization until the residual stalls.  `lu_factorizations` and
     `lu_updates` count the refreshes served by a new LU and by a
-    low-rank update of the kept one.
+    low-rank update of the kept one; `lu_nnz` is the largest L+U nnz.
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, dt: float):
@@ -410,7 +412,10 @@ class NewtonStepper:
             (np.full(nt, 2.0 / g.dr), (np.arange(nt), ring_cols)),
             shape=(nt, n)).tocsr()
         self._eye_n, self._eye_t = eye_n, eye_t
-        self._base = None          # SuperLU of the Jacobian at slopes _base_d
+        # the equations in the order (mu-eq, u-eq, w-eq, v-eq): the Jacobian's
+        # rows then make it symmetric once scaled by the quadrature weights
+        self._rows = np.r_[n:2 * n, :n, 2 * n + nt:2 * (n + nt), 2 * n:2 * n + nt]
+        self._base = None          # SuperLU of J[_rows] at slopes _base_d
         self._base_d = None
         self._d = None             # slopes of the Jacobian that _solve serves
         self._z_idx = np.empty(0, dtype=int)   # K: slopes that differ from _base_d
@@ -419,6 +424,7 @@ class NewtonStepper:
         self._cap = None           # (I - D V^T Z)^-1 D
         self.lu_factorizations = 0
         self.lu_updates = 0
+        self.lu_nnz = 0
 
     # -- assembly ----------------------------------------------------------
 
@@ -460,11 +466,14 @@ class NewtonStepper:
         self._base = self._z = self._cap = None
         self._z_idx = np.empty(0, dtype=int)
         try:
-            self._base = splu(self._jacobian_from_diags(d[:self.n], d[self.n:]))
+            self._base = splu(self._jacobian_from_diags(d[:self.n], d[self.n:])[self._rows],
+                              permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
+                              options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise LinearSolveFailure(f'sparse factorization failed: {exc}') from exc
         self._base_d = d
         self.lu_factorizations += 1
+        self.lu_nnz = max(self.lu_nnz, self._base.nnz)
 
     def _update(self, changed, d):
         """Serve J = J_base - U diag(d - d_base) V^T, U and V picking the
@@ -480,8 +489,10 @@ class NewtonStepper:
             z[:, hit] = self._z[:, np.searchsorted(self._z_idx, changed[hit])]
         new = changed[~hit]
         if new.size:
+            # in the factor's row order the equation of slope k (the mu-eq
+            # of u_i, the w-eq of v_j) sits where V^T picks its unknown
             rhs = np.zeros((z.shape[0], new.size))
-            rhs[new + n + nt * (new >= n), np.arange(new.size)] = 1.0
+            rhs[new + n * (new >= n), np.arange(new.size)] = 1.0
             try:
                 z[:, ~hit] = self._base.solve(rhs)
             except RuntimeError as exc:
@@ -500,7 +511,7 @@ class NewtonStepper:
     def _solve(self, b):
         """J^-1 b for the Jacobian that the last refresh set up."""
         try:
-            y = self._base.solve(b)
+            y = self._base.solve(b[self._rows])
         except RuntimeError as exc:
             raise LinearSolveFailure(f'triangular solve failed: {exc}') from exc
         if not self._z_idx.size:
@@ -669,12 +680,13 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
     error = None
 
     stepper = NewtonStepper(problem, config, config.dt)
-    factorizations = updates = 0
+    factorizations = updates = lu_nnz = 0
     plan = [config.dt] * n_full + ([remainder] if remainder else [])
     for dt_k in plan:
         if dt_k != stepper.dt:
             factorizations += stepper.lu_factorizations
             updates += stepper.lu_updates
+            lu_nnz = max(lu_nnz, stepper.lu_nnz)
             stepper = NewtonStepper(problem, config, dt_k)
         try:
             u, mu, v, w, iters, _ = stepper.step(state.t, state.u, state.v, state.mu, state.w)
@@ -688,4 +700,4 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
 
     return RunResult(steps, diag, error, time.perf_counter() - t_start,
                      factorizations + stepper.lu_factorizations,
-                     updates + stepper.lu_updates)
+                     updates + stepper.lu_updates, max(lu_nnz, stepper.lu_nnz))

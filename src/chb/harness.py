@@ -501,6 +501,7 @@ def run_single(cfg: ExperimentConfig) -> dict:
         'newton_iters_max': max(r.newton_iters for r in rows),
         'lu_factorizations': result.lu_factorizations,
         'lu_updates': result.lu_updates,
+        'lu_nnz': result.lu_nnz,
         'wall_time': result.wall_time,
         'solver_error': None if result.error is None else str(result.error),
     }
@@ -585,8 +586,8 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
             rows.append(SweepRow(d, None, None, None, f'failed: {res.error}', False))
             continue
         e, comps = _combined_error(_trajectory_norms(res.steps, ref_result.steps, norms))
-        sup_gradv = max(dg.h1_seminorm_trace(cfg.grid, s.v) for s in res.steps)
-        rows.append(SweepRow(d, e, comps, d * sup_gradv, 'ok', False))
+        rows.append(SweepRow(d, e, comps, max(r.delta_h1v for r in res.diagnostics.rows),
+                             'ok', False))
 
     zero_error = all(r.error == 0.0 for r in rows if r.status == 'ok') \
         and any(r.status == 'ok' for r in rows)

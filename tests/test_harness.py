@@ -215,6 +215,7 @@ def test_summary_lu_counts_match_the_tracer(tmp_path, problem):
         summary = harness.run_single(cfg)
     counts = tracing.layer_metrics(tracer, 0)['counts']
     assert summary['lu_factorizations'] == counts['chd_solver.lu_factorizations']
+    assert summary['lu_nnz'] == counts['chd_solver.lu_nnz'] > 0
     refreshes = summary['lu_factorizations'] + summary['lu_updates']
     assert refreshes > 1 and (summary['lu_updates'] > 0) == ('preset' not in problem)
 

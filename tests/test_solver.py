@@ -9,6 +9,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from chb import chd_solver as cs
@@ -157,9 +158,9 @@ def splu_calls(monkeypatch):
     calls = []
     factorize = cs.splu
 
-    def counting(matrix):
+    def counting(matrix, **options):
         calls.append(matrix.shape)
-        return factorize(matrix)
+        return factorize(matrix, **options)
     monkeypatch.setattr(cs, 'splu', counting)
     return calls
 
@@ -211,11 +212,11 @@ def test_forced_obstacle_run_factorizes_once(splu_calls):
     assert result.lu_updates > 0
 
 
-@pytest.mark.parametrize('grid, lam', [((16, 32), 1e-2), ((6, 12), 1e-3)],
-                         ids=['16x32', '6x12'])
+@pytest.mark.parametrize('grid, lam', [((16, 32), 1e-2), ((6, 12), 1e-3), ((5, 10), 1e-3)],
+                         ids=['16x32', '6x12', '5x10'])
 def test_cubic_run_never_takes_the_update_path(splu_calls, grid, lam):
-    # smooth slopes move nearly everywhere between refreshes; at 6x12 all
-    # 84 of them are fewer than UPDATE_BUDGET, and the refresh still
+    # smooth slopes move nearly everywhere between refreshes; at 5x10 all
+    # 60 of them are fewer than UPDATE_BUDGET, and the refresh still
     # refactorizes
     problem = cs.preset_problem('cubic', dg.DiskGrid(*grid), amplitude=0.8)
     result = cs.run(problem, config(lam=lam, dt=1e-2, t_end=4e-2))
@@ -224,22 +225,68 @@ def test_cubic_run_never_takes_the_update_path(splu_calls, grid, lam):
     assert result.lu_updates == 0
 
 
+# ---------------------------------------------------------------------------
+# the factorization: rows in the symmetric order, diagonal pivots
+
+def _jacobian_case(preset, amplitude, delta):
+    """A 16x32 stepper and a state at its initial data; past the obstacle
+    (1.5 times the data) for the obstacle preset, so slopes reach 1/lambda."""
+    problem = cs.preset_problem(preset, dg.DiskGrid(16, 32), amplitude=amplitude)
+    stepper = cs.NewtonStepper(problem, config(delta=delta, lam=1e-3), 1e-3)
+    scale = 1.5 if preset == 'obstacle' else 1.0
+    u, v = scale * problem.u0, scale * problem.v0
+    if preset == 'obstacle':
+        assert np.max(np.concatenate(stepper._slopes(u, v))) == 1e3
+    return stepper, u, v
+
+
+JACOBIAN_CASES = pytest.mark.parametrize('preset, amplitude, delta', [
+    (preset, amplitude, delta) for preset, amplitude in
+    (('cubic', 0.2), ('logarithmic', 0.9), ('obstacle', 0.9)) for delta in (0.0, 0.5)])
+
+
+@JACOBIAN_CASES
+def test_row_permuted_jacobian_is_weighted_symmetric(preset, amplitude, delta):
+    # rows (mu-eq, u-eq, w-eq, v-eq) scaled by the quadrature weights
+    stepper, u, v = _jacobian_case(preset, amplitude, delta)
+    weights = np.concatenate([stepper.wv, stepper.wv, stepper.bw, stepper.bw])
+    a = sps.diags(weights) @ stepper.jacobian_at(u, v)[stepper._rows]
+    assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
+
+
+@JACOBIAN_CASES
+def test_solve_has_small_residual_against_the_jacobian(preset, amplitude, delta):
+    stepper, u, v = _jacobian_case(preset, amplitude, delta)
+    assert stepper._refresh_lu(u, v)
+    b = np.random.default_rng(1).standard_normal(2 * (stepper.n + stepper.nt))
+    r = stepper.jacobian_at(u, v) @ stepper._solve(b) - b
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_symmetric_order_factor_has_less_fill():
+    problem, solver = forced_obstacle(32, 64)
+    stepper = cs.NewtonStepper(problem, solver, solver.dt)
+    stepper._refresh_lu(problem.u0, problem.v0)
+    default = splu(stepper.jacobian_at(problem.u0, problem.v0))
+    assert stepper.lu_nnz == stepper._base.nnz <= 0.6 * default.nnz
+
+
 class _BadColumns:
     """SuperLU stand-in whose multi-column solves (the columns of Z) make
     the capacitance matrix I - D V^T Z non-finite, or zero for a first
     contact at slope 1/lambda."""
 
-    def __init__(self, lu, kind, lam, n, nt):
-        self._lu, self._kind, self._lam, self._n, self._nt = lu, kind, lam, n, nt
+    def __init__(self, lu, kind, lam):
+        self._lu, self._kind, self._lam, self.nnz = lu, kind, lam, lu.nnz
 
     def solve(self, b):
         if b.ndim == 1:
             return self._lu.solve(b)
         if self._kind == 'nan':
             return np.full(b.shape, np.nan)
-        rows, cols = np.nonzero(b)     # row n+i picks u_i, row 2n+nt+j picks v_j
+        rows, cols = np.nonzero(b)     # row i picks u_i, row 2n+j picks v_j
         z = np.zeros(b.shape)
-        z[np.where(rows < 2 * self._n, rows - self._n, rows - self._nt), cols] = self._lam
+        z[rows, cols] = self._lam
         return z
 
 
@@ -248,10 +295,8 @@ class _BadColumns:
 def test_capacitance_failure_is_linear_solve_failure(monkeypatch, tmp_path, kind, message):
     problem, solver = forced_obstacle()
     factorize = cs.splu
-
-    g = problem.grid
-    monkeypatch.setattr(cs, 'splu', lambda matrix: _BadColumns(
-        factorize(matrix), kind, solver.lam, g.size, g.n_theta))
+    monkeypatch.setattr(cs, 'splu', lambda matrix, **options: _BadColumns(
+        factorize(matrix, **options), kind, solver.lam))
     result = cs.run(problem, solver)
     err = result.error
     assert isinstance(err, LinearSolveFailure)
