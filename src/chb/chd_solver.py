@@ -20,9 +20,11 @@ data and conserves both means exactly (conservative stencils).
 Newton uses the a.e. derivative of the Yosida terms.  The sparse LU of
 the 4-block Jacobian, taken in the row order that makes it symmetric
 quasi-definite, is reused across iterations and steps and only
-refreshed when the residual stalls.  A refresh that changes few slopes
-(an obstacle's moving active set) updates the kept LU through a small
-capacitance matrix instead of factorizing again.  Convergence is always
+refreshed when the residual stalls.  When the slopes are constant on
+every ring and on the circle the Jacobian does not depend on theta, and
+it is factorized exactly in theta-Fourier modes instead.  A refresh that
+changes few slopes (an obstacle's moving active set) updates the kept LU
+through a small capacitance matrix instead of factorizing again.  Convergence is always
 judged on the true nonlinear residual, so the reuse is a pure economy.
 """
 
@@ -347,8 +349,10 @@ def _overshoot(values: np.ndarray, spec: mg.GraphSpec) -> float:
     return max(0.0, float(np.max(values - hi)), float(np.max(lo - values)))
 
 
-def energy(state: StepSolution, problem: ProblemData, config: SolverConfig) -> float:
-    """Discrete Lyapunov functional at a time level (sources at state.t)."""
+def energy(state: StepSolution, problem: ProblemData, config: SolverConfig,
+           trace_seminorm: float | None = None) -> float:
+    """Discrete Lyapunov functional at a time level (sources at state.t);
+    `trace_seminorm` is |v|_{H^1(Gamma)} when the caller already has it."""
     g = problem.grid
     t, u, v = state.t, state.u, state.v
     lam = config.lam
@@ -361,7 +365,9 @@ def energy(state: StepSolution, problem: ProblemData, config: SolverConfig) -> f
     surf = np.sum(bw * (np.asarray(mg.yosida_primitive(problem.boundary_graph, v, lam))
                         + np.asarray(problem.pi_gamma.primitive(v))
                         - problem.g(t) * v))
-    surf_grad2 = dg.h1_seminorm_trace(g, v) ** 2
+    if trace_seminorm is None:
+        trace_seminorm = dg.h1_seminorm_trace(g, v)
+    surf_grad2 = trace_seminorm ** 2
     return float(0.5 * grad2 + bulk + 0.5 * config.delta * surf_grad2 + surf)
 
 
@@ -369,13 +375,69 @@ def energy(state: StepSolution, problem: ProblemData, config: SolverConfig) -> f
 # the Newton stepper
 
 # A refresh that changes at most this many Yosida slopes against the kept
-# factorization is served by a capacitance update instead of a new LU.  On
-# the 128x256 obstacle Jacobian (66,048 unknowns, 2 cores) SuperLU takes
-# about 0.95 s to factorize and 13 ms per column of Z, so about 70 new
-# columns cost as much as one factorization.  On small grids the budget is
-# half the slopes: an update of nearly full rank is no cheaper than a new
-# LU.
+# factorization is served by a capacitance update instead of a new LU.  The
+# break-even was measured on the SuperLU base, the one a factorization at
+# theta-varying slopes gets: on the 128x256 obstacle Jacobian (66,048
+# unknowns, 2 cores) SuperLU takes about 0.95 s to factorize and 13 ms per
+# column of Z, so about 70 new columns cost as much as one factorization.
+# On small grids the budget is half the slopes: an update of nearly full
+# rank is no cheaper than a new LU.
 UPDATE_BUDGET = 64
+
+
+class _SuperLUBase:
+    """SuperLU factor of the Jacobian with its equations in the order
+    (mu-eq, u-eq, w-eq, v-eq): scaled by the quadrature weights the rows
+    are then symmetric, so minimum degree on A+A^T with diagonal pivots
+    is stable.  Solves take and return the natural order."""
+
+    def __init__(self, jac, rows):
+        self._rows = rows
+        self._lu = splu(jac[rows], permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
+        self.nnz = self._lu.nnz
+
+    def solve(self, b):
+        return self._lu.solve(b[self._rows])
+
+
+class _FourierBase:
+    """Exact factor of a Jacobian whose slopes are constant on every ring
+    and on the circle.
+
+    The polar stencils do not depend on theta, so the unknowns fall into
+    2*n_r + 2 lines of n_theta (the u and mu rings, v, w) coupled by
+    symmetric circulants, which the real FFT along theta diagonalizes
+    (Swarztrauber & Sweet 1973).  Mode k solves one real square system
+    of the circulants' symbols, read off the Jacobian's theta-index-0
+    rows; the n_theta/2 + 1 systems are factorized in one sparse LU of
+    their block-diagonal matrix, the real and imaginary parts of each
+    mode being two right-hand sides.
+    """
+
+    def __init__(self, jac, n_lines, nt):
+        self._lines, self._nt = n_lines, nt
+        # entry (a, b*nt + j) of the first rows is entry j of circulant (a, b)
+        first = jac.tocsr()[np.arange(n_lines) * nt].tocoo()
+        col_line, offset = np.divmod(first.col, nt)
+        offset = np.where(offset > nt // 2, offset - nt, offset)
+        k = np.arange(nt // 2 + 1)[:, None]
+        symbols = first.data * np.cos(2.0 * np.pi * k * offset / nt)
+        size = k.size * n_lines
+        self._lu = splu(sps.coo_matrix(
+            (symbols.ravel(), ((k * n_lines + first.row).ravel(),
+                               (k * n_lines + col_line).ravel())),
+            shape=(size, size)).tocsc())
+        self.nnz = self._lu.nnz
+
+    def solve(self, b):
+        lines = b.reshape(self._lines, self._nt, -1)
+        m = lines.shape[2]
+        bh = np.fft.rfft(lines, axis=1)
+        rhs = np.concatenate([bh.real, bh.imag], axis=2).transpose(1, 0, 2)
+        xh = self._lu.solve(rhs.reshape(-1, 2 * m)).reshape(-1, self._lines, 2 * m)
+        x = np.fft.irfft(xh[..., :m] + 1j * xh[..., m:], n=self._nt, axis=0)
+        return x.transpose(1, 0, 2).reshape(b.shape)
 
 
 class NewtonStepper:
@@ -383,10 +445,13 @@ class NewtonStepper:
 
     The assembled Jacobian of the 4-block system is exposed through
     :meth:`jacobian_at`, so a different linear solver can be substituted;
-    the built-in path factorizes it with SuperLU and reuses the
-    factorization until the residual stalls.  `lu_factorizations` and
-    `lu_updates` count the refreshes served by a new LU and by a
-    low-rank update of the kept one; `lu_nnz` is the largest L+U nnz.
+    the built-in path factorizes it (in theta-Fourier modes when its
+    slopes are constant on every ring and on the circle, else with
+    SuperLU in the symmetric row order) and reuses the factorization
+    until the residual stalls.  `lu_factorizations` and `lu_updates`
+    count the refreshes served by a new LU and by a low-rank update of
+    the kept one; `lu_nnz` is the largest L+U nnz (of the mode matrix for
+    a Fourier base).
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, dt: float):
@@ -415,7 +480,7 @@ class NewtonStepper:
         # the equations in the order (mu-eq, u-eq, w-eq, v-eq): the Jacobian's
         # rows then make it symmetric once scaled by the quadrature weights
         self._rows = np.r_[n:2 * n, :n, 2 * n + nt:2 * (n + nt), 2 * n:2 * n + nt]
-        self._base = None          # SuperLU of J[_rows] at slopes _base_d
+        self._base = None          # _FourierBase or _SuperLUBase at slopes _base_d
         self._base_d = None
         self._d = None             # slopes of the Jacobian that _solve serves
         self._z_idx = np.empty(0, dtype=int)   # K: slopes that differ from _base_d
@@ -465,10 +530,14 @@ class NewtonStepper:
         # release the kept factorization first, so two never coexist
         self._base = self._z = self._cap = None
         self._z_idx = np.empty(0, dtype=int)
+        n, nt = self.n, self.nt
+        jac = self._jacobian_from_diags(d[:n], d[n:])
+        rings = d[:n].reshape(-1, nt)
         try:
-            self._base = splu(self._jacobian_from_diags(d[:self.n], d[self.n:])[self._rows],
-                              permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
-                              options=dict(SymmetricMode=True))
+            if np.all(rings == rings[:, :1]) and np.all(d[n:] == d[n]):
+                self._base = _FourierBase(jac, 2 * self.problem.grid.n_r + 2, nt)
+            else:
+                self._base = _SuperLUBase(jac, self._rows)
         except RuntimeError as exc:
             raise LinearSolveFailure(f'sparse factorization failed: {exc}') from exc
         self._base_d = d
@@ -489,10 +558,10 @@ class NewtonStepper:
             z[:, hit] = self._z[:, np.searchsorted(self._z_idx, changed[hit])]
         new = changed[~hit]
         if new.size:
-            # in the factor's row order the equation of slope k (the mu-eq
-            # of u_i, the w-eq of v_j) sits where V^T picks its unknown
+            # U's column of slope k is the unit vector of its equation:
+            # the mu-eq of u_i (row n+i) or the w-eq of v_j (row 2n+nt+j)
             rhs = np.zeros((z.shape[0], new.size))
-            rhs[new + n * (new >= n), np.arange(new.size)] = 1.0
+            rhs[new + n + nt * (new >= n), np.arange(new.size)] = 1.0
             try:
                 z[:, ~hit] = self._base.solve(rhs)
             except RuntimeError as exc:
@@ -511,7 +580,7 @@ class NewtonStepper:
     def _solve(self, b):
         """J^-1 b for the Jacobian that the last refresh set up."""
         try:
-            y = self._base.solve(b[self._rows])
+            y = self._base.solve(b)
         except RuntimeError as exc:
             raise LinearSolveFailure(f'triangular solve failed: {exc}') from exc
         if not self._z_idx.size:
@@ -638,7 +707,8 @@ def initial_state(problem: ProblemData) -> StepSolution:
 
 def _diag_row(problem, config, state: StepSolution, iters: int, prev_energy: float | None):
     g = problem.grid
-    e = energy(state, problem, config)
+    h1v = dg.h1_seminorm_trace(g, state.v)
+    e = energy(state, problem, config, h1v)
     return DiagnosticsRow(
         t=state.t,
         mass_bulk=dg.mean_bulk(g, state.u),
@@ -648,7 +718,7 @@ def _diag_row(problem, config, state: StepSolution, iters: int, prev_energy: flo
         grad_mu=dg.h1_seminorm_bulk(g, state.mu),
         grad_w=dg.h1_seminorm_trace(g, state.w),
         overshoot=_overshoot(state.v, problem.boundary_graph),
-        delta_h1v=config.delta * dg.h1_seminorm_trace(g, state.v),
+        delta_h1v=config.delta * h1v,
         newton_iters=iters,
     ), e
 

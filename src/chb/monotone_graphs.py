@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import EmptySampleGrid, NonFiniteInput, OutOfDomain, RootFindFailure
 
@@ -264,6 +263,8 @@ def primitive(spec: GraphSpec, r):
     elif spec.kind == 'logarithmic':
         inside = np.abs(arr) <= 1.0
         ar = np.where(inside, arr, 0.0)
+        # imported here: scipy.special costs every run ~60 ms of start-up
+        from scipy.special import xlogy
         val = spec.scale * (xlogy(1.0 + ar, 1.0 + ar) + xlogy(1.0 - ar, 1.0 - ar))
         out = np.where(inside, val, np.inf)
     else:

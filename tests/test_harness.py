@@ -14,6 +14,7 @@ import operator
 import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import chb
 from chb import cli, harness
+from chb import disk_grid as dg
 from chb.errors import ConfigError, NonPositivePoint, TooFewPoints
 
 
@@ -301,12 +303,12 @@ def test_field_csv_golden_bytes(tmp_path, n_levels, stride, keep, name):
 # ---------------------------------------------------------------------------
 # delta sweep
 
-def sweep_cfg(tmp_path, sub='sw', workers=1, preset='backward', **sweep_extra):
+def sweep_cfg(tmp_path, sub='sw', workers=1, preset='backward', t_end=5e-3, **sweep_extra):
     raw = {
         'experiment': 'sweep_delta',
         'grid': {'n_r': 8, 'n_theta': 16},
         'problem': {'preset': preset, 'amplitude': 0.1},
-        'solver': {'delta': 1.0, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 5e-3},
+        'solver': {'delta': 1.0, 'lambda': 1e-2, 'dt': 1e-3, 't_end': t_end},
         'sweep_delta': dict({'deltas': [0.4, 0.2, 0.1, 0.05]}, **sweep_extra),
         'output': {'dir': str(tmp_path / sub), 'workers': workers},
     }
@@ -340,6 +342,20 @@ def test_sweep_delta_workers_do_not_change_bytes(tmp_path):
     b1 = (tmp_path / 'w1' / 'sweep_delta.csv').read_bytes()
     b2 = (tmp_path / 'w2' / 'sweep_delta.csv').read_bytes()
     assert b1 == b2
+
+
+def test_sweep_delta_takes_each_trace_seminorm_once_per_level(tmp_path, monkeypatch):
+    # 4 runs (three deltas and the delta = 0 reference) of 11 levels: the
+    # diagnostics need |v| and |w| in H^1(Gamma) once each per level
+    calls = []
+    seminorm = dg.h1_seminorm_trace
+
+    def counting(grid, v):
+        calls.append(v.shape)
+        return seminorm(grid, v)
+    monkeypatch.setattr(dg, 'h1_seminorm_trace', counting)
+    harness.sweep_delta(sweep_cfg(tmp_path, sub='once', t_end=1e-2, deltas=[0.4, 0.2, 0.1]))
+    assert len(calls) == 88
 
 
 def test_sweep_delta_finest_reference(tmp_path):
@@ -787,3 +803,13 @@ def test_every_name_in_all_is_defined():
     missing = [f'{module.__name__}.{name}' for module in modules
                for name in getattr(module, '__all__', ()) if not hasattr(module, name)]
     assert missing == [] and len(modules) > 1
+
+
+def test_importing_the_cli_leaves_scipy_special_out():
+    # scipy.special costs every run's start-up ~60 ms; only the logarithmic
+    # primitive needs it, and imports it there
+    env = dict(os.environ, PYTHONPATH=str(Path(chb.__file__).resolve().parent.parent))
+    out = subprocess.run(
+        [sys.executable, '-c', 'import sys, chb.cli; print("scipy.special" in sys.modules)'],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == 'False'

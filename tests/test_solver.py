@@ -176,13 +176,17 @@ def _contact(problem, k):
     return u.reshape(problem.u0.shape), v
 
 
-@pytest.mark.parametrize('k', [0, 1, 8])
-def test_updated_solve_matches_fresh_factorization(splu_calls, k):
+@pytest.mark.parametrize('k, base, base_contacts', [
+    (k, base, contacts) for base, contacts in ((cs._FourierBase, 0), (cs._SuperLUBase, 2))
+    for k in (0, 1, 8)], ids=['0', '1', '8', 'superlu-0', 'superlu-1', 'superlu-8'])
+def test_updated_solve_matches_fresh_factorization(splu_calls, k, base, base_contacts):
     problem, solver = forced_obstacle()
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
-    assert stepper._refresh_lu(problem.u0, problem.v0)    # the base: zero slopes
+    # the base: zero slopes, or two contacts that make the slopes vary in theta
+    assert stepper._refresh_lu(*_contact(problem, base_contacts))
+    assert isinstance(stepper._base, base)
     # four contacts first; the k-set then reuses their columns of Z, and
-    # k = 0 goes back to the base slopes
+    # k = 0 goes back to the initial slopes
     target = _contact(problem, k) if k else (problem.u0, problem.v0)
     b = np.random.default_rng(k).standard_normal(2 * (stepper.n + stepper.nt))
     for u, v in (_contact(problem, 4), target):
@@ -264,29 +268,84 @@ def test_solve_has_small_residual_against_the_jacobian(preset, amplitude, delta)
 
 
 def test_symmetric_order_factor_has_less_fill():
+    # contacts make the slopes vary in theta, so the base is SuperLU's
     problem, solver = forced_obstacle(32, 64)
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
-    stepper._refresh_lu(problem.u0, problem.v0)
-    default = splu(stepper.jacobian_at(problem.u0, problem.v0))
+    u, v = _contact(problem, 8)
+    stepper._refresh_lu(u, v)
+    default = splu(stepper.jacobian_at(u, v))
     assert stepper.lu_nnz == stepper._base.nnz <= 0.6 * default.nnz
 
 
-class _BadColumns:
-    """SuperLU stand-in whose multi-column solves (the columns of Z) make
-    the capacitance matrix I - D V^T Z non-finite, or zero for a first
-    contact at slope 1/lambda."""
+# ---------------------------------------------------------------------------
+# the Fourier base: slopes constant on every ring and on the circle
 
-    def __init__(self, lu, kind, lam):
-        self._lu, self._kind, self._lam, self.nnz = lu, kind, lam, lu.nnz
+def _ring_and_circle_contact(problem):
+    """(u, v) with the outermost ring and the whole circle past the upper
+    obstacle: slopes 1/lambda there, 0 elsewhere."""
+    u, v = problem.u0.copy(), np.full_like(problem.v0, 1.5)
+    u[-1] = 1.5
+    return u, v
+
+
+@pytest.mark.parametrize('delta', [0.0, 0.5])
+@pytest.mark.parametrize('state', ['zero_slopes', 'ring_and_circle'])
+@pytest.mark.parametrize('columns', [None, 8], ids=['vector', '8_columns'])
+def test_fourier_base_matches_a_fresh_factorization(delta, state, columns):
+    problem, solver = forced_obstacle()
+    stepper = cs.NewtonStepper(problem, config(delta=delta, lam=solver.lam), solver.dt)
+    u, v = (problem.u0, problem.v0) if state == 'zero_slopes' \
+        else _ring_and_circle_contact(problem)
+    assert stepper._refresh_lu(u, v)
+    assert isinstance(stepper._base, cs._FourierBase)
+    if state == 'ring_and_circle':
+        assert set(np.concatenate(stepper._slopes(u, v))) == {0.0, 1.0 / solver.lam}
+    shape = 2 * (stepper.n + stepper.nt) if columns is None \
+        else (2 * (stepper.n + stepper.nt), columns)
+    b = np.random.default_rng(3).standard_normal(shape)
+    fresh = splu(stepper.jacobian_at(u, v)).solve(b)
+    x = stepper._base.solve(b)
+    assert x.shape == b.shape
+    assert np.linalg.norm(x - fresh) <= 1e-10 * np.linalg.norm(fresh)
+
+
+def test_base_is_fourier_only_for_slopes_constant_on_rings(splu_calls):
+    problem, solver = forced_obstacle()
+    stepper = cs.NewtonStepper(problem, solver, solver.dt)
+    stepper._refresh_lu(problem.u0, problem.v0)
+    g = problem.grid
+    assert isinstance(stepper._base, cs._FourierBase)
+    assert splu_calls == [((g.n_theta // 2 + 1) * (2 * g.n_r + 2),) * 2]
+
+    cubic = cs.preset_problem('cubic', g, amplitude=0.8)
+    stepper = cs.NewtonStepper(cubic, config(), 1e-3)
+    stepper._refresh_lu(cubic.u0, cubic.v0)
+    assert isinstance(stepper._base, cs._SuperLUBase)
+    symmetric = splu(stepper.jacobian_at(cubic.u0, cubic.v0)[stepper._rows],
+                     permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+    assert stepper.lu_nnz == symmetric.nnz
+
+
+class _BadColumns:
+    """Base-solver stand-in whose multi-column solves (the columns of Z)
+    make the capacitance matrix I - D V^T Z non-finite, or zero for a
+    first contact at slope 1/lambda."""
+
+    def __init__(self, base, kind, lam, stepper):
+        self._base, self._kind, self._lam, self.nnz = base, kind, lam, base.nnz
+        self._n, self._nt = stepper.n, stepper.nt
 
     def solve(self, b):
         if b.ndim == 1:
-            return self._lu.solve(b)
+            return self._base.solve(b)
         if self._kind == 'nan':
             return np.full(b.shape, np.nan)
-        rows, cols = np.nonzero(b)     # row i picks u_i, row 2n+j picks v_j
+        # the mu-eq of u_i (row n+i) and the w-eq of v_j (row 2n+nt+j) put
+        # lambda where V^T picks u_i and v_j
+        rows, cols = np.nonzero(b)
         z = np.zeros(b.shape)
-        z[rows, cols] = self._lam
+        z[np.where(rows < 2 * self._n, rows - self._n, rows - self._nt), cols] = self._lam
         return z
 
 
@@ -294,9 +353,12 @@ class _BadColumns:
                                            ('singular', 'singular capacitance')])
 def test_capacitance_failure_is_linear_solve_failure(monkeypatch, tmp_path, kind, message):
     problem, solver = forced_obstacle()
-    factorize = cs.splu
-    monkeypatch.setattr(cs, 'splu', lambda matrix, **options: _BadColumns(
-        factorize(matrix, **options), kind, solver.lam))
+    factorize = cs.NewtonStepper._factorize
+
+    def bad_base(stepper, d):
+        factorize(stepper, d)
+        stepper._base = _BadColumns(stepper._base, kind, solver.lam, stepper)
+    monkeypatch.setattr(cs.NewtonStepper, '_factorize', bad_base)
     result = cs.run(problem, solver)
     err = result.error
     assert isinstance(err, LinearSolveFailure)
