@@ -22,10 +22,11 @@ the 4-block Jacobian, taken in the row order that makes it symmetric
 quasi-definite, is reused across iterations and steps and only
 refreshed when the residual stalls.  When the slopes are constant on
 every ring and on the circle the Jacobian does not depend on theta, and
-it is factorized exactly in theta-Fourier modes instead.  A refresh that
-changes few slopes (an obstacle's moving active set) updates the kept LU
-through a small capacitance matrix instead of factorizing again.  Convergence is always
-judged on the true nonlinear residual, so the reuse is a pure economy.
+it is factorized exactly in theta-Fourier modes (`disk_grid.ThetaModes`)
+instead.  A refresh that changes few slopes (an obstacle's moving active
+set) updates the kept LU through a small capacitance matrix instead of
+factorizing again.  Convergence is always judged on the true nonlinear
+residual, so the reuse is a pure economy.
 """
 
 from __future__ import annotations
@@ -118,15 +119,6 @@ class _Source:
         t0, t1 = ts[idx - 1], ts[idx]
         lam = (t - t0) / (t1 - t0)
         return (1.0 - lam) * self.frames[idx - 1] + lam * self.frames[idx]
-
-    def scaled(self, factor: float) -> '_Source':
-        if self.kind == 'zero':
-            return self
-        if self.kind == 'separable':
-            return _Source(self.shape, 'separable', factor * self.spatial,
-                           self.time_kind, self.rate, self.omega)
-        return _Source(self.shape, 'tabulated', times=self.times,
-                       frames=factor * self.frames)
 
     def __add__(self, other: '_Source') -> '_Source':
         if self.kind == 'zero':
@@ -350,9 +342,9 @@ def _overshoot(values: np.ndarray, spec: mg.GraphSpec) -> float:
 
 
 def energy(state: StepSolution, problem: ProblemData, config: SolverConfig,
-           trace_seminorm: float | None = None) -> float:
+           trace_seminorm: float) -> float:
     """Discrete Lyapunov functional at a time level (sources at state.t);
-    `trace_seminorm` is |v|_{H^1(Gamma)} when the caller already has it."""
+    `trace_seminorm` is |v|_{H^1(Gamma)}, which the caller already has."""
     g = problem.grid
     t, u, v = state.t, state.u, state.v
     lam = config.lam
@@ -365,8 +357,6 @@ def energy(state: StepSolution, problem: ProblemData, config: SolverConfig,
     surf = np.sum(bw * (np.asarray(mg.yosida_primitive(problem.boundary_graph, v, lam))
                         + np.asarray(problem.pi_gamma.primitive(v))
                         - problem.g(t) * v))
-    if trace_seminorm is None:
-        trace_seminorm = dg.h1_seminorm_trace(g, v)
     surf_grad2 = trace_seminorm ** 2
     return float(0.5 * grad2 + bulk + 0.5 * config.delta * surf_grad2 + surf)
 
@@ -399,45 +389,6 @@ class _SuperLUBase:
 
     def solve(self, b):
         return self._lu.solve(b[self._rows])
-
-
-class _FourierBase:
-    """Exact factor of a Jacobian whose slopes are constant on every ring
-    and on the circle.
-
-    The polar stencils do not depend on theta, so the unknowns fall into
-    2*n_r + 2 lines of n_theta (the u and mu rings, v, w) coupled by
-    symmetric circulants, which the real FFT along theta diagonalizes
-    (Swarztrauber & Sweet 1973).  Mode k solves one real square system
-    of the circulants' symbols, read off the Jacobian's theta-index-0
-    rows; the n_theta/2 + 1 systems are factorized in one sparse LU of
-    their block-diagonal matrix, the real and imaginary parts of each
-    mode being two right-hand sides.
-    """
-
-    def __init__(self, jac, n_lines, nt):
-        self._lines, self._nt = n_lines, nt
-        # entry (a, b*nt + j) of the first rows is entry j of circulant (a, b)
-        first = jac.tocsr()[np.arange(n_lines) * nt].tocoo()
-        col_line, offset = np.divmod(first.col, nt)
-        offset = np.where(offset > nt // 2, offset - nt, offset)
-        k = np.arange(nt // 2 + 1)[:, None]
-        symbols = first.data * np.cos(2.0 * np.pi * k * offset / nt)
-        size = k.size * n_lines
-        self._lu = splu(sps.coo_matrix(
-            (symbols.ravel(), ((k * n_lines + first.row).ravel(),
-                               (k * n_lines + col_line).ravel())),
-            shape=(size, size)).tocsc())
-        self.nnz = self._lu.nnz
-
-    def solve(self, b):
-        lines = b.reshape(self._lines, self._nt, -1)
-        m = lines.shape[2]
-        bh = np.fft.rfft(lines, axis=1)
-        rhs = np.concatenate([bh.real, bh.imag], axis=2).transpose(1, 0, 2)
-        xh = self._lu.solve(rhs.reshape(-1, 2 * m)).reshape(-1, self._lines, 2 * m)
-        x = np.fft.irfft(xh[..., :m] + 1j * xh[..., m:], n=self._nt, axis=0)
-        return x.transpose(1, 0, 2).reshape(b.shape)
 
 
 class NewtonStepper:
@@ -480,7 +431,7 @@ class NewtonStepper:
         # the equations in the order (mu-eq, u-eq, w-eq, v-eq): the Jacobian's
         # rows then make it symmetric once scaled by the quadrature weights
         self._rows = np.r_[n:2 * n, :n, 2 * n + nt:2 * (n + nt), 2 * n:2 * n + nt]
-        self._base = None          # _FourierBase or _SuperLUBase at slopes _base_d
+        self._base = None          # dg.ThetaModes or _SuperLUBase at slopes _base_d
         self._base_d = None
         self._d = None             # slopes of the Jacobian that _solve serves
         self._z_idx = np.empty(0, dtype=int)   # K: slopes that differ from _base_d
@@ -535,7 +486,7 @@ class NewtonStepper:
         rings = d[:n].reshape(-1, nt)
         try:
             if np.all(rings == rings[:, :1]) and np.all(d[n:] == d[n]):
-                self._base = _FourierBase(jac, 2 * self.problem.grid.n_r + 2, nt)
+                self._base = dg.ThetaModes(jac, 2 * self.problem.grid.n_r + 2, nt, splu)
             else:
                 self._base = _SuperLUBase(jac, self._rows)
         except RuntimeError as exc:

@@ -27,7 +27,7 @@ __all__ = (
     'l2_norm_bulk', 'l2_norm_trace',
     'h1_seminorm_bulk', 'h1_seminorm_trace',
     'neumann_laplacian_matrix', 'dirichlet_laplacian_matrices',
-    'circle_laplacian_matrix', 'stiffness_matrix_bulk',
+    'circle_laplacian_matrix', 'stiffness_matrix_bulk', 'ThetaModes',
 )
 
 
@@ -108,7 +108,7 @@ def l2_norm_trace(grid: DiskGrid, v: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator assembly (cached per grid)
+# operator assembly (cached per grid) and the theta-Fourier mode solver
 
 def _face_coefficients(grid: DiskGrid):
     """Transmission coefficients s/d of the interior faces.
@@ -227,6 +227,44 @@ def circle_laplacian_matrix(grid: DiskGrid) -> sps.csr_matrix:
     mat = sps.diags([main, off[:-1], off[:-1], [1.0 / h2], [1.0 / h2]],
                     [0, 1, -1, n - 1, -(n - 1)], format='csr')
     return mat
+
+
+class ThetaModes:
+    """Exact solver for a matrix whose n_lines lines of n_theta unknowns
+    (rings, the circle) are coupled by symmetric circulants, as every
+    theta-invariant polar stencil gives (Swarztrauber & Sweet 1973).
+
+    The real FFT along theta splits it into n_theta/2 + 1 real systems of
+    the circulants' symbols, read off the theta-index-0 rows.  `factorize`
+    is called once on their block-diagonal matrix (mode k at rows
+    k*n_lines onward); the real and imaginary parts of a mode are two
+    right-hand sides.
+    """
+
+    def __init__(self, mat, n_lines, n_theta, factorize):
+        self._lines, self._nt = n_lines, n_theta
+        # entry (a, b*nt + j) of the first rows is entry j of circulant (a, b)
+        first = mat.tocsr()[np.arange(n_lines) * n_theta].tocoo()
+        col_line, offset = np.divmod(first.col, n_theta)
+        offset = np.where(offset > n_theta // 2, offset - n_theta, offset)
+        k = np.arange(n_theta // 2 + 1)[:, None]
+        symbols = first.data * np.cos(2.0 * np.pi * k * offset / n_theta)
+        size = k.size * n_lines
+        self._lu = factorize(sps.coo_matrix(
+            (symbols.ravel(), ((k * n_lines + first.row).ravel(),
+                               (k * n_lines + col_line).ravel())),
+            shape=(size, size)).tocsc())
+        self.nnz = self._lu.nnz
+
+    def solve(self, b):
+        """x for b of shape (n_lines*n_theta,) or (n_lines*n_theta, m)."""
+        lines = b.reshape(self._lines, self._nt, -1)
+        m = lines.shape[2]
+        bh = np.fft.rfft(lines, axis=1)
+        rhs = np.concatenate([bh.real, bh.imag], axis=2).transpose(1, 0, 2)
+        xh = self._lu.solve(rhs.reshape(-1, 2 * m)).reshape(-1, self._lines, 2 * m)
+        x = np.fft.irfft(xh[..., :m] + 1j * xh[..., m:], n=self._nt, axis=0)
+        return x.transpose(1, 0, 2).reshape(b.shape)
 
 
 # ---------------------------------------------------------------------------

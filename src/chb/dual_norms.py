@@ -1,10 +1,12 @@
 """Dual norms, duality-map inverses, and the trace-space norms.
 
 The bulk dual norm splits off the mean: |z|_*^2 = (z - m, F^{-1}(z - m)) + m^2
-where F^{-1} is a zero-mean zero-flux Poisson solve on the disk.  On the
-boundary circle everything is spectral: the trace dual norm uses the exact
-continuum symbol k^2 and the H^{1/2} norm uses the multiplier (1 + |k|)
-with the DFT normalization zhat_k = (1/n) sum_j z_j exp(-i k theta_j).
+where F^{-1} is a zero-mean zero-flux Poisson solve on the disk, made in
+theta-Fourier modes (`disk_grid.ThetaModes`).  On the boundary circle
+everything is spectral: the trace dual norm uses the exact continuum
+symbol k^2 and the H^{1/2} norm uses the multiplier (1 + |k|) with the
+DFT normalization zhat_k = (1/n) sum_j z_j exp(-i k theta_j): the paper's
+continuum trace norms, not the discrete circle Laplacian's.
 """
 
 from __future__ import annotations
@@ -29,21 +31,27 @@ def v_norm_bulk(grid: dg.DiskGrid, u: np.ndarray, v: np.ndarray | None = None) -
 class NormToolkit:
     """Factorized zero-mean Poisson solve plus the spectral circle norms.
 
-    Construction assembles and factorizes the bordered system
-    [[S, w], [w^T, 0]] once (S the weighted zero-flux stiffness, w the
-    quadrature weights); every dual-norm evaluation afterwards is a pair
-    of triangular solves.  Instances are read-only after construction.
+    Construction factorizes the weighted zero-flux stiffness S once in
+    theta-Fourier modes; w^T psi = 0 (w the quadrature weights) is added to
+    the last row of its singular mode-0 block, which acts on ring sums.
+    Every dual-norm evaluation afterwards is an FFT pair and a pair of
+    triangular solves.  Instances are read-only after construction.
     """
 
     def __init__(self, grid: dg.DiskGrid):
         self.grid = grid
         self.stiffness = dg.stiffness_matrix_bulk(grid)
         self.weight_vector = grid.weights.ravel()
-        bordered = sps.bmat(
-            [[self.stiffness, self.weight_vector[:, None]],
-             [self.weight_vector[None, :], None]], format='csc')
-        self._lu = splu(bordered)
+        self._modes = dg.ThetaModes(self.stiffness, grid.n_r, grid.n_theta, self._factorize)
         self._wavenumbers = np.fft.fftfreq(grid.n_theta, d=1.0 / grid.n_theta)
+
+    def _factorize(self, modes):
+        """splu of the mode matrix, w^T psi added to mode 0's last row."""
+        n_r = self.grid.n_r
+        last_row = sps.coo_matrix(
+            (self.grid.weights[:, 0], (np.full(n_r, n_r - 1), np.arange(n_r))),
+            shape=modes.shape)
+        return splu((modes + last_row).tocsc())
 
     # -- bulk ---------------------------------------------------------------
 
@@ -60,9 +68,9 @@ class NormToolkit:
         scale = math.sqrt(float(rhs @ vals))  # weighted L2 norm of z
         if abs(dg.mean_bulk(g, z)) > 1e-10 * max(scale, 1e-300):
             raise NonzeroMean('f_inverse_bulk needs a zero-mean operand')
-        sol = self._lu.solve(np.concatenate([rhs, [0.0]]))
-        psi = sol[:-1]
-        residual = self.stiffness @ psi + sol[-1] * self.weight_vector - rhs
+        lam = float(rhs.sum() / self.weight_vector.sum())
+        psi = self._modes.solve(rhs - lam * self.weight_vector)
+        residual = self.stiffness @ psi + lam * self.weight_vector - rhs
         rnorm = float(np.linalg.norm(residual))
         if rnorm > 1e-11 * max(float(np.linalg.norm(rhs)), 1e-300):
             raise SolveFailure(f'zero-mean Poisson residual {rnorm:.3e} too large')

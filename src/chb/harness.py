@@ -671,9 +671,11 @@ def _perturbation_sources(cfg, problem, amplitude):
     st, grid = cfg.stability, cfg.grid
     f, g, u0, v0 = problem.f, problem.g, problem.u0, problem.v0
     if st.target in ('f', 'both'):
-        f = f + _source(grid, False, 'separable', st.shape, st.time).scaled(amplitude)
+        f_bump = _source(grid, False, 'separable', st.shape, st.time)
+        f = f + replace(f_bump, spatial=amplitude * f_bump.spatial)
     if st.target in ('g', 'both'):
-        g = g + _source(grid, True, 'separable', st.trace_shape, st.time).scaled(amplitude)
+        g_bump = _source(grid, True, 'separable', st.trace_shape, st.time)
+        g = g + replace(g_bump, spatial=amplitude * g_bump.spatial)
     if st.target == 'initial':
         bump = _profile(grid, st.shape)
         bump = bump - dg.mean_bulk(grid, bump)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sps
+from scipy.sparse.linalg import spsolve
 
+from chb import chd_solver as cs
 from chb import disk_grid as dg
 from chb import dual_norms as dn
 from chb.errors import NonzeroMean
@@ -55,6 +58,48 @@ def test_f_inverse_bulk_inverts_the_weak_laplacian(grid, toolkit):
     resid = S @ psi.ravel() - w * raw
     assert np.max(np.abs(resid)) < 1e-10 * max(1.0, np.abs(w * raw).max())
     assert abs(float(w @ psi.ravel())) < 1e-10
+
+
+@pytest.mark.parametrize('shape', [(8, 16), (16, 32), (32, 64)])
+def test_f_inverse_bulk_matches_the_bordered_system(shape):
+    # reference: S psi + lam w = w z, w^T psi = 0 as one bordered system
+    g = dg.DiskGrid(*shape)
+    w = g.weights.ravel()
+    raw = np.random.default_rng(5).standard_normal(g.size)
+    raw -= (w @ raw) / w.sum()
+    bordered = sps.bmat([[dg.stiffness_matrix_bulk(g), w[:, None]], [w[None, :], None]],
+                        format='csc')
+    ref = spsolve(bordered, np.concatenate([w * raw, [0.0]]))[:-1]
+    psi = dn.NormToolkit(g).f_inverse_bulk(raw.reshape(shape)).ravel()
+    assert np.linalg.norm(psi - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_f_inverse_bulk_absorbs_a_tolerated_mean(grid, toolkit):
+    # a mean of 1e-12 relative passes the NonzeroMean check; the multiplier
+    # takes it up, the residual check passes and psi keeps zero mean
+    w = grid.weights.ravel()
+    raw = np.random.default_rng(8).standard_normal(grid.size)
+    raw -= (w @ raw) / w.sum()
+    rms = np.sqrt(w @ raw ** 2 / w.sum())
+    raw += 1e-12 * rms
+    z = raw.reshape(grid.n_r, grid.n_theta)
+    assert dg.mean_bulk(grid, z) == pytest.approx(1e-12 * rms, rel=1e-2)
+    psi = toolkit.f_inverse_bulk(z).ravel()
+    assert abs(float(w @ psi)) <= 1e-14 * np.sqrt(w @ psi ** 2)
+
+
+def test_toolkit_factorizes_outside_the_newton_hook(grid, monkeypatch):
+    # the solver's splu hook sees the Newton factors only
+    calls = []
+    factorize = cs.splu
+    monkeypatch.setattr(cs, 'splu', lambda m, **kw: calls.append(m.shape) or factorize(m, **kw))
+    dn.NormToolkit(grid)
+    assert calls == []
+    problem = cs.preset_problem('obstacle', grid)   # zero slopes at u0
+    stepper = cs.NewtonStepper(problem, cs.SolverConfig(0.5, 1e-3, 1e-3, 0.1), 1e-3)
+    assert stepper._refresh_lu(problem.u0, problem.v0)
+    assert isinstance(stepper._base, dg.ThetaModes)
+    assert len(calls) == 1
 
 
 def test_f_inverse_rejects_nonzero_mean(grid, toolkit):

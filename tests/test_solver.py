@@ -58,11 +58,17 @@ def test_constant_state_is_stationary():
     assert np.max(np.abs(mu_vals - mu_vals.mean())) < 1e-10
 
 
-@pytest.mark.parametrize('preset', cs.PRESET_NAMES)
-def test_masses_conserved(preset):
+# every preset, without and with the stabilization term s*(u'-u)
+STABILIZATION_CASES = pytest.mark.parametrize(
+    'preset, stabilization', [(p, s) for s in (0.0, 2.0) for p in cs.PRESET_NAMES],
+    ids=[p + suffix for suffix in ('', '-stabilized') for p in cs.PRESET_NAMES])
+
+
+@STABILIZATION_CASES
+def test_masses_conserved(preset, stabilization):
     g = small_grid()
     p = cs.preset_problem(preset, g)
-    res = cs.run(p, config(t_end=1e-2))
+    res = cs.run(p, config(t_end=1e-2, stabilization=stabilization))
     assert res.error is None
     rows = res.diagnostics.rows
     m0, mg0 = rows[0].mass_bulk, rows[0].mass_trace
@@ -71,11 +77,11 @@ def test_masses_conserved(preset):
         assert abs(r.mass_trace - mg0) < 1e-13
 
 
-@pytest.mark.parametrize('preset', cs.PRESET_NAMES)
-def test_energy_dissipates(preset):
+@STABILIZATION_CASES
+def test_energy_dissipates(preset, stabilization):
     g = small_grid()
     p = cs.preset_problem(preset, g)
-    cfg = config(t_end=1e-2)
+    cfg = config(t_end=1e-2, stabilization=stabilization)
     res = cs.run(p, cfg)
     for r in res.diagnostics.rows[1:]:
         assert r.d_energy <= 10.0 * cfg.newton_tol
@@ -177,7 +183,7 @@ def _contact(problem, k):
 
 
 @pytest.mark.parametrize('k, base, base_contacts', [
-    (k, base, contacts) for base, contacts in ((cs._FourierBase, 0), (cs._SuperLUBase, 2))
+    (k, base, contacts) for base, contacts in ((dg.ThetaModes, 0), (cs._SuperLUBase, 2))
     for k in (0, 1, 8)], ids=['0', '1', '8', 'superlu-0', 'superlu-1', 'superlu-8'])
 def test_updated_solve_matches_fresh_factorization(splu_calls, k, base, base_contacts):
     problem, solver = forced_obstacle()
@@ -297,7 +303,7 @@ def test_fourier_base_matches_a_fresh_factorization(delta, state, columns):
     u, v = (problem.u0, problem.v0) if state == 'zero_slopes' \
         else _ring_and_circle_contact(problem)
     assert stepper._refresh_lu(u, v)
-    assert isinstance(stepper._base, cs._FourierBase)
+    assert isinstance(stepper._base, dg.ThetaModes)
     if state == 'ring_and_circle':
         assert set(np.concatenate(stepper._slopes(u, v))) == {0.0, 1.0 / solver.lam}
     shape = 2 * (stepper.n + stepper.nt) if columns is None \
@@ -314,7 +320,7 @@ def test_base_is_fourier_only_for_slopes_constant_on_rings(splu_calls):
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
     stepper._refresh_lu(problem.u0, problem.v0)
     g = problem.grid
-    assert isinstance(stepper._base, cs._FourierBase)
+    assert isinstance(stepper._base, dg.ThetaModes)
     assert splu_calls == [((g.n_theta // 2 + 1) * (2 * g.n_r + 2),) * 2]
 
     cubic = cs.preset_problem('cubic', g, amplitude=0.8)
