@@ -17,10 +17,11 @@ implicit, the Lipschitz perturbations explicit (convex-concave
 splitting), which makes the discrete energy nonincreasing for autonomous
 data and conserves both means exactly (conservative stencils).
 
-Newton uses the a.e. derivative of the Yosida terms.  The sparse LU of
-the 4-block Jacobian, taken in the row order that makes it symmetric
-quasi-definite, is reused across iterations and steps and only
-refreshed when the residual stalls.  When the slopes are constant on
+Newton uses the a.e. derivative of the Yosida terms and starts each step
+(from the third on) at the linear extrapolation of the last two levels.
+The sparse LU of the 4-block Jacobian, taken in the row order that makes
+it symmetric quasi-definite, is reused across iterations and steps and
+only refreshed when the residual stalls.  When the slopes are constant on
 every ring and on the circle the Jacobian does not depend on theta, and
 it is factorized exactly in theta-Fourier modes (`disk_grid.ThetaModes`)
 instead.  A refresh that changes few slopes (an obstacle's moving active
@@ -560,6 +561,24 @@ class NewtonStepper:
               - pig_v0 + g1)
         return np.concatenate([r1, r2, r3, r4])
 
+    def _residual_floor(self, x, u0, v0, pi_u0, pig_v0, f1, g1):
+        """Round-off floor of `_res_norm(_residual(x, ...))`: machine epsilon
+        times the weighted norm of each equation's sum of absolute terms
+        (|A| |y| for a matrix term A y)."""
+        n, nt = self.n, self.nt
+        a = np.abs(x)
+        u1, mu1, v1, w1 = a[:n], a[n:2 * n], a[2 * n:2 * n + nt], a[2 * n + nt:]
+        lam = self.config.lam
+        m1 = u1 + np.abs(u0) + self.dt * (abs(self.AN) @ mu1)
+        m2 = (mu1 + abs(self.Cuu) @ u1 + self.visc * np.abs(u0) + abs(self.B) @ v1
+              + np.abs(mg.yosida(self.problem.bulk_graph, x[:n], lam))
+              + np.abs(pi_u0) + np.abs(f1))
+        m3 = v1 + np.abs(v0) + self.dt * (abs(self.DG) @ w1)
+        m4 = (w1 + abs(self.Cvv) @ v1 + self.visc * np.abs(v0) + abs(self.ring) @ u1
+              + np.abs(mg.yosida(self.problem.boundary_graph, x[2 * n:2 * n + nt], lam))
+              + np.abs(pig_v0) + np.abs(g1))
+        return np.finfo(float).eps * self._res_norm(np.concatenate([m1, m2, m3, m4]))
+
     def _res_norm(self, r):
         n, nt = self.n, self.nt
         q = (self.wv @ (r[:n] ** 2) + self.wv @ (r[n:2 * n] ** 2)
@@ -568,9 +587,11 @@ class NewtonStepper:
 
     # -- the step ------------------------------------------------------------
 
-    def step(self, t0: float, u0, v0, mu_prev, w_prev):
+    def step(self, t0: float, u0, v0, start: StepSolution):
         """Advance from t0 to t0+dt; returns (u, mu, v, w, iters, residual).
 
+        Newton starts at the level `start` (its t is not read): the
+        previous level, or `run()`'s extrapolation of the last two.
         Raises a SolveFailure with the target time t0+dt on any failure.
         """
         cfg = self.config
@@ -586,7 +607,7 @@ class NewtonStepper:
             u0f = u0.ravel()
             pi_u0 = pi_u0.ravel()
 
-            x = np.concatenate([u0f, mu_prev.ravel(), v0, w_prev])
+            x = np.concatenate([start.u.ravel(), start.mu.ravel(), start.v, start.w])
             r = self._residual(x, u0f, v0, pi_u0, pig_v0, f1, g1)
             res = self._res_norm(r)
             prev_res = math.inf
@@ -621,8 +642,12 @@ class NewtonStepper:
                     # for the piecewise-linear obstacle system the next fresh
                     # solve is exact once the active set settles.
                     if nm_left == 0:
+                        floor = self._residual_floor(x, u0f, v0, pi_u0, pig_v0, f1, g1)
+                        below = '' if cfg.newton_tol >= floor else (
+                            f'; newton_tol {cfg.newton_tol:.3e} is below the '
+                            f'residual\'s estimated round-off floor {floor:.3e}')
                         raise NewtonDivergence(
-                            f'damped Newton stalled at residual {res:.3e}',
+                            f'damped Newton stalled at residual {res:.3e}{below}',
                             t=t1, iters=iters, residual=res)
                     nm_left -= 1
                     x_try = x + dx
@@ -703,14 +728,23 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
     stepper = NewtonStepper(problem, config, config.dt)
     factorizations = updates = lu_nnz = 0
     plan = [config.dt] * n_full + ([remainder] if remainder else [])
-    for dt_k in plan:
+    for k, dt_k in enumerate(plan):
         if dt_k != stepper.dt:
             factorizations += stepper.lu_factorizations
             updates += stepper.lu_updates
             lu_nnz = max(lu_nnz, stepper.lu_nnz)
             stepper = NewtonStepper(problem, config, dt_k)
+        # Newton starts at the linear extrapolation of the last two levels,
+        # scaled to this step's length; the first two steps start at the
+        # previous level, since level 0's mu and w are placeholder zeros
+        start = state
+        if k >= 2:
+            ratio, prev = dt_k / plan[k - 1], steps[-2]
+            start = StepSolution(state.t + dt_k, *(
+                x + ratio * (x - x_prev) for x, x_prev in
+                ((state.u, prev.u), (state.mu, prev.mu), (state.v, prev.v), (state.w, prev.w))))
         try:
-            u, mu, v, w, iters, _ = stepper.step(state.t, state.u, state.v, state.mu, state.w)
+            u, mu, v, w, iters, _ = stepper.step(state.t, state.u, state.v, start)
         except SolveFailure as exc:
             error = exc
             break

@@ -465,6 +465,11 @@ def _write_diagnostics_csv(path, diag):
                ([_fmt(getattr(r, c)) for c in cs.DIAGNOSTIC_COLUMNS] for r in diag.rows))
 
 
+def _newton_iters(result: cs.RunResult) -> int:
+    """Total Newton iterations of a run, from its diagnostics rows."""
+    return sum(r.newton_iters for r in result.diagnostics.rows)
+
+
 def run_single(cfg: ExperimentConfig) -> dict:
     """Run one trajectory and write trajectory/diagnostics/summary artifacts.
 
@@ -499,6 +504,7 @@ def run_single(cfg: ExperimentConfig) -> dict:
         'energy_drop': rows[0].energy - rows[-1].energy,
         'max_energy_increment': max(r.d_energy for r in rows[1:]) if len(rows) > 1 else 0.0,
         'newton_iters_max': max(r.newton_iters for r in rows),
+        'newton_iters': _newton_iters(result),
         'lu_factorizations': result.lu_factorizations,
         'lu_updates': result.lu_updates,
         'lu_nnz': result.lu_nnz,
@@ -547,6 +553,7 @@ class SweepReport:
     rate_claimed: bool
     same_growth: mg.SameGrowthReport | None
     reference: str
+    newton_iters: list       # per-run totals, the reference run first
     message: str = ''
 
 
@@ -608,7 +615,8 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
 
     report = SweepReport(rows, slope, intercept, r2, zero_error,
                          rate_claimed and slope is not None,
-                         same_growth, ref_mode, message)
+                         same_growth, ref_mode, [_newton_iters(r) for r in results],
+                         message)
     _write_sweep_artifacts(cfg, report)
     return report
 
@@ -626,6 +634,7 @@ def _write_sweep_artifacts(cfg, report: SweepReport):
         'slope': report.slope, 'intercept': report.intercept, 'r2': report.r2,
         'zero_error': report.zero_error, 'rate_claimed': report.rate_claimed,
         'reference': report.reference, 'message': report.message,
+        'newton_iters': report.newton_iters,
         'same_growth_feasible': None if report.same_growth is None
         else report.same_growth.feasible,
         'same_growth_m': None if report.same_growth is None

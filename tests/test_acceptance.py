@@ -257,7 +257,7 @@ def test_criterion_5_linear_propagator(verdict):
 
     stepper = cs.NewtonStepper(problem, cfg, cfg.dt)
     state = cs.initial_state(problem)
-    u, mu, v, w, *_ = stepper.step(state.t, state.u, state.v, state.mu, state.w)
+    u, mu, v, w, *_ = stepper.step(state.t, state.u, state.v, state)
 
     n, nt = grid.size, grid.n_theta
     x0 = np.concatenate([problem.u0.ravel(), np.zeros(n),

@@ -8,8 +8,6 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
 from chb import chd_solver as cs
 from chb import disk_grid as dg
 
@@ -39,9 +37,7 @@ def test_tracer_targets_are_defined_where_it_looks():
 def test_stepper_step_returns_iterations_at_index_4():
     problem, config = _cubic()
     stepper = cs.NewtonStepper(problem, config, config.dt)
-    g = problem.grid
-    out = stepper.step(0.0, problem.u0, problem.v0, np.zeros((g.n_r, g.n_theta)),
-                       np.zeros(g.n_theta))
+    out = stepper.step(0.0, problem.u0, problem.v0, cs.initial_state(problem))
     assert len(out) == 6
     assert isinstance(out[4], int) and out[4] > 0
     assert out[4] == cs.run(problem, config).diagnostics.rows[1].newton_iters

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chb
+from chb import chd_solver as cs
 from chb import cli, harness
 from chb import disk_grid as dg
 from chb.errors import ConfigError, NonPositivePoint, TooFewPoints
@@ -199,6 +200,13 @@ def test_run_single_writes_artifacts(tmp_path):
 _TRACING = Path(__file__).resolve().parent.parent / 'perfbench' / 'tracing.py'
 
 
+def _tracing():
+    spec = importlib.util.spec_from_file_location('perfbench_tracing', _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 @pytest.mark.parametrize('problem', [
     {'preset': 'cubic', 'amplitude': 0.8},
     {'bulk_graph': {'kind': 'double_obstacle', 'lower': -1.0, 'upper': 1.0},
@@ -208,9 +216,7 @@ _TRACING = Path(__file__).resolve().parent.parent / 'perfbench' / 'tracing.py'
      'g': {'kind': 'separable', 'spatial': {'kind': 'mode', 'amplitude': 4.0, 'mode': 2}}},
 ], ids=['cubic', 'forced_obstacle'])
 def test_summary_lu_counts_match_the_tracer(tmp_path, problem):
-    spec = importlib.util.spec_from_file_location('perfbench_tracing', _TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     cfg = run_single_cfg(tmp_path, grid={'n_r': 12, 'n_theta': 24}, problem=problem,
                          solver={'delta': 0.5, 'lambda': 1e-3, 'dt': 1e-2, 't_end': 5e-2})
     with tracing.Tracer() as tracer:
@@ -218,6 +224,7 @@ def test_summary_lu_counts_match_the_tracer(tmp_path, problem):
     counts = tracing.layer_metrics(tracer, 0)['counts']
     assert summary['lu_factorizations'] == counts['chd_solver.lu_factorizations']
     assert summary['lu_nnz'] == counts['chd_solver.lu_nnz'] > 0
+    assert summary['newton_iters'] == counts['chd_solver.newton_iters'] > 0
     refreshes = summary['lu_factorizations'] + summary['lu_updates']
     assert refreshes > 1 and (summary['lu_updates'] > 0) == ('preset' not in problem)
 
@@ -303,11 +310,12 @@ def test_field_csv_golden_bytes(tmp_path, n_levels, stride, keep, name):
 # ---------------------------------------------------------------------------
 # delta sweep
 
-def sweep_cfg(tmp_path, sub='sw', workers=1, preset='backward', t_end=5e-3, **sweep_extra):
+def sweep_cfg(tmp_path, sub='sw', workers=1, preset='backward', t_end=5e-3, amplitude=0.1,
+              **sweep_extra):
     raw = {
         'experiment': 'sweep_delta',
         'grid': {'n_r': 8, 'n_theta': 16},
-        'problem': {'preset': preset, 'amplitude': 0.1},
+        'problem': {'preset': preset, 'amplitude': amplitude},
         'solver': {'delta': 1.0, 'lambda': 1e-2, 'dt': 1e-3, 't_end': t_end},
         'sweep_delta': dict({'deltas': [0.4, 0.2, 0.1, 0.05]}, **sweep_extra),
         'output': {'dir': str(tmp_path / sub), 'workers': workers},
@@ -327,6 +335,23 @@ def test_sweep_delta_decreasing_error_and_fit(tmp_path):
     assert abs(data['slope'] - report.slope) < 1e-15
     lines = (tmp_path / 'sw' / 'sweep_delta.csv').read_text().splitlines()
     assert len(lines) == 5      # header + one row per delta
+
+
+def test_sweep_fit_newton_iters_match_the_tracer(tmp_path):
+    tracing = _tracing()
+    cfg = sweep_cfg(tmp_path, sub='it', preset='cubic', amplitude=0.4)
+    with tracing.Tracer() as tracer:
+        report = harness.sweep_delta(cfg)
+    data = json.loads((tmp_path / 'it' / 'sweep_delta_fit.json').read_text())
+    assert data['newton_iters'] == report.newton_iters
+    assert sum(report.newton_iters) == tracer.newton_iters
+    # one total per run: the reference (delta 0) first, then the deltas in order
+    per_run = []
+    for delta in (0.0, *cfg.sweep_delta.deltas):
+        with tracing.Tracer() as tracer:
+            cs.run(harness.problem_from_config(cfg), harness.solver_from_config(cfg, delta=delta))
+        per_run.append(tracer.newton_iters)
+    assert report.newton_iters == per_run and len(set(per_run)) > 1
 
 
 def test_sweep_delta_delta_gradient_column_decreases(tmp_path):

@@ -106,7 +106,7 @@ def test_one_step_matches_dense_solve_for_linear_problem():
 
     stepper = cs.NewtonStepper(p, cfg, cfg.dt)
     state0 = cs.initial_state(p)
-    u, mu, v, w, *_ = stepper.step(state0.t, state0.u, state0.v, state0.mu, state0.w)
+    u, mu, v, w, *_ = stepper.step(state0.t, state0.u, state0.v, state0)
 
     # assemble the same linear system densely: J x = J x0 - R(x0)
     n, nt = g.size, g.n_theta
@@ -444,16 +444,83 @@ def test_mass_flux_equation_residual():
 
 
 # ---------------------------------------------------------------------------
+# order in time
+
+def test_backward_euler_is_first_order_in_time():
+    # successive differences at t_end in L2(Omega) + L2(Gamma) as dt halves
+    g = dg.DiskGrid(16, 32)
+    p = cs.preset_problem('cubic', g, amplitude=0.4)
+    finals = []
+    for dt in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4):
+        res = cs.run(p, config(delta=0.1, lam=1e-3, dt=dt, t_end=0.04, newton_tol=1e-12))
+        assert res.error is None and abs(res.steps[-1].t - 0.04) < 1e-12
+        finals.append(res.steps[-1])
+    errors = [dg.l2_norm_bulk(g, a.u - b.u) + dg.l2_norm_trace(g, a.v - b.v)
+              for a, b in zip(finals, finals[1:])]
+    orders = [math.log2(e / e_next) for e, e_next in zip(errors, errors[1:])]
+    assert len(orders) == 3 and min(orders) >= 0.9
+
+
+# ---------------------------------------------------------------------------
 # time stepping mechanics
 
-def test_partial_final_step():
+def test_partial_final_step(monkeypatch):
     g = small_grid()
     p = cs.preset_problem('cubic', g)
+    starts = []
+    step = cs.NewtonStepper.step
+
+    def recording_step(self, t0, u0, v0, start):
+        starts.append(start)
+        return step(self, t0, u0, v0, start)
+
+    monkeypatch.setattr(cs.NewtonStepper, 'step', recording_step)
     res = cs.run(p, config(dt=1e-3, t_end=3.5e-3))
     ts = [s.t for s in res.steps]
     assert len(ts) == 5
     assert abs(ts[-1] - 3.5e-3) < 1e-15
     assert abs(ts[-2] - 3.0e-3) < 1e-15
+    # steps 1 and 2 start at the previous level; the half-length remainder
+    # starts at the extrapolation scaled by 1/2, and converges from there
+    assert starts[0] is res.steps[0] and starts[1] is res.steps[1]
+    assert res.error is None and res.diagnostics.rows[-1].newton_iters >= 1
+    prev, last, final = res.steps[-3:]
+    for name in ('u', 'mu', 'v', 'w'):
+        x, x_prev = getattr(last, name), getattr(prev, name)
+        np.testing.assert_allclose(getattr(starts[-1], name), x + 0.5 * (x - x_prev),
+                                   rtol=1e-12, atol=1e-15)
+    assert np.max(np.abs(starts[-1].u - final.u)) < np.max(np.abs(last.u - final.u))
+
+
+def test_extrapolated_start_gives_the_same_levels_in_fewer_iterations():
+    p = cs.preset_problem('cubic', dg.DiskGrid(16, 32))
+    cfg = config(delta=0.1, lam=1e-3, t_end=2e-2)
+    res = cs.run(p, cfg)
+    assert res.error is None and len(res.steps) == 21
+    # the same steps, each started at the previous level
+    stepper = cs.NewtonStepper(p, cfg, cfg.dt)
+    state, iters = cs.initial_state(p), 0
+    for level in res.steps[1:]:
+        u, mu, v, w, k, _ = stepper.step(state.t, state.u, state.v, state)
+        state, iters = cs.StepSolution(level.t, u, mu, v, w), iters + k
+        for name in ('u', 'mu', 'v', 'w'):
+            assert np.max(np.abs(getattr(state, name) - getattr(level, name))) \
+                <= 10 * cfg.newton_tol
+    assert sum(r.newton_iters for r in res.diagnostics.rows) < iters
+
+
+def test_tolerance_below_the_round_off_floor_is_named():
+    # the weighted residual's round-off floor grows with the grid: at 64x128
+    # 1e-12 is out of reach, and the stall says so
+    p = cs.preset_problem('cubic', dg.DiskGrid(64, 128), amplitude=0.4)
+    cfg = config(delta=0.1, lam=1e-3, t_end=1e-3, newton_tol=1e-12)
+    res = cs.run(p, cfg)
+    assert isinstance(res.error, NewtonDivergence) and len(res.steps) == 1
+    message = str(res.error)
+    assert message.startswith('damped Newton stalled at residual ')
+    head, floor = message.split("; newton_tol 1.000e-12 is below the residual's "
+                                'estimated round-off floor ')
+    assert float(floor) > cfg.newton_tol
 
 
 def test_whole_number_of_steps():
@@ -475,7 +542,7 @@ def test_newton_divergence_is_captured():
 
     state = cs.initial_state(p)
     with pytest.raises(NewtonDivergence):
-        cs.NewtonStepper(p, cfg, cfg.dt).step(state.t, state.u, state.v, state.mu, state.w)
+        cs.NewtonStepper(p, cfg, cfg.dt).step(state.t, state.u, state.v, state)
 
 
 def test_non_finite_residual_is_newton_divergence():
@@ -487,7 +554,7 @@ def test_non_finite_residual_is_newton_divergence():
     state = cs.initial_state(p)
     state.mu[3, 5] = math.nan
     with pytest.raises(NewtonDivergence) as info:
-        cs.NewtonStepper(p, cfg, cfg.dt).step(state.t, state.u, state.v, state.mu, state.w)
+        cs.NewtonStepper(p, cfg, cfg.dt).step(state.t, state.u, state.v, state)
     assert info.value.iters == 0 and math.isnan(info.value.residual)
     assert abs(info.value.t - cfg.dt) < 1e-15
 
@@ -501,7 +568,7 @@ def test_non_finite_iterate_is_solve_failure():
     state = cs.initial_state(p)
     state.u[3, 5] = math.nan
     with pytest.raises(SolveFailure) as info:
-        cs.NewtonStepper(p, cfg, cfg.dt).step(state.t, state.u, state.v, state.mu, state.w)
+        cs.NewtonStepper(p, cfg, cfg.dt).step(state.t, state.u, state.v, state)
     assert isinstance(info.value, NewtonDivergence)
     assert abs(info.value.t - cfg.dt) < 1e-15 and info.value.iters == 0
     copy = pickle.loads(pickle.dumps(info.value))
