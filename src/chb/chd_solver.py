@@ -391,6 +391,12 @@ class _SuperLUBase:
     def solve(self, b):
         return self._lu.solve(b[self._rows])
 
+    def unit_solves(self, rows):
+        """Row c is the solution for the unit vector e_rows[c]."""
+        b = np.zeros((self._rows.size, rows.size))
+        b[rows, np.arange(rows.size)] = 1.0
+        return self.solve(b).T
+
 
 class NewtonStepper:
     """One backward-Euler step for fixed (problem, config, dt).
@@ -436,7 +442,7 @@ class NewtonStepper:
         self._base_d = None
         self._d = None             # slopes of the Jacobian that _solve serves
         self._z_idx = np.empty(0, dtype=int)   # K: slopes that differ from _base_d
-        self._z = None             # Z = J_base^-1 U, one column per index in K
+        self._z = None             # Z^T for Z = J_base^-1 U: one row per index in K
         self._cols = None          # the unknowns that V^T picks
         self._cap = None           # (I - D V^T Z)^-1 D
         self.lu_factorizations = 0
@@ -502,27 +508,25 @@ class NewtonStepper:
         matrix (Woodbury)."""
         n, nt = self.n, self.nt
         self.lu_updates += 1
-        # columns of Z = J_base^-1 U are solved once per index and kept
+        # rows of Z^T = (J_base^-1 U)^T are solved once per index and kept
         # while the index stays in K
         hit = np.isin(changed, self._z_idx)
-        z = np.empty((2 * (n + nt), changed.size))
+        z = np.empty((changed.size, 2 * (n + nt)))
         if hit.any():
-            z[:, hit] = self._z[:, np.searchsorted(self._z_idx, changed[hit])]
+            z[hit] = self._z[np.searchsorted(self._z_idx, changed[hit])]
         new = changed[~hit]
         if new.size:
             # U's column of slope k is the unit vector of its equation:
             # the mu-eq of u_i (row n+i) or the w-eq of v_j (row 2n+nt+j)
-            rhs = np.zeros((z.shape[0], new.size))
-            rhs[new + n + nt * (new >= n), np.arange(new.size)] = 1.0
             try:
-                z[:, ~hit] = self._base.solve(rhs)
+                z[~hit] = self._base.unit_solves(new + n + nt * (new >= n))
             except RuntimeError as exc:
                 raise LinearSolveFailure(f'triangular solve failed: {exc}') from exc
         self._z, self._z_idx = z, changed
         self._cols = changed + n * (changed >= n)
         scale = d[changed] - self._base_d[changed]
         try:
-            inv = np.linalg.inv(np.eye(changed.size) - scale[:, None] * z[self._cols])
+            inv = np.linalg.inv(np.eye(changed.size) - scale[:, None] * z[:, self._cols].T)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(f'singular capacitance matrix: {exc}') from exc
         if not np.all(np.isfinite(inv)):
@@ -540,7 +544,7 @@ class NewtonStepper:
         c = self._cap @ y[self._cols]
         if not np.all(np.isfinite(c)):
             raise LinearSolveFailure('non-finite capacitance solve')
-        return y + self._z @ c
+        return y + c @ self._z
 
     # -- residual ------------------------------------------------------------
 

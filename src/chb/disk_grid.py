@@ -266,6 +266,24 @@ class ThetaModes:
         x = np.fft.irfft(xh[..., :m] + 1j * xh[..., m:], n=self._nt, axis=0)
         return x.transpose(1, 0, 2).reshape(b.shape)
 
+    def unit_solves(self, rows):
+        """Row c is the solution for the unit vector e_rows[c], shape
+        (rows.size, n_lines*n_theta).
+
+        The matrix commutes with theta-shifts, so the solution for the unit
+        vector at theta-index j of a line is the one at index 0 rolled by j:
+        one solve, with a column per distinct line among `rows`.
+        """
+        lines, shifts = np.divmod(rows, self._nt)
+        distinct, which = np.unique(lines, return_inverse=True)
+        b = np.zeros((self._lines * self._nt, distinct.size))
+        b[distinct * self._nt, np.arange(distinct.size)] = 1.0
+        x = self.solve(b).reshape(self._lines, self._nt, -1)
+        out = np.empty((rows.size, self._lines, self._nt))
+        for c, (col, shift) in enumerate(zip(which, shifts)):
+            out[c] = np.roll(x[:, :, col], shift, axis=1)
+        return out.reshape(rows.size, -1)
+
 
 # ---------------------------------------------------------------------------
 # seminorms

@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -438,18 +439,25 @@ def _levels(steps, stride):
     return [(steps[k], _fmt(steps[k].t)) for k in idx]
 
 
+@lru_cache(maxsize=None)
+def _row_template(shape):
+    """The rows of one level of a field of this shape ((n_theta,) or
+    (n_r, n_theta)) in C order, with NUL for t and %.17g for the value."""
+    tails = ['', *(f',{j},%.17g\r\n' for j in range(shape[-1]))]
+    prefixes = ['\0'] if len(shape) == 1 else [f'\0,{i}' for i in range(shape[0])]
+    return ''.join(prefix.join(tails) for prefix in prefixes)
+
+
 def _write_field_csv(path, header, steps, values_of, stride):
     """The bytes `_write_csv` gives for (t, cell index..., value) rows in C
     order, with `values_of(level)` the array of a kept level: one %-format
-    per level of a row template whose NUL is t."""
-    rows = None
+    per level of the shape's row template."""
     with open(path, 'w', newline='') as fh:
         fh.write(','.join(header) + '\r\n')
         for s, t_s in _levels(steps, stride):
             values = values_of(s)
-            rows = rows or ''.join('\0,' + ','.join(map(str, ix)) + ',%.17g\r\n'
-                                   for ix in np.ndindex(values.shape))
-            fh.write(rows.replace('\0', t_s) % tuple(values.ravel().tolist()))
+            fh.write(_row_template(values.shape).replace('\0', t_s)
+                     % tuple(values.ravel().tolist()))
 
 
 def _write_bulk_csv(path, steps, values_of, stride):

@@ -203,6 +203,44 @@ def test_updated_solve_matches_fresh_factorization(splu_calls, k, base, base_con
     assert stepper.lu_updates == 2
 
 
+class _CountingFactor:
+    """Proxy for a SuperLU factor that records the columns of each solve."""
+
+    def __init__(self, lu):
+        self._lu, self.columns = lu, []
+
+    def solve(self, b):
+        self.columns.append(b.shape[1])
+        return self._lu.solve(b)
+
+
+@pytest.mark.parametrize('base, contacts', [(dg.ThetaModes, 0), (cs._SuperLUBase, 2)],
+                         ids=['fourier', 'superlu'])
+def test_unit_solves_match_solves_of_unit_vectors(base, contacts):
+    problem, solver = forced_obstacle()
+    stepper = cs.NewtonStepper(problem, solver, solver.dt)
+    stepper._refresh_lu(*_contact(problem, contacts))
+    assert isinstance(stepper._base, base)
+    n, nt = stepper.n, stepper.nt
+    # the mu-eq rows of rings 3 and 15 and the w-eq rows, at theta-indices
+    # from 0 to nt - 1: three distinct lines
+    j = np.array([0, 1, 7, nt - 1])
+    rows = np.concatenate([n + 3 * nt + j, n + 15 * nt + j[::3], 2 * n + nt + j])
+    want = []
+    for row in rows:
+        e = np.zeros(2 * (n + nt))
+        e[row] = 1.0
+        want.append(stepper._base.solve(e))
+    factor = stepper._base._lu = _CountingFactor(stepper._base._lu)
+    z = stepper._base.unit_solves(rows)
+    # the Fourier base makes one solve, whose right-hand sides are the real
+    # and imaginary parts of one column per line
+    assert factor.columns == ([2 * 3] if base is dg.ThetaModes else [rows.size])
+    assert z.shape == (rows.size, 2 * (n + nt))
+    for got, x in zip(z, want, strict=True):
+        assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+
+
 def test_update_past_the_budget_refactorizes(splu_calls):
     problem, solver = forced_obstacle()
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
@@ -334,24 +372,26 @@ def test_base_is_fourier_only_for_slopes_constant_on_rings(splu_calls):
 
 
 class _BadColumns:
-    """Base-solver stand-in whose multi-column solves (the columns of Z)
-    make the capacitance matrix I - D V^T Z non-finite, or zero for a
-    first contact at slope 1/lambda."""
+    """Base-solver stand-in whose unit solves (the columns of Z) make the
+    capacitance matrix I - D V^T Z non-finite, or zero for a first contact
+    at slope 1/lambda."""
 
     def __init__(self, base, kind, lam, stepper):
         self._base, self._kind, self._lam, self.nnz = base, kind, lam, base.nnz
         self._n, self._nt = stepper.n, stepper.nt
 
     def solve(self, b):
-        if b.ndim == 1:
-            return self._base.solve(b)
+        return self._base.solve(b)
+
+    def unit_solves(self, rows):
+        shape = (rows.size, 2 * (self._n + self._nt))
         if self._kind == 'nan':
-            return np.full(b.shape, np.nan)
+            return np.full(shape, np.nan)
         # the mu-eq of u_i (row n+i) and the w-eq of v_j (row 2n+nt+j) put
         # lambda where V^T picks u_i and v_j
-        rows, cols = np.nonzero(b)
-        z = np.zeros(b.shape)
-        z[np.where(rows < 2 * self._n, rows - self._n, rows - self._nt), cols] = self._lam
+        z = np.zeros(shape)
+        z[np.arange(rows.size),
+          np.where(rows < 2 * self._n, rows - self._n, rows - self._nt)] = self._lam
         return z
 
 
@@ -444,7 +484,7 @@ def test_mass_flux_equation_residual():
 
 
 # ---------------------------------------------------------------------------
-# order in time
+# order in time and space
 
 def test_backward_euler_is_first_order_in_time():
     # successive differences at t_end in L2(Omega) + L2(Gamma) as dt halves
@@ -459,6 +499,27 @@ def test_backward_euler_is_first_order_in_time():
               for a, b in zip(finals, finals[1:])]
     orders = [math.log2(e / e_next) for e, e_next in zip(errors, errors[1:])]
     assert len(orders) == 3 and min(orders) >= 0.9
+
+
+def test_scheme_is_second_order_in_space():
+    # successive differences at t_end in L2(Omega) + L2(Gamma) as both grid
+    # counts double; the finer u is restricted by cell-area averages and the
+    # finer v by averaging pairs of nodes
+    finals = []
+    for n_r in (8, 16, 32):
+        g = dg.DiskGrid(n_r, 2 * n_r)
+        p = cs.preset_problem('cubic', g, amplitude=0.4)
+        res = cs.run(p, config(delta=0.1, lam=1e-3, dt=1e-3, t_end=0.04, newton_tol=1e-10))
+        assert res.error is None and abs(res.steps[-1].t - 0.04) < 1e-12
+        finals.append((g, res.steps[-1]))
+    errors = []
+    for (g, coarse), (fine_grid, fine) in zip(finals, finals[1:]):
+        blocks = (g.n_r, 2, g.n_theta, 2)
+        w = fine_grid.weights.reshape(blocks)
+        u = (w * fine.u.reshape(blocks)).sum(axis=(1, 3)) / w.sum(axis=(1, 3))
+        v = fine.v.reshape(-1, 2).mean(axis=1)
+        errors.append(dg.l2_norm_bulk(g, coarse.u - u) + dg.l2_norm_trace(g, coarse.v - v))
+    assert math.log2(errors[0] / errors[1]) >= 1.8
 
 
 # ---------------------------------------------------------------------------
