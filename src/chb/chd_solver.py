@@ -367,10 +367,13 @@ def energy(state: StepSolution, problem: ProblemData, config: SolverConfig,
 
 # A refresh that changes at most this many Yosida slopes against the kept
 # factorization is served by a capacitance update instead of a new LU.  The
-# break-even was measured on the SuperLU base, the one a factorization at
+# break-even is the SuperLU base's, the one a factorization at
 # theta-varying slopes gets: on the 128x256 obstacle Jacobian (66,048
 # unknowns, 2 cores) SuperLU takes about 0.95 s to factorize and 13 ms per
-# column of Z, so about 70 new columns cost as much as one factorization.
+# new column of Z, so about 70 new columns cost as much as one
+# factorization.  On the theta-Fourier base an update costs one solve per
+# distinct line among the changed slopes, and each updated solve one more
+# solve, so there the budget is not a break-even.
 # On small grids the budget is half the slopes: an update of nearly full
 # rank is no cheaper than a new LU.
 UPDATE_BUDGET = 64
@@ -380,22 +383,44 @@ class _SuperLUBase:
     """SuperLU factor of the Jacobian with its equations in the order
     (mu-eq, u-eq, w-eq, v-eq): scaled by the quadrature weights the rows
     are then symmetric, so minimum degree on A+A^T with diagonal pivots
-    is stable.  Solves take and return the natural order."""
+    is stable.  Solves take and return the natural order.
+
+    Like `dg.ThetaModes` it answers `inverse_block` and `solve_sparse`,
+    but from dense columns of the inverse that it keeps: a second
+    SuperLU solve costs more than a product with them."""
 
     def __init__(self, jac, rows):
         self._rows = rows
         self._lu = splu(jac[rows], permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
         self.nnz = self._lu.nnz
+        self._z_cols = np.empty(0, dtype=int)
+        self._z = np.empty((0, rows.size))
 
     def solve(self, b):
         return self._lu.solve(b[self._rows])
 
-    def unit_solves(self, rows):
-        """Row c is the solution for the unit vector e_rows[c]."""
-        b = np.zeros((self._rows.size, rows.size))
-        b[rows, np.arange(rows.size)] = 1.0
-        return self.solve(b).T
+    def _columns(self, cols):
+        """The inverse's columns `cols` (ascending), transposed.  Each is
+        solved once and kept while its index stays among the columns
+        asked for."""
+        if not np.array_equal(cols, self._z_cols):
+            hit = np.isin(cols, self._z_cols)
+            z = np.empty((cols.size, self._rows.size))
+            z[hit] = self._z[np.searchsorted(self._z_cols, cols[hit])]
+            new = cols[~hit]
+            if new.size:
+                b = np.zeros((self._rows.size, new.size))
+                b[new, np.arange(new.size)] = 1.0
+                z[~hit] = self.solve(b).T
+            self._z, self._z_cols = z, cols
+        return self._z
+
+    def inverse_block(self, rows, cols):
+        return self._columns(cols)[:, rows].T
+
+    def solve_sparse(self, cols, c):
+        return c @ self._columns(cols)
 
 
 class NewtonStepper:
@@ -441,10 +466,9 @@ class NewtonStepper:
         self._base = None          # dg.ThetaModes or _SuperLUBase at slopes _base_d
         self._base_d = None
         self._d = None             # slopes of the Jacobian that _solve serves
-        self._z_idx = np.empty(0, dtype=int)   # K: slopes that differ from _base_d
-        self._z = None             # Z^T for Z = J_base^-1 U: one row per index in K
-        self._cols = None          # the unknowns that V^T picks
-        self._cap = None           # (I - D V^T Z)^-1 D
+        self._eqs = np.empty(0, dtype=int)   # U's rows: the equations of the slopes K
+        self._unknowns = None      # V's rows: the unknowns of the slopes K
+        self._cap = None           # (I - D V^T J_base^-1 U)^-1 D
         self.lu_factorizations = 0
         self.lu_updates = 0
         self.lu_nnz = 0
@@ -486,8 +510,8 @@ class NewtonStepper:
 
     def _factorize(self, d):
         # release the kept factorization first, so two never coexist
-        self._base = self._z = self._cap = None
-        self._z_idx = np.empty(0, dtype=int)
+        self._base = self._cap = None
+        self._eqs = np.empty(0, dtype=int)
         n, nt = self.n, self.nt
         jac = self._jacobian_from_diags(d[:n], d[n:])
         rings = d[:n].reshape(-1, nt)
@@ -505,28 +529,23 @@ class NewtonStepper:
     def _update(self, changed, d):
         """Serve J = J_base - U diag(d - d_base) V^T, U and V picking the
         rows and columns of the changed slopes K, through its capacitance
-        matrix (Woodbury)."""
+        matrix (Woodbury): J^-1 b = y + J_base^-1 U c for y = J_base^-1 b
+        and c = (I - D V^T J_base^-1 U)^-1 D V^T y.  Only the |K|x|K|
+        block V^T J_base^-1 U is asked of the base."""
         n, nt = self.n, self.nt
         self.lu_updates += 1
-        # rows of Z^T = (J_base^-1 U)^T are solved once per index and kept
-        # while the index stays in K
-        hit = np.isin(changed, self._z_idx)
-        z = np.empty((changed.size, 2 * (n + nt)))
-        if hit.any():
-            z[hit] = self._z[np.searchsorted(self._z_idx, changed[hit])]
-        new = changed[~hit]
-        if new.size:
-            # U's column of slope k is the unit vector of its equation:
-            # the mu-eq of u_i (row n+i) or the w-eq of v_j (row 2n+nt+j)
-            try:
-                z[~hit] = self._base.unit_solves(new + n + nt * (new >= n))
-            except RuntimeError as exc:
-                raise LinearSolveFailure(f'triangular solve failed: {exc}') from exc
-        self._z, self._z_idx = z, changed
-        self._cols = changed + n * (changed >= n)
+        # U's column of slope k is the unit vector of its equation: the
+        # mu-eq of u_i (row n+i) or the w-eq of v_j (row 2n+nt+j); V^T
+        # picks u_i or v_j
+        self._eqs = changed + n + nt * (changed >= n)
+        self._unknowns = changed + n * (changed >= n)
+        try:
+            block = self._base.inverse_block(self._unknowns, self._eqs)
+        except RuntimeError as exc:
+            raise LinearSolveFailure(f'triangular solve failed: {exc}') from exc
         scale = d[changed] - self._base_d[changed]
         try:
-            inv = np.linalg.inv(np.eye(changed.size) - scale[:, None] * z[:, self._cols].T)
+            inv = np.linalg.inv(np.eye(changed.size) - scale[:, None] * block)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveFailure(f'singular capacitance matrix: {exc}') from exc
         if not np.all(np.isfinite(inv)):
@@ -537,14 +556,14 @@ class NewtonStepper:
         """J^-1 b for the Jacobian that the last refresh set up."""
         try:
             y = self._base.solve(b)
+            if not self._eqs.size:
+                return y
+            c = self._cap @ y[self._unknowns]
+            if not np.all(np.isfinite(c)):
+                raise LinearSolveFailure('non-finite capacitance solve')
+            return y + self._base.solve_sparse(self._eqs, c)
         except RuntimeError as exc:
             raise LinearSolveFailure(f'triangular solve failed: {exc}') from exc
-        if not self._z_idx.size:
-            return y
-        c = self._cap @ y[self._cols]
-        if not np.all(np.isfinite(c)):
-            raise LinearSolveFailure('non-finite capacitance solve')
-        return y + c @ self._z
 
     # -- residual ------------------------------------------------------------
 

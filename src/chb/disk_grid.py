@@ -260,29 +260,37 @@ class ThetaModes:
         """x for b of shape (n_lines*n_theta,) or (n_lines*n_theta, m)."""
         lines = b.reshape(self._lines, self._nt, -1)
         m = lines.shape[2]
-        bh = np.fft.rfft(lines, axis=1)
-        rhs = np.concatenate([bh.real, bh.imag], axis=2).transpose(1, 0, 2)
-        xh = self._lu.solve(rhs.reshape(-1, 2 * m)).reshape(-1, self._lines, 2 * m)
+        # modes outermost, so the factor's right-hand side needs no copy
+        bh = np.fft.rfft(lines, axis=1).transpose(1, 0, 2)
+        rhs = np.concatenate([bh.real, bh.imag], axis=2).reshape(-1, 2 * m)
+        xh = self._lu.solve(rhs).reshape(-1, self._lines, 2 * m)
         x = np.fft.irfft(xh[..., :m] + 1j * xh[..., m:], n=self._nt, axis=0)
         return x.transpose(1, 0, 2).reshape(b.shape)
 
-    def unit_solves(self, rows):
-        """Row c is the solution for the unit vector e_rows[c], shape
-        (rows.size, n_lines*n_theta).
+    def inverse_block(self, rows, cols):
+        """Entries (rows[i], cols[j]) of the inverse, shape (rows.size, cols.size).
 
         The matrix commutes with theta-shifts, so the solution for the unit
-        vector at theta-index j of a line is the one at index 0 rolled by j:
-        one solve, with a column per distinct line among `rows`.
+        vector at theta-index s of a line is the one at index 0 shifted by
+        s: one solve, with a column per distinct line among `cols`, and a
+        gather at shifted theta-indices.
         """
-        lines, shifts = np.divmod(rows, self._nt)
+        if not cols.size:
+            return np.zeros((rows.size, 0))
+        lines, shifts = np.divmod(cols, self._nt)
         distinct, which = np.unique(lines, return_inverse=True)
         b = np.zeros((self._lines * self._nt, distinct.size))
         b[distinct * self._nt, np.arange(distinct.size)] = 1.0
         x = self.solve(b).reshape(self._lines, self._nt, -1)
-        out = np.empty((rows.size, self._lines, self._nt))
-        for c, (col, shift) in enumerate(zip(which, shifts)):
-            out[c] = np.roll(x[:, :, col], shift, axis=1)
-        return out.reshape(rows.size, -1)
+        row_lines, row_shifts = np.divmod(rows, self._nt)
+        return x[row_lines[:, None], (row_shifts[:, None] - shifts) % self._nt, which]
+
+    def solve_sparse(self, cols, c):
+        """The inverse's columns `cols` times c: one solve of the right-hand
+        side that holds c at `cols` and zeros elsewhere."""
+        b = np.zeros(self._lines * self._nt)
+        b[cols] = c
+        return self.solve(b)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,31 +215,80 @@ class _CountingFactor:
         return self._lu.solve(b)
 
 
-@pytest.mark.parametrize('base, contacts', [(dg.ThetaModes, 0), (cs._SuperLUBase, 2)],
-                         ids=['fourier', 'superlu'])
-def test_unit_solves_match_solves_of_unit_vectors(base, contacts):
+def _unit_vector_solves(contacts):
+    """A forced-obstacle stepper whose base is factorized at `contacts`
+    contacts, the equation rows of three lines, and the base's solve for
+    each of their unit vectors."""
     problem, solver = forced_obstacle()
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
     stepper._refresh_lu(*_contact(problem, contacts))
-    assert isinstance(stepper._base, base)
     n, nt = stepper.n, stepper.nt
     # the mu-eq rows of rings 3 and 15 and the w-eq rows, at theta-indices
     # from 0 to nt - 1: three distinct lines
     j = np.array([0, 1, 7, nt - 1])
-    rows = np.concatenate([n + 3 * nt + j, n + 15 * nt + j[::3], 2 * n + nt + j])
+    eqs = np.concatenate([n + 3 * nt + j, n + 15 * nt + j[::3], 2 * n + nt + j])
     want = []
-    for row in rows:
+    for row in eqs:
         e = np.zeros(2 * (n + nt))
         e[row] = 1.0
         want.append(stepper._base.solve(e))
+    return stepper, eqs, want
+
+
+def test_fourier_inverse_block_matches_solves_of_unit_vectors():
+    stepper, eqs, want = _unit_vector_solves(0)
+    assert isinstance(stepper._base, dg.ThetaModes)
+    n, nt = stepper.n, stepper.nt
+    # the block at the unknowns on the same lines and theta-indices, a
+    # u-ring and the v-line among them
+    unknowns = np.concatenate([eqs[eqs < 2 * n] - n, eqs[eqs >= 2 * n] - nt])
     factor = stepper._base._lu = _CountingFactor(stepper._base._lu)
-    z = stepper._base.unit_solves(rows)
-    # the Fourier base makes one solve, whose right-hand sides are the real
-    # and imaginary parts of one column per line
-    assert factor.columns == ([2 * 3] if base is dg.ThetaModes else [rows.size])
-    assert z.shape == (rows.size, 2 * (n + nt))
+    block = stepper._base.inverse_block(unknowns, eqs)
+    # one solve, whose right-hand sides are the real and imaginary parts
+    # of one column per line
+    assert factor.columns == [2 * 3]
+    assert block.shape == (unknowns.size, eqs.size)
+    # each entry within 1e-12 of its solve, relative to the solve's scale:
+    # entries far from the unit vector's cell sit at the FFT's round-off
+    for col, x in zip(block.T, want, strict=True):
+        assert np.max(np.abs(col - x[unknowns])) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_superlu_columns_match_solves_of_unit_vectors():
+    stepper, eqs, want = _unit_vector_solves(2)
+    assert isinstance(stepper._base, cs._SuperLUBase)
+    factor = stepper._base._lu = _CountingFactor(stepper._base._lu)
+    z = stepper._base._columns(eqs)
+    assert factor.columns == [eqs.size]
+    assert z.shape == (eqs.size, 2 * (stepper.n + stepper.nt))
     for got, x in zip(z, want, strict=True):
         assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+    # kept: a subset of the same columns takes no solve
+    np.testing.assert_array_equal(stepper._base._columns(eqs[::2]), z[::2])
+    assert factor.columns == [eqs.size]
+
+
+def test_fourier_update_keeps_no_column_of_z():
+    # Z = J_base^-1 U would be 32 N-vectors (N unknowns); the update and an
+    # updated solve must stay under 16 of them
+    problem, solver = forced_obstacle(64, 128)
+    stepper = cs.NewtonStepper(problem, solver, solver.dt)
+    stepper._refresh_lu(problem.u0, problem.v0)
+    assert isinstance(stepper._base, dg.ThetaModes)
+    u, v = _contact(problem, 32)
+    b = np.random.default_rng(5).standard_normal(2 * (stepper.n + stepper.nt))
+    tracemalloc.start()
+    try:
+        assert stepper._refresh_lu(u, v)
+        x = stepper._solve(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stepper.lu_updates == 1 and stepper.lu_factorizations == 1
+    assert stepper._eqs.size == 32
+    assert peak < 16 * b.nbytes
+    fresh = splu(stepper.jacobian_at(u, v)).solve(b)
+    assert np.linalg.norm(x - fresh) <= 1e-10 * np.linalg.norm(fresh)
 
 
 def test_update_past_the_budget_refactorizes(splu_calls):
@@ -372,9 +422,9 @@ def test_base_is_fourier_only_for_slopes_constant_on_rings(splu_calls):
 
 
 class _BadColumns:
-    """Base-solver stand-in whose unit solves (the columns of Z) make the
-    capacitance matrix I - D V^T Z non-finite, or zero for a first contact
-    at slope 1/lambda."""
+    """Base-solver stand-in whose inverse block V^T J_base^-1 U makes the
+    capacitance matrix I - D V^T J_base^-1 U non-finite, or zero for a
+    first contact at slope 1/lambda."""
 
     def __init__(self, base, kind, lam, stepper):
         self._base, self._kind, self._lam, self.nnz = base, kind, lam, base.nnz
@@ -383,16 +433,16 @@ class _BadColumns:
     def solve(self, b):
         return self._base.solve(b)
 
-    def unit_solves(self, rows):
-        shape = (rows.size, 2 * (self._n + self._nt))
+    def solve_sparse(self, cols, c):
+        return self._base.solve_sparse(cols, c)
+
+    def inverse_block(self, rows, cols):
         if self._kind == 'nan':
-            return np.full(shape, np.nan)
-        # the mu-eq of u_i (row n+i) and the w-eq of v_j (row 2n+nt+j) put
+            return np.full((rows.size, cols.size), np.nan)
+        # the mu-eq of u_i (col n+i) and the w-eq of v_j (col 2n+nt+j) put
         # lambda where V^T picks u_i and v_j
-        z = np.zeros(shape)
-        z[np.arange(rows.size),
-          np.where(rows < 2 * self._n, rows - self._n, rows - self._nt)] = self._lam
-        return z
+        picked = np.where(cols < 2 * self._n, cols - self._n, cols - self._nt)
+        return self._lam * (rows[:, None] == picked).astype(float)
 
 
 @pytest.mark.parametrize('kind, message', [('nan', 'non-finite capacitance'),
@@ -401,11 +451,15 @@ def test_capacitance_failure_is_linear_solve_failure(monkeypatch, tmp_path, kind
     problem, solver = forced_obstacle()
     factorize = cs.NewtonStepper._factorize
 
+    bases = []
+
     def bad_base(stepper, d):
         factorize(stepper, d)
+        bases.append(type(stepper._base))
         stepper._base = _BadColumns(stepper._base, kind, solver.lam, stepper)
     monkeypatch.setattr(cs.NewtonStepper, '_factorize', bad_base)
     result = cs.run(problem, solver)
+    assert bases == [dg.ThetaModes]
     err = result.error
     assert isinstance(err, LinearSolveFailure)
     assert message in str(err)
@@ -520,6 +574,19 @@ def test_scheme_is_second_order_in_space():
         v = fine.v.reshape(-1, 2).mean(axis=1)
         errors.append(dg.l2_norm_bulk(g, coarse.u - u) + dg.l2_norm_trace(g, coarse.v - v))
     assert math.log2(errors[0] / errors[1]) >= 1.8
+
+
+def test_delta_rate_holds_for_a_fine_angular_mode(tmp_path):
+    # the paper's delta -> 0 rate (p = 1/2) for u0 at angular mode 8, whose
+    # fitted slope sits below mode 2's
+    raw = {'experiment': 'sweep_delta', 'grid': {'n_r': 16, 'n_theta': 32},
+           'problem': {'preset': 'cubic', 'mode': 8},
+           'solver': {'delta': 0.1, 'lambda': 1e-3, 'dt': 1e-3, 't_end': 0.25},
+           'sweep_delta': {'deltas': [0.1, 0.05, 0.025, 0.0125], 'reference': 'delta_zero'},
+           'output': {'dir': str(tmp_path)}}
+    report = harness.sweep_delta(harness.ExperimentConfig.from_dict(raw))
+    assert all(r.status == 'ok' and r.in_fit for r in report.rows)
+    assert report.rate_claimed and report.slope >= 0.45
 
 
 # ---------------------------------------------------------------------------
