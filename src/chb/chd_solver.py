@@ -426,15 +426,20 @@ class _SuperLUBase:
 class NewtonStepper:
     """One backward-Euler step for fixed (problem, config, dt).
 
-    The assembled Jacobian of the 4-block system is exposed through
-    :meth:`jacobian_at`, so a different linear solver can be substituted;
-    the built-in path factorizes it (in theta-Fourier modes when its
-    slopes are constant on every ring and on the circle, else with
-    SuperLU in the symmetric row order) and reuses the factorization
-    until the residual stalls.  `lu_factorizations` and `lu_updates`
-    count the refreshes served by a new LU and by a low-rank update of
-    the kept one; `lu_nnz` is the largest L+U nnz (of the mode matrix for
-    a Fourier base).
+    The step's equations are written once: x = (u, mu, v, w) has the
+    residual x + T L x + data - beta(x), L the constant coupling, T its
+    rows' time-step factors and beta the Yosida terms, which the slope map
+    puts in the mu-eq of each u_i and the w-eq of each v_j.  The Jacobian
+    I + T L - P(d) holds the a.e. slopes d at the same positions.
+
+    The assembled Jacobian is exposed through :meth:`jacobian_at`, so a
+    different linear solver can be substituted; the built-in path
+    factorizes it (in theta-Fourier modes when its slopes are constant on
+    every ring and on the circle, else with SuperLU in the symmetric row
+    order) and reuses the factorization until the residual stalls.
+    `lu_factorizations` and `lu_updates` count the refreshes served by a
+    new LU and by a low-rank update of the kept one; `lu_nnz` is the
+    largest L+U nnz (of the mode matrix for a Fourier base).
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, dt: float):
@@ -444,22 +449,25 @@ class NewtonStepper:
         g = problem.grid
         n, nt = g.size, g.n_theta
         self.n, self.nt = n, nt
-        self.AN = dg.neumann_laplacian_matrix(g)
-        self.AD, self.B = dg.dirichlet_laplacian_matrices(g)
-        self.DG = dg.circle_laplacian_matrix(g)
-        self.wv = g.weights.ravel()
-        self.bw = g.boundary_weights
         visc = config.lam / self.dt + config.stabilization
         self.visc = visc
-        eye_n = sps.identity(n, format='csr')
-        eye_t = sps.identity(nt, format='csr')
-        self.Cuu = (-visc * eye_n + self.AD).tocsr()
-        self.Cvv = (-(visc + 2.0 / g.dr) * eye_t + config.delta * self.DG).tocsr()
-        ring_cols = np.arange((g.n_r - 1) * nt, n)
-        self.ring = sps.coo_matrix(
-            (np.full(nt, 2.0 / g.dr), (np.arange(nt), ring_cols)),
-            shape=(nt, n)).tocsr()
-        self._eye_n, self._eye_t = eye_n, eye_t
+        # L: the Jacobian at zero slopes less its unit main diagonal, and with
+        # the u-eq and v-eq rows' factor dt kept apart in T = diag(row_dt):
+        # scaling the Laplacians' entries would round away their exact zero
+        # row sums, which conserve both means.  Columns (u, mu, v, w), rows
+        # (u-eq, mu-eq, v-eq, w-eq).
+        a_dir, b_dir = dg.dirichlet_laplacian_matrices(g)
+        lap_gamma = dg.circle_laplacian_matrix(g)
+        self._lin = sps.bmat(
+            [[None, -dg.neumann_laplacian_matrix(g), None, None],
+             [-visc * sps.identity(n) + a_dir, None, b_dir, None],
+             [None, None, None, -lap_gamma],
+             [(2.0 / g.dr) * sps.eye(nt, n, n - nt), None,
+              -(visc + 2.0 / g.dr) * sps.identity(nt) + config.delta * lap_gamma, None]],
+            format='csc')
+        self._row_dt = np.repeat([self.dt, 1.0, self.dt, 1.0], [n, n, nt, nt])
+        # the quadrature weight of each equation
+        self.weights = np.concatenate([g.weights.ravel()] * 2 + [g.boundary_weights] * 2)
         # the equations in the order (mu-eq, u-eq, w-eq, v-eq): the Jacobian's
         # rows then make it symmetric once scaled by the quadrature weights
         self._rows = np.r_[n:2 * n, :n, 2 * n + nt:2 * (n + nt), 2 * n:2 * n + nt]
@@ -475,29 +483,37 @@ class NewtonStepper:
 
     # -- assembly ----------------------------------------------------------
 
-    def _slopes(self, u, v):
-        """A.e. Yosida slopes (du, dv) at (u, v): the Jacobian's nonlinear
-        diagonals."""
+    def _yosida(self, fn, u, v):
+        """fn (`mg.yosida`, or `mg.yosida_derivative` for the a.e. slopes) of
+        the bulk graph at u, then of the boundary graph at v."""
         lam = self.config.lam
-        return (np.asarray(mg.yosida_derivative(self.problem.bulk_graph, u.ravel(), lam)),
-                np.asarray(mg.yosida_derivative(self.problem.boundary_graph, v, lam)))
+        return np.concatenate([np.asarray(fn(self.problem.bulk_graph, u.ravel(), lam)),
+                               np.asarray(fn(self.problem.boundary_graph, v, lam))])
+
+    def _slope_map(self, k=None):
+        """(equation row, unknown column) of the slopes k, all by default:
+        the slope of u_i (k = i) sits in the mu-eq of u_i, that of v_j
+        (k = n + j) in the w-eq of v_j."""
+        k = np.arange(self.n + self.nt) if k is None else k
+        return k + self.n + self.nt * (k >= self.n), k + self.n * (k >= self.n)
 
     def jacobian_at(self, u: np.ndarray, v: np.ndarray) -> sps.csc_matrix:
         """4-block Jacobian with the a.e. Yosida slopes at (u, v)."""
-        return self._jacobian_from_diags(*self._slopes(u, v))
+        return self._jacobian(self._yosida(mg.yosida_derivative, u, v))
 
-    def _jacobian_from_diags(self, du, dv):
-        return sps.bmat(
-            [[self._eye_n, -self.dt * self.AN, None, None],
-             [self.Cuu - sps.diags(du), self._eye_n, self.B, None],
-             [None, None, self._eye_t, -self.dt * self.DG],
-             [self.ring, None, self.Cvv - sps.diags(dv), self._eye_t]],
-            format='csc')
+    def _jacobian(self, d):
+        """I + T L - P(d), P holding the slopes d at their map positions."""
+        lin, diag = self._lin, np.arange(self._lin.shape[0])
+        rows, cols = self._slope_map()
+        scaled = sps.csc_matrix((lin.data * self._row_dt[lin.indices], lin.indices, lin.indptr),
+                                shape=lin.shape)
+        return scaled + sps.csc_matrix((np.r_[np.ones(diag.size), -d],
+                                        (np.r_[diag, rows], np.r_[diag, cols])), shape=lin.shape)
 
     def _refresh_lu(self, u, v):
         """Make `_solve` serve the Jacobian at (u, v); False when it already
         does."""
-        d = np.concatenate(self._slopes(u, v))
+        d = self._yosida(mg.yosida_derivative, u, v)
         if self._d is not None and np.array_equal(self._d, d):
             return False
         changed = None if self._base is None else np.flatnonzero(d != self._base_d)
@@ -512,12 +528,11 @@ class NewtonStepper:
         # release the kept factorization first, so two never coexist
         self._base = self._cap = None
         self._eqs = np.empty(0, dtype=int)
-        n, nt = self.n, self.nt
-        jac = self._jacobian_from_diags(d[:n], d[n:])
-        rings = d[:n].reshape(-1, nt)
+        jac = self._jacobian(d)
+        lines = d.reshape(-1, self.nt)   # the slopes on each ring, then on the circle
         try:
-            if np.all(rings == rings[:, :1]) and np.all(d[n:] == d[n]):
-                self._base = dg.ThetaModes(jac, 2 * self.problem.grid.n_r + 2, nt, splu)
+            if np.all(lines == lines[:, :1]):
+                self._base = dg.ThetaModes(jac, 2 * self.problem.grid.n_r + 2, self.nt, splu)
             else:
                 self._base = _SuperLUBase(jac, self._rows)
         except RuntimeError as exc:
@@ -528,17 +543,12 @@ class NewtonStepper:
 
     def _update(self, changed, d):
         """Serve J = J_base - U diag(d - d_base) V^T, U and V picking the
-        rows and columns of the changed slopes K, through its capacitance
-        matrix (Woodbury): J^-1 b = y + J_base^-1 U c for y = J_base^-1 b
-        and c = (I - D V^T J_base^-1 U)^-1 D V^T y.  Only the |K|x|K|
-        block V^T J_base^-1 U is asked of the base."""
-        n, nt = self.n, self.nt
+        slope map's rows and columns of the changed slopes K, through its
+        capacitance matrix (Woodbury): J^-1 b = y + J_base^-1 U c for
+        y = J_base^-1 b and c = (I - D V^T J_base^-1 U)^-1 D V^T y.  Only
+        the |K|x|K| block V^T J_base^-1 U is asked of the base."""
         self.lu_updates += 1
-        # U's column of slope k is the unit vector of its equation: the
-        # mu-eq of u_i (row n+i) or the w-eq of v_j (row 2n+nt+j); V^T
-        # picks u_i or v_j
-        self._eqs = changed + n + nt * (changed >= n)
-        self._unknowns = changed + n * (changed >= n)
+        self._eqs, self._unknowns = self._slope_map(changed)
         try:
             block = self._base.inverse_block(self._unknowns, self._eqs)
         except RuntimeError as exc:
@@ -567,46 +577,32 @@ class NewtonStepper:
 
     # -- residual ------------------------------------------------------------
 
-    def _residual(self, x, u0, v0, pi_u0, pig_v0, f1, g1):
-        n, nt = self.n, self.nt
-        u1 = x[:n]
-        mu1 = x[n:2 * n]
-        v1 = x[2 * n:2 * n + nt]
-        w1 = x[2 * n + nt:]
-        lam = self.config.lam
-        r1 = u1 - u0 - self.dt * (self.AN @ mu1)
-        r2 = (mu1 + self.Cuu @ u1 + self.visc * u0 + self.B @ v1
-              - np.asarray(mg.yosida(self.problem.bulk_graph, u1, lam))
-              - pi_u0 + f1)
-        r3 = v1 - v0 - self.dt * (self.DG @ w1)
-        r4 = (w1 + self.Cvv @ v1 + self.visc * v0 + self.ring @ u1
-              - np.asarray(mg.yosida(self.problem.boundary_graph, v1, lam))
-              - pig_v0 + g1)
-        return np.concatenate([r1, r2, r3, r4])
+    def _data(self, u0, v0, pi_u0, pig_v0, f1, g1):
+        """The step's data in each block of equations, term by term."""
+        return ((-u0,), (self.visc * u0, -pi_u0, f1), (-v0,), (self.visc * v0, -pig_v0, g1))
 
-    def _residual_floor(self, x, u0, v0, pi_u0, pig_v0, f1, g1):
-        """Round-off floor of `_res_norm(_residual(x, ...))`: machine epsilon
-        times the weighted norm of each equation's sum of absolute terms
-        (|A| |y| for a matrix term A y)."""
-        n, nt = self.n, self.nt
-        a = np.abs(x)
-        u1, mu1, v1, w1 = a[:n], a[n:2 * n], a[2 * n:2 * n + nt], a[2 * n + nt:]
-        lam = self.config.lam
-        m1 = u1 + np.abs(u0) + self.dt * (abs(self.AN) @ mu1)
-        m2 = (mu1 + abs(self.Cuu) @ u1 + self.visc * np.abs(u0) + abs(self.B) @ v1
-              + np.abs(mg.yosida(self.problem.bulk_graph, x[:n], lam))
-              + np.abs(pi_u0) + np.abs(f1))
-        m3 = v1 + np.abs(v0) + self.dt * (abs(self.DG) @ w1)
-        m4 = (w1 + abs(self.Cvv) @ v1 + self.visc * np.abs(v0) + abs(self.ring) @ u1
-              + np.abs(mg.yosida(self.problem.boundary_graph, x[2 * n:2 * n + nt], lam))
-              + np.abs(pig_v0) + np.abs(g1))
-        return np.finfo(float).eps * self._res_norm(np.concatenate([m1, m2, m3, m4]))
+    def _residual(self, x, *data):
+        """x + T L x plus the data, less the Yosida terms; data = (u0, v0,
+        pi(u0), pi_Gamma(v0), f(t1), g(t1))."""
+        n = self.n
+        r = (x + np.concatenate([sum(terms) for terms in self._data(*data)])
+             + self._row_dt * (self._lin @ x))
+        r[self._slope_map()[0]] -= self._yosida(mg.yosida, x[:n], x[2 * n:2 * n + self.nt])
+        return r
+
+    def _residual_floor(self, x, *data):
+        """Round-off floor of `_res_norm(_residual(x, *data))`: machine
+        epsilon times the weighted norm of each equation's sum of absolute
+        terms (T |L| |x| for the matrix term T L x)."""
+        n, a = self.n, np.abs(x)
+        m = a + self._row_dt * (abs(self._lin) @ a) + np.concatenate(
+            [sum(map(np.abs, terms)) for terms in self._data(*data)])
+        m[self._slope_map()[0]] += np.abs(
+            self._yosida(mg.yosida, x[:n], x[2 * n:2 * n + self.nt]))
+        return np.finfo(float).eps * self._res_norm(m)
 
     def _res_norm(self, r):
-        n, nt = self.n, self.nt
-        q = (self.wv @ (r[:n] ** 2) + self.wv @ (r[n:2 * n] ** 2)
-             + self.bw @ (r[2 * n:2 * n + nt] ** 2) + self.bw @ (r[2 * n + nt:] ** 2))
-        return math.sqrt(q)
+        return math.sqrt(self.weights @ r ** 2)
 
     # -- the step ------------------------------------------------------------
 
@@ -623,15 +619,10 @@ class NewtonStepper:
         t1 = t0 + self.dt
         iters, res = 0, math.nan
         try:
-            pi_u0 = np.asarray(prob.pi(u0))
-            pig_v0 = np.asarray(prob.pi_gamma(v0))
-            f1 = prob.f(t1).ravel()
-            g1 = prob.g(t1)
-            u0f = u0.ravel()
-            pi_u0 = pi_u0.ravel()
-
+            data = (u0.ravel(), v0, np.asarray(prob.pi(u0)).ravel(),
+                    np.asarray(prob.pi_gamma(v0)), prob.f(t1).ravel(), prob.g(t1))
             x = np.concatenate([start.u.ravel(), start.mu.ravel(), start.v, start.w])
-            r = self._residual(x, u0f, v0, pi_u0, pig_v0, f1, g1)
+            r = self._residual(x, *data)
             res = self._res_norm(r)
             prev_res = math.inf
             best_res = res
@@ -646,11 +637,13 @@ class NewtonStepper:
                     self._refresh_lu(x[:n], x[2 * n:2 * n + nt])
                 dx = self._solve(-r)
                 accepted = False
-                alpha = 1.0
+                alpha, full = 1.0, None
                 for _ in range(9):  # full step + 8 damped retries
                     x_try = x + alpha * dx
-                    r_try = self._residual(x_try, u0f, v0, pi_u0, pig_v0, f1, g1)
+                    r_try = self._residual(x_try, *data)
                     res_try = self._res_norm(r_try)
+                    if full is None:
+                        full = x_try, r_try, res_try
                     if res_try <= cfg.newton_tol or res_try < res * (1.0 - 1e-4):
                         accepted = True
                         break
@@ -665,7 +658,7 @@ class NewtonStepper:
                     # for the piecewise-linear obstacle system the next fresh
                     # solve is exact once the active set settles.
                     if nm_left == 0:
-                        floor = self._residual_floor(x, u0f, v0, pi_u0, pig_v0, f1, g1)
+                        floor = self._residual_floor(x, *data)
                         below = '' if cfg.newton_tol >= floor else (
                             f'; newton_tol {cfg.newton_tol:.3e} is below the '
                             f'residual\'s estimated round-off floor {floor:.3e}')
@@ -673,9 +666,7 @@ class NewtonStepper:
                             f'damped Newton stalled at residual {res:.3e}{below}',
                             t=t1, iters=iters, residual=res)
                     nm_left -= 1
-                    x_try = x + dx
-                    r_try = self._residual(x_try, u0f, v0, pi_u0, pig_v0, f1, g1)
-                    res_try = self._res_norm(r_try)
+                    x_try, r_try, res_try = full
                 x, r, prev_res, res = x_try, r_try, res, res_try
                 if res < best_res:
                     best_res = res

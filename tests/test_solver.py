@@ -3,6 +3,7 @@ linear exactness against a dense solve, validation, and failure modes."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import pickle
@@ -334,7 +335,7 @@ def _jacobian_case(preset, amplitude, delta):
     scale = 1.5 if preset == 'obstacle' else 1.0
     u, v = scale * problem.u0, scale * problem.v0
     if preset == 'obstacle':
-        assert np.max(np.concatenate(stepper._slopes(u, v))) == 1e3
+        assert np.max(stepper._yosida(mg.yosida_derivative, u, v)) == 1e3
     return stepper, u, v
 
 
@@ -347,8 +348,7 @@ JACOBIAN_CASES = pytest.mark.parametrize('preset, amplitude, delta', [
 def test_row_permuted_jacobian_is_weighted_symmetric(preset, amplitude, delta):
     # rows (mu-eq, u-eq, w-eq, v-eq) scaled by the quadrature weights
     stepper, u, v = _jacobian_case(preset, amplitude, delta)
-    weights = np.concatenate([stepper.wv, stepper.wv, stepper.bw, stepper.bw])
-    a = sps.diags(weights) @ stepper.jacobian_at(u, v)[stepper._rows]
+    a = sps.diags(stepper.weights) @ stepper.jacobian_at(u, v)[stepper._rows]
     assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
 
 
@@ -361,6 +361,29 @@ def test_solve_has_small_residual_against_the_jacobian(preset, amplitude, delta)
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
 
 
+@JACOBIAN_CASES
+def test_jacobian_is_the_residual_derivative(preset, amplitude, delta):
+    # J(x) h against the central difference of the residual at an iterate
+    # with random mu and w; the obstacle's iterate and both trial points
+    # lie on the same side of every kink
+    stepper, u, v = _jacobian_case(preset, amplitude, delta)
+    n, nt = stepper.n, stepper.nt
+    rng = np.random.default_rng(2)
+    x = np.concatenate([u.ravel(), rng.standard_normal(n), v, rng.standard_normal(nt)])
+    h, eps = rng.standard_normal(x.size), 1e-6
+    p = stepper.problem
+    data = (p.u0.ravel(), p.v0, np.asarray(p.pi(p.u0)).ravel(), np.asarray(p.pi_gamma(p.v0)),
+            p.f(stepper.dt).ravel(), p.g(stepper.dt))
+    plus, minus = x + eps * h, x - eps * h
+    if preset == 'obstacle':
+        jacobians = [stepper.jacobian_at(y[:n].reshape(u.shape), y[2 * n:2 * n + nt])
+                     for y in (plus, minus)]
+        assert (jacobians[0] != jacobians[1]).nnz == 0
+    diff = (stepper._residual(plus, *data) - stepper._residual(minus, *data)) / (2 * eps)
+    jh = stepper.jacobian_at(u, v) @ h
+    assert np.max(np.abs(diff - jh)) <= 1e-9 * np.max(np.abs(jh))
+
+
 def test_symmetric_order_factor_has_less_fill():
     # contacts make the slopes vary in theta, so the base is SuperLU's
     problem, solver = forced_obstacle(32, 64)
@@ -369,6 +392,58 @@ def test_symmetric_order_factor_has_less_fill():
     stepper._refresh_lu(u, v)
     default = splu(stepper.jacobian_at(u, v))
     assert stepper.lu_nnz == stepper._base.nnz <= 0.6 * default.nnz
+
+
+# ---------------------------------------------------------------------------
+# globalization: a refresh-and-retry, and the non-monotone fallback
+
+class _NegatedSolve:
+    """Base-solver stand-in whose solves point the wrong way."""
+
+    def __init__(self, base):
+        self._base, self.nnz = base, base.nnz
+
+    def solve(self, b):
+        return -self._base.solve(b)
+
+
+def test_rejected_direction_refreshes_and_retries_at_the_same_iterate():
+    # a base kept from slopes 1/lambda on the last three rings and the
+    # circle (128 slopes, past the update budget) whose solves are negated:
+    # no step length decreases the residual, so the step refactorizes at
+    # the same iterate and goes on as a fresh stepper does
+    problem, solver = forced_obstacle()
+    stepper = cs.NewtonStepper(problem, solver, solver.dt)
+    u, v = problem.u0.copy(), np.full_like(problem.v0, 1.5)
+    u[-3:] = 1.5
+    assert stepper._refresh_lu(u, v) and stepper.lu_factorizations == 1
+    stepper._base = _NegatedSolve(stepper._base)
+    state = cs.initial_state(problem)
+    got = stepper.step(state.t, state.u, state.v, state)
+    want = cs.NewtonStepper(problem, solver, solver.dt).step(state.t, state.u, state.v, state)
+    assert stepper.lu_factorizations == 2 and stepper.lu_updates == 0
+    assert got[4] == want[4] + 1
+    for a, b in zip(got[:4], want[:4], strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_non_monotone_fallback_takes_a_rising_step_and_converges():
+    # the forced obstacle at dt 1e-2: the second step's Newton direction
+    # crosses active-set kinks where no step length lowers the residual,
+    # and the full step is taken anyway
+    problem, solver = forced_obstacle()
+    cfg = dataclasses.replace(solver, dt=1e-2, t_end=1e-2)
+    level = cs.run(problem, cfg).steps[1]
+    stepper = cs.NewtonStepper(problem, cfg, cfg.dt)
+    norms, solve = [], stepper._solve
+
+    def recording_solve(b):   # b = -R at each iterate
+        norms.append(stepper._res_norm(b))
+        return solve(b)
+    stepper._solve = recording_solve
+    *_, iters, res = stepper.step(level.t, level.u, level.v, level)
+    assert res <= cfg.newton_tol and iters == len(norms)
+    assert any(b > a for a, b in zip(norms, norms[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +468,7 @@ def test_fourier_base_matches_a_fresh_factorization(delta, state, columns):
     assert stepper._refresh_lu(u, v)
     assert isinstance(stepper._base, dg.ThetaModes)
     if state == 'ring_and_circle':
-        assert set(np.concatenate(stepper._slopes(u, v))) == {0.0, 1.0 / solver.lam}
+        assert set(stepper._yosida(mg.yosida_derivative, u, v)) == {0.0, 1.0 / solver.lam}
     shape = 2 * (stepper.n + stepper.nt) if columns is None \
         else (2 * (stepper.n + stepper.nt), columns)
     b = np.random.default_rng(3).standard_normal(shape)
