@@ -379,6 +379,14 @@ def energy(state: StepSolution, problem: ProblemData, config: SolverConfig,
 UPDATE_BUDGET = 64
 
 
+def _splu_modes(modes):
+    """SuperLU of a theta-mode matrix with a one-column panel: its diagonal
+    blocks hold 2*n_r + 2 rows each, too few for wider supernode panels to
+    pay for their rows x panel work arrays.  `splu` is looked up at call
+    time, so a wrapper set on this module sees the factorization."""
+    return splu(modes, panel_size=1)
+
+
 class _SuperLUBase:
     """SuperLU factor of the Jacobian with its equations in the order
     (mu-eq, u-eq, w-eq, v-eq): scaled by the quadrature weights the rows
@@ -501,14 +509,22 @@ class NewtonStepper:
         """4-block Jacobian with the a.e. Yosida slopes at (u, v)."""
         return self._jacobian(self._yosida(mg.yosida_derivative, u, v))
 
-    def _jacobian(self, d):
-        """I + T L - P(d), P holding the slopes d at their map positions."""
-        lin, diag = self._lin, np.arange(self._lin.shape[0])
-        rows, cols = self._slope_map()
-        scaled = sps.csc_matrix((lin.data * self._row_dt[lin.indices], lin.indices, lin.indptr),
-                                shape=lin.shape)
-        return scaled + sps.csc_matrix((np.r_[np.ones(diag.size), -d],
-                                        (np.r_[diag, rows], np.r_[diag, cols])), shape=lin.shape)
+    def _jacobian(self, d, rows=None):
+        """(I + T L - P(d))[rows], all rows by default, P holding the slopes d
+        at their map positions.  Only the units and slopes that lie in the
+        rows are placed, so a few rows cost no assembly of the whole."""
+        size = self._lin.shape[0]
+        lin, rows = (self._lin, np.arange(size)) if rows is None else (self._lin[rows], rows)
+        at = np.full(size, -1)        # the position of each equation among the rows
+        at[rows] = np.arange(rows.size)
+        eqs, unknowns = self._slope_map()
+        hit = at[eqs] >= 0
+        scaled = sps.csc_matrix((lin.data * self._row_dt[rows][lin.indices], lin.indices,
+                                 lin.indptr), shape=lin.shape)
+        return scaled + sps.csc_matrix(
+            (np.r_[np.ones(rows.size), -d[hit]],
+             (np.r_[np.arange(rows.size), at[eqs[hit]]], np.r_[rows, unknowns[hit]])),
+            shape=lin.shape)
 
     def _refresh_lu(self, u, v):
         """Make `_solve` serve the Jacobian at (u, v); False when it already
@@ -528,13 +544,15 @@ class NewtonStepper:
         # release the kept factorization first, so two never coexist
         self._base = self._cap = None
         self._eqs = np.empty(0, dtype=int)
-        jac = self._jacobian(d)
         lines = d.reshape(-1, self.nt)   # the slopes on each ring, then on the circle
         try:
             if np.all(lines == lines[:, :1]):
-                self._base = dg.ThetaModes(jac, 2 * self.problem.grid.n_r + 2, self.nt, splu)
+                # the theta-index-0 row of each line of equations: the u-eq
+                # and mu-eq rings, then the v-eq and w-eq circles
+                first = np.arange(0, 2 * d.size, self.nt)
+                self._base = dg.ThetaModes(self._jacobian(d, first), self.nt, _splu_modes)
             else:
-                self._base = _SuperLUBase(jac, self._rows)
+                self._base = _SuperLUBase(self._jacobian(d), self._rows)
         except RuntimeError as exc:
             raise LinearSolveFailure(f'sparse factorization failed: {exc}') from exc
         self._base_d = d

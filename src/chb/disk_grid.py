@@ -235,16 +235,18 @@ class ThetaModes:
     theta-invariant polar stencil gives (Swarztrauber & Sweet 1973).
 
     The real FFT along theta splits it into n_theta/2 + 1 real systems of
-    the circulants' symbols, read off the theta-index-0 rows.  `factorize`
-    is called once on their block-diagonal matrix (mode k at rows
-    k*n_lines onward); the real and imaginary parts of a mode are two
-    right-hand sides.
+    the circulants' symbols, read off the theta-index-0 rows: `first_rows`
+    holds the matrix's rows a*n_theta, one per line a, so the whole matrix
+    is never needed.  `factorize` is called once on their block-diagonal
+    matrix (mode k at rows k*n_lines onward); the real and imaginary parts
+    of a mode are two right-hand sides.
     """
 
-    def __init__(self, mat, n_lines, n_theta, factorize):
+    def __init__(self, first_rows, n_theta, factorize):
+        n_lines = first_rows.shape[0]
         self._lines, self._nt = n_lines, n_theta
         # entry (a, b*nt + j) of the first rows is entry j of circulant (a, b)
-        first = mat.tocsr()[np.arange(n_lines) * n_theta].tocoo()
+        first = first_rows.tocoo()
         col_line, offset = np.divmod(first.col, n_theta)
         offset = np.where(offset > n_theta // 2, offset - n_theta, offset)
         k = np.arange(n_theta // 2 + 1)[:, None]

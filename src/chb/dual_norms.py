@@ -42,7 +42,8 @@ class NormToolkit:
         self.grid = grid
         self.stiffness = dg.stiffness_matrix_bulk(grid)
         self.weight_vector = grid.weights.ravel()
-        self._modes = dg.ThetaModes(self.stiffness, grid.n_r, grid.n_theta, self._factorize)
+        self._modes = dg.ThetaModes(self.stiffness[np.arange(grid.n_r) * grid.n_theta],
+                                    grid.n_theta, self._factorize)
         self._wavenumbers = np.fft.fftfreq(grid.n_theta, d=1.0 / grid.n_theta)
 
     def _factorize(self, modes):

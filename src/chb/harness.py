@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import resource
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -53,8 +54,12 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, obj):
+    """Every JSON report goes through here and ends with `peak_rss_mb`: the
+    peak resident memory of the writing process so far, in 10^6 bytes.  The
+    workers of a process pool are not counted."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
     with open(path, 'w') as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump({**obj, 'peak_rss_mb': peak}, fh, indent=2)
         fh.write('\n')
 
 

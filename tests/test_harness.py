@@ -455,6 +455,22 @@ def test_stability_linear_preset_ratios_coincide(tmp_path):
     assert (tmp_path / 'st' / 'stability.csv').exists()
 
 
+def test_json_reports_record_the_peak_memory(tmp_path):
+    harness.run_single(run_single_cfg(tmp_path, sub='pk'))
+    harness.sweep_delta(sweep_cfg(tmp_path, sub='pw'))
+    raw = {
+        'experiment': 'stability',
+        'grid': {'n_r': 8, 'n_theta': 16},
+        'problem': {'preset': 'backward', 'amplitude': 0.1},
+        'solver': {'delta': 0.5, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 2e-3},
+        'stability': {'amplitudes': [1e-2, 1e-1], 'target': 'f'},
+        'output': {'dir': str(tmp_path / 'ps')},
+    }
+    harness.stability_experiment(harness.load_config(make_cfg(tmp_path, raw)))
+    for report in ('pk/summary.json', 'pw/sweep_delta_fit.json', 'ps/stability.json'):
+        assert json.loads((tmp_path / report).read_text())['peak_rss_mb'] > 0, report
+
+
 def test_stability_initial_target_mean_corrects(tmp_path):
     raw = {
         'experiment': 'stability',

@@ -292,6 +292,25 @@ def test_fourier_update_keeps_no_column_of_z():
     assert np.linalg.norm(x - fresh) <= 1e-10 * np.linalg.norm(fresh)
 
 
+def test_fourier_base_assembles_no_whole_jacobian():
+    # assembling the whole Jacobian (N unknowns) and slicing its rows peaks
+    # at 20 N-vectors here, 22.5 with a CSR copy of it; the base assembles
+    # only its theta-index-0 rows and must stay under 16.  SuperLU's own workspace is allocated in C, where tracemalloc does
+    # not see it, so this bounds the Python side only.
+    problem, solver = forced_obstacle(64, 128)
+    stepper = cs.NewtonStepper(problem, solver, solver.dt)
+    d = stepper._yosida(mg.yosida_derivative, problem.u0, problem.v0)
+    assert not d.any()
+    tracemalloc.start()
+    try:
+        stepper._factorize(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(stepper._base, dg.ThetaModes)
+    assert peak < 16 * np.empty(2 * (stepper.n + stepper.nt)).nbytes
+
+
 def test_update_past_the_budget_refactorizes(splu_calls):
     problem, solver = forced_obstacle()
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
@@ -382,6 +401,39 @@ def test_jacobian_is_the_residual_derivative(preset, amplitude, delta):
     diff = (stepper._residual(plus, *data) - stepper._residual(minus, *data)) / (2 * eps)
     jh = stepper.jacobian_at(u, v) @ h
     assert np.max(np.abs(diff - jh)) <= 1e-9 * np.max(np.abs(jh))
+
+
+@pytest.mark.parametrize('preset, scale, radial', [
+    ('cubic', 0.9, True), ('logarithmic', 0.9, True), ('obstacle', 1.5, True),
+    ('cubic', 0.9, False)], ids=['cubic', 'logarithmic', 'obstacle', 'theta-varying'])
+def test_fourier_base_rows_are_the_jacobians_first_rows(monkeypatch, preset, scale, radial):
+    # the Fourier base reads its symbols from the theta-index-0 rows that
+    # `_jacobian` assembles alone; they must be the same rows, bit for bit,
+    # as those of the whole Jacobian.  A radial state (scale * r^2 on the
+    # rings, scale on the circle) gives slopes constant on every line, past
+    # the obstacle on the outer rings; the preset's u0 gives slopes that vary
+    # in theta and a SuperLU base.
+    g = dg.DiskGrid(16, 32)
+    problem = cs.preset_problem(preset, g, amplitude=0.9)
+    stepper = cs.NewtonStepper(problem, config(lam=1e-3), 1e-3)
+    if radial:
+        u, v = np.repeat(scale * g.r[:, None] ** 2, g.n_theta, axis=1), np.full(g.n_theta, scale)
+    else:
+        u, v = problem.u0, problem.v0
+    built, theta_modes = [], dg.ThetaModes
+    monkeypatch.setattr(dg, 'ThetaModes',
+                        lambda rows, *args: built.append(rows) or theta_modes(rows, *args))
+    assert stepper._refresh_lu(u, v)
+    first = np.arange(2 * g.n_r + 2) * g.n_theta
+    d = stepper._yosida(mg.yosida_derivative, u, v)
+    assert len(built) == radial and len(set(d)) > 1
+    want = stepper.jacobian_at(u, v).tocsr()[first]
+    for rows in built + [stepper._jacobian(d, first)]:
+        got = rows.tocsr()
+        assert got.shape == want.shape
+        assert got.data.tobytes() == want.data.tobytes()
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.indptr, want.indptr)
 
 
 def test_symmetric_order_factor_has_less_fill():
