@@ -4,7 +4,7 @@
     chb sweep-delta <config.json>    surface-diffusion sweep + rate fit
     chb stability <config.json>      paired continuous-dependence runs
     chb sweep-lambda <config.json>   viscosity ladder differences
-    chb graph-check <config.json>    domination / same-growth reports
+    chb graph-check <config.json>    domination / same-growth verdicts
 
 Exit codes: 0 ok, 2 validation or configuration failure (every
 experiment validates its data), 3 solver failure inside a step, 4
@@ -14,6 +14,7 @@ experiment assertion failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ('sweep-delta', 'surface-diffusion sweep with rate fit'),
             ('stability', 'continuous-dependence paired runs'),
             ('sweep-lambda', 'viscosity ladder successive differences'),
-            ('graph-check', 'domination and same-growth reports')):
+            ('graph-check', 'domination and same-growth verdicts')):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument('config', help='experiment config JSON file')
         sp.add_argument('--out', help='output directory (overrides config)')
@@ -71,7 +72,7 @@ def _cmd_sweep_delta(cfg) -> int:
     if report.message:
         print(report.message)
     if not report.rate_claimed and report.slope is not None:
-        print('note: same-growth condition unverified; no rate claim attached')
+        print('note: same-growth condition not satisfied; no rate claim attached')
 
     gates = (('slope', cfg.sweep_delta.assert_slope, report.slope),
              ('r2', cfg.sweep_delta.assert_r2, report.r2))
@@ -108,16 +109,7 @@ def _cmd_sweep_lambda(cfg) -> int:
 
 def _cmd_graph_check(cfg) -> int:
     dom, growth = cs.graph_reports(harness.problem_from_config(cfg))
-    out = {
-        'domination': {
-            'feasible': dom.feasible, 'rho1': dom.rho1, 'c1': dom.c1,
-            'witness': dom.witness, 'message': dom.message,
-        },
-        'same_growth': {
-            'feasible': growth.feasible, 'm': growth.m_value,
-            'witness': growth.witness, 'message': growth.message,
-        },
-    }
+    out = {'domination': dataclasses.asdict(dom), 'same_growth': dataclasses.asdict(growth)}
     print(json.dumps(out, indent=2))
     return EXIT_OK if dom.feasible else EXIT_VALIDATION
 

@@ -2,7 +2,7 @@
 
 __all__ = (
     'ChbError', 'NonFiniteInput', 'RootFindFailure', 'OutOfDomain',
-    'EmptySampleGrid', 'ShapeMismatch', 'NonzeroMean', 'SolveFailure',
+    'ShapeMismatch', 'NonzeroMean', 'SolveFailure',
     'NewtonDivergence', 'LinearSolveFailure', 'ValidationFailure',
     'MeanMismatch', 'ConfigError', 'NonPositivePoint', 'TooFewPoints',
 )
@@ -22,10 +22,6 @@ class RootFindFailure(ChbError):
 
 class OutOfDomain(ChbError):
     """Argument outside the domain of the monotone graph."""
-
-
-class EmptySampleGrid(ChbError):
-    """A growth check was called with no sample points."""
 
 
 class ShapeMismatch(ChbError):

@@ -564,7 +564,7 @@ class SweepReport:
     r2: float | None
     zero_error: bool
     rate_claimed: bool
-    same_growth: mg.SameGrowthReport | None
+    same_growth: mg.GrowthVerdict
     reference: str
     newton_iters: list       # per-run totals, the reference run first
     message: str = ''
@@ -592,11 +592,10 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
     if ref_result.error is not None:
         raise ref_result.error
 
-    # the runs validated the data, so the graph checks cannot fail here
     same_growth = cs.graph_reports(problem)[1]
     rate_claimed = same_growth.feasible
     message = '' if rate_claimed else (
-        'same-growth condition not satisfied on the sample grid; '
+        f'same-growth condition not satisfied ({same_growth.reason}); '
         'rate fit reported without a rate claim')
 
     norms = _four_norms(dn.NormToolkit(cfg.grid))
@@ -648,10 +647,7 @@ def _write_sweep_artifacts(cfg, report: SweepReport):
         'zero_error': report.zero_error, 'rate_claimed': report.rate_claimed,
         'reference': report.reference, 'message': report.message,
         'newton_iters': report.newton_iters,
-        'same_growth_feasible': None if report.same_growth is None
-        else report.same_growth.feasible,
-        'same_growth_m': None if report.same_growth is None
-        else report.same_growth.m_value,
+        'same_growth_feasible': report.same_growth.feasible,
     }
     _write_json(os.path.join(cfg.out_dir, 'sweep_delta_fit.json'), fit_meta)
     if cfg.plots:

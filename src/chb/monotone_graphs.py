@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleGrid, NonFiniteInput, OutOfDomain, RootFindFailure
+from .errors import NonFiniteInput, OutOfDomain, RootFindFailure
 
 __all__ = (
-    'GraphSpec', 'Perturbation', 'DominationReport', 'SameGrowthReport',
+    'GraphSpec', 'Perturbation', 'GrowthVerdict',
     'zero', 'power_odd', 'logarithmic', 'double_obstacle',
     'resolvent', 'yosida', 'yosida_derivative', 'minimal_section',
     'primitive', 'yosida_primitive', 'check_domination', 'check_same_growth',
@@ -60,8 +60,8 @@ class GraphSpec:
         if self.kind == 'logarithmic' and not self.scale > 0:
             raise ValueError('logarithmic scale must be positive')
         if self.kind == 'double_obstacle':
-            if not self.lower < self.upper:
-                raise ValueError('double_obstacle needs lower < upper')
+            if not -math.inf < self.lower < self.upper < math.inf:
+                raise ValueError('double_obstacle needs finite lower < upper')
             # beta_hat(0) = 0 requires 0 in D(beta)
             if not (self.lower <= 0.0 <= self.upper):
                 raise ValueError('double_obstacle interval must contain 0')
@@ -285,28 +285,14 @@ def yosida_primitive(spec: GraphSpec, r, lam: float):
 
 
 # ---------------------------------------------------------------------------
-# growth checks
+# growth hypotheses
 
 
 @dataclass(frozen=True)
-class DominationReport:
-    """Outcome of the bulk-by-boundary domination check |beta°| <= rho1*|beta_Gamma°| + c1."""
+class GrowthVerdict:
+    """Whether the graph pair satisfies one growth hypothesis, and why."""
     feasible: bool
-    domain_contained: bool
-    rho1: float
-    c1: float
-    witness: float | None
-    message: str = ''
-
-
-@dataclass(frozen=True)
-class SameGrowthReport:
-    """Outcome of the two-sided growth comparison (1/M)|beta_Gamma°| - M <= |beta°| <= M(|beta_Gamma°| + 1)."""
-    feasible: bool
-    domains_equal: bool
-    m_value: float
-    witness: float | None
-    message: str = ''
+    reason: str
 
 
 def _domain_contains(outer: GraphSpec, inner: GraphSpec) -> bool:
@@ -316,100 +302,50 @@ def _domain_contains(outer: GraphSpec, inner: GraphSpec) -> bool:
     return (olo < ilo or (olo == ilo and ends_ok)) and (ohi > ihi or (ohi == ihi and ends_ok))
 
 
-def _extension_grid(boundary: GraphSpec, grid: np.ndarray, n: int = 64) -> np.ndarray:
-    """Points beyond the sampled range (widened 50%), clipped to D(beta_Gamma)."""
-    radius = float(np.max(np.abs(grid)))
-    if radius == 0.0:
-        radius = 1.0
-    ext = np.linspace(radius, 1.5 * radius, n + 1)[1:]
-    pts = np.concatenate([ext, -ext])
-    lo, hi, closed = boundary.domain
-    if not closed:
-        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)
-    pts = np.unique(np.clip(pts, lo, hi))
-    return pts[np.abs(pts) > radius * (1.0 + 1e-12)] if radius > 0 else pts
+def _order_at_infinity(spec: GraphSpec) -> int:
+    """Growth order of beta° at infinity for the kinds with D(beta) = R."""
+    return 0 if spec.kind == 'zero' else spec.exponent
 
 
-def _abs_sections(bulk, boundary, pts):
-    a = np.abs(np.asarray(minimal_section(boundary, pts)))
-    b = np.abs(np.asarray(minimal_section(bulk, pts)))
-    return a, b
+def check_domination(bulk: GraphSpec, boundary: GraphSpec) -> GrowthVerdict:
+    """Domination: D(beta_Gamma) subseteq D(beta) and
+    |beta°| <= rho*|beta_Gamma°| + c on D(beta_Gamma), decided from the kinds.
 
-
-def check_domination(bulk: GraphSpec, boundary: GraphSpec, sample_grid) -> DominationReport:
-    """Sampled verification of the domination hypothesis.
-
-    Fits (rho1, c1) by least squares of |beta°| against |beta_Gamma°| on the
-    grid, lifts c1 to feasibility, and re-verifies the fitted bound on a
-    50%-widened extension grid inside D(beta_Gamma); on an unbounded
-    domain the first extension point breaking the bound (10% slack) is
-    returned as a witness of excess growth at infinity.  When D(beta_Gamma)
-    is a bounded interval the extension grid reaches the domain boundary,
-    so c1 is simply lifted over it (evaluating the supremum, not
-    extrapolating).  Either way the verdict is relative to the sampled
-    range, not symbolic.
+    A bounded D(beta_Gamma) (obstacle or logarithmic) inside D(beta) keeps
+    beta° bounded there, unless both graphs are logarithmic, where
+    rho = s/s_Gamma.  On D(beta_Gamma) = R both graphs are zero or odd
+    powers, and the bulk order at infinity must not exceed the boundary's.
     """
-    grid = np.asarray(sample_grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise EmptySampleGrid('domination check needs at least one sample')
     if not _domain_contains(bulk, boundary):
-        return DominationReport(False, False, math.nan, math.nan, None,
-                                'D(beta_Gamma) is not contained in D(beta)')
-    a, b = _abs_sections(bulk, boundary, grid)
-    design = np.column_stack([a, np.ones_like(a)])
-    coef, *_ = np.linalg.lstsq(design, b, rcond=None)
-    rho = max(float(coef[0]), 0.0)
-    c = max(float(coef[1]), 0.0)
-    c += max(0.0, float(np.max(b - rho * a - c)))   # lift to feasibility on the grid
-    ext = _extension_grid(boundary, grid)
-    message = ''
-    if ext.size:
-        ae, be = _abs_sections(bulk, boundary, ext)
-        bad = be > 1.1 * (rho * ae + c) + 1e-9
-        if np.any(bad):
-            lo, hi, _ = boundary.domain
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                witness = float(ext[bad][np.argmin(np.abs(ext[bad]))])
-                return DominationReport(False, True, rho, c, witness,
-                                        'fitted bound fails beyond the sampled range')
-            # bounded domain: the extension reaches the ends of
-            # D(beta_Gamma), so take the supremum there instead
-            c += float(np.max(be - rho * ae - c))
-            message = 'c1 lifted over the domain ends of D(beta_Gamma)'
-    return DominationReport(True, True, rho, c, None, message)
+        return GrowthVerdict(False, 'D(beta_Gamma) is not contained in D(beta)')
+    if boundary.kind == 'logarithmic' and bulk.kind == 'logarithmic':
+        return GrowthVerdict(True, f'both graphs are logarithmic: rho = '
+                                   f'{bulk.scale / boundary.scale:g}')
+    if boundary.kind in ('double_obstacle', 'logarithmic'):
+        return GrowthVerdict(True, 'beta° is bounded on the bounded D(beta_Gamma)')
+    q, p = _order_at_infinity(bulk), _order_at_infinity(boundary)
+    if q > p:
+        return GrowthVerdict(False, f'beta° grows with order {q} at infinity, '
+                                    f'beta_Gamma° with order {p}')
+    return GrowthVerdict(True, f'order {q} of beta° at infinity is at most '
+                               f'order {p} of beta_Gamma°')
 
 
-def check_same_growth(bulk: GraphSpec, boundary: GraphSpec, sample_grid) -> SameGrowthReport:
-    """Sampled verification of the same-growth hypothesis.
-
-    Returns the smallest grid-feasible M >= 1 with
-    (1/M)|beta_Gamma°| - M <= |beta°| <= M(|beta_Gamma°| + 1); both
-    one-sided constraints have closed-form smallest M, so no search is
-    needed.  As for the domination check, the fitted M is re-verified with
-    10% slack on the widened extension grid.
+def check_same_growth(bulk: GraphSpec, boundary: GraphSpec) -> GrowthVerdict:
+    """Same growth: D(beta) = D(beta_Gamma) and
+    (1/M)|beta_Gamma°| - M <= |beta°| <= M(|beta_Gamma°| + 1), decided from
+    the kinds: it holds iff the domains are equal and the kinds, and for
+    odd powers the exponents, agree.  Coefficients and log scales only
+    set M.
     """
-    grid = np.asarray(sample_grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise EmptySampleGrid('same-growth check needs at least one sample')
-    domains_equal = _domain_contains(bulk, boundary) and _domain_contains(boundary, bulk)
-    if not domains_equal:
-        return SameGrowthReport(False, False, math.nan, None,
-                                'D(beta) and D(beta_Gamma) differ')
-    a, b = _abs_sections(bulk, boundary, grid)
-    m_upper = float(np.max(b / (a + 1.0)))
-    m_lower = float(np.max((-b + np.sqrt(b * b + 4.0 * a)) / 2.0))
-    m = max(1.0, m_upper, m_lower)
-    ext = _extension_grid(boundary, grid)
-    if ext.size:
-        ae, be = _abs_sections(bulk, boundary, ext)
-        slack_hi = 0.1 * m * (ae + 1.0) + 1e-9
-        slack_lo = 0.1 * (ae / m + m) + 1e-9
-        bad = (be > m * (ae + 1.0) + slack_hi) | (be < ae / m - m - slack_lo)
-        if np.any(bad):
-            witness = float(ext[bad][np.argmin(np.abs(ext[bad]))])
-            return SameGrowthReport(False, True, m, witness,
-                                    'fitted M fails beyond the sampled range')
-    return SameGrowthReport(True, True, m, None)
+    if bulk.domain != boundary.domain:
+        return GrowthVerdict(False, 'D(beta) and D(beta_Gamma) differ')
+    if bulk.kind != boundary.kind:
+        return GrowthVerdict(False, f'the kinds differ: {bulk.kind} and {boundary.kind}')
+    if bulk.kind == 'power_odd' and bulk.exponent != boundary.exponent:
+        return GrowthVerdict(False, f'the exponents differ: {bulk.exponent} '
+                                    f'and {boundary.exponent}')
+    return GrowthVerdict(True, f'both graphs are {bulk.kind} on the same domain')
 
 
 # ---------------------------------------------------------------------------

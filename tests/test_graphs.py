@@ -234,67 +234,49 @@ def test_obstacle_yosida_derivative_convention(r, lam):
 
 
 # ---------------------------------------------------------------------------
-# growth checks
+# growth hypotheses
 
-def test_domination_identical_graphs():
-    samples = np.linspace(-3, 3, 301)
-    rep = mg.check_domination(GRAPHS['power3'], GRAPHS['power3'], samples)
-    assert rep.feasible
-    assert abs(rep.rho1 - 1.0) < 1e-9
-    assert abs(rep.c1) < 1e-9
-
-
-def test_domination_zero_bulk():
-    samples = np.linspace(-2, 2, 101)
-    rep = mg.check_domination(GRAPHS['zero'], GRAPHS['power3'], samples)
-    assert rep.feasible
-    assert abs(rep.rho1) < 1e-12 and abs(rep.c1) < 1e-12
-
-
-def test_domination_violation_power5_over_power3():
-    samples = np.linspace(-20, 20, 401)
-    rep = mg.check_domination(mg.power_odd(5, 1.0), mg.power_odd(3, 1.0), samples)
-    assert not rep.feasible
-    assert rep.witness is not None
-
-
-def test_domination_domain_containment_direction():
-    # the hypothesis asks D(beta_Gamma) ⊆ D(beta); reversed pairing must fail
-    samples = np.linspace(-0.9, 0.9, 51)
-    rep = mg.check_domination(GRAPHS['log'], GRAPHS['power3'], samples)
-    assert not rep.feasible
-    assert not rep.domain_contained
-
-
-def test_domination_bounded_boundary_domain_lifts_constant():
-    # cubic bulk over the obstacle boundary: |r^3| <= 1 on [-1,1], so the
-    # domination constant is the supremum at the domain ends
-    samples = np.linspace(-0.9, 0.9, 51)
-    rep = mg.check_domination(GRAPHS['power3'], GRAPHS['obstacle'], samples)
-    assert rep.feasible and rep.domain_contained
-    assert rep.witness is None
-    assert abs(rep.c1 - 1.0) < 1e-9
+# Verdicts for every ordered pair, from the paper's definitions.  Rows are
+# the bulk graph beta, columns the boundary graph beta_Gamma.
+#   domination:  D(beta_Gamma) ⊆ D(beta) and |beta°| <= rho*|beta_Gamma°| + c
+#                on D(beta_Gamma);
+#   same growth: D(beta) = D(beta_Gamma) and
+#                (1/M)|beta_Gamma°| - M <= |beta°| <= M(|beta_Gamma°| + 1).
+# 'S' marks both, 'D' domination alone, '.' neither.
+TABLE_GRAPHS = {
+    'zero': mg.zero(),
+    'pow3': mg.power_odd(3, 1.0),
+    'pow3x4': mg.power_odd(3, 4.0),
+    'pow5': mg.power_odd(5, 1.0),
+    'log.5': mg.logarithmic(0.5),
+    'log1': mg.logarithmic(1.0),
+    'obs1': mg.double_obstacle(-1.0, 1.0),
+    'obs.5': mg.double_obstacle(-0.5, 0.5),
+}
+GROWTH_TABLE = """
+        zero  pow3  pow3x4  pow5  log.5  log1  obs1  obs.5
+zero     S     D     D       D     D      D     D     D
+pow3     .     S     S       D     D      D     D     D
+pow3x4   .     S     S       D     D      D     D     D
+pow5     .     .     .       S     D      D     D     D
+log.5    .     .     .       .     S      S     .     D
+log1     .     .     .       .     S      S     .     D
+obs1     .     .     .       .     D      D     S     D
+obs.5    .     .     .       .     .      .     .     S
+"""
+_header, *_rows = (line.split() for line in GROWTH_TABLE.strip().splitlines())
+EXPECTED_GROWTH = {(row[0], col): mark
+                   for row in _rows for col, mark in zip(_header, row[1:])}
 
 
-def test_same_growth_scaled_power():
-    samples = np.linspace(-10, 10, 201)
-    rep = mg.check_same_growth(mg.power_odd(3, 2.0), mg.power_odd(3, 1.0), samples)
-    assert rep.feasible
-    # the smallest sampled-feasible constant approaches 2 from below
-    assert 1.9 <= rep.m_value <= 2.0 + 1e-12
-
-
-def test_same_growth_rejects_unequal_domains():
-    samples = np.linspace(-0.9, 0.9, 51)
-    rep = mg.check_same_growth(GRAPHS['log'], GRAPHS['obstacle'], samples)
-    assert not rep.feasible
-    assert not rep.domains_equal
-
-
-def test_empty_sample_grid_raises():
-    from chb.errors import EmptySampleGrid
-    with pytest.raises(EmptySampleGrid):
-        mg.check_domination(GRAPHS['zero'], GRAPHS['zero'], np.array([]))
+@pytest.mark.parametrize('bulk,boundary', sorted(EXPECTED_GROWTH),
+                         ids=lambda name: name)
+def test_growth_hypotheses_follow_the_kind_table(bulk, boundary):
+    mark = EXPECTED_GROWTH[bulk, boundary]
+    dom = mg.check_domination(TABLE_GRAPHS[bulk], TABLE_GRAPHS[boundary])
+    growth = mg.check_same_growth(TABLE_GRAPHS[bulk], TABLE_GRAPHS[boundary])
+    assert (dom.feasible, growth.feasible) == (mark != '.', mark == 'S')
+    assert dom.reason and growth.reason
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +299,8 @@ def test_graph_spec_validation():
         mg.logarithmic(0.0)
     with pytest.raises(ValueError):
         mg.double_obstacle(0.5, 2.0)   # must contain 0
+    with pytest.raises(ValueError):
+        mg.double_obstacle(-math.inf, 1.0)   # a double obstacle is bounded
 
 
 def test_spec_built_directly_has_the_domain_of_its_kind():

@@ -435,6 +435,34 @@ def test_sweep_delta_mismatched_growth_drops_rate_claim(tmp_path):
     assert report.slope is not None
 
 
+def test_sweep_delta_zero_bulk_under_cubic_boundary_claims_no_rate(tmp_path, capsys):
+    # the pair shares D = R but not the growth (order 0 against 3), so the
+    # slope is reported without a rate claim whatever the data's amplitude
+    raw = {
+        'experiment': 'sweep_delta',
+        'grid': {'n_r': 8, 'n_theta': 16},
+        'problem': {
+            'bulk_graph': {'kind': 'zero'},
+            'boundary_graph': {'kind': 'power_odd', 'exponent': 3},
+            'pi': {'kind': 'linear', 'slope': -1.0},
+            'pi_gamma': {'kind': 'linear', 'slope': -1.0},
+            'u0': {'kind': 'harmonic', 'amplitude': 0.2, 'mode': 2},
+        },
+        'solver': {'delta': 0.1, 'lambda': 1e-3, 'dt': 1e-3, 't_end': 0.02},
+        'sweep_delta': {'deltas': [0.1, 0.05, 0.025, 0.0125], 'reference': 'delta_zero'},
+        'output': {'dir': str(tmp_path / 'zc')},
+    }
+    assert cli.main(['sweep-delta', cli_cfg(tmp_path, raw, 'zc.json')]) == 0
+    out = capsys.readouterr().out
+    assert 'same-growth condition not satisfied' in out
+    assert 'note: same-growth condition not satisfied; no rate claim attached' in out
+    data = json.loads((tmp_path / 'zc' / 'sweep_delta_fit.json').read_text())
+    assert data['slope'] is not None and data['r2'] is not None
+    assert data['rate_claimed'] is False
+    assert data['same_growth_feasible'] is False
+    assert 'same_growth_m' not in data
+
+
 # ---------------------------------------------------------------------------
 # stability and lambda sweep
 
@@ -609,7 +637,20 @@ def test_cli_graph_check(tmp_path, capsys):
     assert cli.main(['graph-check', path]) == 2
     report = json.loads(capsys.readouterr().out)
     assert not report['domination']['feasible']
-    assert report['domination']['witness'] is not None
+    assert 'order 5' in report['domination']['reason']
+
+    # cubic bulk under a quintic boundary: the verdicts ignore the data
+    pair_raw = json.loads(json.dumps(bad_raw))
+    pair_raw['problem']['bulk_graph']['exponent'] = 3
+    pair_raw['problem']['boundary_graph']['exponent'] = 5
+    for amplitude in (0.05, 2.0):
+        pair_raw['problem']['u0'] = {'kind': 'harmonic', 'amplitude': amplitude, 'mode': 2}
+        path = cli_cfg(tmp_path, pair_raw, f'gc_pair_{amplitude}.json')
+        assert cli.main(['graph-check', path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report['domination']['feasible']
+        assert not report['same_growth']['feasible']
+        assert 'exponents differ' in report['same_growth']['reason']
 
 
 def test_cli_stability_pass(tmp_path, capsys):

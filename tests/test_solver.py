@@ -716,6 +716,28 @@ def test_delta_rate_holds_for_a_fine_angular_mode(tmp_path):
     assert report.rate_claimed and report.slope >= 0.45
 
 
+def test_delta_rate_holds_on_the_double_obstacle(tmp_path):
+    # the paper's nonsmooth case: acceptance check 9's forced data, which
+    # reach the obstacle (the obstacle preset's data stay inside it)
+    obstacle = {'kind': 'double_obstacle', 'lower': -1.0, 'upper': 1.0}
+    raw = {'experiment': 'sweep_delta', 'grid': {'n_r': 16, 'n_theta': 32}, 'problem': {
+        'bulk_graph': obstacle, 'boundary_graph': obstacle,
+        'pi': {'kind': 'linear', 'slope': -1.0}, 'pi_gamma': {'kind': 'linear', 'slope': -1.0},
+        'u0': {'kind': 'harmonic', 'amplitude': 0.95, 'mode': 2, 'offset': 0.0},
+        'f': {'kind': 'separable',
+              'spatial': {'kind': 'harmonic', 'amplitude': 4.0, 'mode': 2},
+              'time': {'kind': 'constant'}},
+        'g': {'kind': 'separable',
+              'spatial': {'kind': 'mode', 'amplitude': 4.0, 'mode': 2},
+              'time': {'kind': 'constant'}}},
+           'solver': {'delta': 0.1, 'lambda': 1e-3, 'dt': 1e-3, 't_end': 0.1},
+           'sweep_delta': {'deltas': [0.1, 0.05, 0.025, 0.0125], 'reference': 'delta_zero'},
+           'output': {'dir': str(tmp_path)}}
+    report = harness.sweep_delta(harness.ExperimentConfig.from_dict(raw))
+    assert all(r.status == 'ok' and r.in_fit for r in report.rows)
+    assert report.rate_claimed and report.slope >= 0.45
+
+
 # ---------------------------------------------------------------------------
 # time stepping mechanics
 
