@@ -50,7 +50,7 @@ from .errors import (LinearSolveFailure, NewtonDivergence, NonFiniteInput,
 __all__ = (
     'SolverConfig', 'ProblemData', 'StepSolution', 'DiagnosticsRow',
     'Diagnostics', 'RunResult', 'NewtonStepper',
-    'validate', 'graph_reports', 'run', 'energy', 'initial_state',
+    'validate', 'run', 'energy', 'initial_state',
     'harmonic', 'preset_problem', 'PRESET_NAMES', 'TIME_KINDS', 'DIAGNOSTIC_COLUMNS',
 )
 
@@ -186,6 +186,8 @@ class SolverConfig:
             raise ValueError('t_end must be positive')
         if not self.newton_tol > 0:
             raise ValueError('newton_tol must be positive')
+        if self.newton_max_iter < 1:
+            raise ValueError('newton_max_iter must be at least 1')
         if self.stabilization < 0:
             raise ValueError('stabilization must be nonnegative')
 
@@ -223,21 +225,14 @@ def preset_problem(preset: str, grid: dg.DiskGrid, amplitude: float = 0.2,
 # ---------------------------------------------------------------------------
 # validation
 
-def graph_reports(problem: ProblemData) -> tuple:
-    """(domination, same-growth) verdicts of the graph pair; they depend
-    on the graph kinds alone, not on the data."""
-    return (mg.check_domination(problem.bulk_graph, problem.boundary_graph),
-            mg.check_same_growth(problem.bulk_graph, problem.boundary_graph))
-
-
 def validate(problem: ProblemData, config: SolverConfig) -> list:
     """Check the admissibility assumptions; returns the list of failures
     (empty when the data are admissible), never raises.
 
     Verifies trace compatibility of (u0, v0) with the one-sided boundary
     stencil, initial ranges strictly inside the graph domains, and
-    domination of the bulk graph by the boundary graph.  The same-growth
-    verdict is informational (required only for rate claims).
+    domination of the bulk graph by the boundary graph.  Same growth is
+    not checked here: only the delta-sweep's rate claim needs it.
     """
     failures = []
     g = problem.grid
@@ -261,7 +256,7 @@ def validate(problem: ProblemData, config: SolverConfig) -> list:
     if not np.all(problem.boundary_graph.contains(v0, strict_margin=1e-12)):
         failures.append('IncompatibleRange: range of v0 not inside int D(beta_Gamma)')
 
-    domination = graph_reports(problem)[0]
+    domination = mg.check_domination(problem.bulk_graph, problem.boundary_graph)
     if not domination.feasible:
         failures.append(f'DominationViolation: {domination.reason}')
 

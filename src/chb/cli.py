@@ -1,10 +1,5 @@
-"""Command-line front end.
-
-    chb solve <config.json>          one trajectory + artifacts
-    chb sweep-delta <config.json>    surface-diffusion sweep + rate fit
-    chb stability <config.json>      paired continuous-dependence runs
-    chb sweep-lambda <config.json>   viscosity ladder differences
-    chb graph-check <config.json>    domination / same-growth verdicts
+"""Command-line front end: `chb <command> <config.json>`, one command per
+entry of `COMMANDS`.
 
 Exit codes: 0 ok, 2 validation or configuration failure (every
 experiment validates its data), 3 solver failure inside a step, 4
@@ -18,8 +13,8 @@ import dataclasses
 import json
 import sys
 
-from . import chd_solver as cs
 from . import harness
+from . import monotone_graphs as mg
 from .errors import ChbError, SolveFailure
 from .harness import _fmt
 
@@ -27,27 +22,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_ASSERTION = 4
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog='chb',
-        description='Cahn-Hilliard solver with dynamic boundary condition '
-                    'on the unit disk: runs and experiment sweeps.')
-    sub = parser.add_subparsers(dest='command', required=True)
-    for name, help_text in (
-            ('solve', 'run one trajectory and write artifacts'),
-            ('sweep-delta', 'surface-diffusion sweep with rate fit'),
-            ('stability', 'continuous-dependence paired runs'),
-            ('sweep-lambda', 'viscosity ladder successive differences'),
-            ('graph-check', 'domination and same-growth verdicts')):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument('config', help='experiment config JSON file')
-        sp.add_argument('--out', help='output directory (overrides config)')
-        sp.add_argument('--stride', type=int, help='trajectory dump stride')
-        sp.add_argument('--plots', action='store_true', help='also emit SVG charts')
-        sp.add_argument('--workers', type=int, help='parallel run workers')
-    return parser
 
 
 def _cmd_solve(cfg) -> int:
@@ -64,15 +38,11 @@ def _cmd_sweep_delta(cfg) -> int:
     for row in report.rows:
         e = 'n/a' if row.error is None else _fmt(row.error)
         print(f'delta {_fmt(row.delta)}  e {e}  [{row.status}]')
-    if report.zero_error:
-        print('ZeroErrorFlag: errors vanish identically; rate fit refused')
     if report.slope is not None:
         print(f'slope {_fmt(report.slope)}  intercept {_fmt(report.intercept)}  '
               f'r2 {_fmt(report.r2)}')
     if report.message:
         print(report.message)
-    if not report.rate_claimed and report.slope is not None:
-        print('note: same-growth condition not satisfied; no rate claim attached')
 
     gates = (('slope', cfg.sweep_delta.assert_slope, report.slope),
              ('r2', cfg.sweep_delta.assert_r2, report.r2))
@@ -108,10 +78,38 @@ def _cmd_sweep_lambda(cfg) -> int:
 
 
 def _cmd_graph_check(cfg) -> int:
-    dom, growth = cs.graph_reports(harness.problem_from_config(cfg))
+    problem = harness.problem_from_config(cfg)
+    dom = mg.check_domination(problem.bulk_graph, problem.boundary_graph)
+    growth = mg.check_same_growth(problem.bulk_graph, problem.boundary_graph)
     out = {'domination': dataclasses.asdict(dom), 'same_growth': dataclasses.asdict(growth)}
     print(json.dumps(out, indent=2))
     return EXIT_OK if dom.feasible else EXIT_VALIDATION
+
+
+# name -> (help, handler) of each subcommand
+COMMANDS = {
+    'solve': ('run one trajectory and write artifacts', _cmd_solve),
+    'sweep-delta': ('surface-diffusion sweep with rate fit', _cmd_sweep_delta),
+    'stability': ('continuous-dependence paired runs', _cmd_stability),
+    'sweep-lambda': ('viscosity ladder successive differences', _cmd_sweep_lambda),
+    'graph-check': ('domination and same-growth verdicts', _cmd_graph_check),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog='chb',
+        description='Cahn-Hilliard solver with dynamic boundary condition '
+                    'on the unit disk: runs and experiment sweeps.')
+    sub = parser.add_subparsers(dest='command', required=True)
+    for name, (help_text, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument('config', help='experiment config JSON file')
+        sp.add_argument('--out', help='output directory (overrides config)')
+        sp.add_argument('--stride', type=int, help='trajectory dump stride')
+        sp.add_argument('--plots', action='store_true', help='also emit SVG charts')
+        sp.add_argument('--workers', type=int, help='parallel run workers')
+    return parser
 
 
 def main(argv=None) -> int:
@@ -119,14 +117,7 @@ def main(argv=None) -> int:
     try:
         cfg = harness.load_config(args.config, dir=args.out, stride=args.stride,
                                   plots=args.plots or None, workers=args.workers)
-        handler = {
-            'solve': _cmd_solve,
-            'sweep-delta': _cmd_sweep_delta,
-            'stability': _cmd_stability,
-            'sweep-lambda': _cmd_sweep_lambda,
-            'graph-check': _cmd_graph_check,
-        }[args.command]
-        return handler(cfg)
+        return COMMANDS[args.command][1](cfg)
     except SolveFailure as exc:
         at = '' if exc.t is None else f' (failed step target time {_fmt(exc.t)})'
         print(f'solver failure: {exc}{at}', file=sys.stderr)

@@ -1,10 +1,10 @@
 """Exception types shared across the package."""
 
 __all__ = (
-    'ChbError', 'NonFiniteInput', 'RootFindFailure', 'OutOfDomain',
-    'ShapeMismatch', 'NonzeroMean', 'SolveFailure',
-    'NewtonDivergence', 'LinearSolveFailure', 'ValidationFailure',
-    'MeanMismatch', 'ConfigError', 'NonPositivePoint', 'TooFewPoints',
+    'ChbError', 'NonFiniteInput', 'RootFindFailure', 'ShapeMismatch',
+    'NonzeroMean', 'SolveFailure', 'NewtonDivergence', 'LinearSolveFailure',
+    'ValidationFailure', 'MeanMismatch', 'ConfigError', 'NonPositivePoint',
+    'TooFewPoints',
 )
 
 
@@ -18,10 +18,6 @@ class NonFiniteInput(ChbError):
 
 class RootFindFailure(ChbError):
     """Scalar root find did not converge; indicates a bad graph scale."""
-
-
-class OutOfDomain(ChbError):
-    """Argument outside the domain of the monotone graph."""
 
 
 class ShapeMismatch(ChbError):

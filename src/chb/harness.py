@@ -250,7 +250,7 @@ _CONFIG = {
     'stability': (_object({
         'amplitudes': (_amplitudes, _REQUIRED),
         'target': (_one_of('f', 'g', 'both', 'initial'), 'f'),
-        'band': (_float, 3.0),
+        'band': (_check(lambda x: _float(x, '') > 1, float, 'a number > 1'), 3.0),
         'shape': (_BULK_PROFILE, {'kind': 'harmonic', 'amplitude': 1.0, 'mode': 2}),
         'trace_shape': (_TRACE_PROFILE, {'kind': 'mode', 'amplitude': 1.0, 'mode': 2}),
         'time': (_object(_TIME), {}),
@@ -592,12 +592,6 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
     if ref_result.error is not None:
         raise ref_result.error
 
-    same_growth = cs.graph_reports(problem)[1]
-    rate_claimed = same_growth.feasible
-    message = '' if rate_claimed else (
-        f'same-growth condition not satisfied ({same_growth.reason}); '
-        'rate fit reported without a rate claim')
-
     norms = _four_norms(dn.NormToolkit(cfg.grid))
     rows = []
     for d, res in zip(sweep_deltas, run_results):
@@ -608,29 +602,34 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
         rows.append(SweepRow(d, e, comps, max(r.delta_h1v for r in res.diagnostics.rows),
                              'ok', False))
 
-    zero_error = all(r.error == 0.0 for r in rows if r.status == 'ok') \
-        and any(r.status == 'ok' for r in rows)
+    same_growth = mg.check_same_growth(problem.bulk_graph, problem.boundary_graph)
+    notes = [] if same_growth.feasible else [
+        f'same-growth condition not satisfied ({same_growth.reason}); '
+        'rate fit reported without a rate claim']
+    ok = [r for r in rows if r.status == 'ok']
+    usable = _usable(rows)
+    zero_error = bool(ok) and all(r.error == 0.0 for r in ok)
     slope = intercept = r2 = None
     if zero_error:
-        message = (message + '; ' if message else '') + \
-            'all errors are exactly zero (ZeroErrorFlag); fit refused'
+        notes.append('all errors are exactly zero (ZeroErrorFlag); fit refused')
+    elif len(usable) >= 3:
+        slope, intercept, r2 = fit_rate([(r.delta, r.error) for r in usable])
+        for r in usable:
+            r.in_fit = True
     else:
-        fit_pts = [(r.delta, r.error) for r in rows
-                   if r.status == 'ok' and r.error is not None and r.error > 0.0]
-        if len(fit_pts) >= 3:
-            slope, intercept, r2 = fit_rate(fit_pts)
-            for r in rows:
-                r.in_fit = r.status == 'ok' and r.error > 0.0
-        else:
-            message = (message + '; ' if message else '') + \
-                f'only {len(fit_pts)} usable rows; fit refused'
+        notes.append(f'only {len(usable)} usable rows; fit refused')
 
     report = SweepReport(rows, slope, intercept, r2, zero_error,
-                         rate_claimed and slope is not None,
+                         same_growth.feasible and slope is not None,
                          same_growth, ref_mode, [_newton_iters(r) for r in results],
-                         message)
+                         '; '.join(notes))
     _write_sweep_artifacts(cfg, report)
     return report
+
+
+def _usable(rows) -> list:
+    """The rows a rate fit can take: run ok and a positive error."""
+    return [r for r in rows if r.status == 'ok' and r.error > 0.0]
 
 
 def _write_sweep_artifacts(cfg, report: SweepReport):
@@ -651,11 +650,11 @@ def _write_sweep_artifacts(cfg, report: SweepReport):
     }
     _write_json(os.path.join(cfg.out_dir, 'sweep_delta_fit.json'), fit_meta)
     if cfg.plots:
-        pts = [(r.delta, r.error) for r in report.rows
-               if r.status == 'ok' and r.error and r.error > 0]
-        series = [('e(delta)', [p[0] for p in pts], [p[1] for p in pts])]
-        if report.slope is not None and pts:
-            xs = [min(p[0] for p in pts), max(p[0] for p in pts)]
+        usable = _usable(report.rows)
+        ds = [r.delta for r in usable]
+        series = [('e(delta)', ds, [r.error for r in usable])]
+        if report.slope is not None:        # fitted to the usable rows
+            xs = [min(ds), max(ds)]
             ys = [math.exp(report.intercept + report.slope * math.log(x)) for x in xs]
             series.append((f'fit p={report.slope:.3f}', xs, ys))
         svg_plots.write_chart(os.path.join(cfg.out_dir, 'sweep_delta.svg'),

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, OutOfDomain, RootFindFailure
+from .errors import NonFiniteInput, RootFindFailure
 
 __all__ = (
     'GraphSpec', 'Perturbation', 'GrowthVerdict',
     'zero', 'power_odd', 'logarithmic', 'double_obstacle',
-    'resolvent', 'yosida', 'yosida_derivative', 'minimal_section',
-    'primitive', 'yosida_primitive', 'check_domination', 'check_same_growth',
+    'resolvent', 'yosida', 'yosida_derivative', 'primitive',
+    'yosida_primitive', 'check_domination', 'check_same_growth',
 )
 
 _REL_TOL = 1e-13    # relative residual for the scalar resolvent solves
@@ -225,25 +225,6 @@ def yosida_derivative(spec: GraphSpec, r, lam: float):
         else:
             # 1/beta'(x) = (1 - x^2)/(2*s); J_lam keeps |x| < 1
             out = 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
-    return _scalar_like(out, r)
-
-
-def minimal_section(spec: GraphSpec, r):
-    """Minimal section beta°(r): the element of beta(r) of least modulus.
-
-    Raises OutOfDomain when r is not in D(beta).  For the obstacle graph
-    the minimal section is 0 on the whole closed interval (0 belongs to the
-    normal cone at the endpoints too).
-    """
-    arr = _as_array(r)
-    if not np.all(spec.contains(arr)):
-        raise OutOfDomain(f'argument outside D(beta) of {spec.kind}')
-    if spec.kind == 'zero' or spec.kind == 'double_obstacle':
-        out = np.zeros_like(arr)
-    elif spec.kind == 'power_odd':
-        out = spec.coefficient * arr ** spec.exponent
-    else:
-        out = spec.scale * (np.log1p(arr) - np.log1p(-arr))
     return _scalar_like(out, r)
 
 

@@ -19,6 +19,8 @@ from chb import disk_grid as dg
 from chb import dual_norms as dn
 from chb import harness
 from chb import monotone_graphs as mg
+from graph_oracles import (bisect_log_y, bisect_power_resolvent, in_domain,
+                           minimal_section)
 
 
 @pytest.fixture
@@ -101,31 +103,6 @@ def test_criterion_2_energy_dissipation(preset_runs, verdict):
 # ---------------------------------------------------------------------------
 # 3: regularized-graph property suite
 
-def _bisect_power(r, lam, p, c, iters=200):
-    a = np.abs(r)
-    lo = np.zeros_like(a)
-    hi = a.copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = mid + lam * c * mid ** p < a
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return np.copysign(0.5 * (lo + hi), r)
-
-
-def _bisect_log(r, lam, s, iters=200):
-    # y-parametrization of x + 2*lam*s*artanh(x) = r, x = tanh(y)
-    a = np.abs(r)
-    lo = np.zeros_like(a)
-    hi = a / (2.0 * lam * s) + 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = np.tanh(mid) + 2.0 * lam * s * mid < a
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return np.copysign(np.tanh(0.5 * (lo + hi)), r)
-
-
 SUITE = {
     'zero': (mg.zero(), 50.0),
     'power3': (mg.power_odd(3, 1.0), 3.0),
@@ -136,27 +113,6 @@ SUITE = {
 }
 
 
-def _minimal_section_exact(name, r):
-    if name == 'zero':
-        return np.zeros_like(r)
-    if name == 'power3':
-        return r ** 3
-    if name == 'power5':
-        return 0.5 * r ** 5
-    if name in ('log', 'log_half'):
-        s = 1.0 if name == 'log' else 0.5
-        return 2.0 * s * np.arctanh(r)
-    return np.zeros_like(r)        # obstacle interior and closed endpoints
-
-
-def _domain_mask(name, r):
-    if name in ('log', 'log_half'):
-        return np.abs(r) < 1.0
-    if name == 'obstacle':
-        return np.abs(r) <= 1.0
-    return np.ones_like(r, dtype=bool)
-
-
 def test_criterion_3_regularization_suite(verdict):
     rng = np.random.default_rng(2024)
     lams = 10.0 ** rng.uniform(-4, 0, 100)
@@ -165,8 +121,8 @@ def test_criterion_3_regularization_suite(verdict):
     pairs = 0
     for name, (spec, span) in SUITE.items():
         rs = np.sort(rng.uniform(-span, span, 100))
-        dom = _domain_mask(name, rs)
-        beta0 = _minimal_section_exact(name, np.where(dom, rs, 0.0))
+        dom = in_domain(spec, rs)
+        beta0 = minimal_section(spec, np.where(dom, rs, 0.0))
         for lam in lams:
             x = np.asarray(mg.resolvent(spec, rs, lam))
             y = np.asarray(mg.yosida(spec, rs, lam))
@@ -199,13 +155,11 @@ def test_criterion_3_regularization_suite(verdict):
                 closed_ok = closed_ok and np.array_equal(x, clip) \
                     and np.array_equal(y, (rs - clip) / lam)
             # root-found cases against bisection
-            elif name.startswith('power'):
-                p, c = (3, 1.0) if name == 'power3' else (5, 0.5)
-                ref = _bisect_power(rs, lam, p, c)
+            elif spec.kind == 'power_odd':
+                ref = bisect_power_resolvent(rs, lam, spec.exponent, spec.coefficient)
                 oracle_worst = max(oracle_worst, float(np.max(np.abs(x - ref))))
             else:
-                s = 1.0 if name == 'log' else 0.5
-                ref = _bisect_log(rs, lam, s)
+                ref = np.tanh(bisect_log_y(rs, lam, spec.scale))
                 oracle_worst = max(oracle_worst, float(np.max(np.abs(x - ref))))
     ok = closed_ok and oracle_worst <= 1e-11
     verdict(3, 'regularized graphs', ok,

@@ -15,35 +15,7 @@ from scipy.integrate import quad
 
 from chb import harness
 from chb import monotone_graphs as mg
-from chb.errors import OutOfDomain
-
-
-# ---------------------------------------------------------------------------
-# oracles
-
-def bisect_power_resolvent(r, lam, p, c, iters=200):
-    """Root of x + lam*c*x**p = r by bisection (monotone scalar equation)."""
-    a = abs(r)
-    lo, hi = 0.0, a
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid + lam * c * mid ** p < a:
-            lo = mid
-        else:
-            hi = mid
-    return math.copysign(0.5 * (lo + hi), r)
-
-
-def bisect_log_y(r, lam, s, iters=200):
-    """Root of tanh(y) + 2*lam*s*y = r in the y-parametrization, r >= 0."""
-    lo, hi = 0.0, abs(r) / (2.0 * lam * s) + 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if math.tanh(mid) + 2.0 * lam * s * mid < abs(r):
-            lo = mid
-        else:
-            hi = mid
-    return math.copysign(0.5 * (lo + hi), r)
+from graph_oracles import bisect_log_y, bisect_power_resolvent, minimal_section
 
 
 GRAPHS = {
@@ -107,7 +79,7 @@ def test_log_yosida_matches_minimal_section_in_the_limit():
     # beta_lam -> beta pointwise as lam -> 0 on the interior
     spec = GRAPHS['log']
     r = np.linspace(-0.9, 0.9, 19)
-    exact = mg.minimal_section(spec, r)
+    exact = minimal_section(spec, r)
     for lam, tol in ((1e-4, 2e-2), (1e-7, 2e-5)):
         approx = mg.yosida(spec, r, lam)
         assert np.max(np.abs(approx - exact)) < tol
@@ -133,7 +105,7 @@ def test_log_primitive_value():
 def test_log_primitive_against_quadrature():
     spec = mg.logarithmic(0.7)
     for r in (0.3, -0.55, 0.85):
-        ref, err = quad(lambda s: float(mg.minimal_section(spec, s)), 0.0, r,
+        ref, err = quad(lambda s: float(minimal_section(spec, s)), 0.0, r,
                         epsabs=1e-13, epsrel=1e-13)
         assert abs(float(mg.primitive(spec, r)) - ref) < 1e-10
 
@@ -175,7 +147,7 @@ def test_yosida_below_minimal_section():
     }
     for name, r in cases.items():
         spec = GRAPHS[name]
-        b0 = np.abs(np.asarray(mg.minimal_section(spec, r)))
+        b0 = np.abs(minimal_section(spec, r))
         for lam in (1e-4, 1e-2, 0.5):
             bl = np.abs(np.asarray(mg.yosida(spec, r, lam)))
             assert np.all(bl <= b0 + 1e-12), name
@@ -281,14 +253,6 @@ def test_growth_hypotheses_follow_the_kind_table(bulk, boundary):
 
 # ---------------------------------------------------------------------------
 # domains, errors, serialization
-
-def test_minimal_section_out_of_domain():
-    with pytest.raises(OutOfDomain):
-        mg.minimal_section(GRAPHS['log'], 1.0)   # open endpoint
-    with pytest.raises(OutOfDomain):
-        mg.minimal_section(GRAPHS['obstacle'], 1.0001)
-    assert float(mg.minimal_section(GRAPHS['obstacle'], 1.0)) == 0.0  # closed
-
 
 def test_graph_spec_validation():
     with pytest.raises(ValueError):

@@ -361,12 +361,26 @@ def test_sweep_delta_delta_gradient_column_decreases(tmp_path):
     assert damp[-1] <= damp[0]
 
 
-def test_sweep_delta_workers_do_not_change_bytes(tmp_path):
-    harness.sweep_delta(sweep_cfg(tmp_path, sub='w1', workers=1))
-    harness.sweep_delta(sweep_cfg(tmp_path, sub='w2', workers=2))
-    b1 = (tmp_path / 'w1' / 'sweep_delta.csv').read_bytes()
-    b2 = (tmp_path / 'w2' / 'sweep_delta.csv').read_bytes()
-    assert b1 == b2
+WORKER_RUNS = {
+    'sweep_delta': (harness.sweep_delta, 'sweep_delta.csv',
+                    {'sweep_delta': {'deltas': [0.4, 0.2, 0.1, 0.05]}}),
+    'stability': (harness.stability_experiment, 'stability.csv',
+                  {'stability': {'amplitudes': [1e-3, 1e-2, 1e-1], 'target': 'both'}}),
+    'sweep_lambda': (harness.sweep_lambda, 'sweep_lambda.csv',
+                     {'sweep_lambda': {'lambdas': [1e-2, 1e-3, 1e-4]}}),
+}
+
+
+@pytest.mark.parametrize('experiment', sorted(WORKER_RUNS))
+def test_workers_do_not_change_bytes(tmp_path, experiment):
+    run, artifact, section = WORKER_RUNS[experiment]
+    out = []
+    for workers in (1, 2):
+        raw = dict(BASE_SINGLE, experiment=experiment, **section,
+                   output={'dir': str(tmp_path / f'w{workers}'), 'workers': workers})
+        run(harness.load_config(make_cfg(tmp_path, raw, name=f'w{workers}.json')))
+        out.append((tmp_path / f'w{workers}' / artifact).read_bytes())
+    assert out[0] == out[1]
 
 
 def test_sweep_delta_takes_each_trace_seminorm_once_per_level(tmp_path, monkeypatch):
@@ -409,6 +423,21 @@ def test_sweep_delta_zero_data_sets_zero_error_flag(tmp_path):
     assert report.zero_error
     assert report.slope is None
     assert all(row.error == 0.0 for row in report.rows)
+
+
+def test_cli_sweep_delta_prints_the_zero_error_note_once(tmp_path, capsys):
+    raw = {
+        'experiment': 'sweep_delta',
+        'grid': {'n_r': 8, 'n_theta': 16},
+        'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                    'u0': {'kind': 'constant', 'value': 0.0}},
+        'solver': {'delta': 1.0, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 3e-3},
+        'sweep_delta': {'deltas': [0.4, 0.2, 0.1]},
+    }
+    assert cli.main(['sweep-delta', cli_cfg(tmp_path, raw, 'zn.json'),
+                     '--out', str(tmp_path / 'zn')]) == 0
+    out = capsys.readouterr().out
+    assert out.count('ZeroErrorFlag') == 1 and 'fit refused' in out
 
 
 def test_sweep_delta_mismatched_growth_drops_rate_claim(tmp_path):
@@ -454,8 +483,8 @@ def test_sweep_delta_zero_bulk_under_cubic_boundary_claims_no_rate(tmp_path, cap
     }
     assert cli.main(['sweep-delta', cli_cfg(tmp_path, raw, 'zc.json')]) == 0
     out = capsys.readouterr().out
-    assert 'same-growth condition not satisfied' in out
-    assert 'note: same-growth condition not satisfied; no rate claim attached' in out
+    # the caveat is the sweep's message, printed once
+    assert out.count('same-growth condition not satisfied') == 1
     data = json.loads((tmp_path / 'zc' / 'sweep_delta_fit.json').read_text())
     assert data['slope'] is not None and data['r2'] is not None
     assert data['rate_claimed'] is False
@@ -759,6 +788,13 @@ def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
     ('solve', {'output': {'workers': True}}),
     ('solve', {'solver': {'delta': 0.5, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 3e-3,
                           'newton_max_iter': 50.5}}),
+    # values no run can honour: no Newton iteration, a band no ratio can pass
+    ('solve', {'solver': {'delta': 0.5, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 3e-3,
+                          'newton_max_iter': 0}}),
+    ('solve', {'solver': {'delta': 0.5, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 3e-3,
+                          'newton_max_iter': -3}}),
+    ('stability', {'stability': {'amplitudes': [1e-2], 'band': 1.0}}),
+    ('stability', {'stability': {'amplitudes': [1e-2], 'band': -1}}),
     ('solve', {'problem': {'preset': 'cubic', 'mode': 2.5}}),
     ('solve', {'problem': {'bulk_graph': {'kind': 'power_odd', 'exponent': 3.5},
                            'boundary_graph': {'kind': 'power_odd', 'exponent': 3.5},
@@ -789,7 +825,8 @@ def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
         'problem_key', 'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str',
         'amplitudes_str', 'lambdas_int', 'grid_list', 'output_list', 'sweep_delta_list',
         'stability_list', 'sweep_lambda_list', 'n_r_float', 'n_theta_float', 'stride_float',
-        'workers_bool', 'newton_max_iter_float', 'mode_float', 'exponent_float',
+        'workers_bool', 'newton_max_iter_float', 'newton_max_iter_zero',
+        'newton_max_iter_negative', 'band_one', 'band_negative', 'mode_float', 'exponent_float',
         'lambda_and_lam', 'grid_nr', 'output_strid', 'assert_slop', 'shape_amplitud',
         'u0_amplitud', 'f_spatal', 'f_time_rat', 'source_frames'])
 def test_cli_malformed_values_are_exit_2(tmp_path, capsys, command, update):
@@ -879,12 +916,15 @@ def test_cli_non_finite_residual_is_exit_3_with_partial_trajectory(tmp_path, cap
 
 
 def test_every_name_in_all_is_defined():
-    # `from chb.<module> import *` fails on a listed name the module lacks
+    # `from chb.<module> import *` fails on a listed name the module lacks;
+    # a name listed twice is a stale edit of the list
     modules = [chb] + [importlib.import_module(f'chb.{m.name}')
                        for m in pkgutil.iter_modules(chb.__path__)]
     missing = [f'{module.__name__}.{name}' for module in modules
                for name in getattr(module, '__all__', ()) if not hasattr(module, name)]
-    assert missing == [] and len(modules) > 1
+    twice = [module.__name__ for module in modules
+             if len(set(getattr(module, '__all__', ()))) != len(getattr(module, '__all__', ()))]
+    assert missing == [] and twice == [] and len(modules) > 1
 
 
 def test_importing_the_cli_leaves_scipy_special_out():
