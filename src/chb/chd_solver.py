@@ -49,7 +49,7 @@ from .errors import (LinearSolveFailure, NewtonDivergence, NonFiniteInput,
 
 __all__ = (
     'SolverConfig', 'ProblemData', 'StepSolution', 'DiagnosticsRow',
-    'Diagnostics', 'RunResult', 'NewtonStepper',
+    'Diagnostics', 'RunRecord', 'RunResult', 'NewtonStepper',
     'validate', 'run', 'energy', 'initial_state',
     'harmonic', 'preset_problem', 'PRESET_NAMES', 'TIME_KINDS', 'DIAGNOSTIC_COLUMNS',
 )
@@ -310,14 +310,24 @@ class Diagnostics:
 
 
 @dataclass
+class RunRecord:
+    """What a run did, counted by every stepper of the run: the Newton
+    iterations of its converged steps, the Jacobian refreshes served by a
+    new LU and by a low-rank update of the kept one, and the largest L+U
+    nnz (of the mode matrix for a Fourier base)."""
+    newton_iters: int = 0
+    lu_factorizations: int = 0
+    lu_updates: int = 0
+    lu_nnz: int = 0
+
+
+@dataclass
 class RunResult:
     steps: list              # StepSolution at every time level, t=0 first
     diagnostics: Diagnostics
     error: SolveFailure | None
     wall_time: float
-    lu_factorizations: int = 0
-    lu_updates: int = 0
-    lu_nnz: int = 0          # largest L+U nnz of the run's factorizations
+    record: RunRecord
 
 
 def _overshoot(values: np.ndarray, spec: mg.GraphSpec) -> float:
@@ -336,12 +346,10 @@ def energy(state: StepSolution, problem: ProblemData, config: SolverConfig,
     grad2 = dg.h1_seminorm_bulk(g, u, v) ** 2
     wv = g.weights
     bw = g.boundary_weights
-    bulk = np.sum(wv * (np.asarray(mg.yosida_primitive(problem.bulk_graph, u, lam))
-                        + np.asarray(problem.pi.primitive(u))
-                        - problem.f(t) * u))
-    surf = np.sum(bw * (np.asarray(mg.yosida_primitive(problem.boundary_graph, v, lam))
-                        + np.asarray(problem.pi_gamma.primitive(v))
-                        - problem.g(t) * v))
+    bulk = np.sum(wv * (mg.yosida_primitive(problem.bulk_graph, u, lam)
+                        + problem.pi.primitive(u) - problem.f(t) * u))
+    surf = np.sum(bw * (mg.yosida_primitive(problem.boundary_graph, v, lam)
+                        + problem.pi_gamma.primitive(v) - problem.g(t) * v))
     surf_grad2 = trace_seminorm ** 2
     return float(0.5 * grad2 + bulk + 0.5 * config.delta * surf_grad2 + surf)
 
@@ -428,16 +436,16 @@ class NewtonStepper:
     different linear solver can be substituted; the built-in path
     factorizes it (in theta-Fourier modes when its slopes are constant on
     every ring and on the circle, else with SuperLU in the symmetric row
-    order) and reuses the factorization until the residual stalls.
-    `lu_factorizations` and `lu_updates` count the refreshes served by a
-    new LU and by a low-rank update of the kept one; `lu_nnz` is the
-    largest L+U nnz (of the mode matrix for a Fourier base).
+    order) and reuses the factorization until the residual stalls.  It
+    counts its work into `record`, a fresh `RunRecord` unless one is given.
     """
 
-    def __init__(self, problem: ProblemData, config: SolverConfig, dt: float):
+    def __init__(self, problem: ProblemData, config: SolverConfig, dt: float,
+                 record: RunRecord | None = None):
         self.problem = problem
         self.config = config
         self.dt = float(dt)
+        self.record = RunRecord() if record is None else record
         g = problem.grid
         n, nt = g.size, g.n_theta
         self.n, self.nt = n, nt
@@ -469,9 +477,6 @@ class NewtonStepper:
         self._eqs = np.empty(0, dtype=int)   # U's rows: the equations of the slopes K
         self._unknowns = None      # V's rows: the unknowns of the slopes K
         self._cap = None           # (I - D V^T J_base^-1 U)^-1 D
-        self.lu_factorizations = 0
-        self.lu_updates = 0
-        self.lu_nnz = 0
 
     # -- assembly ----------------------------------------------------------
 
@@ -479,8 +484,8 @@ class NewtonStepper:
         """fn (`mg.yosida`, or `mg.yosida_derivative` for the a.e. slopes) of
         the bulk graph at u, then of the boundary graph at v."""
         lam = self.config.lam
-        return np.concatenate([np.asarray(fn(self.problem.bulk_graph, u.ravel(), lam)),
-                               np.asarray(fn(self.problem.boundary_graph, v, lam))])
+        return np.concatenate([fn(self.problem.bulk_graph, u.ravel(), lam),
+                               fn(self.problem.boundary_graph, v, lam)])
 
     def _slope_map(self, k=None):
         """(equation row, unknown column) of the slopes k, all by default:
@@ -540,8 +545,8 @@ class NewtonStepper:
         except RuntimeError as exc:
             raise LinearSolveFailure(f'sparse factorization failed: {exc}') from exc
         self._base_d = d
-        self.lu_factorizations += 1
-        self.lu_nnz = max(self.lu_nnz, self._base.nnz)
+        self.record.lu_factorizations += 1
+        self.record.lu_nnz = max(self.record.lu_nnz, self._base.nnz)
 
     def _update(self, changed, d):
         """Serve J = J_base - U diag(d - d_base) V^T, U and V picking the
@@ -549,7 +554,7 @@ class NewtonStepper:
         capacitance matrix (Woodbury): J^-1 b = y + J_base^-1 U c for
         y = J_base^-1 b and c = (I - D V^T J_base^-1 U)^-1 D V^T y.  Only
         the |K|x|K| block V^T J_base^-1 U is asked of the base."""
-        self.lu_updates += 1
+        self.record.lu_updates += 1
         self._eqs, self._unknowns = self._slope_map(changed)
         try:
             block = self._base.inverse_block(self._unknowns, self._eqs)
@@ -621,8 +626,8 @@ class NewtonStepper:
         t1 = t0 + self.dt
         iters, res = 0, math.nan
         try:
-            data = (u0.ravel(), v0, np.asarray(prob.pi(u0)).ravel(),
-                    np.asarray(prob.pi_gamma(v0)), prob.f(t1).ravel(), prob.g(t1))
+            data = (u0.ravel(), v0, prob.pi(u0).ravel(), prob.pi_gamma(v0),
+                    prob.f(t1).ravel(), prob.g(t1))
             x = np.concatenate([start.u.ravel(), start.mu.ravel(), start.v, start.w])
             r = self._residual(x, *data)
             res = self._res_norm(r)
@@ -685,6 +690,7 @@ class NewtonStepper:
         if not math.isfinite(res):
             raise NewtonDivergence(f'non-finite residual {res} after {iters} iterations',
                                    t=t1, iters=iters, residual=res)
+        self.record.newton_iters += iters
         return x[:n].reshape(u0.shape), x[n:2 * n].reshape(u0.shape), \
             x[2 * n:2 * n + nt], x[2 * n + nt:], iters, res
 
@@ -741,15 +747,12 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
     steps = [state]
     error = None
 
-    stepper = NewtonStepper(problem, config, config.dt)
-    factorizations = updates = lu_nnz = 0
+    record = RunRecord()
+    stepper = NewtonStepper(problem, config, config.dt, record)
     plan = [config.dt] * n_full + ([remainder] if remainder else [])
     for k, dt_k in enumerate(plan):
         if dt_k != stepper.dt:
-            factorizations += stepper.lu_factorizations
-            updates += stepper.lu_updates
-            lu_nnz = max(lu_nnz, stepper.lu_nnz)
-            stepper = NewtonStepper(problem, config, dt_k)
+            stepper = NewtonStepper(problem, config, dt_k, record)
         # Newton starts at the linear extrapolation of the last two levels,
         # scaled to this step's length; the first two steps start at the
         # previous level, since level 0's mu and w are placeholder zeros
@@ -769,6 +772,4 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
         diag.rows.append(row)
         steps.append(state)
 
-    return RunResult(steps, diag, error, time.perf_counter() - t_start,
-                     factorizations + stepper.lu_factorizations,
-                     updates + stepper.lu_updates, max(lu_nnz, stepper.lu_nnz))
+    return RunResult(steps, diag, error, time.perf_counter() - t_start, record)

@@ -478,11 +478,6 @@ def _write_diagnostics_csv(path, diag):
                ([_fmt(getattr(r, c)) for c in cs.DIAGNOSTIC_COLUMNS] for r in diag.rows))
 
 
-def _newton_iters(result: cs.RunResult) -> int:
-    """Total Newton iterations of a run, from its diagnostics rows."""
-    return sum(r.newton_iters for r in result.diagnostics.rows)
-
-
 def run_single(cfg: ExperimentConfig) -> dict:
     """Run one trajectory and write trajectory/diagnostics/summary artifacts.
 
@@ -517,10 +512,7 @@ def run_single(cfg: ExperimentConfig) -> dict:
         'energy_drop': rows[0].energy - rows[-1].energy,
         'max_energy_increment': max(r.d_energy for r in rows[1:]) if len(rows) > 1 else 0.0,
         'newton_iters_max': max(r.newton_iters for r in rows),
-        'newton_iters': _newton_iters(result),
-        'lu_factorizations': result.lu_factorizations,
-        'lu_updates': result.lu_updates,
-        'lu_nnz': result.lu_nnz,
+        **vars(result.record),
         'wall_time': result.wall_time,
         'solver_error': None if result.error is None else str(result.error),
     }
@@ -566,7 +558,7 @@ class SweepReport:
     rate_claimed: bool
     same_growth: mg.GrowthVerdict
     reference: str
-    newton_iters: list       # per-run totals, the reference run first
+    runs: list               # each run's cs.RunRecord, the reference run first
     message: str = ''
 
 
@@ -621,7 +613,7 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
 
     report = SweepReport(rows, slope, intercept, r2, zero_error,
                          same_growth.feasible and slope is not None,
-                         same_growth, ref_mode, [_newton_iters(r) for r in results],
+                         same_growth, ref_mode, [r.record for r in results],
                          '; '.join(notes))
     _write_sweep_artifacts(cfg, report)
     return report
@@ -645,7 +637,7 @@ def _write_sweep_artifacts(cfg, report: SweepReport):
         'slope': report.slope, 'intercept': report.intercept, 'r2': report.r2,
         'zero_error': report.zero_error, 'rate_claimed': report.rate_claimed,
         'reference': report.reference, 'message': report.message,
-        'newton_iters': report.newton_iters,
+        'runs': [vars(r) for r in report.runs],
         'same_growth_feasible': report.same_growth.feasible,
     }
     _write_json(os.path.join(cfg.out_dir, 'sweep_delta_fit.json'), fit_meta)
@@ -681,6 +673,7 @@ class StabilityReport:
     band_limit: float
     band_ok: bool
     target: str
+    runs: list                  # each run's cs.RunRecord, the base run first
 
 
 def _perturbation_sources(cfg, problem, amplitude):
@@ -747,7 +740,8 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
     else:
         band = None
         band_ok = all(r.status == 'ok' for r in rows)  # nothing to compare
-    report = StabilityReport(rows, band, st.band, band_ok, st.target)
+    report = StabilityReport(rows, band, st.band, band_ok, st.target,
+                             [r.record for r in results])
     _write_stability_artifacts(cfg, report)
     return report
 
@@ -782,7 +776,8 @@ def _write_stability_artifacts(cfg, report: StabilityReport):
                  _fmt(r.rhs_final), r.status] for r in report.rows))
     _write_json(os.path.join(cfg.out_dir, 'stability.json'),
                 {'band': report.band, 'band_limit': report.band_limit,
-                 'band_ok': report.band_ok, 'target': report.target})
+                 'band_ok': report.band_ok, 'target': report.target,
+                 'runs': [vars(r) for r in report.runs]})
     if cfg.plots:
         ok = [r for r in report.rows if r.status == 'ok']
         svg_plots.write_chart(

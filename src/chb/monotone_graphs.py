@@ -14,7 +14,9 @@ primitive is the Moreau envelope
 
     beta_hat_lam(r) = |r - J_lam(r)|^2 / (2*lam) + beta_hat(J_lam(r)).
 
-All evaluation routines accept scalars or numpy arrays elementwise.
+All evaluation routines act elementwise on numpy arrays and return what
+numpy gives: an array of the argument's shape, a numpy scalar or a 0-d
+array for a scalar argument.
 """
 
 from __future__ import annotations
@@ -77,13 +79,11 @@ class GraphSpec:
         return -math.inf, math.inf, False
 
     def contains(self, r, strict_margin=0.0):
-        """Elementwise test r in D(beta), optionally shrunk by a margin."""
+        """Elementwise test r in the interior of D(beta), optionally
+        shrunk by a margin."""
         r = np.asarray(r, dtype=float)
-        lo, hi, closed = self.domain
-        lo, hi = lo + strict_margin, hi - strict_margin
-        if closed and strict_margin == 0.0:
-            return (r >= lo) & (r <= hi)
-        return (r > lo) & (r < hi)
+        lo, hi, _ = self.domain
+        return (r > lo + strict_margin) & (r < hi - strict_margin)
 
 
 def zero() -> GraphSpec:
@@ -109,23 +109,19 @@ def _as_array(r):
     return arr
 
 
-def _scalar_like(out, template):
-    return float(out) if np.ndim(template) == 0 else out
-
-
 def resolvent(spec: GraphSpec, r, lam: float):
     """Resolvent J_lam(r) = (I + lam*beta)^{-1}(r).
 
     Parameters
     ----------
     spec : GraphSpec
-    r : float or array_like
+    r : array_like
     lam : float
         Must be positive.
 
     Returns
     -------
-    float or ndarray
+    ndarray
         The unique x with x + lam*beta(x) containing r.  Closed form for
         the zero and obstacle graphs; guarded Newton for the power and
         logarithmic graphs with relative residual <= 1e-13.
@@ -142,16 +138,14 @@ def resolvent(spec: GraphSpec, r, lam: float):
         raise ValueError('lam must be positive')
     arr = _as_array(r)
     if spec.kind == 'zero':
-        out = arr.copy()
-    elif spec.kind == 'double_obstacle':
-        out = np.clip(arr, spec.lower, spec.upper)
-    elif spec.kind == 'power_odd':
-        out = _resolvent_power(spec, arr, lam)
-    else:
-        out = np.tanh(_log_resolvent_y(spec, arr, lam))
-        # keep the output strictly inside the open domain
-        out = np.clip(out, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0))
-    return _scalar_like(out, r)
+        return arr.copy()
+    if spec.kind == 'double_obstacle':
+        return np.clip(arr, spec.lower, spec.upper)
+    if spec.kind == 'power_odd':
+        return _resolvent_power(spec, arr, lam)
+    # keep the output strictly inside the open domain
+    return np.clip(np.tanh(_log_resolvent_y(spec, arr, lam)),
+                   np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0))
 
 
 def _resolvent_power(spec, arr, lam):
@@ -198,8 +192,7 @@ def yosida(spec: GraphSpec, r, lam: float):
     on D(beta).
     """
     arr = _as_array(r)
-    out = (arr - resolvent(spec, arr, lam)) / lam
-    return _scalar_like(out, r)
+    return (arr - resolvent(spec, arr, lam)) / lam
 
 
 def yosida_derivative(spec: GraphSpec, r, lam: float):
@@ -214,18 +207,15 @@ def yosida_derivative(spec: GraphSpec, r, lam: float):
         raise ValueError('lam must be positive')
     arr = _as_array(r)
     if spec.kind == 'zero':
-        out = np.zeros_like(arr)
-    elif spec.kind == 'double_obstacle':
-        out = np.where((arr >= spec.upper) | (arr <= spec.lower), 1.0 / lam, 0.0)
-    else:
-        x = resolvent(spec, arr, lam)
-        if spec.kind == 'power_odd':
-            bp = spec.coefficient * spec.exponent * x ** (spec.exponent - 1)
-            out = bp / (1.0 + lam * bp)
-        else:
-            # 1/beta'(x) = (1 - x^2)/(2*s); J_lam keeps |x| < 1
-            out = 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
-    return _scalar_like(out, r)
+        return np.zeros_like(arr)
+    if spec.kind == 'double_obstacle':
+        return np.where((arr >= spec.upper) | (arr <= spec.lower), 1.0 / lam, 0.0)
+    x = resolvent(spec, arr, lam)
+    if spec.kind == 'power_odd':
+        bp = spec.coefficient * spec.exponent * x ** (spec.exponent - 1)
+        return bp / (1.0 + lam * bp)
+    # 1/beta'(x) = (1 - x^2)/(2*s); J_lam keeps |x| < 1
+    return 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
 
 
 def primitive(spec: GraphSpec, r):
@@ -237,21 +227,18 @@ def primitive(spec: GraphSpec, r):
     """
     arr = _as_array(r)
     if spec.kind == 'zero':
-        out = np.zeros_like(arr)
-    elif spec.kind == 'power_odd':
+        return np.zeros_like(arr)
+    if spec.kind == 'power_odd':
         q = spec.exponent + 1
-        out = spec.coefficient * arr ** q / q
-    elif spec.kind == 'logarithmic':
+        return spec.coefficient * arr ** q / q
+    if spec.kind == 'logarithmic':
         inside = np.abs(arr) <= 1.0
         ar = np.where(inside, arr, 0.0)
         # imported here: scipy.special costs every run ~60 ms of start-up
         from scipy.special import xlogy
         val = spec.scale * (xlogy(1.0 + ar, 1.0 + ar) + xlogy(1.0 - ar, 1.0 - ar))
-        out = np.where(inside, val, np.inf)
-    else:
-        inside = (arr >= spec.lower) & (arr <= spec.upper)
-        out = np.where(inside, 0.0, np.inf)
-    return _scalar_like(out, r)
+        return np.where(inside, val, np.inf)
+    return np.where((arr >= spec.lower) & (arr <= spec.upper), 0.0, np.inf)
 
 
 def yosida_primitive(spec: GraphSpec, r, lam: float):
@@ -260,9 +247,8 @@ def yosida_primitive(spec: GraphSpec, r, lam: float):
     Finite for every real r and squeezed between 0 and beta_hat(r).
     """
     arr = _as_array(r)
-    x = np.asarray(resolvent(spec, arr, lam))
-    out = (arr - x) ** 2 / (2.0 * lam) + primitive(spec, x)
-    return _scalar_like(out, r)
+    x = resolvent(spec, arr, lam)
+    return (arr - x) ** 2 / (2.0 * lam) + primitive(spec, x)
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +370,15 @@ class Perturbation:
     def __call__(self, r):
         arr = _as_array(r)
         if self.kind == 'linear':
-            out = self.slope * arr
-        else:
-            out = np.interp(arr, self.xs, self.ys)
-        return _scalar_like(out, r)
+            return self.slope * arr
+        return np.interp(arr, self.xs, self.ys)
 
     def primitive(self, r):
         """pi_hat(r) = integral of pi from 0 to r (exact for both kinds)."""
         arr = _as_array(r)
         if self.kind == 'linear':
-            out = 0.5 * self.slope * arr * arr
-            return _scalar_like(out, r)
-        out = self._antiderivative(arr) - self._antiderivative(np.zeros(()))
-        return _scalar_like(out, r)
+            return 0.5 * self.slope * arr * arr
+        return self._antiderivative(arr) - self._antiderivative(np.zeros(()))
 
     def _antiderivative(self, arr):
         # exact antiderivative of the piecewise-linear interpolant,

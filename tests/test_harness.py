@@ -343,15 +343,16 @@ def test_sweep_fit_newton_iters_match_the_tracer(tmp_path):
     with tracing.Tracer() as tracer:
         report = harness.sweep_delta(cfg)
     data = json.loads((tmp_path / 'it' / 'sweep_delta_fit.json').read_text())
-    assert data['newton_iters'] == report.newton_iters
-    assert sum(report.newton_iters) == tracer.newton_iters
-    # one total per run: the reference (delta 0) first, then the deltas in order
+    assert data['runs'] == [vars(r) for r in report.runs]
+    iters = [r['newton_iters'] for r in data['runs']]
+    assert sum(iters) == tracer.newton_iters
+    # one record per run: the reference (delta 0) first, then the deltas in order
     per_run = []
     for delta in (0.0, *cfg.sweep_delta.deltas):
         with tracing.Tracer() as tracer:
             cs.run(harness.problem_from_config(cfg), harness.solver_from_config(cfg, delta=delta))
         per_run.append(tracer.newton_iters)
-    assert report.newton_iters == per_run and len(set(per_run)) > 1
+    assert iters == per_run and len(set(per_run)) > 1
 
 
 def test_sweep_delta_delta_gradient_column_decreases(tmp_path):

@@ -201,8 +201,8 @@ def test_updated_solve_matches_fresh_factorization(splu_calls, k, base, base_con
         assert stepper._refresh_lu(u, v)
         fresh = splu(stepper.jacobian_at(u, v)).solve(b)
         assert np.linalg.norm(stepper._solve(b) - fresh) <= 1e-10 * np.linalg.norm(fresh)
-    assert len(splu_calls) == 1 == stepper.lu_factorizations
-    assert stepper.lu_updates == 2
+    assert len(splu_calls) == 1 == stepper.record.lu_factorizations
+    assert stepper.record.lu_updates == 2
 
 
 class _CountingFactor:
@@ -285,7 +285,7 @@ def test_fourier_update_keeps_no_column_of_z():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stepper.lu_updates == 1 and stepper.lu_factorizations == 1
+    assert stepper.record.lu_updates == 1 and stepper.record.lu_factorizations == 1
     assert stepper._eqs.size == 32
     assert peak < 16 * b.nbytes
     fresh = splu(stepper.jacobian_at(u, v)).solve(b)
@@ -316,18 +316,49 @@ def test_update_past_the_budget_refactorizes(splu_calls):
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
     stepper._refresh_lu(problem.u0, problem.v0)
     stepper._refresh_lu(*_contact(problem, cs.UPDATE_BUDGET))
-    assert len(splu_calls) == 1 and stepper.lu_updates == 1
+    assert len(splu_calls) == 1 and stepper.record.lu_updates == 1
     stepper._refresh_lu(*_contact(problem, cs.UPDATE_BUDGET + 1))
-    assert len(splu_calls) == 2 and stepper.lu_factorizations == 2
-    assert stepper.lu_updates == 1
+    assert len(splu_calls) == 2 and stepper.record.lu_factorizations == 2
+    assert stepper.record.lu_updates == 1
 
 
 def test_forced_obstacle_run_factorizes_once(splu_calls):
     problem, solver = forced_obstacle()
     result = cs.run(problem, solver)
     assert result.error is None
-    assert len(splu_calls) == 1 == result.lu_factorizations
-    assert result.lu_updates > 0
+    assert len(splu_calls) == 1 == result.record.lu_factorizations
+    assert result.record.lu_updates > 0
+
+
+@pytest.mark.parametrize('case', ['cubic', 'forced_obstacle'])
+def test_one_record_spans_a_trailing_partial_step(monkeypatch, case):
+    # t_end is not a multiple of dt, so run() takes its last step with a
+    # second stepper; both count into the run's one record
+    if case == 'cubic':
+        problem = cs.preset_problem('cubic', dg.DiskGrid(8, 16), amplitude=0.8)
+        solver = config(lam=1e-3, dt=1e-2, t_end=4.5e-2)
+    else:
+        problem, solver = forced_obstacle(8, 16)
+        solver = dataclasses.replace(solver, t_end=3.05e-2)
+    calls = {'__init__': 0, '_factorize': 0, '_update': 0}
+    nnz = []
+    for name in calls:
+        def spy(self, *args, _name=name, _method=getattr(cs.NewtonStepper, name)):
+            calls[_name] += 1
+            _method(self, *args)
+            if _name == '_factorize':
+                nnz.append(self._base.nnz)
+        monkeypatch.setattr(cs.NewtonStepper, name, spy)
+    result = cs.run(problem, solver)
+    assert result.error is None and calls['__init__'] == 2
+    record = result.record
+    # each stepper factorizes at least once; only the obstacle's contacts
+    # move few enough slopes for an update
+    assert record.lu_factorizations == calls['_factorize'] >= 2
+    assert record.lu_updates == calls['_update']
+    assert (record.lu_updates > 0) == (case == 'forced_obstacle')
+    assert record.lu_nnz == max(nnz)
+    assert record.newton_iters == sum(r.newton_iters for r in result.diagnostics.rows)
 
 
 @pytest.mark.parametrize('grid, lam', [((16, 32), 1e-2), ((6, 12), 1e-3), ((5, 10), 1e-3)],
@@ -339,8 +370,8 @@ def test_cubic_run_never_takes_the_update_path(splu_calls, grid, lam):
     problem = cs.preset_problem('cubic', dg.DiskGrid(*grid), amplitude=0.8)
     result = cs.run(problem, config(lam=lam, dt=1e-2, t_end=4e-2))
     assert result.error is None
-    assert len(splu_calls) == result.lu_factorizations > 1
-    assert result.lu_updates == 0
+    assert len(splu_calls) == result.record.lu_factorizations > 1
+    assert result.record.lu_updates == 0
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +474,7 @@ def test_symmetric_order_factor_has_less_fill():
     u, v = _contact(problem, 8)
     stepper._refresh_lu(u, v)
     default = splu(stepper.jacobian_at(u, v))
-    assert stepper.lu_nnz == stepper._base.nnz <= 0.6 * default.nnz
+    assert stepper.record.lu_nnz == stepper._base.nnz <= 0.6 * default.nnz
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +499,12 @@ def test_rejected_direction_refreshes_and_retries_at_the_same_iterate():
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
     u, v = problem.u0.copy(), np.full_like(problem.v0, 1.5)
     u[-3:] = 1.5
-    assert stepper._refresh_lu(u, v) and stepper.lu_factorizations == 1
+    assert stepper._refresh_lu(u, v) and stepper.record.lu_factorizations == 1
     stepper._base = _NegatedSolve(stepper._base)
     state = cs.initial_state(problem)
     got = stepper.step(state.t, state.u, state.v, state)
     want = cs.NewtonStepper(problem, solver, solver.dt).step(state.t, state.u, state.v, state)
-    assert stepper.lu_factorizations == 2 and stepper.lu_updates == 0
+    assert stepper.record.lu_factorizations == 2 and stepper.record.lu_updates == 0
     assert got[4] == want[4] + 1
     for a, b in zip(got[:4], want[:4], strict=True):
         np.testing.assert_array_equal(a, b)
@@ -545,7 +576,7 @@ def test_base_is_fourier_only_for_slopes_constant_on_rings(splu_calls):
     symmetric = splu(stepper.jacobian_at(cubic.u0, cubic.v0)[stepper._rows],
                      permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
-    assert stepper.lu_nnz == symmetric.nnz
+    assert stepper.record.lu_nnz == symmetric.nnz
 
 
 class _BadColumns:
