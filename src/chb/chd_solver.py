@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
@@ -51,7 +51,7 @@ __all__ = (
     'SolverConfig', 'ProblemData', 'StepSolution', 'DiagnosticsRow',
     'Diagnostics', 'RunRecord', 'RunResult', 'NewtonStepper',
     'validate', 'run', 'energy', 'initial_state',
-    'harmonic', 'preset_problem', 'PRESET_NAMES', 'TIME_KINDS', 'DIAGNOSTIC_COLUMNS',
+    'harmonic', 'preset_problem', 'PRESET_NAMES', 'TIME_KINDS',
 )
 
 
@@ -301,9 +301,6 @@ class DiagnosticsRow:
     newton_iters: int
 
 
-DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
-
-
 @dataclass
 class Diagnostics:
     rows: list = field(default_factory=list)
@@ -432,8 +429,8 @@ class NewtonStepper:
     puts in the mu-eq of each u_i and the w-eq of each v_j.  The Jacobian
     I + T L - P(d) holds the a.e. slopes d at the same positions.
 
-    The assembled Jacobian is exposed through :meth:`jacobian_at`, so a
-    different linear solver can be substituted; the built-in path
+    :meth:`jacobian_at` assembles the whole Jacobian at an iterate, the
+    reference that the factorized solves are checked against.  A step
     factorizes it (in theta-Fourier modes when its slopes are constant on
     every ring and on the circle, else with SuperLU in the symmetric row
     order) and reuses the factorization until the residual stalls.  It

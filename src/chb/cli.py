@@ -15,7 +15,7 @@ import sys
 
 from . import harness
 from . import monotone_graphs as mg
-from .errors import ChbError, SolveFailure
+from .errors import ChbError, ConfigError, SolveFailure
 from .harness import _fmt
 
 EXIT_OK = 0
@@ -36,7 +36,7 @@ def _cmd_solve(cfg) -> int:
 def _cmd_sweep_delta(cfg) -> int:
     report = harness.sweep_delta(cfg)
     for row in report.rows:
-        e = 'n/a' if row.error is None else _fmt(row.error)
+        e = 'n/a' if row.e is None else _fmt(row.e)
         print(f'delta {_fmt(row.delta)}  e {e}  [{row.status}]')
     if report.slope is not None:
         print(f'slope {_fmt(report.slope)}  intercept {_fmt(report.intercept)}  '
@@ -68,9 +68,9 @@ def _cmd_stability(cfg) -> int:
 
 def _cmd_sweep_lambda(cfg) -> int:
     report = harness.sweep_lambda(cfg)
-    for k in range(len(report.lambdas) - 1):
-        print(f'lambda {_fmt(report.lambdas[k])} -> {_fmt(report.lambdas[k + 1])}: '
-              f'bulk {_fmt(report.diff_bulk[k])}  trace {_fmt(report.diff_trace[k])}')
+    for row in report.rows:
+        print(f'lambda {_fmt(row.lambda_high)} -> {_fmt(row.lambda_low)}: '
+              f'bulk {_fmt(row.diff_bulk_l2v)}  trace {_fmt(row.diff_trace_l2h)}')
     if not report.monotone:
         print('assertion failed: successive differences are not decreasing')
         return EXIT_ASSERTION
@@ -86,13 +86,13 @@ def _cmd_graph_check(cfg) -> int:
     return EXIT_OK if dom.feasible else EXIT_VALIDATION
 
 
-# name -> (help, handler) of each subcommand
+# name -> (help, the config's `experiment`, handler) of each subcommand
 COMMANDS = {
-    'solve': ('run one trajectory and write artifacts', _cmd_solve),
-    'sweep-delta': ('surface-diffusion sweep with rate fit', _cmd_sweep_delta),
-    'stability': ('continuous-dependence paired runs', _cmd_stability),
-    'sweep-lambda': ('viscosity ladder successive differences', _cmd_sweep_lambda),
-    'graph-check': ('domination and same-growth verdicts', _cmd_graph_check),
+    'solve': ('run one trajectory and write artifacts', 'single', _cmd_solve),
+    'sweep-delta': ('surface-diffusion sweep with rate fit', 'sweep_delta', _cmd_sweep_delta),
+    'stability': ('continuous-dependence paired runs', 'stability', _cmd_stability),
+    'sweep-lambda': ('viscosity ladder successive differences', 'sweep_lambda', _cmd_sweep_lambda),
+    'graph-check': ('domination and same-growth verdicts', 'graph_check', _cmd_graph_check),
 }
 
 
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description='Cahn-Hilliard solver with dynamic boundary condition '
                     'on the unit disk: runs and experiment sweeps.')
     sub = parser.add_subparsers(dest='command', required=True)
-    for name, (help_text, _) in COMMANDS.items():
+    for name, (help_text, *_) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument('config', help='experiment config JSON file')
         sp.add_argument('--out', help='output directory (overrides config)')
@@ -114,10 +114,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _, experiment, handler = COMMANDS[args.command]
     try:
         cfg = harness.load_config(args.config, dir=args.out, stride=args.stride,
                                   plots=args.plots or None, workers=args.workers)
-        return COMMANDS[args.command][1](cfg)
+        if cfg.experiment != experiment:
+            raise ConfigError(f'chb {args.command} needs experiment {experiment!r}, '
+                              f'not {cfg.experiment!r}')
+        return handler(cfg)
     except SolveFailure as exc:
         at = '' if exc.t is None else f' (failed step target time {_fmt(exc.t)})'
         print(f'solver failure: {exc}{at}', file=sys.stderr)

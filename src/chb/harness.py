@@ -16,7 +16,7 @@ import math
 import os
 import resource
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from operator import attrgetter
 from types import SimpleNamespace
@@ -32,25 +32,35 @@ from .errors import ConfigError, MeanMismatch, NonPositivePoint, TooFewPoints
 
 __all__ = (
     'ExperimentConfig', 'SweepRow', 'SweepReport', 'StabilityRow',
-    'StabilityReport', 'LambdaReport', 'fit_rate', 'run_single',
+    'StabilityReport', 'LambdaRow', 'LambdaReport', 'fit_rate', 'run_single',
     'sweep_delta', 'stability_experiment', 'sweep_lambda',
     'section', 'load_config', 'problem_from_config', 'solver_from_config',
 )
 
 
 # ---------------------------------------------------------------------------
-# report writing
+# report writing: a CSV's columns are the fields of its row dataclass, a
+# JSON report's keys the other fields of its report dataclass
 
 def _fmt(x) -> str:
     return format(float(x), '.17g')
 
 
-def _write_csv(path, header, rows):
-    """Every CSV artifact goes through here: csv's default dialect (CRLF)."""
+def _cell(x) -> str:
+    """None empty, a string as it is, a bool 0 or 1, a number %.17g."""
+    if x is None or isinstance(x, str):
+        return x or ''
+    return str(int(x)) if isinstance(x, bool) else _fmt(x)
+
+
+def _write_csv(path, row_type, rows):
+    """Every CSV artifact but the field CSVs goes through here: one column
+    per field of the dataclass row_type, csv's default dialect (CRLF)."""
+    names = [f.name for f in fields(row_type)]
     with open(path, 'w', newline='') as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(names)
+        writer.writerows([_cell(getattr(r, name)) for name in names] for r in rows)
 
 
 def _write_json(path, obj):
@@ -61,6 +71,20 @@ def _write_json(path, obj):
     with open(path, 'w') as fh:
         json.dump({**obj, 'peak_rss_mb': peak}, fh, indent=2)
         fh.write('\n')
+
+
+def _write_report(cfg, name, row_type, report, json_name, chart):
+    """An experiment's artifacts: `name`.csv of report.rows, `json_name` of
+    the report's other fields and, with plots, `name`.svg of chart =
+    (series, title, xlabel, ylabel) on log-log axes."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_csv(os.path.join(cfg.out_dir, f'{name}.csv'), row_type, report.rows)
+    _write_json(os.path.join(cfg.out_dir, json_name),
+                {k: v for k, v in asdict(report).items() if k != 'rows'})
+    if cfg.plots:
+        series, title, xlabel, ylabel = chart
+        svg_plots.write_chart(os.path.join(cfg.out_dir, f'{name}.svg'), series, title=title,
+                              xlabel=xlabel, ylabel=ylabel, loglog=True)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +434,14 @@ def _running_left_rule(ts, values_sq):
 
 
 def _combined_error(norms) -> tuple:
-    """(e, components) with the four terms of the sweep error functional."""
+    """The sweep error functional e and its four terms: (e, sup_dual_bulk,
+    l2_v, sup_dual_trace, l2_h_half)."""
     sup_dual_bulk = float(np.max(norms['dual_bulk']))
     sup_dual_trace = float(np.max(norms['dual_trace']))
     l2_v = math.sqrt(_left_rule(norms['t'], norms['v_bulk'] ** 2))
     l2_h = math.sqrt(_left_rule(norms['t'], norms['h_half'] ** 2))
     e = sup_dual_bulk + l2_v + sup_dual_trace + l2_h
-    return e, (sup_dual_bulk, l2_v, sup_dual_trace, l2_h)
+    return e, sup_dual_bulk, l2_v, sup_dual_trace, l2_h
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +458,18 @@ def _run_many(tasks, workers: int):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_execute_run, tasks))
     return [_execute_run(t) for t in tasks]
+
+
+def _compare(cfg, tasks, norms, against):
+    """Run the tasks and compare them: (results, compared).  A failure of
+    task 0, the reference, is raised; compared[k - 1] is run k's failure or
+    the per-level `norms` of run k less run against(k)."""
+    results = _run_many(tasks, cfg.workers)
+    if results[0].error is not None:
+        raise results[0].error
+    return results, [_trajectory_norms(res.steps, results[against(k)].steps, norms)
+                     if res.error is None else res.error
+                     for k, res in enumerate(results[1:], 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +511,7 @@ def _write_trace_csv(path, steps, values_of, stride):
 
 
 def _write_diagnostics_csv(path, diag):
-    _write_csv(path, cs.DIAGNOSTIC_COLUMNS,
-               ([_fmt(getattr(r, c)) for c in cs.DIAGNOSTIC_COLUMNS] for r in diag.rows))
+    _write_csv(path, cs.DiagnosticsRow, diag.rows)
 
 
 def run_single(cfg: ExperimentConfig) -> dict:
@@ -541,8 +577,11 @@ def run_single(cfg: ExperimentConfig) -> dict:
 @dataclass
 class SweepRow:
     delta: float
-    error: float | None
-    components: tuple | None
+    e: float | None
+    sup_dual_bulk: float | None
+    l2_v: float | None
+    sup_dual_trace: float | None
+    l2_h_half: float | None
     delta_sup_gradv: float | None
     status: str
     in_fit: bool
@@ -556,10 +595,10 @@ class SweepReport:
     r2: float | None
     zero_error: bool
     rate_claimed: bool
-    same_growth: mg.GrowthVerdict
     reference: str
+    message: str
     runs: list               # each run's cs.RunRecord, the reference run first
-    message: str = ''
+    same_growth_feasible: bool
 
 
 def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
@@ -577,22 +616,16 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
     ref_delta = 0.0 if ref_mode == 'delta_zero' else deltas[-1]
     sweep_deltas = deltas if ref_mode == 'delta_zero' else deltas[:-1]
 
-    tasks = [(problem, solver_from_config(cfg, delta=ref_delta))]
-    tasks += [(problem, solver_from_config(cfg, delta=d)) for d in sweep_deltas]
-    results = _run_many(tasks, cfg.workers)
-    ref_result, run_results = results[0], results[1:]
-    if ref_result.error is not None:
-        raise ref_result.error
-
-    norms = _four_norms(dn.NormToolkit(cfg.grid))
+    tasks = [(problem, solver_from_config(cfg, delta=d)) for d in [ref_delta, *sweep_deltas]]
+    results, compared = _compare(cfg, tasks, _four_norms(dn.NormToolkit(cfg.grid)),
+                                 lambda k: 0)
     rows = []
-    for d, res in zip(sweep_deltas, run_results):
+    for d, res, c in zip(sweep_deltas, results[1:], compared):
         if res.error is not None:
-            rows.append(SweepRow(d, None, None, None, f'failed: {res.error}', False))
-            continue
-        e, comps = _combined_error(_trajectory_norms(res.steps, ref_result.steps, norms))
-        rows.append(SweepRow(d, e, comps, max(r.delta_h1v for r in res.diagnostics.rows),
-                             'ok', False))
+            rows.append(SweepRow(d, *[None] * 6, f'failed: {c}', False))
+        else:
+            rows.append(SweepRow(d, *_combined_error(c),
+                                 max(r.delta_h1v for r in res.diagnostics.rows), 'ok', False))
 
     same_growth = mg.check_same_growth(problem.bulk_graph, problem.boundary_graph)
     notes = [] if same_growth.feasible else [
@@ -600,58 +633,39 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
         'rate fit reported without a rate claim']
     ok = [r for r in rows if r.status == 'ok']
     usable = _usable(rows)
-    zero_error = bool(ok) and all(r.error == 0.0 for r in ok)
+    zero_error = bool(ok) and all(r.e == 0.0 for r in ok)
     slope = intercept = r2 = None
     if zero_error:
         notes.append('all errors are exactly zero (ZeroErrorFlag); fit refused')
     elif len(usable) >= 3:
-        slope, intercept, r2 = fit_rate([(r.delta, r.error) for r in usable])
+        slope, intercept, r2 = fit_rate([(r.delta, r.e) for r in usable])
         for r in usable:
             r.in_fit = True
     else:
         notes.append(f'only {len(usable)} usable rows; fit refused')
 
     report = SweepReport(rows, slope, intercept, r2, zero_error,
-                         same_growth.feasible and slope is not None,
-                         same_growth, ref_mode, [r.record for r in results],
-                         '; '.join(notes))
+                         same_growth.feasible and slope is not None, ref_mode,
+                         '; '.join(notes), [r.record for r in results], same_growth.feasible)
     _write_sweep_artifacts(cfg, report)
     return report
 
 
 def _usable(rows) -> list:
     """The rows a rate fit can take: run ok and a positive error."""
-    return [r for r in rows if r.status == 'ok' and r.error > 0.0]
+    return [r for r in rows if r.status == 'ok' and r.e > 0.0]
 
 
 def _write_sweep_artifacts(cfg, report: SweepReport):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, 'sweep_delta.csv'),
-               ('delta', 'e', 'sup_dual_bulk', 'l2_v', 'sup_dual_trace',
-                'l2_h_half', 'delta_sup_gradv', 'status', 'in_fit'),
-               ([_fmt(r.delta)]
-                + ['' if v is None else _fmt(v)
-                   for v in (r.error, *(r.components or (None,) * 4), r.delta_sup_gradv)]
-                + [r.status, int(r.in_fit)] for r in report.rows))
-    fit_meta = {
-        'slope': report.slope, 'intercept': report.intercept, 'r2': report.r2,
-        'zero_error': report.zero_error, 'rate_claimed': report.rate_claimed,
-        'reference': report.reference, 'message': report.message,
-        'runs': [vars(r) for r in report.runs],
-        'same_growth_feasible': report.same_growth.feasible,
-    }
-    _write_json(os.path.join(cfg.out_dir, 'sweep_delta_fit.json'), fit_meta)
-    if cfg.plots:
-        usable = _usable(report.rows)
-        ds = [r.delta for r in usable]
-        series = [('e(delta)', ds, [r.error for r in usable])]
-        if report.slope is not None:        # fitted to the usable rows
-            xs = [min(ds), max(ds)]
-            ys = [math.exp(report.intercept + report.slope * math.log(x)) for x in xs]
-            series.append((f'fit p={report.slope:.3f}', xs, ys))
-        svg_plots.write_chart(os.path.join(cfg.out_dir, 'sweep_delta.svg'),
-                              series, title='combined error vs delta',
-                              xlabel='delta', ylabel='e', loglog=True)
+    usable = _usable(report.rows)
+    ds = [r.delta for r in usable]
+    series = [('e(delta)', ds, [r.e for r in usable])]
+    if report.slope is not None:        # fitted to the usable rows
+        xs = [min(ds), max(ds)]
+        ys = [math.exp(report.intercept + report.slope * math.log(x)) for x in xs]
+        series.append((f'fit p={report.slope:.3f}', xs, ys))
+    _write_report(cfg, 'sweep_delta', SweepRow, report, 'sweep_delta_fit.json',
+                  (series, 'combined error vs delta', 'delta', 'e'))
 
 
 # ---------------------------------------------------------------------------
@@ -715,20 +729,11 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
     solver = solver_from_config(cfg)
 
     pert_data = [_perturbation_sources(cfg, problem, a) for a in st.amplitudes]
-    results = _run_many([(p, solver) for p in [problem] + pert_data], cfg.workers)
-    base, pert_results = results[0], results[1:]
-    if base.error is not None:
-        raise base.error
-
-    grid = cfg.grid
-    norms = _four_norms(dn.NormToolkit(grid))
-    rows = []
-    for a, p2, res in zip(st.amplitudes, pert_data, pert_results):
-        if res.error is not None:
-            rows.append(StabilityRow(a, math.nan, math.nan, math.nan,
-                                     f'failed: {res.error}'))
-            continue
-        rows.append(_stability_row(grid, norms, a, problem, p2, base.steps, res.steps))
+    results, compared = _compare(cfg, [(p, solver) for p in [problem] + pert_data],
+                                 _four_norms(dn.NormToolkit(cfg.grid)), lambda k: 0)
+    rows = [_stability_row(cfg.grid, a, problem, p2, c) if res.error is None
+            else StabilityRow(a, math.nan, math.nan, math.nan, f'failed: {c}')
+            for a, p2, res, c in zip(st.amplitudes, pert_data, results[1:], compared)]
 
     ratios = [r.sup_ratio for r in rows if r.status == 'ok' and np.isfinite(r.sup_ratio)]
     if len(ratios) >= 2:
@@ -742,12 +747,15 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
         band_ok = all(r.status == 'ok' for r in rows)  # nothing to compare
     report = StabilityReport(rows, band, st.band, band_ok, st.target,
                              [r.record for r in results])
-    _write_stability_artifacts(cfg, report)
+    ok = [r for r in rows if r.status == 'ok']
+    _write_report(cfg, 'stability', StabilityRow, report, 'stability.json',
+                  ([('sup ratio', [r.amplitude for r in ok], [r.sup_ratio for r in ok])],
+                   'continuous-dependence ratio', 'amplitude', 'sup LHS/RHS'))
     return report
 
 
-def _stability_row(grid, table, amplitude, prob_a, prob_b, steps_a, steps_b):
-    norms = _trajectory_norms(steps_b, steps_a, table)
+def _stability_row(grid, amplitude, prob_a, prob_b, norms):
+    """The row of prob_b's run, from the per-level norms of its difference from prob_a's."""
     ts = norms['t']
     wv, bw = grid.weights, grid.boundary_weights
     df_sq = np.array([float(np.sum(wv * (prob_b.f(t) - prob_a.f(t)) ** 2)) for t in ts])
@@ -768,70 +776,47 @@ def _stability_row(grid, table, amplitude, prob_a, prob_b, steps_a, steps_b):
     return StabilityRow(amplitude, sup_ratio, float(lhs[-1]), float(rhs[-1]), 'ok')
 
 
-def _write_stability_artifacts(cfg, report: StabilityReport):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, 'stability.csv'),
-               ('amplitude', 'sup_ratio', 'lhs_final', 'rhs_final', 'status'),
-               ([_fmt(r.amplitude), _fmt(r.sup_ratio), _fmt(r.lhs_final),
-                 _fmt(r.rhs_final), r.status] for r in report.rows))
-    _write_json(os.path.join(cfg.out_dir, 'stability.json'),
-                {'band': report.band, 'band_limit': report.band_limit,
-                 'band_ok': report.band_ok, 'target': report.target,
-                 'runs': [vars(r) for r in report.runs]})
-    if cfg.plots:
-        ok = [r for r in report.rows if r.status == 'ok']
-        svg_plots.write_chart(
-            os.path.join(cfg.out_dir, 'stability.svg'),
-            [('sup ratio', [r.amplitude for r in ok], [r.sup_ratio for r in ok])],
-            title='continuous-dependence ratio', xlabel='amplitude',
-            ylabel='sup LHS/RHS', loglog=True)
-
-
 # ---------------------------------------------------------------------------
 # viscosity sweep
 
 @dataclass
+class LambdaRow:
+    lambda_high: float
+    lambda_low: float
+    diff_bulk_l2v: float      # L2(0,T;V) of the difference of the two runs
+    diff_trace_l2h: float     # L2(0,T;H_Gamma)
+
+
+@dataclass
 class LambdaReport:
-    lambdas: list
-    diff_bulk: list     # L2(0,T;V) of consecutive differences
-    diff_trace: list    # L2(0,T;H_Gamma)
+    rows: list
     monotone: bool
+    runs: list                # each run's cs.RunRecord, in the order of lambdas
 
 
 def sweep_lambda(cfg: ExperimentConfig) -> LambdaReport:
-    """Successive-difference norms along a decreasing viscosity ladder."""
+    """Successive-difference norms along a decreasing viscosity ladder; the
+    first failed run raises its SolveFailure."""
     problem = problem_from_config(cfg)
     lams = cfg.needs('sweep_lambda').lambdas
-    tasks = [(problem, solver_from_config(cfg, lam=lam)) for lam in lams]
-    results = _run_many(tasks, cfg.workers)
-    for res in results:
-        if res.error is not None:
-            raise res.error
-
     grid = cfg.grid
     norms = {'v_bulk': lambda du, dv: dn.v_norm_bulk(grid, du, dv),
              'l2_trace': lambda du, dv: dg.l2_norm_trace(grid, dv)}
-    diff_bulk, diff_trace = [], []
-    for a, b in zip(results[:-1], results[1:]):
-        d = _trajectory_norms(a.steps, b.steps, norms)
-        diff_bulk.append(math.sqrt(_left_rule(d['t'], d['v_bulk'] ** 2)))
-        diff_trace.append(math.sqrt(_left_rule(d['t'], d['l2_trace'] ** 2)))
+    results, compared = _compare(cfg, [(problem, solver_from_config(cfg, lam=lam))
+                                       for lam in lams], norms, lambda k: k - 1)
+    rows = []
+    for hi, lo, res, d in zip(lams, lams[1:], results[1:], compared):
+        if res.error is not None:
+            raise d
+        rows.append(LambdaRow(hi, lo, math.sqrt(_left_rule(d['t'], d['v_bulk'] ** 2)),
+                              math.sqrt(_left_rule(d['t'], d['l2_trace'] ** 2))))
 
-    monotone = all(b <= a for a, b in zip(diff_bulk[:-1], diff_bulk[1:])) and \
-        all(b <= a for a, b in zip(diff_trace[:-1], diff_trace[1:]))
-    report = LambdaReport(lams, diff_bulk, diff_trace, monotone)
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, 'sweep_lambda.csv'),
-               ('lambda_high', 'lambda_low', 'diff_bulk_l2v', 'diff_trace_l2h'),
-               ([_fmt(x) for x in row]
-                for row in zip(lams[:-1], lams[1:], diff_bulk, diff_trace)))
-    if cfg.plots:
-        mids = lams[1:]
-        svg_plots.write_chart(
-            os.path.join(cfg.out_dir, 'sweep_lambda.svg'),
-            [('bulk L2(0,T;V)', mids, diff_bulk),
-             ('trace L2(0,T;H)', mids, diff_trace)],
-            title='successive differences along lambda', xlabel='lambda',
-            ylabel='difference norm', loglog=True)
+    monotone = all(b.diff_bulk_l2v <= a.diff_bulk_l2v and b.diff_trace_l2h <= a.diff_trace_l2h
+                   for a, b in zip(rows, rows[1:]))
+    report = LambdaReport(rows, monotone, [r.record for r in results])
+    lows = [r.lambda_low for r in rows]
+    _write_report(cfg, 'sweep_lambda', LambdaRow, report, 'sweep_lambda.json',
+                  ([('bulk L2(0,T;V)', lows, [r.diff_bulk_l2v for r in rows]),
+                    ('trace L2(0,T;H)', lows, [r.diff_trace_l2h for r in rows])],
+                   'successive differences along lambda', 'lambda', 'difference norm'))
     return report

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import functools
 import importlib.util
 import io
@@ -27,7 +28,7 @@ import chb
 from chb import chd_solver as cs
 from chb import cli, harness
 from chb import disk_grid as dg
-from chb.errors import ConfigError, NonPositivePoint, TooFewPoints
+from chb.errors import ConfigError, NewtonDivergence, NonPositivePoint, TooFewPoints
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +308,76 @@ def test_field_csv_golden_bytes(tmp_path, n_levels, stride, keep, name):
     assert b'nan' in data and b'-inf' in data and b'4.9406564584124654e-324' in data
 
 
+# Handmade rows through the report writers: every cell kind (None, both
+# bools, nan, -0, inf, a quoted status, floats that need 17 digits and
+# integral ones), the header of a report without rows, and the JSON keys in
+# their order.  The literals are the bytes of the writers that each spelled
+# out its columns and keys by hand.
+GOLDEN_RUNS = [cs.RunRecord(7, 1, 2, 345), cs.RunRecord(9, 2, 0, 345)]
+GOLDEN_REPORT_FILES = {
+    'diagnostics.csv':
+        b't,mass_bulk,mass_trace,energy,d_energy,grad_mu,grad_w,overshoot,delta_h1v,'
+        b'newton_iters\r\n0.30000000000000004,0.33333333333333331,-0,nan,inf,1e-300,'
+        b'4.9406564584124654e-324,2.4999999999999999e-07,0,12\r\n',
+    'sweep_delta.csv':
+        b'delta,e,sup_dual_bulk,l2_v,sup_dual_trace,l2_h_half,delta_sup_gradv,status,in_fit\r\n'
+        b'0.40000000000000002,0.30000000000000004,0.33333333333333331,2.4999999999999999e-07,'
+        b'0,1e-300,0.125,ok,1\r\n'
+        b'0.20000000000000001,,,,,,,"failed: Newton, ""stalled"" at t=0.001",0\r\n'
+        b'0.10000000000000001,4.9406564584124654e-324,nan,-0,inf,2,7,ok,0\r\n',
+    'stability.csv':
+        b'amplitude,sup_ratio,lhs_final,rhs_final,status\r\n'
+        b'0.01,0.30000000000000004,0.33333333333333331,3,ok\r\n'
+        b'0.10000000000000001,nan,nan,nan,failed: stand-in\r\n',
+    'sweep_lambda.csv':
+        b'lambda_high,lambda_low,diff_bulk_l2v,diff_trace_l2h\r\n'
+        b'1,0.30000000000000004,0.33333333333333331,nan\r\n'
+        b'0.30000000000000004,0.0001,2,0.25\r\n',
+    'empty.csv': b'lambda_high,lambda_low,diff_bulk_l2v,diff_trace_l2h\r\n',
+}
+GOLDEN_RUN_DICTS = [{'newton_iters': 7, 'lu_factorizations': 1, 'lu_updates': 2, 'lu_nnz': 345},
+                    {'newton_iters': 9, 'lu_factorizations': 2, 'lu_updates': 0, 'lu_nnz': 345}]
+GOLDEN_REPORT_JSON = {
+    'sweep_delta_fit.json': {'slope': 0.9425, 'intercept': -1.5, 'r2': 0.999695,
+                             'zero_error': False, 'rate_claimed': True,
+                             'reference': 'delta_zero',
+                             'message': 'only 2 usable rows; fit refused',
+                             'runs': GOLDEN_RUN_DICTS, 'same_growth_feasible': True},
+    'stability.json': {'band': None, 'band_limit': 3.0, 'band_ok': True, 'target': 'both',
+                       'runs': GOLDEN_RUN_DICTS},
+    'sweep_lambda.json': {'monotone': False, 'runs': GOLDEN_RUN_DICTS},
+}
+
+
+def test_report_writers_golden_bytes(tmp_path):
+    third = 1 / 3
+    cfg = SimpleNamespace(out_dir=str(tmp_path), plots=False)
+    harness._write_diagnostics_csv(tmp_path / 'diagnostics.csv', cs.Diagnostics([
+        cs.DiagnosticsRow(0.1 + 0.2, third, -0.0, math.nan, math.inf, 1e-300, 5e-324, 2.5e-7,
+                          0.0, 12)]))
+    harness._write_sweep_artifacts(cfg, harness.SweepReport([
+        harness.SweepRow(0.4, 0.1 + 0.2, third, 2.5e-7, 0.0, 1e-300, 0.125, 'ok', True),
+        harness.SweepRow(0.2, *[None] * 6, 'failed: Newton, "stalled" at t=0.001', False),
+        harness.SweepRow(0.1, 5e-324, math.nan, -0.0, math.inf, 2.0, 7.0, 'ok', False),
+    ], 0.9425, -1.5, 0.999695, False, True, 'delta_zero', 'only 2 usable rows; fit refused',
+        GOLDEN_RUNS, True))
+    harness._write_report(cfg, 'stability', harness.StabilityRow, harness.StabilityReport([
+        harness.StabilityRow(1e-2, 0.1 + 0.2, third, 3.0, 'ok'),
+        harness.StabilityRow(1e-1, math.nan, math.nan, math.nan, 'failed: stand-in'),
+    ], None, 3.0, True, 'both', GOLDEN_RUNS), 'stability.json', None)
+    harness._write_report(cfg, 'sweep_lambda', harness.LambdaRow, harness.LambdaReport([
+        harness.LambdaRow(1.0, 0.1 + 0.2, third, math.nan),
+        harness.LambdaRow(0.1 + 0.2, 1e-4, 2.0, 0.25),
+    ], False, GOLDEN_RUNS), 'sweep_lambda.json', None)
+    harness._write_csv(tmp_path / 'empty.csv', harness.LambdaRow, [])
+    for name, data in GOLDEN_REPORT_FILES.items():
+        assert (tmp_path / name).read_bytes() == data, name
+    for name, want in GOLDEN_REPORT_JSON.items():
+        got = json.loads((tmp_path / name).read_text())
+        assert list(got) == [*want, 'peak_rss_mb'], name
+        assert {k: v for k, v in got.items() if k != 'peak_rss_mb'} == want, name
+
+
 # ---------------------------------------------------------------------------
 # delta sweep
 
@@ -325,7 +396,7 @@ def sweep_cfg(tmp_path, sub='sw', workers=1, preset='backward', t_end=5e-3, ampl
 
 def test_sweep_delta_decreasing_error_and_fit(tmp_path):
     report = harness.sweep_delta(sweep_cfg(tmp_path))
-    errs = [row.error for row in report.rows]
+    errs = [row.e for row in report.rows]
     assert all(e > 0 for e in errs)
     assert errs == sorted(errs, reverse=True)
     assert report.slope is not None and report.r2 > 0.9
@@ -403,7 +474,7 @@ def test_sweep_delta_finest_reference(tmp_path):
                                            reference='finest'))
     assert report.reference == 'finest'
     assert len(report.rows) == 3        # finest consumed as reference
-    errs = [row.error for row in report.rows]
+    errs = [row.e for row in report.rows]
     assert errs == sorted(errs, reverse=True)
 
 
@@ -423,7 +494,7 @@ def test_sweep_delta_zero_data_sets_zero_error_flag(tmp_path):
     report = harness.sweep_delta(harness.load_config(make_cfg(tmp_path, raw)))
     assert report.zero_error
     assert report.slope is None
-    assert all(row.error == 0.0 for row in report.rows)
+    assert all(row.e == 0.0 for row in report.rows)
 
 
 def test_cli_sweep_delta_prints_the_zero_error_note_once(tmp_path, capsys):
@@ -553,7 +624,7 @@ def test_sweep_lambda_monotone_differences(tmp_path):
         'output': {'dir': str(tmp_path / 'sl')},
     }
     report = harness.sweep_lambda(harness.load_config(make_cfg(tmp_path, raw)))
-    assert len(report.diff_bulk) == 2
+    assert len(report.rows) == 2
     assert report.monotone
     lines = (tmp_path / 'sl' / 'sweep_lambda.csv').read_text().splitlines()
     assert len(lines) == 3
@@ -696,6 +767,103 @@ def test_cli_stability_pass(tmp_path, capsys):
     assert 'band' in capsys.readouterr().out
 
 
+# ---------------------------------------------------------------------------
+# failed runs and failed assertions of the comparison experiments
+
+def _fail_run(monkeypatch, k):
+    """Make run k (0 the reference) of the next experiment on 1 worker a
+    NewtonDivergence at its first step."""
+    execute, calls = harness._execute_run, []
+
+    def stand_in(task):
+        calls.append(task)
+        result = execute(task)
+        if len(calls) != k + 1:
+            return result
+        return dataclasses.replace(result, steps=result.steps[:1],
+                                   error=NewtonDivergence('stand-in divergence', t=1e-3))
+    monkeypatch.setattr(harness, '_execute_run', stand_in)
+
+
+def _csv_rows(path):
+    with open(path, newline='') as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_failed_sweep_run_is_flagged_and_left_out_of_the_fit(tmp_path, monkeypatch):
+    _fail_run(monkeypatch, 2)               # delta 0.2
+    harness.sweep_delta(sweep_cfg(tmp_path, sub='fr'))
+    rows = _csv_rows(tmp_path / 'fr' / 'sweep_delta.csv')
+    failed = rows.pop(1)
+    assert failed['delta'] == '0.20000000000000001' and failed['in_fit'] == '0'
+    assert failed['status'] == 'failed: stand-in divergence'
+    assert [failed[c] for c in ('e', 'sup_dual_bulk', 'l2_v', 'sup_dual_trace', 'l2_h_half',
+                                'delta_sup_gradv')] == [''] * 6
+    assert all(r['status'] == 'ok' and r['in_fit'] == '1' for r in rows)
+    fit = json.loads((tmp_path / 'fr' / 'sweep_delta_fit.json').read_text())
+    slope, intercept, r2 = harness.fit_rate([(float(r['delta']), float(r['e'])) for r in rows])
+    assert (fit['slope'], fit['intercept'], fit['r2']) == (slope, intercept, r2)
+    assert fit['rate_claimed'] and len(fit['runs']) == 5
+
+
+def test_sweep_with_two_usable_rows_refuses_the_fit(tmp_path, monkeypatch):
+    _fail_run(monkeypatch, 1)               # delta 0.4 of three
+    harness.sweep_delta(sweep_cfg(tmp_path, sub='tu', deltas=[0.4, 0.2, 0.1]))
+    fit = json.loads((tmp_path / 'tu' / 'sweep_delta_fit.json').read_text())
+    assert fit['message'] == 'only 2 usable rows; fit refused'
+    assert fit['slope'] is None and not fit['rate_claimed']
+    assert [r['in_fit'] for r in _csv_rows(tmp_path / 'tu' / 'sweep_delta.csv')] == ['0'] * 3
+
+
+STABILITY_RAW = {
+    'experiment': 'stability',
+    'grid': {'n_r': 8, 'n_theta': 16},
+    'problem': {'preset': 'cubic', 'amplitude': 0.3},
+    'solver': {'delta': 0.5, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 5e-3},
+    'stability': {'amplitudes': [1e-3, 1e-2, 1e-1]},
+}
+
+
+def test_failed_stability_run_is_flagged_and_left_out_of_the_band(tmp_path, monkeypatch):
+    _fail_run(monkeypatch, 2)               # amplitude 1e-2
+    raw = dict(STABILITY_RAW, output={'dir': str(tmp_path / 'fs')})
+    harness.stability_experiment(harness.load_config(make_cfg(tmp_path, raw)))
+    rows = _csv_rows(tmp_path / 'fs' / 'stability.csv')
+    failed = rows.pop(1)
+    assert failed == {'amplitude': '0.01', 'sup_ratio': 'nan', 'lhs_final': 'nan',
+                      'rhs_final': 'nan', 'status': 'failed: stand-in divergence'}
+    ratios = [float(r['sup_ratio']) for r in rows]
+    report = json.loads((tmp_path / 'fs' / 'stability.json').read_text())
+    assert report['band'] == max(ratios) / min(ratios) and report['band_ok']
+    assert all(r['status'] == 'ok' for r in rows) and len(report['runs']) == 4
+
+
+@pytest.mark.parametrize('command, k', [('stability', 0), ('sweep-lambda', 0),
+                                        ('sweep-lambda', 1), ('sweep-lambda', 2)])
+def test_cli_failed_comparison_run_is_exit_3(tmp_path, capsys, monkeypatch, command, k):
+    # a failed stability base run, or any failed run of the lambda ladder
+    _fail_run(monkeypatch, k)
+    raw = dict(STABILITY_RAW, experiment=command.replace('-', '_'),
+               sweep_lambda={'lambdas': [1e-2, 1e-3, 1e-4]})
+    path = cli_cfg(tmp_path, raw, 'fail.json')
+    assert cli.main([command, path, '--out', str(tmp_path / 'fo'), '--workers', '1']) == 3
+    assert 'solver failure: stand-in divergence' in capsys.readouterr().err
+    assert not (tmp_path / 'fo').exists()
+
+
+@pytest.mark.parametrize('command, section', [
+    ('stability', {'stability': dict(STABILITY_RAW['stability'], band=1.0000001)}),
+    ('sweep-lambda', {'sweep_lambda': {'lambdas': [1.0, 0.9, 1e-4]}}),
+], ids=['stability_band', 'lambda_differences'])
+def test_cli_failed_experiment_assertion_is_exit_4(tmp_path, capsys, command, section):
+    # the cubic's ratios spread by about 1e-5; the difference from 0.9 to
+    # 1e-4 is larger than the one from 1 to 0.9
+    raw = dict(STABILITY_RAW, experiment=command.replace('-', '_'), **section)
+    path = cli_cfg(tmp_path, raw, 'assert.json')
+    assert cli.main([command, path, '--out', str(tmp_path / 'ao')]) == 4
+    assert 'assertion failed' in capsys.readouterr().out
+
+
 def test_cli_accepts_old_config_with_seed(tmp_path):
     # output.seed was a no-op and is no longer read; old configs still run
     raw = json.loads(json.dumps(BASE_SINGLE))
@@ -744,6 +912,14 @@ def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
     workers = ['--workers', '2'] if command.startswith('sweep') else []
     assert cli.main([command, path, '--out', str(tmp_path / 'no')] + workers) == 2
     assert 'error:' in capsys.readouterr().err
+
+
+# One value outside each range the solver config checks.
+SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta': 1.5},
+                 'lambda_zero': {'lambda': 0.0}, 'lambda_above_one': {'lambda': 2.0},
+                 'dt_zero': {'dt': 0.0}, 't_end_negative': {'t_end': -1e-3},
+                 'newton_tol_zero': {'newton_tol': 0.0},
+                 'stabilization_negative': {'stabilization': -1.0}}
 
 
 @pytest.mark.parametrize('command, update', [
@@ -821,6 +997,8 @@ def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
                            'u0': {'kind': 'constant', 'value': 0.1},
                            'f': {'kind': 'tabulated', 'times': [0.0, 1e-3],
                                  'frames': [[0.0] * 128]}}}),
+    # the solver's ranges
+    *(('solve', {'solver': dict(BASE_SINGLE['solver'], **bad)}) for bad in SOLVER_RANGES.values()),
 ], ids=['stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile',
         'graph_key', 'pi_key', 'graph_str', 'plots', 'solver_key', 'preset_key',
         'problem_key', 'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str',
@@ -829,14 +1007,30 @@ def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
         'workers_bool', 'newton_max_iter_float', 'newton_max_iter_zero',
         'newton_max_iter_negative', 'band_one', 'band_negative', 'mode_float', 'exponent_float',
         'lambda_and_lam', 'grid_nr', 'output_strid', 'assert_slop', 'shape_amplitud',
-        'u0_amplitud', 'f_spatal', 'f_time_rat', 'source_frames'])
-def test_cli_malformed_values_are_exit_2(tmp_path, capsys, command, update):
+        'u0_amplitud', 'f_spatal', 'f_time_rat', 'source_frames', *SOLVER_RANGES])
+def test_cli_malformed_values_are_exit_2(tmp_path, capsys, request, command, update):
     raw = json.loads(json.dumps(BASE_SINGLE))
     raw.update(EXPERIMENT_SECTIONS[command])
     raw.update(update)
     path = cli_cfg(tmp_path, raw, 'malformed.json')
     assert cli.main([command, path, '--out', str(tmp_path / 'mo')]) == 2
-    assert 'error:' in capsys.readouterr().err
+    out_of_range = request.node.callspec.id in SOLVER_RANGES
+    assert ('error: bad solver spec:' if out_of_range else 'error:') in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('command, experiment', [
+    ('solve', 'sweep_delta'), ('sweep-delta', 'single'), ('stability', 'sweep_lambda'),
+    ('sweep-lambda', 'stability'), ('graph-check', 'single')])
+def test_cli_command_and_experiment_must_agree(tmp_path, capsys, command, experiment):
+    # a config that holds every section, naming another command's experiment
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    for sections in EXPERIMENT_SECTIONS.values():
+        raw.update(sections)
+    raw['experiment'] = experiment
+    path = cli_cfg(tmp_path, raw, 'other.json')
+    assert cli.main([command, path, '--out', str(tmp_path / 'xo')]) == 2
+    assert f'not {experiment!r}' in capsys.readouterr().err
+    assert not (tmp_path / 'xo').exists()
 
 
 # Values the fuzz puts in place of a config value: one of each JSON type.

@@ -95,7 +95,7 @@ def test_diagnostics_columns_and_initial_row():
     res = cs.run(p, config())
     row = res.diagnostics.rows[0]
     assert row.t == 0.0 and row.newton_iters == 0 and row.d_energy == 0.0
-    assert len(cs.DIAGNOSTIC_COLUMNS) == 10
+    assert len(dataclasses.fields(cs.DiagnosticsRow)) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +732,53 @@ def test_scheme_is_second_order_in_space():
         v = fine.v.reshape(-1, 2).mean(axis=1)
         errors.append(dg.l2_norm_bulk(g, coarse.u - u) + dg.l2_norm_trace(g, coarse.v - v))
     assert math.log2(errors[0] / errors[1]) >= 1.8
+
+
+def _exact(grid, m=2, s=-1.0, lam=1e-2, delta=0.1):
+    """A manufactured solution on the zero graphs with pi = pi_Gamma = s*r:
+    u = e^-t r^m cos(m theta), v = e^-t cos(m theta), mu solving Lap mu = u_t
+    with zero flux, w = v/m^2 (Lap_Gamma w = v_t), and the sources f, g that
+    close the two chemical-potential equations.  Returns the problem and
+    the profiles of (u, mu, v), each to be scaled by e^-t."""
+    r = grid.r[:, None]
+    u = cs.harmonic(grid, 1.0, m)
+    mu = -(r ** (m + 2) / (4 * (m + 1)) - (m + 2) * r ** m / (4 * m * (m + 1))) \
+        * np.cos(m * grid.theta)
+    v = cs.harmonic(grid, 1.0, m, trace=True)
+    f = cs._Source(u.shape, 'separable', (s - lam) * u - mu, time_kind='exp', rate=-1.0)
+    g = cs._Source(v.shape, 'separable', (s - lam + m + delta * m ** 2 - 1 / m ** 2) * v,
+                   time_kind='exp', rate=-1.0)
+    pi = mg.Perturbation.linear(s)
+    return cs.ProblemData(grid, mg.zero(), mg.zero(), pi, pi, f, g, u, v), (u, mu, v)
+
+
+def _exact_errors(grid, dt, t_end):
+    """The L2 errors of u, mu (bulk quadrature) and v (circle) at t_end
+    against the manufactured solution at the cell centres and nodes."""
+    problem, (u, mu, v) = _exact(grid)
+    res = cs.run(problem, config(delta=0.1, lam=1e-2, dt=dt, t_end=t_end, newton_tol=1e-12))
+    last = res.steps[-1]
+    assert res.error is None and abs(last.t - t_end) < 1e-12
+    decay = math.exp(-t_end)
+    return np.array([dg.l2_norm_bulk(grid, last.u - decay * u),
+                     dg.l2_norm_bulk(grid, last.mu - decay * mu),
+                     dg.l2_norm_trace(grid, last.v - decay * v)])
+
+
+def test_exact_solution_is_second_order_in_space():
+    # dt small enough that the error in time stays far below the spatial one
+    errors = [_exact_errors(dg.DiskGrid(n_r, 2 * n_r), 1e-5, 1e-3) for n_r in (8, 16, 32)]
+    orders = [np.log2(e / e_next) for e, e_next in zip(errors, errors[1:])]
+    assert np.min(orders) >= 1.8, orders
+
+
+def test_exact_solution_is_first_order_in_time():
+    # the error at dt less the error at a fine dt leaves the error in time
+    grid = dg.DiskGrid(32, 64)
+    floor = _exact_errors(grid, 1e-4, 0.1)
+    errors = [_exact_errors(grid, dt, 0.1) - floor for dt in (0.02, 0.01, 0.005, 0.0025)]
+    orders = [np.log2(e / e_next) for e, e_next in zip(errors, errors[1:])]
+    assert np.min(orders) >= 0.9, orders
 
 
 def test_delta_rate_holds_for_a_fine_angular_mode(tmp_path):
