@@ -43,9 +43,8 @@ from scipy.sparse.linalg import splu
 
 from . import disk_grid as dg
 from . import monotone_graphs as mg
-from .errors import (LinearSolveFailure, NewtonDivergence, NonFiniteInput,
-                     RootFindFailure, ShapeMismatch, SolveFailure,
-                     ValidationFailure)
+from .errors import (GraphMapFailure, LinearSolveFailure, NewtonDivergence,
+                     SolveFailure, ValidationFailure)
 
 __all__ = (
     'SolverConfig', 'ProblemData', 'StepSolution', 'DiagnosticsRow',
@@ -152,17 +151,9 @@ class ProblemData:
         self.v0 = np.asarray(self.v0, dtype=float)
         g = self.grid
         if self.u0.shape != (g.n_r, g.n_theta):
-            raise ShapeMismatch('u0 shape does not match the grid')
+            raise ValueError('u0 shape does not match the grid')
         if self.v0.shape != (g.n_theta,):
-            raise ShapeMismatch('v0 shape does not match the grid')
-
-    @property
-    def m0(self) -> float:
-        return dg.mean_bulk(self.grid, self.u0)
-
-    @property
-    def m_gamma0(self) -> float:
-        return dg.mean_trace(self.grid, self.v0)
+            raise ValueError('v0 shape does not match the grid')
 
 
 @dataclass
@@ -196,19 +187,18 @@ PRESET_NAMES = ('cubic', 'logarithmic', 'obstacle', 'backward')
 
 
 def preset_problem(preset: str, grid: dg.DiskGrid, amplitude: float = 0.2,
-                   mode: int = 2, offset: float = 0.05, log_scale: float = 0.5,
-                   anti_slope_c: float = 1.0, compat_tol: float | None = None) -> ProblemData:
+                   mode: int = 2, offset: float = 0.05,
+                   compat_tol: float | None = None) -> ProblemData:
     """Named problem families with compatible smooth initial data.
 
     u0 = offset + amplitude*r^mode*cos(mode*theta) with the matching trace
     ring; f = g = 0; beta = beta_Gamma and pi = pi_Gamma.  The logarithmic
-    family exposes the potential scale and the anti-monotone slope c
-    (pi = -2c r) as parameters.
+    family has scale 0.5 and pi = -2r.
     """
     if preset == 'cubic':
         graph, slope = mg.power_odd(3, 1.0), -1.0
     elif preset == 'logarithmic':
-        graph, slope = mg.logarithmic(log_scale), -2.0 * anti_slope_c
+        graph, slope = mg.logarithmic(0.5), -2.0
     elif preset == 'obstacle':
         graph, slope = mg.double_obstacle(-1.0, 1.0), -1.0
     elif preset == 'backward':
@@ -675,7 +665,7 @@ class NewtonStepper:
                 if res < best_res:
                     best_res = res
                     nm_left = 5
-        except (NonFiniteInput, RootFindFailure) as exc:
+        except GraphMapFailure as exc:
             raise NewtonDivergence(f'graph map failed on a Newton iterate: {exc}',
                                    t=t1, iters=iters, residual=res) from exc
         except LinearSolveFailure as exc:

@@ -18,7 +18,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from . import disk_grid as dg
-from .errors import NonzeroMean, SolveFailure
+from .errors import SolveFailure
 
 __all__ = ('NormToolkit', 'v_norm_bulk')
 
@@ -68,7 +68,7 @@ class NormToolkit:
         rhs = self.weight_vector * vals
         scale = math.sqrt(float(rhs @ vals))  # weighted L2 norm of z
         if abs(dg.mean_bulk(g, z)) > 1e-10 * max(scale, 1e-300):
-            raise NonzeroMean('f_inverse_bulk needs a zero-mean operand')
+            raise ValueError('f_inverse_bulk needs a zero-mean operand')
         lam = float(rhs.sum() / self.weight_vector.sum())
         psi = self._modes.solve(rhs - lam * self.weight_vector)
         residual = self.stiffness @ psi + lam * self.weight_vector - rhs

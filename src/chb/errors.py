@@ -1,10 +1,8 @@
 """Exception types shared across the package."""
 
 __all__ = (
-    'ChbError', 'NonFiniteInput', 'RootFindFailure', 'ShapeMismatch',
-    'NonzeroMean', 'SolveFailure', 'NewtonDivergence', 'LinearSolveFailure',
-    'ValidationFailure', 'MeanMismatch', 'ConfigError', 'NonPositivePoint',
-    'TooFewPoints',
+    'ChbError', 'GraphMapFailure', 'SolveFailure', 'NewtonDivergence',
+    'LinearSolveFailure', 'ValidationFailure', 'ConfigError',
 )
 
 
@@ -12,20 +10,9 @@ class ChbError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonFiniteInput(ChbError):
-    """An input value was NaN or infinite."""
-
-
-class RootFindFailure(ChbError):
-    """Scalar root find did not converge; indicates a bad graph scale."""
-
-
-class ShapeMismatch(ChbError):
-    """Field shape does not match the grid."""
-
-
-class NonzeroMean(ChbError):
-    """Operand of a zero-mean solve has a mean above tolerance."""
+class GraphMapFailure(ChbError):
+    """A graph map met a NaN or infinite argument, or its scalar root find
+    did not converge (which indicates a bad graph scale)."""
 
 
 class SolveFailure(ChbError):
@@ -60,20 +47,9 @@ class LinearSolveFailure(SolveFailure):
 
 
 class ValidationFailure(ChbError):
-    """Problem data violates one of the admissibility assumptions."""
-
-
-class MeanMismatch(ChbError):
-    """Initial-data perturbation changes a conserved mean beyond 1e-12."""
+    """Problem data violate one of the admissibility assumptions, or an
+    initial-data perturbation changes a conserved mean."""
 
 
 class ConfigError(ChbError):
     """Malformed or inconsistent experiment configuration."""
-
-
-class NonPositivePoint(ChbError):
-    """Rate fit received a nonpositive abscissa or ordinate."""
-
-
-class TooFewPoints(ChbError):
-    """Rate fit needs at least three points."""

@@ -28,7 +28,7 @@ from . import disk_grid as dg
 from . import dual_norms as dn
 from . import monotone_graphs as mg
 from . import svg_plots
-from .errors import ConfigError, MeanMismatch, NonPositivePoint, TooFewPoints
+from .errors import ConfigError, ValidationFailure
 
 __all__ = (
     'ExperimentConfig', 'SweepRow', 'SweepReport', 'StabilityRow',
@@ -191,8 +191,7 @@ _GRAPH = _kind({
 _PERTURBATION = _kind({
     'linear': (mg.Perturbation.linear, {'slope': (_float, None)}),
     'tabulated': (mg.Perturbation.tabulated, {'xs': (_numbers(), _REQUIRED),
-                                              'ys': (_numbers(), _REQUIRED),
-                                              'lipschitz_constant': (_float, None)}),
+                                              'ys': (_numbers(), _REQUIRED)}),
 })
 # profiles and sources stay sections until `_profile`/`_source` put them on the grid
 _HARMONIC = {'amplitude': (_float, 1.0), 'mode': (_int, 1), 'phase': (_float, 0.0),
@@ -220,8 +219,6 @@ _PRESET = {
     'amplitude': (_float, None),
     'mode': (_int, None),
     'offset': (_float, None),
-    'log_scale': (_float, None),
-    'anti_slope_c': (_float, None),
     'compat_tol': (_float, None),
 }
 _EXPLICIT = {
@@ -381,11 +378,11 @@ def fit_rate(points) -> tuple:
     """OLS fit of log e = p log delta + b; returns (slope, intercept, r2)."""
     pts = list(points)
     if len(pts) < 3:
-        raise TooFewPoints(f'need at least 3 points for a rate fit, got {len(pts)}')
+        raise ValueError(f'need at least 3 points for a rate fit, got {len(pts)}')
     deltas = np.array([p[0] for p in pts], dtype=float)
     errs = np.array([p[1] for p in pts], dtype=float)
     if np.any(deltas <= 0) or np.any(errs <= 0) or not np.all(np.isfinite(errs)):
-        raise NonPositivePoint('rate fit requires positive (delta, e) pairs')
+        raise ValueError('rate fit requires positive (delta, e) pairs')
     L, E = np.log(deltas), np.log(errs)
     A = np.vstack([L, np.ones_like(L)]).T
     coef, *_ = np.linalg.lstsq(A, E, rcond=None)
@@ -615,6 +612,8 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
     deltas, ref_mode = sd.deltas, sd.reference
     ref_delta = 0.0 if ref_mode == 'delta_zero' else deltas[-1]
     sweep_deltas = deltas if ref_mode == 'delta_zero' else deltas[:-1]
+    if not sweep_deltas:
+        raise ConfigError('a finest ladder needs at least two deltas')
 
     tasks = [(problem, solver_from_config(cfg, delta=d)) for d in [ref_delta, *sweep_deltas]]
     results, compared = _compare(cfg, tasks, _four_norms(dn.NormToolkit(cfg.grid)),
@@ -708,10 +707,10 @@ def _perturbation_sources(cfg, problem, amplitude):
         u0 = u0 + amplitude * bump
         v0 = v0 + amplitude * tbump
         scale = max(1.0, float(np.max(np.abs(u0))))
-        if abs(dg.mean_bulk(grid, u0) - problem.m0) > 1e-12 * scale \
-                or abs(dg.mean_trace(grid, v0) - problem.m_gamma0) > 1e-12 * scale:
-            raise MeanMismatch('mean-corrected initial perturbation still '
-                               'changes a conserved mean beyond 1e-12')
+        if abs(dg.mean_bulk(grid, u0) - dg.mean_bulk(grid, problem.u0)) > 1e-12 * scale \
+                or abs(dg.mean_trace(grid, v0) - dg.mean_trace(grid, problem.v0)) > 1e-12 * scale:
+            raise ValidationFailure('mean-corrected initial perturbation still '
+                                    'changes a conserved mean beyond 1e-12')
     return replace(problem, f=f, g=g, u0=u0, v0=v0)
 
 

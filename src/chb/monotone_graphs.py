@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, RootFindFailure
+from .errors import GraphMapFailure
 
 __all__ = (
     'GraphSpec', 'Perturbation', 'GrowthVerdict',
@@ -105,7 +105,7 @@ def double_obstacle(lower: float = -1.0, upper: float = 1.0) -> GraphSpec:
 def _as_array(r):
     arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput('non-finite graph argument')
+        raise GraphMapFailure('non-finite graph argument')
     return arr
 
 
@@ -163,7 +163,7 @@ def _resolvent_power(spec, arr, lam):
             break
         x = x - g / (1.0 + lc * p * x ** (p - 1))
     else:
-        raise RootFindFailure('power_odd resolvent did not converge')
+        raise GraphMapFailure('power_odd resolvent did not converge')
     return np.sign(arr) * x
 
 
@@ -181,7 +181,7 @@ def _log_resolvent_y(spec, arr, lam):
             break
         y = y - h / ((1.0 - t * t) + two_ls)
     else:
-        raise RootFindFailure('logarithmic resolvent did not converge')
+        raise GraphMapFailure('logarithmic resolvent did not converge')
     return np.sign(arr) * y
 
 
@@ -332,7 +332,6 @@ class Perturbation:
     slope: float = 0.0
     xs: tuple = ()
     ys: tuple = ()
-    lipschitz_constant: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ('linear', 'tabulated'):
@@ -346,26 +345,22 @@ class Perturbation:
                 raise ValueError('tabulated sample points must be strictly increasing')
             if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
                 raise ValueError('tabulated samples must be finite')
-        if not self.lipschitz_constant >= 0:
-            raise ValueError('lipschitz_constant must be nonnegative')
+
+    @property
+    def lipschitz_constant(self) -> float:
+        """|slope|, or the steepest slope of the table."""
+        if self.kind == 'linear':
+            return abs(self.slope)
+        return float(np.max(np.abs(np.diff(self.ys) / np.diff(self.xs))))
 
     @staticmethod
     def linear(slope: float = 0.0) -> 'Perturbation':
-        return Perturbation('linear', slope=float(slope),
-                            lipschitz_constant=abs(float(slope)))
+        return Perturbation('linear', slope=float(slope))
 
     @staticmethod
-    def tabulated(xs, ys, lipschitz_constant: float | None = None) -> 'Perturbation':
-        xs = tuple(float(x) for x in xs)
-        ys = tuple(float(y) for y in ys)
-        slopes = np.diff(ys) / np.diff(xs)
-        actual = float(np.max(np.abs(slopes))) if len(xs) > 1 else 0.0
-        if lipschitz_constant is None:
-            lipschitz_constant = actual
-        elif lipschitz_constant < actual * (1.0 - 1e-12):
-            raise ValueError('declared Lipschitz constant below the table slopes')
-        return Perturbation('tabulated', xs=xs, ys=ys,
-                            lipschitz_constant=float(lipschitz_constant))
+    def tabulated(xs, ys) -> 'Perturbation':
+        return Perturbation('tabulated', xs=tuple(float(x) for x in xs),
+                            ys=tuple(float(y) for y in ys))
 
     def __call__(self, r):
         arr = _as_array(r)

@@ -330,15 +330,13 @@ def test_perturbation_from_json_table():
     table = [
         ({'kind': 'linear'}, mg.Perturbation.linear(0.0)),
         ({'kind': 'linear', 'slope': -1.0}, mg.Perturbation.linear(-1.0)),
-        # the Lipschitz constant defaults to the steepest table slope
+        # the Lipschitz constant is the steepest table slope
         ({'kind': 'tabulated', 'xs': [0.0, 1.0], 'ys': [0.0, -1.0]},
          mg.Perturbation.tabulated((0.0, 1.0), (0.0, -1.0))),
-        ({'kind': 'tabulated', 'xs': [0.0, 1.0], 'ys': [0.0, -1.0], 'lipschitz_constant': 1.0},
-         mg.Perturbation('tabulated', xs=(0.0, 1.0), ys=(0.0, -1.0), lipschitz_constant=1.0)),
-        ({'kind': 'tabulated', 'xs': [-1, 0, 2], 'ys': [1, 0, 0], 'lipschitz_constant': 3.0},
-         mg.Perturbation('tabulated', xs=(-1.0, 0.0, 2.0), ys=(1.0, 0.0, 0.0),
-                         lipschitz_constant=3.0)),
+        ({'kind': 'tabulated', 'xs': [-1, 0, 2], 'ys': [1, 0, 0]},
+         mg.Perturbation('tabulated', xs=(-1.0, 0.0, 2.0), ys=(1.0, 0.0, 0.0))),
     ]
     for d, p in table:
         assert read_problem(pi=d).pi == p, d
         assert read_problem(pi_gamma=d).pi_gamma == p, d
+    assert [p.lipschitz_constant for _, p in table] == [0.0, 1.0, 1.0, 1.0]

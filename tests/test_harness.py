@@ -26,9 +26,9 @@ from hypothesis import given, settings, strategies as st
 
 import chb
 from chb import chd_solver as cs
-from chb import cli, harness
+from chb import cli, errors, harness
 from chb import disk_grid as dg
-from chb.errors import ConfigError, NewtonDivergence, NonPositivePoint, TooFewPoints
+from chb.errors import ConfigError, NewtonDivergence
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +60,9 @@ def test_fit_rate_noisy_half_power():
 
 
 def test_fit_rate_input_guards():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ValueError, match='at least 3 points'):
         harness.fit_rate([(0.1, 0.1), (0.05, 0.05)])
-    with pytest.raises(NonPositivePoint):
+    with pytest.raises(ValueError, match='positive'):
         harness.fit_rate([(0.1, 0.1), (0.05, 0.0), (0.025, 0.025)])
 
 
@@ -161,7 +161,7 @@ def test_explicit_problem_spec(tmp_path):
     # v0 defaults to the trace of the harmonic profile
     assert np.max(np.abs(problem.v0 - problem.u0[-1] * problem.grid.r[-1] ** 0
                          )) < 0.25   # same mode family, nearby values
-    assert problem.m0 != 0.0
+    assert dg.mean_bulk(problem.grid, problem.u0) != 0.0
 
 
 def test_tabulated_u0_requires_v0(tmp_path):
@@ -478,6 +478,16 @@ def test_sweep_delta_finest_reference(tmp_path):
     assert errs == sorted(errs, reverse=True)
 
 
+def test_cli_one_entry_finest_ladder_is_exit_2(tmp_path, capsys):
+    # the reference would consume the only delta and leave nothing to compare
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    raw.update(experiment='sweep_delta', sweep_delta={'deltas': [0.4], 'reference': 'finest'})
+    path = cli_cfg(tmp_path, raw, 'finest.json')
+    assert cli.main(['sweep-delta', path, '--out', str(tmp_path / 'fo')]) == 2
+    assert 'error: a finest ladder needs at least two deltas' in capsys.readouterr().err
+    assert not (tmp_path / 'fo').exists()
+
+
 def test_sweep_delta_zero_data_sets_zero_error_flag(tmp_path):
     raw = {
         'experiment': 'sweep_delta',
@@ -612,6 +622,16 @@ def test_stability_initial_target_mean_corrects(tmp_path):
     report = harness.stability_experiment(harness.load_config(make_cfg(tmp_path, raw)))
     assert report.rows[0].status == 'ok'
     assert math.isfinite(report.rows[0].sup_ratio)
+
+
+def test_cli_tabulated_profile_of_the_wrong_length_is_exit_2(tmp_path, capsys):
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    raw['problem'] = {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                      'u0': {'kind': 'tabulated', 'values': [0.0] * 127},
+                      'v0': {'kind': 'constant', 'value': 0.0}}
+    path = cli_cfg(tmp_path, raw, 'short.json')
+    assert cli.main(['solve', path, '--out', str(tmp_path / 'so')]) == 2
+    assert 'error: a tabulated profile needs 128 values' in capsys.readouterr().err
 
 
 def test_sweep_lambda_monotone_differences(tmp_path):
@@ -838,6 +858,37 @@ def test_failed_stability_run_is_flagged_and_left_out_of_the_band(tmp_path, monk
     assert all(r['status'] == 'ok' for r in rows) and len(report['runs']) == 4
 
 
+def test_cli_initial_target_mean_check_is_exit_2(tmp_path, capsys, monkeypatch):
+    # a bulk mean off by a relative 1e-6 stands in for a round-off that the
+    # mean correction of a constant bump cannot absorb
+    mean_bulk = dg.mean_bulk
+    monkeypatch.setattr(dg, 'mean_bulk', lambda grid, u: (1.0 + 1e-6) * mean_bulk(grid, u))
+    raw = dict(STABILITY_RAW, stability={'amplitudes': [1e-2], 'target': 'initial',
+                                         'shape': {'kind': 'constant', 'value': 1.0}})
+    path = cli_cfg(tmp_path, raw, 'mean.json')
+    assert cli.main(['stability', path, '--out', str(tmp_path / 'mo')]) == 2
+    assert ('error: mean-corrected initial perturbation still changes a conserved mean '
+            'beyond 1e-12') in capsys.readouterr().err
+    assert not (tmp_path / 'mo').exists()
+
+
+@pytest.mark.parametrize('stability, zero, band, code', [
+    ({'amplitudes': [1e-2, 1e-1], 'shape': {'kind': 'constant', 'value': 0.0}},
+     [True, True], '1', 0),
+    # a perturbation that moves no bit of either side has ratio 0 next to a positive one
+    ({'amplitudes': [1e-200, 1e-2]}, [True, False], 'inf', 4),
+], ids=['zero_shape', 'amplitude_below_round_off'])
+def test_cli_zero_ratio_band(tmp_path, capsys, stability, zero, band, code):
+    raw = dict(STABILITY_RAW, stability=stability)
+    path = cli_cfg(tmp_path, raw, 'zero.json')
+    assert cli.main(['stability', path, '--out', str(tmp_path / 'zo')]) == code
+    rows = _csv_rows(tmp_path / 'zo' / 'stability.csv')
+    assert [float(r['sup_ratio']) == 0.0 for r in rows] == zero
+    report = json.loads((tmp_path / 'zo' / 'stability.json').read_text())
+    assert report['band'] == float(band) and report['band_ok'] == (code == 0)
+    assert f'ratio band {band} (limit 3)' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize('command, k', [('stability', 0), ('sweep-lambda', 0),
                                         ('sweep-lambda', 1), ('sweep-lambda', 2)])
 def test_cli_failed_comparison_run_is_exit_3(tmp_path, capsys, monkeypatch, command, k):
@@ -938,6 +989,13 @@ SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta':
     ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
                            'pi': {'kind': 'linear', 'slope': -1.0, 'lipschitz': 1.0},
                            'u0': {'kind': 'constant', 'value': 0.1}}}),
+    # keys that are gone: L is the steepest table slope, the preset's scale and slope are fixed
+    ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                           'pi': {'kind': 'tabulated', 'xs': [0.0, 1.0], 'ys': [0.0, -1.0],
+                                  'lipschitz_constant': 1.0},
+                           'u0': {'kind': 'constant', 'value': 0.1}}}),
+    ('solve', {'problem': {'preset': 'logarithmic', 'log_scale': 0.5}}),
+    ('solve', {'problem': {'preset': 'logarithmic', 'anti_slope_c': 1.0}}),
     ('solve', {'problem': {'bulk_graph': 'cubic', 'boundary_graph': {'kind': 'zero'},
                            'u0': {'kind': 'constant', 'value': 0.1}}}),
     ('solve', {'output': {'plots': 'false'}}),
@@ -1000,7 +1058,8 @@ SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta':
     # the solver's ranges
     *(('solve', {'solver': dict(BASE_SINGLE['solver'], **bad)}) for bad in SOLVER_RANGES.values()),
 ], ids=['stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile',
-        'graph_key', 'pi_key', 'graph_str', 'plots', 'solver_key', 'preset_key',
+        'graph_key', 'pi_key', 'pi_lipschitz_constant', 'preset_log_scale',
+        'preset_anti_slope_c', 'graph_str', 'plots', 'solver_key', 'preset_key',
         'problem_key', 'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str',
         'amplitudes_str', 'lambdas_int', 'grid_list', 'output_list', 'sweep_delta_list',
         'stability_list', 'sweep_lambda_list', 'n_r_float', 'n_theta_float', 'stride_float',
@@ -1108,6 +1167,20 @@ def test_cli_non_finite_residual_is_exit_3_with_partial_trajectory(tmp_path, cap
     summary = json.loads((tmp_path / 'nf' / 'summary.json').read_text())
     assert summary['steps'] == 2
     assert 'non-finite residual' in summary['solver_error']
+
+
+_README = Path(__file__).resolve().parent.parent / 'README.md'
+
+
+def test_readme_config_example_and_exit_codes_match_the_code():
+    # a renamed key or error type fails here until README follows
+    text = _README.read_text()
+    example = re.search(r'One JSON object per experiment:\n\n```json\n(.*?)```', text, re.S)
+    cfg = harness.ExperimentConfig.from_dict(json.loads(example.group(1)))
+    problem, solver = harness.problem_from_config(cfg), harness.solver_from_config(cfg)
+    assert (problem.grid.n_r, solver.t_end, cfg.sweep_delta.assert_r2) == (64, 0.25, 0.98)
+    exit_codes = re.search(r'\nExit codes:(.*?)\n## ', text, re.S).group(1)
+    assert [name for name in errors.__all__ if f'`{name}`' not in exit_codes] == []
 
 
 def test_every_name_in_all_is_defined():

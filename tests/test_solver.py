@@ -19,8 +19,8 @@ from chb import cli
 from chb import disk_grid as dg
 from chb import harness
 from chb import monotone_graphs as mg
-from chb.errors import (LinearSolveFailure, NewtonDivergence, ShapeMismatch,
-                        SolveFailure, ValidationFailure)
+from chb.errors import (LinearSolveFailure, NewtonDivergence, SolveFailure,
+                        ValidationFailure)
 
 
 def small_grid():
@@ -634,6 +634,68 @@ def test_capacitance_failure_is_linear_solve_failure(monkeypatch, tmp_path, kind
     assert message in summary['solver_error']
 
 
+class _FailingBase:
+    """Base-solver stand-in whose `method` raises as a failed SuperLU
+    solve does; everything else is the base's."""
+
+    def __init__(self, base, method):
+        self._base, self._method, self.nnz = base, method, base.nnz
+
+    def __getattr__(self, name):
+        if name != self._method:
+            return getattr(self._base, name)
+
+        def fail(*args):
+            raise RuntimeError('stand-in solve failure')
+        return fail
+
+
+def _failing_splu(monkeypatch):
+    def fail(matrix, **options):
+        raise RuntimeError('stand-in factorization failure')
+    monkeypatch.setattr(cs, 'splu', fail)
+
+
+def _failing_base(method):
+    def install(monkeypatch):
+        factorize = cs.NewtonStepper._factorize
+
+        def failing(stepper, d):
+            factorize(stepper, d)
+            stepper._base = _FailingBase(stepper._base, method)
+        monkeypatch.setattr(cs.NewtonStepper, '_factorize', failing)
+    return install
+
+
+def _non_finite_capacitance_solve(monkeypatch):
+    update = cs.NewtonStepper._update
+
+    def nan_update(stepper, changed, d):
+        update(stepper, changed, d)
+        stepper._cap = np.full_like(stepper._cap, np.nan)
+    monkeypatch.setattr(cs.NewtonStepper, '_update', nan_update)
+
+
+@pytest.mark.parametrize('install, message, first_step', [
+    (_failing_splu, 'sparse factorization failed: stand-in factorization failure', True),
+    (_failing_base('solve'), 'triangular solve failed: stand-in solve failure', True),
+    (_failing_base('inverse_block'), 'triangular solve failed: stand-in solve failure', False),
+    (_non_finite_capacitance_solve, 'non-finite capacitance solve', False),
+], ids=['splu', 'solve', 'inverse_block', 'capacitance_solve'])
+def test_cli_linear_solve_failure_is_exit_3(monkeypatch, tmp_path, capsys, install, message,
+                                            first_step):
+    # the factorization and the solves fail in step 1; the updates, which
+    # the forced obstacle first asks for in a later step, fail there
+    install(monkeypatch)
+    path = tmp_path / 'forced.json'
+    path.write_text(json.dumps(forced_obstacle_raw()))
+    assert cli.main(['solve', str(path), '--out', str(tmp_path / 'o')]) == 3
+    assert f'solver failure: {message} (failed step target time' in capsys.readouterr().err
+    summary = json.loads((tmp_path / 'o' / 'summary.json').read_text())
+    assert summary['solver_error'] == message
+    assert (summary['steps'] == 0) == first_step
+
+
 # ---------------------------------------------------------------------------
 # sextuplet consistency
 
@@ -752,10 +814,29 @@ def _exact(grid, m=2, s=-1.0, lam=1e-2, delta=0.1):
     return cs.ProblemData(grid, mg.zero(), mg.zero(), pi, pi, f, g, u, v), (u, mu, v)
 
 
-def _exact_errors(grid, dt, t_end):
+def _on_the_cubic(problem, u, v, lam, dt, t_end):
+    """The manufactured problem with the cubic on both graphs: f and g gain
+    beta_lam(u) and beta_Gamma_lam(v) of the exact solution as frames at the
+    step times (accumulated as `run()` accumulates them), where backward
+    Euler evaluates them exactly."""
+    cubic, times = mg.power_odd(3), [0.0]
+    for _ in range(round(t_end / dt)):
+        times.append(times[-1] + dt)
+
+    def frames(profile):
+        return cs._Source(profile.shape, 'tabulated', times=tuple(times), frames=np.array(
+            [mg.yosida(cubic, math.exp(-t) * profile, lam) for t in times]))
+    return dataclasses.replace(problem, bulk_graph=cubic, boundary_graph=cubic,
+                               f=problem.f + frames(u), g=problem.g + frames(v))
+
+
+def _exact_errors(grid, dt, t_end, cubic=False):
     """The L2 errors of u, mu (bulk quadrature) and v (circle) at t_end
-    against the manufactured solution at the cell centres and nodes."""
+    against the manufactured solution at the cell centres and nodes, on
+    the zero graphs or on the cubic."""
     problem, (u, mu, v) = _exact(grid)
+    if cubic:
+        problem = _on_the_cubic(problem, u, v, 1e-2, dt, t_end)
     res = cs.run(problem, config(delta=0.1, lam=1e-2, dt=dt, t_end=t_end, newton_tol=1e-12))
     last = res.steps[-1]
     assert res.error is None and abs(last.t - t_end) < 1e-12
@@ -777,6 +858,23 @@ def test_exact_solution_is_first_order_in_time():
     grid = dg.DiskGrid(32, 64)
     floor = _exact_errors(grid, 1e-4, 0.1)
     errors = [_exact_errors(grid, dt, 0.1) - floor for dt in (0.02, 0.01, 0.005, 0.0025)]
+    orders = [np.log2(e / e_next) for e, e_next in zip(errors, errors[1:])]
+    assert np.min(orders) >= 0.9, orders
+
+
+def test_nonlinear_exact_solution_is_second_order_in_space():
+    # the Yosida terms inside the scheme, not only the operators
+    errors = [_exact_errors(dg.DiskGrid(n_r, 2 * n_r), 1e-5, 1e-3, cubic=True)
+              for n_r in (8, 16, 32)]
+    orders = [np.log2(e / e_next) for e, e_next in zip(errors, errors[1:])]
+    assert np.min(orders) >= 1.8, orders
+
+
+def test_nonlinear_exact_solution_is_first_order_in_time():
+    grid = dg.DiskGrid(32, 64)
+    floor = _exact_errors(grid, 1e-4, 0.1, cubic=True)
+    errors = [_exact_errors(grid, dt, 0.1, cubic=True) - floor
+              for dt in (0.02, 0.01, 0.005, 0.0025)]
     orders = [np.log2(e / e_next) for e, e_next in zip(errors, errors[1:])]
     assert np.min(orders) >= 0.9, orders
 
@@ -1011,7 +1109,7 @@ def test_validate_warns_on_large_dt_lipschitz():
 def test_problem_data_shape_checks():
     g = small_grid()
     p = cs.preset_problem('cubic', g)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match='u0 shape does not match the grid'):
         cs.ProblemData(g, p.bulk_graph, p.boundary_graph, p.pi, p.pi_gamma,
                        p.f, p.g, p.u0[:-1], p.v0)
 
