@@ -300,17 +300,22 @@ class Diagnostics:
 class RunRecord:
     """What a run did, counted by every stepper of the run: the Newton
     iterations of its converged steps, the Jacobian refreshes served by a
-    new LU and by a low-rank update of the kept one, and the largest L+U
-    nnz (of the mode matrix for a Fourier base)."""
+    new LU and by a low-rank update of the kept one, the largest L+U nnz
+    (of the mode matrix for a Fourier base), the line search's halvings of
+    a step and the full steps taken as non-monotone fallbacks; these two
+    count as they happen, so a step that then fails shows its work too."""
     newton_iters: int = 0
     lu_factorizations: int = 0
     lu_updates: int = 0
     lu_nnz: int = 0
+    line_search_halvings: int = 0
+    nonmonotone_steps: int = 0
 
 
 @dataclass
 class RunResult:
-    steps: list              # StepSolution at every time level, t=0 first
+    steps: list              # StepSolution at every time level, t=0 first; a
+                             # comparison run (harness) keeps only t, u and v
     diagnostics: Diagnostics
     error: SolveFailure | None
     wall_time: float
@@ -632,7 +637,10 @@ class NewtonStepper:
                 dx = self._solve(-r)
                 accepted = False
                 alpha, full = 1.0, None
-                for _ in range(9):  # full step + 8 damped retries
+                for retry in range(9):  # full step + 8 damped retries
+                    if retry:
+                        alpha *= 0.5
+                        self.record.line_search_halvings += 1
                     x_try = x + alpha * dx
                     r_try = self._residual(x_try, *data)
                     res_try = self._res_norm(r_try)
@@ -641,7 +649,6 @@ class NewtonStepper:
                     if res_try <= cfg.newton_tol or res_try < res * (1.0 - 1e-4):
                         accepted = True
                         break
-                    alpha *= 0.5
                 iters += 1
                 if not accepted:
                     if self._refresh_lu(x[:n], x[2 * n:2 * n + nt]):
@@ -660,6 +667,7 @@ class NewtonStepper:
                             f'damped Newton stalled at residual {res:.3e}{below}',
                             t=t1, iters=iters, residual=res)
                     nm_left -= 1
+                    self.record.nonmonotone_steps += 1
                     x_try, r_try, res_try = full
                 x, r, prev_res, res = x_try, r_try, res, res_try
                 if res < best_res:

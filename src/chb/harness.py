@@ -65,9 +65,10 @@ def _write_csv(path, row_type, rows):
 
 def _write_json(path, obj):
     """Every JSON report goes through here and ends with `peak_rss_mb`: the
-    peak resident memory of the writing process so far, in 10^6 bytes.  The
-    workers of a process pool are not counted."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    peak resident memory of the largest single process so far, the writing
+    one or a reaped child such as a pool worker, in 10^6 bytes."""
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) * 1024 / 1e6
     with open(path, 'w') as fh:
         json.dump({**obj, 'peak_rss_mb': peak}, fh, indent=2)
         fh.write('\n')
@@ -445,8 +446,13 @@ def _combined_error(norms) -> tuple:
 # run execution (picklable for worker pools)
 
 def _execute_run(task):
+    """cs.run of a (problem, config) task, each level cut down to copies of
+    the t, u and v that `_trajectory_norms` reads (a view would keep the
+    level's whole Newton vector alive): a worker pickles half a level."""
     problem, config = task
-    return cs.run(problem, config)
+    result = cs.run(problem, config)
+    return replace(result, steps=[SimpleNamespace(t=s.t, u=s.u.copy(), v=s.v.copy())
+                                  for s in result.steps])
 
 
 def _run_many(tasks, workers: int):

@@ -1,15 +1,20 @@
 """The names the benchmark's tracer (perfbench/tracing.py) wraps must exist
-where it looks them up, and `NewtonStepper.step` must keep returning the
-Newton iteration count at index 4.  Only the traced benchmark pass
-(`--trace 1`) would notice otherwise, and it is not part of this suite."""
+where it looks them up, `NewtonStepper.step` must keep returning the
+Newton iteration count at index 4, and `harness._run_many` must keep
+returning a list (the tracer extends its own list with it, which would use
+up a generator).  Only the traced benchmark pass (`--trace 1`) would notice
+otherwise, and it is not part of this suite."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from chb import chd_solver as cs
 from chb import disk_grid as dg
+from chb import harness
 
 _TRACING = Path(__file__).resolve().parent.parent / 'perfbench' / 'tracing.py'
 
@@ -52,3 +57,11 @@ def test_tracer_counts_the_run_and_restores_the_names():
     assert tracer.newton_iters == sum(r.newton_iters for r in result.diagnostics.rows) > 0
     assert len(tracer.runs) == 1 and tracer.runs[0]['steps'] == 3
     assert all(owner.__dict__[attr] is fn for (owner, attr), fn in originals.items())
+
+
+@pytest.mark.parametrize('workers', [1, 2])
+def test_run_many_returns_a_list(workers):
+    problem, config = _cubic()
+    results = harness._run_many([(problem, config)] * 2, workers)
+    assert type(results) is list and len(results) == 2
+    assert all(r.error is None and len(r.steps) == 4 for r in results)

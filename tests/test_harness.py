@@ -13,6 +13,7 @@ import json
 import math
 import operator
 import os
+import pickle
 import pkgutil
 import re
 import subprocess
@@ -313,7 +314,7 @@ def test_field_csv_golden_bytes(tmp_path, n_levels, stride, keep, name):
 # integral ones), the header of a report without rows, and the JSON keys in
 # their order.  The literals are the bytes of the writers that each spelled
 # out its columns and keys by hand.
-GOLDEN_RUNS = [cs.RunRecord(7, 1, 2, 345), cs.RunRecord(9, 2, 0, 345)]
+GOLDEN_RUNS = [cs.RunRecord(7, 1, 2, 345, 3, 1), cs.RunRecord(9, 2, 0, 345, 0, 0)]
 GOLDEN_REPORT_FILES = {
     'diagnostics.csv':
         b't,mass_bulk,mass_trace,energy,d_energy,grad_mu,grad_w,overshoot,delta_h1v,'
@@ -335,8 +336,10 @@ GOLDEN_REPORT_FILES = {
         b'0.30000000000000004,0.0001,2,0.25\r\n',
     'empty.csv': b'lambda_high,lambda_low,diff_bulk_l2v,diff_trace_l2h\r\n',
 }
-GOLDEN_RUN_DICTS = [{'newton_iters': 7, 'lu_factorizations': 1, 'lu_updates': 2, 'lu_nnz': 345},
-                    {'newton_iters': 9, 'lu_factorizations': 2, 'lu_updates': 0, 'lu_nnz': 345}]
+GOLDEN_RUN_DICTS = [{'newton_iters': 7, 'lu_factorizations': 1, 'lu_updates': 2, 'lu_nnz': 345,
+                     'line_search_halvings': 3, 'nonmonotone_steps': 1},
+                    {'newton_iters': 9, 'lu_factorizations': 2, 'lu_updates': 0, 'lu_nnz': 345,
+                     'line_search_halvings': 0, 'nonmonotone_steps': 0}]
 GOLDEN_REPORT_JSON = {
     'sweep_delta_fit.json': {'slope': 0.9425, 'intercept': -1.5, 'r2': 0.999695,
                              'zero_error': False, 'rate_claimed': True,
@@ -608,6 +611,36 @@ def test_json_reports_record_the_peak_memory(tmp_path):
     harness.stability_experiment(harness.load_config(make_cfg(tmp_path, raw)))
     for report in ('pk/summary.json', 'pw/sweep_delta_fit.json', 'ps/stability.json'):
         assert json.loads((tmp_path / report).read_text())['peak_rss_mb'] > 0, report
+
+
+@pytest.mark.parametrize('self_kb, children_kb', [(90_000, 110_000), (110_000, 90_000)],
+                         ids=['a_worker_is_larger', 'the_writer_is_larger'])
+def test_peak_memory_is_that_of_the_largest_process(tmp_path, monkeypatch, self_kb,
+                                                    children_kb):
+    # RUSAGE_CHILDREN: the largest reaped child, e.g. a pool worker
+    maxrss = {harness.resource.RUSAGE_SELF: self_kb,
+              harness.resource.RUSAGE_CHILDREN: children_kb}
+    monkeypatch.setattr(harness.resource, 'getrusage',
+                        lambda who: SimpleNamespace(ru_maxrss=maxrss[who]))
+    harness._write_json(tmp_path / 'r.json', {'steps': 3})
+    assert json.loads((tmp_path / 'r.json').read_text()) == {
+        'steps': 3, 'peak_rss_mb': 110_000 * 1024 / 1e6}
+
+
+def test_comparison_run_keeps_t_u_and_v_of_each_level():
+    problem = cs.preset_problem('cubic', dg.DiskGrid(16, 32), amplitude=0.4)
+    config = cs.SolverConfig(delta=0.1, lam=1e-3, dt=1e-3, t_end=1e-2)
+    full = cs.run(problem, config)
+    kept = harness._execute_run((problem, config))
+    assert len(kept.steps) == len(full.steps) == 11
+    for level, s in zip(kept.steps, full.steps):
+        assert sorted(vars(level)) == ['t', 'u', 'v'] and level.t == s.t
+        for name in ('u', 'v'):
+            np.testing.assert_array_equal(getattr(level, name), getattr(s, name))
+            # its own array: a view would keep the level's mu and w alive
+            assert getattr(level, name).base is None
+    assert kept.diagnostics == full.diagnostics and kept.record == full.record
+    assert len(pickle.dumps(kept)) <= 0.55 * len(pickle.dumps(full))
 
 
 def test_stability_initial_target_mean_corrects(tmp_path):

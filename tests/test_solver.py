@@ -1188,3 +1188,74 @@ def test_obstacle_overshoot_bounded_by_lambda():
         over.append(max(r.overshoot for r in res.diagnostics.rows))
     assert over[0] > 0
     assert over[1] <= over[0]
+
+
+# ---------------------------------------------------------------------------
+# the run record's line-search counts against a replay of the loop
+
+def _line_searches(monkeypatch):
+    """Spies that log, by residual norm, what each Newton step did: the
+    iterate at each solve, every step length tried, and the iterate the
+    step ended at (raised or returned).  The replay reads each solve's
+    tries off the log; a line search that tried all 9 lengths and moved
+    the iterate to the full step's point was a non-monotone step."""
+    log = []
+    solve, residual, step = (cs.NewtonStepper._solve, cs.NewtonStepper._residual,
+                             cs.NewtonStepper.step)
+
+    def spy_solve(self, b):               # b = -R at the iterate
+        log.append(('solve', self._res_norm(b)))
+        return solve(self, b)
+
+    def spy_residual(self, x, *data):
+        r = residual(self, x, *data)
+        log.append(('try', self._res_norm(r)))
+        return r
+
+    def spy_step(self, *args):
+        log.append(('step', None))
+        try:
+            out = step(self, *args)
+        except NewtonDivergence as exc:
+            log.append(('end', exc.residual))
+            raise
+        log.append(('end', out[5]))
+        return out
+    for name, spy in (('_solve', spy_solve), ('_residual', spy_residual), ('step', spy_step)):
+        monkeypatch.setattr(cs.NewtonStepper, name, spy)
+
+    def replay():
+        halvings = nonmonotone = 0
+        for kind, value in log:
+            if kind == 'step':
+                at, tries = [], [[]]      # tries[0]: the starting residual
+            elif kind == 'try':
+                tries[-1].append(value)
+            elif kind == 'solve':
+                at.append(value)
+                tries.append([])
+            else:                         # the residual the step ended at
+                moved_to = at[1:] + [value]
+                for j, t in enumerate(tries[1:]):
+                    halvings += len(t) - 1
+                    nonmonotone += len(t) == 9 and moved_to[j] == t[0] != at[j]
+        return halvings, nonmonotone
+    return replay
+
+
+@pytest.mark.parametrize('case', ['cubic_below_the_floor', 'forced_obstacle'])
+def test_record_counts_the_line_search_as_the_loop_ran_it(monkeypatch, case):
+    if case == 'cubic_below_the_floor':
+        # the tolerance is under the residual's round-off floor: the first
+        # step halves, falls back and fails, and its work still counts
+        problem = cs.preset_problem('cubic', dg.DiskGrid(8, 16), amplitude=0.4)
+        solver = config(delta=0.1, lam=1e-3, t_end=1e-2, newton_tol=1e-15)
+    else:
+        problem, solver = forced_obstacle()
+        solver = dataclasses.replace(solver, dt=1e-2, t_end=5e-2)
+    replay = _line_searches(monkeypatch)
+    result = cs.run(problem, solver)
+    halvings, nonmonotone = replay()
+    assert result.record.line_search_halvings == halvings > 0
+    assert result.record.nonmonotone_steps == nonmonotone > 0
+    assert (result.error is None) == (case == 'forced_obstacle')
