@@ -419,10 +419,11 @@ class NewtonStepper:
     """One backward-Euler step for fixed (problem, config, dt).
 
     The step's equations are written once: x = (u, mu, v, w) has the
-    residual x + T L x + data - beta(x), L the constant coupling, T its
-    rows' time-step factors and beta the Yosida terms, which the slope map
-    puts in the mu-eq of each u_i and the w-eq of each v_j.  The Jacobian
-    I + T L - P(d) holds the a.e. slopes d at the same positions.
+    residual x + T L x + c - beta(x), L the constant coupling, T its rows'
+    time-step factors, c the step's data (summed once per step) and beta
+    the Yosida terms, which the slope map puts in the mu-eq of each u_i
+    and the w-eq of each v_j.  The Jacobian I + T L - P(d) holds the a.e.
+    slopes d at the same positions.
 
     :meth:`jacobian_at` assembles the whole Jacobian at an iterate, the
     reference that the factorized solves are checked against.  A step
@@ -463,6 +464,10 @@ class NewtonStepper:
         # the equations in the order (mu-eq, u-eq, w-eq, v-eq): the Jacobian's
         # rows then make it symmetric once scaled by the quadrature weights
         self._rows = np.r_[n:2 * n, :n, 2 * n + nt:2 * (n + nt), 2 * n:2 * n + nt]
+        # the slope map's equations and unknowns as slices, graph by graph
+        self._beta_at = ((slice(n, 2 * n), slice(0, n), problem.bulk_graph),
+                         (slice(2 * n + nt, None), slice(2 * n, 2 * n + nt),
+                          problem.boundary_graph))
         self._base = None          # dg.ThetaModes or _SuperLUBase at slopes _base_d
         self._base_d = None
         self._d = None             # slopes of the Jacobian that _solve serves
@@ -576,29 +581,38 @@ class NewtonStepper:
 
     # -- residual ------------------------------------------------------------
 
-    def _data(self, u0, v0, pi_u0, pig_v0, f1, g1):
-        """The step's data in each block of equations, term by term."""
-        return ((-u0,), (self.visc * u0, -pi_u0, f1), (-v0,), (self.visc * v0, -pig_v0, g1))
+    def _data(self, t1, u0, v0):
+        """The data of the step from (u0, v0) to t1 in each block of
+        equations, term by term."""
+        prob, u0 = self.problem, u0.ravel()
+        return ((-u0,), (self.visc * u0, -prob.pi(u0), prob.f(t1).ravel()),
+                (-v0,), (self.visc * v0, -prob.pi_gamma(v0), prob.g(t1)))
 
-    def _residual(self, x, *data):
-        """x + T L x plus the data, less the Yosida terms; data = (u0, v0,
-        pi(u0), pi_Gamma(v0), f(t1), g(t1))."""
-        n = self.n
-        r = (x + np.concatenate([sum(terms) for terms in self._data(*data)])
-             + self._row_dt * (self._lin @ x))
-        r[self._slope_map()[0]] -= self._yosida(mg.yosida, x[:n], x[2 * n:2 * n + self.nt])
+    def _constant(self, t1, u0, v0):
+        """The step's constant vector c: each equation's sum of `_data`'s terms."""
+        return np.concatenate([sum(terms) for terms in self._data(t1, u0, v0)])
+
+    def _residual(self, x, c):
+        """x + T L x + c, less the Yosida terms; c from `_constant`."""
+        r = x + c + self._row_dt * (self._lin @ x)
+        for eqs, unknowns, graph in self._beta_at:
+            r[eqs] -= mg.yosida(graph, x[unknowns], self.config.lam)
         return r
 
-    def _residual_floor(self, x, *data):
-        """Round-off floor of `_res_norm(_residual(x, *data))`: machine
-        epsilon times the weighted norm of each equation's sum of absolute
-        terms (T |L| |x| for the matrix term T L x)."""
-        n, a = self.n, np.abs(x)
+    def _floor_note(self, x, t1, u0, v0):
+        """'' when `newton_tol` is above the round-off floor of
+        `_res_norm(_residual(x, c))`, else a clause that names the floor:
+        machine epsilon times the weighted norm of each equation's sum of
+        absolute terms (T |L| |x| for the matrix term T L x)."""
+        a = np.abs(x)
         m = a + self._row_dt * (abs(self._lin) @ a) + np.concatenate(
-            [sum(map(np.abs, terms)) for terms in self._data(*data)])
-        m[self._slope_map()[0]] += np.abs(
-            self._yosida(mg.yosida, x[:n], x[2 * n:2 * n + self.nt]))
-        return np.finfo(float).eps * self._res_norm(m)
+            [sum(map(np.abs, terms)) for terms in self._data(t1, u0, v0)])
+        for eqs, unknowns, graph in self._beta_at:
+            m[eqs] += np.abs(mg.yosida(graph, x[unknowns], self.config.lam))
+        floor = np.finfo(float).eps * self._res_norm(m)
+        tol = self.config.newton_tol
+        return '' if tol >= floor else (f'; newton_tol {tol:.3e} is below the '
+                                        f'residual\'s estimated round-off floor {floor:.3e}')
 
     def _res_norm(self, r):
         return math.sqrt(self.weights @ r ** 2)
@@ -613,15 +627,13 @@ class NewtonStepper:
         Raises a SolveFailure with the target time t0+dt on any failure.
         """
         cfg = self.config
-        prob = self.problem
         n, nt = self.n, self.nt
         t1 = t0 + self.dt
         iters, res = 0, math.nan
         try:
-            data = (u0.ravel(), v0, prob.pi(u0).ravel(), prob.pi_gamma(v0),
-                    prob.f(t1).ravel(), prob.g(t1))
+            c = self._constant(t1, u0, v0)
             x = np.concatenate([start.u.ravel(), start.mu.ravel(), start.v, start.w])
-            r = self._residual(x, *data)
+            r = self._residual(x, c)
             res = self._res_norm(r)
             prev_res = math.inf
             best_res = res
@@ -630,7 +642,8 @@ class NewtonStepper:
             while res > cfg.newton_tol:
                 if iters >= cfg.newton_max_iter:
                     raise NewtonDivergence(
-                        f'no convergence in {iters} iterations (residual {res:.3e})',
+                        f'no convergence in {iters} iterations (residual {res:.3e})'
+                        f'{self._floor_note(x, t1, u0, v0)}',
                         t=t1, iters=iters, residual=res)
                 if self._base is None or res > 0.25 * prev_res:
                     self._refresh_lu(x[:n], x[2 * n:2 * n + nt])
@@ -642,7 +655,7 @@ class NewtonStepper:
                         alpha *= 0.5
                         self.record.line_search_halvings += 1
                     x_try = x + alpha * dx
-                    r_try = self._residual(x_try, *data)
+                    r_try = self._residual(x_try, c)
                     res_try = self._res_norm(r_try)
                     if full is None:
                         full = x_try, r_try, res_try
@@ -659,12 +672,9 @@ class NewtonStepper:
                     # for the piecewise-linear obstacle system the next fresh
                     # solve is exact once the active set settles.
                     if nm_left == 0:
-                        floor = self._residual_floor(x, *data)
-                        below = '' if cfg.newton_tol >= floor else (
-                            f'; newton_tol {cfg.newton_tol:.3e} is below the '
-                            f'residual\'s estimated round-off floor {floor:.3e}')
                         raise NewtonDivergence(
-                            f'damped Newton stalled at residual {res:.3e}{below}',
+                            f'damped Newton stalled at residual {res:.3e}'
+                            f'{self._floor_note(x, t1, u0, v0)}',
                             t=t1, iters=iters, residual=res)
                     nm_left -= 1
                     self.record.nonmonotone_steps += 1

@@ -217,10 +217,7 @@ def test_criterion_5_linear_propagator(verdict):
     x0 = np.concatenate([problem.u0.ravel(), np.zeros(n),
                          problem.v0, np.zeros(nt)])
     J = stepper.jacobian_at(problem.u0.ravel(), problem.v0).toarray()
-    r0 = stepper._residual(x0, problem.u0.ravel(), problem.v0,
-                           np.asarray(problem.pi(problem.u0)).ravel(),
-                           np.asarray(problem.pi_gamma(problem.v0)),
-                           problem.f(cfg.dt).ravel(), problem.g(cfg.dt))
+    r0 = stepper._residual(x0, stepper._constant(cfg.dt, problem.u0, problem.v0))
     dense = np.linalg.solve(J, J @ x0 - r0)
     got = np.concatenate([u.ravel(), mu.ravel(), v, w])
     rel = float(np.max(np.abs(got - dense)) / np.max(np.abs(dense)))

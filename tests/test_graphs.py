@@ -7,6 +7,8 @@ envelopes against adaptive quadrature of the Yosida map.
 from __future__ import annotations
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +58,47 @@ def test_power_resolvent_against_bisection():
             x = float(mg.resolvent(spec, r, lam))
             x_ref = bisect_power_resolvent(r, lam, p, c)
             assert abs(x - x_ref) <= 1e-11 * max(1.0, abs(r))
+
+
+@pytest.mark.parametrize('lam', [1e-3, 1e-4])
+def test_cubic_yosida_against_bisection(lam):
+    # beta_lam(r) = beta(J_lam(r)), which the bisection root gives to a few
+    # ulps; (r - J)/lam carries J's last bits over lam, so 1e-12 is about
+    # two ulps of J at lam = 1e-4.  The last input is a level of the cubic
+    # benchmark solve, where a scalar Newton stopped at |g| <= 1e-13 is off
+    # by 9.9e-11 at lam = 1e-3.
+    u = np.r_[np.linspace(-0.5, 0.5, 41), 0.22888235901190995]
+    beta = bisect_power_resolvent(u, lam, 3, 1.0) ** 3
+    assert np.max(np.abs(mg.yosida(GRAPHS['power3'], u, lam) - beta)) <= 1e-12
+
+
+# |r| from zero through the subnormals to the largest float, and lam*c from
+# 1e-303 to 1e300
+_CUBIC_R = np.array([0.0, 5e-324, 1e-310, 1e-200, 1e-150, 1e-100, 1e-50, 1e-20, 1e-8,
+                     1e-3, 0.22888235901190995, 1.0, 37.0, 1e3, 1e8, 1e20, 1e50, 1e100,
+                     1e150, 1e200, 1e250, 1e300, np.finfo(float).max])
+
+
+@pytest.mark.parametrize('lam, c', [(lam, 10.0 ** e) for lam in (1.0, 1e-3)
+                                    for e in range(-300, 301, 50)])
+def test_cubic_resolvent_at_extreme_inputs(lam, c):
+    # finite, odd, monotone and free of floating-point warnings; the
+    # residual of x + k*x**3 = r (k = lam*c), computed exactly, within
+    # 1e-14 of |r|; and J(r) = r wherever k*r**2 < eps, where r is the
+    # root to within an ulp
+    r = np.r_[-_CUBIC_R[::-1], _CUBIC_R]
+    with warnings.catch_warnings(), np.errstate(over='raise', divide='raise',
+                                                invalid='raise'):
+        warnings.simplefilter('error')
+        x = np.asarray(mg.resolvent(mg.power_odd(3, c), r, lam))
+    assert np.all(np.isfinite(x))
+    assert np.array_equal(x[::-1], -x)
+    assert np.all(np.diff(x) >= 0)
+    k, eps = Fraction(lam * c), Fraction(np.finfo(float).eps)
+    for ri, xi in zip(map(Fraction, r), map(Fraction, x)):
+        assert abs(xi + k * xi ** 3 - ri) <= Fraction(1e-14) * abs(ri)
+        if k * ri * ri < eps:
+            assert xi == ri
 
 
 def test_log_resolvent_against_bisection():

@@ -114,10 +114,7 @@ def test_one_step_matches_dense_solve_for_linear_problem():
     n, nt = g.size, g.n_theta
     x0 = np.concatenate([p.u0.ravel(), np.zeros(n), p.v0, np.zeros(nt)])
     J = stepper.jacobian_at(p.u0.ravel(), p.v0).toarray()
-    r0 = stepper._residual(x0, p.u0.ravel(), p.v0,
-                           np.asarray(p.pi(p.u0)).ravel(),
-                           np.asarray(p.pi_gamma(p.v0)),
-                           p.f(cfg.dt).ravel(), p.g(cfg.dt))
+    r0 = stepper._residual(x0, stepper._constant(cfg.dt, p.u0, p.v0))
     x_dense = np.linalg.solve(J, J @ x0 - r0)
 
     got = np.concatenate([u.ravel(), mu.ravel(), v, w])
@@ -422,14 +419,13 @@ def test_jacobian_is_the_residual_derivative(preset, amplitude, delta):
     x = np.concatenate([u.ravel(), rng.standard_normal(n), v, rng.standard_normal(nt)])
     h, eps = rng.standard_normal(x.size), 1e-6
     p = stepper.problem
-    data = (p.u0.ravel(), p.v0, np.asarray(p.pi(p.u0)).ravel(), np.asarray(p.pi_gamma(p.v0)),
-            p.f(stepper.dt).ravel(), p.g(stepper.dt))
+    c = stepper._constant(stepper.dt, p.u0, p.v0)
     plus, minus = x + eps * h, x - eps * h
     if preset == 'obstacle':
         jacobians = [stepper.jacobian_at(y[:n].reshape(u.shape), y[2 * n:2 * n + nt])
                      for y in (plus, minus)]
         assert (jacobians[0] != jacobians[1]).nnz == 0
-    diff = (stepper._residual(plus, *data) - stepper._residual(minus, *data)) / (2 * eps)
+    diff = (stepper._residual(plus, c) - stepper._residual(minus, c)) / (2 * eps)
     jh = stepper.jacobian_at(u, v) @ h
     assert np.max(np.abs(diff - jh)) <= 1e-9 * np.max(np.abs(jh))
 
@@ -976,6 +972,19 @@ def test_tolerance_below_the_round_off_floor_is_named():
     assert float(floor) > cfg.newton_tol
 
 
+def test_iteration_cap_below_the_round_off_floor_names_it():
+    # at 8x16 a tolerance under the floor ends on the iteration cap, not
+    # on the stall, and the cap's message names the floor too
+    p = cs.preset_problem('cubic', dg.DiskGrid(8, 16), amplitude=0.4)
+    cfg = config(delta=0.1, lam=1e-3, t_end=1e-3, newton_tol=1e-15)
+    res = cs.run(p, cfg)
+    assert isinstance(res.error, NewtonDivergence) and res.error.iters == 50
+    head, floor = str(res.error).split("; newton_tol 1.000e-15 is below the residual's "
+                                       'estimated round-off floor ')
+    assert head.startswith('no convergence in 50 iterations (residual ')
+    assert float(floor) > cfg.newton_tol
+
+
 def test_whole_number_of_steps():
     g = small_grid()
     p = cs.preset_problem('cubic', g)
@@ -1207,8 +1216,8 @@ def _line_searches(monkeypatch):
         log.append(('solve', self._res_norm(b)))
         return solve(self, b)
 
-    def spy_residual(self, x, *data):
-        r = residual(self, x, *data)
+    def spy_residual(self, x, c):
+        r = residual(self, x, c)
         log.append(('try', self._res_norm(r)))
         return r
 
@@ -1243,12 +1252,12 @@ def _line_searches(monkeypatch):
     return replay
 
 
-@pytest.mark.parametrize('case', ['cubic_below_the_floor', 'forced_obstacle'])
+@pytest.mark.parametrize('case', ['logarithmic_below_the_floor', 'forced_obstacle'])
 def test_record_counts_the_line_search_as_the_loop_ran_it(monkeypatch, case):
-    if case == 'cubic_below_the_floor':
+    if case == 'logarithmic_below_the_floor':
         # the tolerance is under the residual's round-off floor: the first
         # step halves, falls back and fails, and its work still counts
-        problem = cs.preset_problem('cubic', dg.DiskGrid(8, 16), amplitude=0.4)
+        problem = cs.preset_problem('logarithmic', dg.DiskGrid(8, 16), amplitude=0.4)
         solver = config(delta=0.1, lam=1e-3, t_end=1e-2, newton_tol=1e-15)
     else:
         problem, solver = forced_obstacle()
