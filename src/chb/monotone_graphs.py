@@ -110,6 +110,19 @@ def _as_array(r):
     return arr
 
 
+def _power(x, p):
+    """x**p for an integer p >= 1 by repeated squaring: numpy's power with
+    an exponent other than 2 takes over 100 times as long as a square."""
+    out = None
+    while True:
+        if p & 1:
+            out = x if out is None else out * x
+        p >>= 1
+        if not p:
+            return out
+        x = x * x
+
+
 def resolvent(spec: GraphSpec, r, lam: float):
     """Resolvent J_lam(r) = (I + lam*beta)^{-1}(r).
 
@@ -164,10 +177,11 @@ def _resolvent_power(spec, arr, lam):
     x = np.minimum(a, (a / k) ** (1.0 / p))
     tol = _REL_TOL * np.maximum(1.0, a)
     for _ in range(_MAX_ITER):
-        g = x + k * x ** p - a
+        xp = k * _power(x, p - 1)
+        g = x + xp * x - a
         if np.all(np.abs(g) <= tol):
             break
-        x = x - g / (1.0 + k * p * x ** (p - 1))
+        x = x - g / (1.0 + p * xp)
     else:
         raise GraphMapFailure('power_odd resolvent did not converge')
     return np.copysign(x, arr)
@@ -223,8 +237,8 @@ def yosida(spec: GraphSpec, r, lam: float):
     Monotone, Lipschitz with constant 1/lam, and |beta_lam(r)| <= |beta°(r)|
     on D(beta).
     """
-    arr = _as_array(r)
-    return (arr - resolvent(spec, arr, lam)) / lam
+    x = resolvent(spec, r, lam)      # checks r
+    return (np.asarray(r, dtype=float) - x) / lam
 
 
 def yosida_derivative(spec: GraphSpec, r, lam: float):
@@ -235,19 +249,20 @@ def yosida_derivative(spec: GraphSpec, r, lam: float):
     0 inside [lower, upper] and 1/lam outside, with the value 1/lam at the
     kinks (semismooth convention).
     """
+    if spec.kind == 'power_odd':
+        x = resolvent(spec, r, lam)      # checks lam and r
+        bp = spec.coefficient * spec.exponent * _power(x, spec.exponent - 1)
+        return bp / (1.0 + lam * bp)
+    if spec.kind == 'logarithmic':
+        x = resolvent(spec, r, lam)
+        # 1/beta'(x) = (1 - x^2)/(2*s); J_lam keeps |x| < 1
+        return 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
     if not lam > 0:
         raise ValueError('lam must be positive')
     arr = _as_array(r)
     if spec.kind == 'zero':
         return np.zeros_like(arr)
-    if spec.kind == 'double_obstacle':
-        return np.where((arr >= spec.upper) | (arr <= spec.lower), 1.0 / lam, 0.0)
-    x = resolvent(spec, arr, lam)
-    if spec.kind == 'power_odd':
-        bp = spec.coefficient * spec.exponent * x ** (spec.exponent - 1)
-        return bp / (1.0 + lam * bp)
-    # 1/beta'(x) = (1 - x^2)/(2*s); J_lam keeps |x| < 1
-    return 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
+    return np.where((arr >= spec.upper) | (arr <= spec.lower), 1.0 / lam, 0.0)
 
 
 def primitive(spec: GraphSpec, r):
@@ -257,14 +272,16 @@ def primitive(spec: GraphSpec, r):
     domain of the primitive (which may include endpoints excluded from
     D(beta): the logarithmic primitive is finite on the closed interval).
     """
-    arr = _as_array(r)
+    return _primitive(spec, _as_array(r))
+
+
+def _primitive(spec, arr):
+    """`primitive` of a float array already checked for finite values."""
     if spec.kind == 'zero':
         return np.zeros_like(arr)
     if spec.kind == 'power_odd':
-        # r**q by squaring: q is even, and numpy's power with an exponent
-        # other than 2 takes about 100 times as long as a square
         q = spec.exponent + 1
-        return spec.coefficient * np.square(arr) ** (q // 2) / q
+        return spec.coefficient * _power(arr, q) / q
     if spec.kind == 'logarithmic':
         inside = np.abs(arr) <= 1.0
         ar = np.where(inside, arr, 0.0)
@@ -280,9 +297,8 @@ def yosida_primitive(spec: GraphSpec, r, lam: float):
 
     Finite for every real r and squeezed between 0 and beta_hat(r).
     """
-    arr = _as_array(r)
-    x = resolvent(spec, arr, lam)
-    return (arr - x) ** 2 / (2.0 * lam) + primitive(spec, x)
+    x = resolvent(spec, r, lam)      # checks r
+    return (np.asarray(r, dtype=float) - x) ** 2 / (2.0 * lam) + _primitive(spec, x)
 
 
 # ---------------------------------------------------------------------------

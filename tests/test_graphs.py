@@ -72,6 +72,20 @@ def test_cubic_yosida_against_bisection(lam):
     assert np.max(np.abs(mg.yosida(GRAPHS['power3'], u, lam) - beta)) <= 1e-12
 
 
+@pytest.mark.parametrize('lam', [1e-3, 1e-4])
+def test_quintic_yosida_against_bisection(lam):
+    # beta_lam(r) = beta(J_lam(r)) against c*x**5 of the bisection root.  The
+    # guarded Newton loop stops at a relative residual of 1e-13, which moves
+    # J by up to 1e-13*max(1, |r|) and beta_lam by that over lam; 1e-12 more
+    # covers the round-off of (r - J)/lam, as in the cubic's check.  Inputs
+    # up to |r| = 30 make k*x**5 the larger term of the resolvent equation.
+    u = np.r_[np.linspace(-0.5, 0.5, 41), np.linspace(-30.0, 30.0, 41), 0.22888235901190995]
+    spec = GRAPHS['power5']
+    beta = spec.coefficient * bisect_power_resolvent(u, lam, 5, spec.coefficient) ** 5
+    bound = 1e-13 * np.maximum(1.0, np.abs(u)) / lam + 1e-12
+    assert np.all(np.abs(mg.yosida(spec, u, lam) - beta) <= bound)
+
+
 # |r| from zero through the subnormals to the largest float, and lam*c from
 # 1e-303 to 1e300
 _CUBIC_R = np.array([0.0, 5e-324, 1e-310, 1e-200, 1e-150, 1e-100, 1e-50, 1e-20, 1e-8,

@@ -210,7 +210,7 @@ def _tracing():
 
 
 @pytest.mark.parametrize('problem', [
-    {'preset': 'cubic', 'amplitude': 0.8},
+    {'preset': 'cubic', 'amplitude': 3.0},
     {'bulk_graph': {'kind': 'double_obstacle', 'lower': -1.0, 'upper': 1.0},
      'boundary_graph': {'kind': 'double_obstacle', 'lower': -1.0, 'upper': 1.0},
      'u0': {'kind': 'harmonic', 'amplitude': 0.95, 'mode': 2},
@@ -229,6 +229,10 @@ def test_summary_lu_counts_match_the_tracer(tmp_path, problem):
     assert summary['newton_iters'] == counts['chd_solver.newton_iters'] > 0
     refreshes = summary['lu_factorizations'] + summary['lu_updates']
     assert refreshes > 1 and (summary['lu_updates'] > 0) == ('preset' not in problem)
+    # the cubic's mean chord fails at amplitude 3, so both bases are counted
+    bases = summary['fourier_factorizations'], summary['superlu_factorizations']
+    assert sum(bases) == summary['lu_factorizations']
+    assert min(bases) > 0 or 'preset' not in problem
 
 
 def test_run_single_is_deterministic(tmp_path):
@@ -314,7 +318,7 @@ def test_field_csv_golden_bytes(tmp_path, n_levels, stride, keep, name):
 # integral ones), the header of a report without rows, and the JSON keys in
 # their order.  The literals are the bytes of the writers that each spelled
 # out its columns and keys by hand.
-GOLDEN_RUNS = [cs.RunRecord(7, 1, 2, 345, 3, 1), cs.RunRecord(9, 2, 0, 345, 0, 0)]
+GOLDEN_RUNS = [cs.RunRecord(7, 1, 2, 345, 3, 1, 1, 0), cs.RunRecord(9, 2, 0, 345, 0, 0, 1, 1)]
 GOLDEN_REPORT_FILES = {
     'diagnostics.csv':
         b't,mass_bulk,mass_trace,energy,d_energy,grad_mu,grad_w,overshoot,delta_h1v,'
@@ -337,9 +341,11 @@ GOLDEN_REPORT_FILES = {
     'empty.csv': b'lambda_high,lambda_low,diff_bulk_l2v,diff_trace_l2h\r\n',
 }
 GOLDEN_RUN_DICTS = [{'newton_iters': 7, 'lu_factorizations': 1, 'lu_updates': 2, 'lu_nnz': 345,
-                     'line_search_halvings': 3, 'nonmonotone_steps': 1},
+                     'line_search_halvings': 3, 'nonmonotone_steps': 1,
+                     'fourier_factorizations': 1, 'superlu_factorizations': 0},
                     {'newton_iters': 9, 'lu_factorizations': 2, 'lu_updates': 0, 'lu_nnz': 345,
-                     'line_search_halvings': 0, 'nonmonotone_steps': 0}]
+                     'line_search_halvings': 0, 'nonmonotone_steps': 0,
+                     'fourier_factorizations': 1, 'superlu_factorizations': 1}]
 GOLDEN_REPORT_JSON = {
     'sweep_delta_fit.json': {'slope': 0.9425, 'intercept': -1.5, 'r2': 0.999695,
                              'zero_error': False, 'rate_claimed': True,
@@ -413,7 +419,7 @@ def test_sweep_delta_decreasing_error_and_fit(tmp_path):
 
 def test_sweep_fit_newton_iters_match_the_tracer(tmp_path):
     tracing = _tracing()
-    cfg = sweep_cfg(tmp_path, sub='it', preset='cubic', amplitude=0.4)
+    cfg = sweep_cfg(tmp_path, sub='it', preset='cubic', amplitude=0.8)
     with tracing.Tracer() as tracer:
         report = harness.sweep_delta(cfg)
     data = json.loads((tmp_path / 'it' / 'sweep_delta_fit.json').read_text())

@@ -361,14 +361,19 @@ def test_one_record_spans_a_trailing_partial_step(monkeypatch, case):
 @pytest.mark.parametrize('grid, lam', [((16, 32), 1e-2), ((6, 12), 1e-3), ((5, 10), 1e-3)],
                          ids=['16x32', '6x12', '5x10'])
 def test_cubic_run_never_takes_the_update_path(splu_calls, grid, lam):
-    # smooth slopes move nearly everywhere between refreshes; at 5x10 all
-    # 60 of them are fewer than UPDATE_BUDGET, and the refresh still
-    # refactorizes
-    problem = cs.preset_problem('cubic', dg.DiskGrid(*grid), amplitude=0.8)
+    # smooth slopes move nearly everywhere between refreshes, and so do
+    # their ring means; at 5x10 all 60 of them are fewer than
+    # UPDATE_BUDGET, and the refresh still refactorizes.  At amplitude 3
+    # the mean chord fails, so the runs refresh on both bases.
+    problem = cs.preset_problem('cubic', dg.DiskGrid(*grid), amplitude=3.0)
     result = cs.run(problem, config(lam=lam, dt=1e-2, t_end=4e-2))
     assert result.error is None
-    assert len(splu_calls) == result.record.lu_factorizations > 1
-    assert result.record.lu_updates == 0
+    record = result.record
+    assert len(splu_calls) == record.lu_factorizations > 1
+    assert record.fourier_factorizations > 0 and record.superlu_factorizations > 0
+    assert record.fourier_factorizations + record.superlu_factorizations \
+        == record.lu_factorizations
+    assert record.lu_updates == 0
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +404,24 @@ def test_row_permuted_jacobian_is_weighted_symmetric(preset, amplitude, delta):
     assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
 
 
+def _served_slopes(stepper, u, v):
+    """The slopes of the Jacobian that a refresh at (u, v) makes `_solve`
+    serve: for the smooth presets' mean chord their mean on each ring and
+    on the circle, for the obstacle the a.e. slopes themselves."""
+    d = stepper._yosida(mg.yosida_derivative, u, v)
+    if stepper.problem.bulk_graph.kind == 'double_obstacle':
+        return d
+    return np.repeat(d.reshape(-1, stepper.nt).mean(axis=1), stepper.nt)
+
+
 @JACOBIAN_CASES
 def test_solve_has_small_residual_against_the_jacobian(preset, amplitude, delta):
     stepper, u, v = _jacobian_case(preset, amplitude, delta)
     assert stepper._refresh_lu(u, v)
+    d = _served_slopes(stepper, u, v)
+    np.testing.assert_array_equal(stepper._d, d)
     b = np.random.default_rng(1).standard_normal(2 * (stepper.n + stepper.nt))
-    r = stepper.jacobian_at(u, v) @ stepper._solve(b) - b
+    r = stepper._jacobian(d) @ stepper._solve(b) - b
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -436,10 +453,11 @@ def test_jacobian_is_the_residual_derivative(preset, amplitude, delta):
 def test_fourier_base_rows_are_the_jacobians_first_rows(monkeypatch, preset, scale, radial):
     # the Fourier base reads its symbols from the theta-index-0 rows that
     # `_jacobian` assembles alone; they must be the same rows, bit for bit,
-    # as those of the whole Jacobian.  A radial state (scale * r^2 on the
-    # rings, scale on the circle) gives slopes constant on every line, past
-    # the obstacle on the outer rings; the preset's u0 gives slopes that vary
-    # in theta and a SuperLU base.
+    # as those of the whole Jacobian at the slopes the base serves.  A
+    # radial state (scale * r^2 on the rings, scale on the circle) gives
+    # slopes constant on every line, past the obstacle on the outer rings;
+    # the preset's u0 gives slopes that vary in theta, and the mean chord
+    # serves their ring means.
     g = dg.DiskGrid(16, 32)
     problem = cs.preset_problem(preset, g, amplitude=0.9)
     stepper = cs.NewtonStepper(problem, config(lam=1e-3), 1e-3)
@@ -452,9 +470,11 @@ def test_fourier_base_rows_are_the_jacobians_first_rows(monkeypatch, preset, sca
                         lambda rows, *args: built.append(rows) or theta_modes(rows, *args))
     assert stepper._refresh_lu(u, v)
     first = np.arange(2 * g.n_r + 2) * g.n_theta
-    d = stepper._yosida(mg.yosida_derivative, u, v)
-    assert len(built) == radial and len(set(d)) > 1
-    want = stepper.jacobian_at(u, v).tocsr()[first]
+    assert len(set(stepper._yosida(mg.yosida_derivative, u, v))) > 1
+    d = _served_slopes(stepper, u, v)
+    np.testing.assert_array_equal(stepper._d, d)
+    assert len(built) == 1
+    want = stepper._jacobian(d).tocsr()[first]
     for rows in built + [stepper._jacobian(d, first)]:
         got = rows.tocsr()
         assert got.shape == want.shape
@@ -526,6 +546,106 @@ def test_non_monotone_fallback_takes_a_rising_step_and_converges():
 
 
 # ---------------------------------------------------------------------------
+# the mean chord: smooth graphs start each step on a Fourier base at the
+# slopes' ring means, and go over to SuperLU when it fails
+
+def _base_kinds(monkeypatch):
+    """The kind of each base that the steppers factorize, in order."""
+    kinds, factorize = [], cs.NewtonStepper._factorize
+
+    def spy(self, d):
+        factorize(self, d)
+        kinds.append('superlu' if isinstance(self._base, cs._SuperLUBase) else 'fourier')
+    monkeypatch.setattr(cs.NewtonStepper, '_factorize', spy)
+    return kinds
+
+
+def _smooth_step_case():
+    problem = cs.preset_problem('cubic', dg.DiskGrid(16, 32), amplitude=0.8)
+    cfg = config(delta=0.1, lam=1e-3)
+    return problem, cfg, cs.NewtonStepper(problem, cfg, cfg.dt), cs.initial_state(problem)
+
+
+def test_rejected_mean_chord_step_goes_over_to_superlu_at_the_same_iterate(monkeypatch):
+    # a kept mean base whose solves are negated: its full step is rejected
+    # without a halving, and the step factorizes the exact Jacobian at the
+    # same iterate and converges on it
+    problem, cfg, stepper, state = _smooth_step_case()
+    kinds = _base_kinds(monkeypatch)
+    assert stepper._refresh_lu(state.u, state.v)
+    stepper._base = _NegatedSolve(stepper._base)
+    norms, solve = [], stepper._solve
+
+    def recording_solve(b):   # b = -R at each iterate
+        norms.append(stepper._res_norm(b))
+        return solve(b)
+    stepper._solve = recording_solve
+    *_, iters, res = stepper.step(state.t, state.u, state.v, state)
+    assert res <= cfg.newton_tol and iters == len(norms) > 2
+    assert norms[1] == norms[0]
+    assert kinds == ['fourier', 'superlu']
+    record = stepper.record
+    assert (record.fourier_factorizations, record.superlu_factorizations,
+            record.lu_factorizations) == (1, 1, 2)
+    assert record.line_search_halvings == 0 and record.nonmonotone_steps == 0
+
+
+class _HalfSolve:
+    """Fourier base stand-in whose solves are half the base's, so that a
+    full step cuts the residual by about 2 only."""
+
+    def __init__(self, base):
+        self._base, self.nnz = base, base.nnz
+
+    def solve(self, b):
+        return 0.5 * self._base.solve(b)
+
+
+def test_fresh_mean_base_that_cuts_by_less_than_4_goes_over_to_superlu(monkeypatch):
+    # every mean base halves its solves: the kept one serves iterations 1
+    # and 2 (the first is not judged); the step's mean refresh builds a
+    # fresh one for iteration 3, which cuts by 2 only, so the refresh at
+    # iteration 4 takes SuperLU, and the step stays on it
+    problem, cfg, stepper, state = _smooth_step_case()
+    kinds = _base_kinds(monkeypatch)
+    theta_modes = dg.ThetaModes
+    monkeypatch.setattr(dg, 'ThetaModes', lambda *args: _HalfSolve(theta_modes(*args)))
+    assert stepper._refresh_lu(state.u, state.v)
+    *_, iters, res = stepper.step(state.t, state.u, state.v, state)
+    assert res <= cfg.newton_tol
+    assert kinds == ['fourier', 'fourier', 'superlu']
+    record = stepper.record
+    assert (record.fourier_factorizations, record.superlu_factorizations,
+            record.lu_factorizations) == (2, 1, 3)
+    assert record.line_search_halvings == 0 and iters == record.newton_iters > 4
+
+
+def test_mean_chord_keeps_one_base_across_steps():
+    # the first iteration of each step cuts the predictor's error by about
+    # 2 only, on any base; judged, it would refresh the mean base at each
+    # of the 20 steps (19 factorizations)
+    problem = cs.preset_problem('cubic', dg.DiskGrid(16, 32), amplitude=0.9)
+    result = cs.run(problem, config(delta=0.1, lam=1e-3, t_end=2e-2))
+    assert result.error is None
+    record = result.record
+    assert (record.fourier_factorizations, record.superlu_factorizations) == (1, 0)
+
+
+@pytest.mark.parametrize('bulk, boundary, base', [
+    (mg.power_odd(3), mg.logarithmic(0.5), dg.ThetaModes),
+    (mg.power_odd(3), mg.double_obstacle(-2.0, 2.0), cs._SuperLUBase),
+    (mg.zero(), mg.power_odd(3), cs._SuperLUBase)], ids=['smooth', 'obstacle', 'zero'])
+def test_mean_chord_only_when_neither_graph_is_piecewise_linear(bulk, boundary, base):
+    # the cubic's u0 makes the slopes vary in theta on the rings, so only a
+    # pair of smooth graphs gets its first base at the ring means
+    problem = dataclasses.replace(cs.preset_problem('cubic', dg.DiskGrid(8, 16), amplitude=0.8),
+                                  bulk_graph=bulk, boundary_graph=boundary)
+    stepper = cs.NewtonStepper(problem, config(), 1e-3)
+    assert stepper._refresh_lu(problem.u0, problem.v0)
+    assert isinstance(stepper._base, base)
+
+
+# ---------------------------------------------------------------------------
 # the Fourier base: slopes constant on every ring and on the circle
 
 def _ring_and_circle_contact(problem):
@@ -565,14 +685,24 @@ def test_base_is_fourier_only_for_slopes_constant_on_rings(splu_calls):
     assert isinstance(stepper._base, dg.ThetaModes)
     assert splu_calls == [((g.n_theta // 2 + 1) * (2 * g.n_r + 2),) * 2]
 
+    # the cubic's slopes vary in theta: their ring means get a Fourier
+    # base, and the exact path, at the slopes themselves, a SuperLU one
     cubic = cs.preset_problem('cubic', g, amplitude=0.8)
     stepper = cs.NewtonStepper(cubic, config(), 1e-3)
-    stepper._refresh_lu(cubic.u0, cubic.v0)
+    assert stepper._refresh_lu(cubic.u0, cubic.v0)
+    assert isinstance(stepper._base, dg.ThetaModes)
+    stepper._exact = True
+    assert stepper._refresh_lu(cubic.u0, cubic.v0)
     assert isinstance(stepper._base, cs._SuperLUBase)
     symmetric = splu(stepper.jacobian_at(cubic.u0, cubic.v0)[stepper._rows],
                      permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
     assert stepper.record.lu_nnz == symmetric.nnz
+    assert (stepper.record.fourier_factorizations, stepper.record.superlu_factorizations) \
+        == (1, 1)
+    b = np.random.default_rng(4).standard_normal(2 * (stepper.n + stepper.nt))
+    r = stepper.jacobian_at(cubic.u0, cubic.v0) @ stepper._solve(b) - b
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
 
 
 class _BadColumns:
