@@ -19,8 +19,15 @@ data and conserves both means exactly (conservative stencils).
 
 Newton uses the a.e. derivative of the Yosida terms and starts each step
 (from the third on) at the linear extrapolation of the last two levels.
-It is a chord method: a factorization is reused across iterations and
-steps and only refreshed when the residual stalls.  When the slopes are
+A factorization is kept across iterations and steps.  For the
+piecewise-linear graphs (zero, double obstacle) each slope is 0 or 1/lam,
+so the Jacobian at an iterate's own slopes differs from the kept one only
+where the active set moved; whenever that is a low-rank update, each
+iteration takes it, which makes the iteration semismooth Newton, the
+primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J.
+Optim. 13, 2002; Blank, Butz & Garcke, ESAIM COCV 17, 2011, for the
+obstacle Cahn-Hilliard system).  Otherwise Newton is a chord method, its
+factorization refreshed only when the residual stalls.  When the slopes are
 constant on every ring and on the circle the Jacobian does not depend on
 theta, and it is factorized exactly in theta-Fourier modes
 (`disk_grid.ThetaModes`); else SuperLU factorizes it in the row order
@@ -437,9 +444,16 @@ class NewtonStepper:
     reference that the factorized solves are checked against.  A step
     factorizes it (in theta-Fourier modes when its slopes are constant on
     every ring and on the circle, else with SuperLU in the symmetric row
-    order) and reuses the factorization until an iteration cuts the
-    residual by less than 4.  It counts its work into `record`, a fresh
-    `RunRecord` unless one is given.
+    order) and refreshes it once an iteration cuts the residual by less
+    than 4.  It counts its work into `record`, a fresh `RunRecord` unless
+    one is given.
+
+    When a graph is piecewise-linear, every iteration that is not due that
+    refresh takes the slopes at its iterate, and if they differ from the
+    served ones in at most the update budget against the base, solves at
+    them through a capacitance update: the primal-dual active-set method
+    (module docstring).  A change past the budget keeps the chord until
+    it stalls.
 
     When neither graph is piecewise-linear, each step starts on the mean
     chord: a refresh factorizes the Jacobian at the ring means of the
@@ -542,19 +556,24 @@ class NewtonStepper:
              (np.r_[np.arange(rows.size), at[eqs[hit]]], np.r_[rows, unknowns[hit]])),
             shape=lin.shape)
 
-    def _refresh_lu(self, u, v):
+    def _refresh_lu(self, u, v, d=None, factorize=True):
         """Make `_solve` serve the Jacobian at (u, v), or at the ring means
         of its slopes off the exact path; False when it already does, to a
         relative 1e-8 in each slope: below the round-off floor, where each
         iterate moves the slopes by a few ulps, a new factorization would
-        change nothing that the chord's test can see."""
-        d = self._yosida(mg.yosida_derivative, u, v)
+        change nothing that the chord's test can see.  `d` holds the slopes
+        at (u, v) when the caller has them.  With `factorize` False only an
+        update is made, and a refresh that needs a new LU returns False."""
+        if d is None:
+            d = self._yosida(mg.yosida_derivative, u, v)
         if not self._exact:
             d = np.repeat(d.reshape(-1, self.nt).mean(axis=1), self.nt)
         if self._d is not None and np.all(np.abs(d - self._d) <= 1e-8 * np.abs(d)):
             return False
         changed = None if self._base is None else np.flatnonzero(d != self._base_d)
         if changed is None or changed.size > min(UPDATE_BUDGET, d.size // 2):
+            if not factorize:
+                return False
             self._factorize(d)
         else:
             self._update(changed, d)
@@ -689,9 +708,17 @@ class NewtonStepper:
                 # the mean chord's first iteration (class docstring)
                 refresh = self._base is None or \
                     res > 0.25 * prev_res and (self._exact or iters > 1)
+                # piecewise-linear graphs take the iterate's slopes at every
+                # iteration, once; smooth ones only inside a refresh
+                u, v = x[:n], x[2 * n:2 * n + nt]
+                d = None if self._mean_chord else self._yosida(mg.yosida_derivative, u, v)
                 if refresh:
                     self._exact |= fresh_mean   # a fresh mean base failed the test
-                    self._refresh_lu(x[:n], x[2 * n:2 * n + nt])
+                    self._refresh_lu(u, v, d)
+                elif d is not None:
+                    # the active-set step: Newton at the iterate's own slopes
+                    # whenever they are an update of the base (class docstring)
+                    self._refresh_lu(u, v, d, factorize=False)
                 fresh_mean = refresh and not self._exact
                 dx = self._solve(-r)
                 accepted = False
@@ -712,7 +739,7 @@ class NewtonStepper:
                 iters += 1
                 if not accepted:
                     self._exact = True    # a rejected step ends the mean chord
-                    if self._refresh_lu(x[:n], x[2 * n:2 * n + nt]):
+                    if self._refresh_lu(u, v, d):
                         continue  # retry with a fresh Jacobian at the same iterate
                     # Fresh Jacobian and no damped step decreases the merit: the
                     # Newton direction crosses an active-set kink where |R| rises

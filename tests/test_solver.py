@@ -327,6 +327,74 @@ def test_forced_obstacle_run_factorizes_once(splu_calls):
     assert result.record.lu_updates > 0
 
 
+def test_forced_obstacle_at_large_lambda_converges_without_damping():
+    # check 9's forced data at lambda 1e-2: the chord at stale slopes took
+    # 536 iterations and a halving here; Newton at the iterate's own slopes
+    # (the active-set method) converges in a few iterations a step
+    problem, solver = forced_obstacle(32, 64)
+    solver = dataclasses.replace(solver, delta=0.1, lam=1e-2)
+    result = cs.run(problem, solver)
+    assert result.error is None and len(result.steps) == 101
+    assert result.record.newton_iters <= 150
+    assert result.record.line_search_halvings == 0
+
+
+def test_obstacle_solves_serve_the_iterates_own_slopes(monkeypatch):
+    # each solve's iterate is read back from the residual it negates; when
+    # its slopes differ from the base's in at most the update budget, the
+    # solve must serve exactly them
+    problem, solver = forced_obstacle()
+    residual, solve = cs.NewtonStepper._residual, cs.NewtonStepper._solve
+    iterates = {}                         # residual bytes -> its point
+    served = []                           # slopes changed against the base
+
+    def spy_residual(self, x, c):
+        r = residual(self, x, c)
+        iterates[r.tobytes()] = x.copy()
+        return r
+
+    def spy_solve(self, b):
+        x = iterates[(-b).tobytes()]
+        d = self._yosida(mg.yosida_derivative, x[:self.n], x[2 * self.n:2 * self.n + self.nt])
+        changed = np.count_nonzero(d != self._base_d)
+        if changed <= min(cs.UPDATE_BUDGET, d.size // 2):
+            np.testing.assert_array_equal(self._d, d)
+            served.append(changed)
+        return solve(self, b)
+    monkeypatch.setattr(cs.NewtonStepper, '_residual', spy_residual)
+    monkeypatch.setattr(cs.NewtonStepper, '_solve', spy_solve)
+    result = cs.run(problem, solver)
+    assert result.error is None
+    assert len(served) == result.record.newton_iters and max(served) > 0
+
+
+def test_cubic_run_takes_slopes_only_inside_refreshes(monkeypatch):
+    # smooth graphs never take the active-set step: their slopes are
+    # evaluated only by a refresh, once per refresh (bulk and boundary).
+    # At amplitude 3 the mean chord fails, so both kinds of refresh run.
+    problem = cs.preset_problem('cubic', dg.DiskGrid(16, 32), amplitude=3.0)
+    derivative, refresh = mg.yosida_derivative, cs.NewtonStepper._refresh_lu
+    inside, calls = [False], {'inside': 0, 'outside': 0, 'refresh': 0}
+
+    def spy_derivative(*args):
+        calls['inside' if inside[0] else 'outside'] += 1
+        return derivative(*args)
+
+    def spy_refresh(self, *args, **kwargs):
+        calls['refresh'] += 1
+        inside[0] = True
+        try:
+            return refresh(self, *args, **kwargs)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(mg, 'yosida_derivative', spy_derivative)
+    monkeypatch.setattr(cs.NewtonStepper, '_refresh_lu', spy_refresh)
+    result = cs.run(problem, config(lam=1e-2, dt=1e-2, t_end=4e-2))
+    assert result.error is None and result.record.superlu_factorizations > 0
+    assert calls['outside'] == 0
+    assert calls['inside'] == 2 * calls['refresh'] > 0
+
+
 @pytest.mark.parametrize('case', ['cubic', 'forced_obstacle'])
 def test_one_record_spans_a_trailing_partial_step(monkeypatch, case):
     # t_end is not a multiple of dt, so run() takes its last step with a
@@ -735,19 +803,29 @@ def test_capacitance_failure_is_linear_solve_failure(monkeypatch, tmp_path, kind
     problem, solver = forced_obstacle()
     factorize = cs.NewtonStepper._factorize
 
-    bases = []
+    solve = cs.NewtonStepper._solve
+    bases, solves = [], []
 
     def bad_base(stepper, d):
         factorize(stepper, d)
         bases.append(type(stepper._base))
         stepper._base = _BadColumns(stepper._base, kind, solver.lam, stepper)
+
+    def counting_solve(stepper, b):
+        x = solve(stepper, b)
+        solves.append(b.size)
+        return x
     monkeypatch.setattr(cs.NewtonStepper, '_factorize', bad_base)
+    monkeypatch.setattr(cs.NewtonStepper, '_solve', counting_solve)
     result = cs.run(problem, solver)
     assert bases == [dg.ThetaModes]
     err = result.error
     assert isinstance(err, LinearSolveFailure)
     assert message in str(err)
-    assert err.t == result.steps[-1].t + solver.dt and err.iters >= 1
+    # every iteration makes one solve, so the failing step's completed
+    # iterations are the solves that the converged steps did not count
+    assert err.t == result.steps[-1].t + solver.dt
+    assert err.iters == len(solves) - result.record.newton_iters
     assert math.isfinite(err.residual) and err.residual > solver.newton_tol
     assert len(result.steps) > 1 and all(np.all(np.isfinite(s.u)) for s in result.steps)
 
@@ -1103,15 +1181,18 @@ def test_tolerance_below_the_round_off_floor_is_named():
 
 
 def test_iteration_cap_below_the_round_off_floor_names_it():
-    # at 8x16 a tolerance under the floor ends on the iteration cap, not
-    # on the stall, and the cap's message names the floor too
+    # at 8x16 a tolerance under the floor ends on the iteration cap, and
+    # the cap's message names the floor too; 5 iterations reach the cap
+    # while the residual still falls, before any damped retry, so no walk
+    # below the floor decides how the step ends
     p = cs.preset_problem('cubic', dg.DiskGrid(8, 16), amplitude=0.4)
-    cfg = config(delta=0.1, lam=1e-3, t_end=1e-3, newton_tol=1e-15)
+    cfg = config(delta=0.1, lam=1e-3, t_end=1e-3, newton_tol=1e-15, newton_max_iter=5)
     res = cs.run(p, cfg)
-    assert isinstance(res.error, NewtonDivergence) and res.error.iters == 50
+    assert isinstance(res.error, NewtonDivergence) and res.error.iters == 5
+    assert res.record.line_search_halvings == 0
     head, floor = str(res.error).split("; newton_tol 1.000e-15 is below the residual's "
                                        'estimated round-off floor ')
-    assert head.startswith('no convergence in 50 iterations (residual ')
+    assert head.startswith('no convergence in 5 iterations (residual ')
     assert float(floor) > cfg.newton_tol
 
 
