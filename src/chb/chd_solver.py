@@ -7,9 +7,9 @@ eta = beta_Gamma_lam(v) are functions of the state, so Newton solves for
 (u, mu, v, w) only and a time level stores those four.  One step solves
 
     (u' - u)/dt = Lap mu',                         zero flux on mu',
-    mu' = lam*(u'-u)/dt + s*(u'-u) - Lap u' + beta_lam(u') + pi(u) - f(t'),
+    mu' = lam*(u'-u)/dt - Lap u' + beta_lam(u') + pi(u) - f(t'),
     (v' - v)/dt = Lap_Gamma w',
-    w'  = lam*(v'-v)/dt + s*(v'-v) + dnu u' - delta*Lap_Gamma v'
+    w'  = lam*(v'-v)/dt + dnu u' - delta*Lap_Gamma v'
           + beta_Gamma_lam(v') + pi_Gamma(v) - g(t'),
 
 with u'|_Gamma = v' by unknown identification.  Monotone terms are
@@ -175,7 +175,6 @@ class SolverConfig:
     t_end: float
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    stabilization: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
@@ -190,8 +189,6 @@ class SolverConfig:
             raise ValueError('newton_tol must be positive')
         if self.newton_max_iter < 1:
             raise ValueError('newton_max_iter must be at least 1')
-        if self.stabilization < 0:
-            raise ValueError('stabilization must be nonnegative')
 
 
 PRESET_NAMES = ('cubic', 'logarithmic', 'obstacle', 'backward')
@@ -466,6 +463,10 @@ class NewtonStepper:
     first iteration of a step is not judged: it cuts the predictor's error
     by only about 2, on a kept base and a fresh one alike, and the next
     ones by about 50 (cubic, amplitude 0.9, 32x64).
+
+    A rejected step refreshes at the same iterate and retries; at a fresh
+    Jacobian it takes the full step anyway, once per new lowest residual
+    on every graph (the obstacle's kinks, or round-off noise on a smooth one).
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, dt: float,
@@ -477,8 +478,7 @@ class NewtonStepper:
         g = problem.grid
         n, nt = g.size, g.n_theta
         self.n, self.nt = n, nt
-        visc = config.lam / self.dt + config.stabilization
-        self.visc = visc
+        self.visc = visc = config.lam / self.dt
         # L: the Jacobian at zero slopes less its unit main diagonal, and with
         # the u-eq and v-eq rows' factor dt kept apart in T = diag(row_dt):
         # scaling the Laplacians' entries would round away their exact zero
@@ -508,10 +508,6 @@ class NewtonStepper:
         self._mean_chord = not {problem.bulk_graph.kind, problem.boundary_graph.kind} \
             & {'zero', 'double_obstacle'}
         self._exact = not self._mean_chord   # refreshes take the iterate's own slopes
-        # full steps taken against a rising residual, per new lowest one:
-        # five cross the obstacle's kinks; smooth graphs have none, and one
-        # lets a step stuck on round-off noise try once more before it stalls
-        self._nm_budget = 1 if self._mean_chord else 5
         self._base = None          # dg.ThetaModes or _SuperLUBase at slopes _base_d
         self._base_d = None
         self._d = None             # slopes of the Jacobian that _solve serves
@@ -556,16 +552,15 @@ class NewtonStepper:
              (np.r_[np.arange(rows.size), at[eqs[hit]]], np.r_[rows, unknowns[hit]])),
             shape=lin.shape)
 
-    def _refresh_lu(self, u, v, d=None, factorize=True):
+    def _refresh_lu(self, u, v, factorize=True):
         """Make `_solve` serve the Jacobian at (u, v), or at the ring means
         of its slopes off the exact path; False when it already does, to a
         relative 1e-8 in each slope: below the round-off floor, where each
         iterate moves the slopes by a few ulps, a new factorization would
-        change nothing that the chord's test can see.  `d` holds the slopes
-        at (u, v) when the caller has them.  With `factorize` False only an
-        update is made, and a refresh that needs a new LU returns False."""
-        if d is None:
-            d = self._yosida(mg.yosida_derivative, u, v)
+        change nothing that the chord's test can see.  With `factorize`
+        False only an update is made, and a refresh that needs a new LU
+        returns False."""
+        d = self._yosida(mg.yosida_derivative, u, v)
         if not self._exact:
             d = np.repeat(d.reshape(-1, self.nt).mean(axis=1), self.nt)
         if self._d is not None and np.all(np.abs(d - self._d) <= 1e-8 * np.abs(d)):
@@ -694,7 +689,7 @@ class NewtonStepper:
             res = self._res_norm(r)
             prev_res = math.inf
             best_res = res
-            nm_left = self._nm_budget   # budget of non-monotone kink-crossing steps
+            fallback_left = True        # one non-monotone step per new lowest residual
             self._exact = not self._mean_chord
             fresh_mean = False          # the last iteration refreshed a mean base
 
@@ -708,17 +703,14 @@ class NewtonStepper:
                 # the mean chord's first iteration (class docstring)
                 refresh = self._base is None or \
                     res > 0.25 * prev_res and (self._exact or iters > 1)
-                # piecewise-linear graphs take the iterate's slopes at every
-                # iteration, once; smooth ones only inside a refresh
+                self._exact |= refresh and fresh_mean   # a fresh mean base failed
                 u, v = x[:n], x[2 * n:2 * n + nt]
-                d = None if self._mean_chord else self._yosida(mg.yosida_derivative, u, v)
-                if refresh:
-                    self._exact |= fresh_mean   # a fresh mean base failed the test
-                    self._refresh_lu(u, v, d)
-                elif d is not None:
-                    # the active-set step: Newton at the iterate's own slopes
-                    # whenever they are an update of the base (class docstring)
-                    self._refresh_lu(u, v, d, factorize=False)
+                if refresh or not self._mean_chord:
+                    # piecewise-linear graphs take the iterate's own slopes at
+                    # every iteration when they are an update of the base (the
+                    # active-set step, class docstring); smooth ones only in a
+                    # refresh
+                    self._refresh_lu(u, v, factorize=refresh)
                 fresh_mean = refresh and not self._exact
                 dx = self._solve(-r)
                 accepted = False
@@ -739,25 +731,25 @@ class NewtonStepper:
                 iters += 1
                 if not accepted:
                     self._exact = True    # a rejected step ends the mean chord
-                    if self._refresh_lu(u, v, d):
+                    if self._refresh_lu(u, v):
                         continue  # retry with a fresh Jacobian at the same iterate
                     # Fresh Jacobian and no damped step decreases the merit: the
                     # Newton direction crosses an active-set kink where |R| rises
-                    # transiently.  Take the full step anyway (bounded budget);
-                    # for the piecewise-linear obstacle system the next fresh
-                    # solve is exact once the active set settles.
-                    if nm_left == 0:
+                    # transiently.  Take the full step anyway, once per new lowest
+                    # residual; for the piecewise-linear obstacle system the next
+                    # fresh solve is exact once the active set settles.
+                    if not fallback_left:
                         raise NewtonDivergence(
                             f'damped Newton stalled at residual {res:.3e}'
                             f'{self._floor_note(x, t1, u0, v0)}',
                             t=t1, iters=iters, residual=res)
-                    nm_left -= 1
+                    fallback_left = False
                     self.record.nonmonotone_steps += 1
                     x_try, r_try, res_try = full
                 x, r, prev_res, res = x_try, r_try, res, res_try
                 if res < best_res:
                     best_res = res
-                    nm_left = self._nm_budget
+                    fallback_left = True
         except GraphMapFailure as exc:
             raise NewtonDivergence(f'graph map failed on a Newton iterate: {exc}',
                                    t=t1, iters=iters, residual=res) from exc

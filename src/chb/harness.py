@@ -236,12 +236,16 @@ _EXPLICIT = {
 _SOLVER = {
     'delta': (_float, 0.0),
     'lambda': (_float, 1e-3),
-    'lam': (_float, None),              # another name for lambda
     'dt': (_float, _REQUIRED),
     't_end': (_float, _REQUIRED),
     'newton_tol': (_float, None),
     'newton_max_iter': (_int, None),
-    'stabilization': (_float, None),
+}
+_OUTPUT = {
+    'dir': (_str, 'chb-out'),
+    'stride': (_count, 1),
+    'plots': (_bool, False),
+    'workers': (_count, 1),
 }
 
 
@@ -251,10 +255,7 @@ def _problem(x, what):
 
 def _solver(x, what):
     s = section(x, _SOLVER, what)
-    if s.lam is not None and x.get('lambda') is not None:
-        raise ValueError('lambda and lam name the same value; give one of them')
-    lam = vars(s).pop('lambda')
-    s.lam = lam if s.lam is None else s.lam
+    s.lam = vars(s).pop('lambda')
     return s
 
 
@@ -278,13 +279,7 @@ _CONFIG = {
         'time': (_object(_TIME), {}),
     }), None),
     'sweep_lambda': (_object({'lambdas': (_ladder(2), _REQUIRED)}), None),
-    'output': (_object({
-        'dir': (_str, 'chb-out'),
-        'stride': (_count, 1),
-        'plots': (_bool, False),
-        'workers': (_count, 1),
-        'seed': (_keep, None),          # no longer read; old configs still load
-    }), {}),
+    'output': (_object(_OUTPUT), {}),
 }
 
 

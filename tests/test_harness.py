@@ -954,14 +954,14 @@ def test_cli_failed_experiment_assertion_is_exit_4(tmp_path, capsys, command, se
     assert 'assertion failed' in capsys.readouterr().out
 
 
-def test_cli_accepts_old_config_with_seed(tmp_path):
-    # output.seed was a no-op and is no longer read; old configs still run
+def test_cli_rejects_old_config_with_seed(tmp_path, capsys):
+    # output.seed was a no-op and is gone: like any unknown key it is exit 2
     raw = json.loads(json.dumps(BASE_SINGLE))
     raw['output'] = {'seed': 1}
     path = cli_cfg(tmp_path, raw, 'seed.json')
-    assert cli.main(['solve', path, '--out', str(tmp_path / 'se')]) == 0
-    summary = json.loads((tmp_path / 'se' / 'summary.json').read_text())
-    assert 'seed' not in summary
+    assert cli.main(['solve', path, '--out', str(tmp_path / 'se')]) == 2
+    assert "unknown output key(s) ['seed']" in capsys.readouterr().err
+    assert not (tmp_path / 'se').exists()
 
 
 EXPERIMENT_SECTIONS = {
@@ -1008,8 +1008,7 @@ def test_cli_non_finite_initial_data_is_exit_2(tmp_path, capsys, command, data):
 SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta': 1.5},
                  'lambda_zero': {'lambda': 0.0}, 'lambda_above_one': {'lambda': 2.0},
                  'dt_zero': {'dt': 0.0}, 't_end_negative': {'t_end': -1e-3},
-                 'newton_tol_zero': {'newton_tol': 0.0},
-                 'stabilization_negative': {'stabilization': -1.0}}
+                 'newton_tol_zero': {'newton_tol': 0.0}}
 
 
 @pytest.mark.parametrize('command, update', [
@@ -1035,6 +1034,7 @@ SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta':
                            'u0': {'kind': 'constant', 'value': 0.1}}}),
     ('solve', {'problem': {'preset': 'logarithmic', 'log_scale': 0.5}}),
     ('solve', {'problem': {'preset': 'logarithmic', 'anti_slope_c': 1.0}}),
+    ('solve', {'solver': dict(BASE_SINGLE['solver'], stabilization=-1.0)}),
     ('solve', {'problem': {'bulk_graph': 'cubic', 'boundary_graph': {'kind': 'zero'},
                            'u0': {'kind': 'constant', 'value': 0.1}}}),
     ('solve', {'output': {'plots': 'false'}}),
@@ -1098,8 +1098,8 @@ SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta':
     *(('solve', {'solver': dict(BASE_SINGLE['solver'], **bad)}) for bad in SOLVER_RANGES.values()),
 ], ids=['stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile',
         'graph_key', 'pi_key', 'pi_lipschitz_constant', 'preset_log_scale',
-        'preset_anti_slope_c', 'graph_str', 'plots', 'solver_key', 'preset_key',
-        'problem_key', 'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str',
+        'preset_anti_slope_c', 'stabilization_negative', 'graph_str', 'plots', 'solver_key',
+        'preset_key', 'problem_key', 'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str',
         'amplitudes_str', 'lambdas_int', 'grid_list', 'output_list', 'sweep_delta_list',
         'stability_list', 'sweep_lambda_list', 'n_r_float', 'n_theta_float', 'stride_float',
         'workers_bool', 'newton_max_iter_float', 'newton_max_iter_zero',
@@ -1220,6 +1220,13 @@ def test_readme_config_example_and_exit_codes_match_the_code():
     assert (problem.grid.n_r, solver.t_end, cfg.sweep_delta.assert_r2) == (64, 0.25, 0.98)
     exit_codes = re.search(r'\nExit codes:(.*?)\n## ', text, re.S).group(1)
     assert [name for name in errors.__all__ if f'`{name}`' not in exit_codes] == []
+    # "Keys by section" lists every solver and output key, and README names
+    # none that the reader lacks, there or as `section.key`
+    keys = re.search(r'\nKeys by section(.*?)\n## ', text, re.S).group(1)
+    for name, schema in (('solver', harness._SOLVER), ('output', harness._OUTPUT)):
+        listed = re.search(rf'\n- `{name}`: (.*?)\n(?=- |\n)', keys, re.S).group(1)
+        named = set(re.findall(r'`([a-z_]+)`', listed)) - {'true', 'false', 'null'}
+        assert named | set(re.findall(rf'`{name}\.([a-z_]+)`', text)) == set(schema), name
 
 
 def test_every_name_in_all_is_defined():

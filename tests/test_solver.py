@@ -60,17 +60,11 @@ def test_constant_state_is_stationary():
     assert np.max(np.abs(mu_vals - mu_vals.mean())) < 1e-10
 
 
-# every preset, without and with the stabilization term s*(u'-u)
-STABILIZATION_CASES = pytest.mark.parametrize(
-    'preset, stabilization', [(p, s) for s in (0.0, 2.0) for p in cs.PRESET_NAMES],
-    ids=[p + suffix for suffix in ('', '-stabilized') for p in cs.PRESET_NAMES])
-
-
-@STABILIZATION_CASES
-def test_masses_conserved(preset, stabilization):
+@pytest.mark.parametrize('preset', cs.PRESET_NAMES)
+def test_masses_conserved(preset):
     g = small_grid()
     p = cs.preset_problem(preset, g)
-    res = cs.run(p, config(t_end=1e-2, stabilization=stabilization))
+    res = cs.run(p, config(t_end=1e-2))
     assert res.error is None
     rows = res.diagnostics.rows
     m0, mg0 = rows[0].mass_bulk, rows[0].mass_trace
@@ -79,11 +73,11 @@ def test_masses_conserved(preset, stabilization):
         assert abs(r.mass_trace - mg0) < 1e-13
 
 
-@STABILIZATION_CASES
-def test_energy_dissipates(preset, stabilization):
+@pytest.mark.parametrize('preset', cs.PRESET_NAMES)
+def test_energy_dissipates(preset):
     g = small_grid()
     p = cs.preset_problem(preset, g)
-    cfg = config(t_end=1e-2, stabilization=stabilization)
+    cfg = config(t_end=1e-2)
     res = cs.run(p, cfg)
     for r in res.diagnostics.rows[1:]:
         assert r.d_energy <= 10.0 * cfg.newton_tol
@@ -1463,19 +1457,25 @@ def _line_searches(monkeypatch):
     return replay
 
 
-@pytest.mark.parametrize('case', ['logarithmic_below_the_floor', 'forced_obstacle'])
+@pytest.mark.parametrize('case', ['logarithmic_below_the_floor', 'forced_obstacle',
+                                  'forced_obstacle_32x64_lambda_1e-4'])
 def test_record_counts_the_line_search_as_the_loop_ran_it(monkeypatch, case):
     if case == 'logarithmic_below_the_floor':
         # the tolerance is under the residual's round-off floor: the first
         # step halves, falls back and fails, and its work still counts
         problem = cs.preset_problem('logarithmic', dg.DiskGrid(8, 16), amplitude=0.4)
         solver = config(delta=0.1, lam=1e-3, t_end=1e-2, newton_tol=1e-15)
-    else:
+    elif case == 'forced_obstacle':
         problem, solver = forced_obstacle()
         solver = dataclasses.replace(solver, dt=1e-2, t_end=5e-2)
+    else:
+        # one fallback per new lowest residual carries this run through
+        # its kinks (a budget of 5 gave the same counts)
+        problem, solver = forced_obstacle(32, 64)
+        solver = dataclasses.replace(solver, delta=0.0, lam=1e-4, dt=1e-2, t_end=0.1)
     replay = _line_searches(monkeypatch)
     result = cs.run(problem, solver)
     halvings, nonmonotone = replay()
     assert result.record.line_search_halvings == halvings > 0
     assert result.record.nonmonotone_steps == nonmonotone > 0
-    assert (result.error is None) == (case == 'forced_obstacle')
+    assert (result.error is None) == case.startswith('forced_obstacle')
