@@ -326,8 +326,6 @@ class RunRecord:
 
 @dataclass
 class RunResult:
-    steps: list              # StepSolution at every time level, t=0 first; a
-                             # comparison run (harness) keeps only t, u and v
     diagnostics: Diagnostics
     error: SolveFailure | None
     wall_time: float
@@ -793,14 +791,14 @@ def _diag_row(problem, config, state: StepSolution, iters: int, prev_energy: flo
     ), e
 
 
-def run(problem: ProblemData, config: SolverConfig) -> RunResult:
-    """Validate the data, then integrate from 0 to t_end; returns every
-    time level plus diagnostics.
+def run(problem: ProblemData, config: SolverConfig, observe=lambda level: None) -> RunResult:
+    """Validate the data, then integrate from 0 to t_end, passing each
+    level to `observe` as it is made, t=0 first; keeps only the last two.
 
     Inadmissible data raise ValidationFailure before the first step.  A
     trailing partial step is taken when t_end is not a multiple of dt.
-    On a SolveFailure the trajectory up to the last good step is returned
-    together with the error.
+    On a SolveFailure the run ends at the last good level, and the result
+    carries the error.
     """
     failures = validate(problem, config)
     if failures:
@@ -813,10 +811,10 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
         remainder = 0.0
 
     diag = Diagnostics()
-    state = initial_state(problem)
+    state = prev = initial_state(problem)
     row, e_prev = _diag_row(problem, config, state, 0, None)
     diag.rows.append(row)
-    steps = [state]
+    observe(state)
     error = None
 
     record = RunRecord()
@@ -828,20 +826,17 @@ def run(problem: ProblemData, config: SolverConfig) -> RunResult:
         # Newton starts at the linear extrapolation of the last two levels,
         # scaled to this step's length; the first two steps start at the
         # previous level, since level 0's mu and w are placeholder zeros
-        start = state
-        if k >= 2:
-            ratio, prev = dt_k / plan[k - 1], steps[-2]
-            start = StepSolution(state.t + dt_k, *(
-                x + ratio * (x - x_prev) for x, x_prev in
-                ((state.u, prev.u), (state.mu, prev.mu), (state.v, prev.v), (state.w, prev.w))))
+        start = state if k < 2 else StepSolution(state.t + dt_k, *(
+            x + dt_k / plan[k - 1] * (x - x_prev) for x, x_prev in
+            ((state.u, prev.u), (state.mu, prev.mu), (state.v, prev.v), (state.w, prev.w))))
         try:
             u, mu, v, w, iters, _ = stepper.step(state.t, state.u, state.v, start)
         except SolveFailure as exc:
             error = exc
             break
-        state = StepSolution(state.t + dt_k, u, mu, v, w)
+        prev, state = state, StepSolution(state.t + dt_k, u, mu, v, w)
         row, e_prev = _diag_row(problem, config, state, iters, e_prev)
         diag.rows.append(row)
-        steps.append(state)
+        observe(state)
 
-    return RunResult(steps, diag, error, time.perf_counter() - t_start, record)
+    return RunResult(diag, error, time.perf_counter() - t_start, record)

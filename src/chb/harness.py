@@ -15,6 +15,7 @@ import json
 import math
 import os
 import resource
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
@@ -391,18 +392,20 @@ def fit_rate(points) -> tuple:
 # ---------------------------------------------------------------------------
 # error composites between two trajectories
 
-def _trajectory_norms(steps_a, steps_b, norms: dict) -> dict:
-    """Per-level norms of the difference of two trajectories on a common
-    grid: `norms` maps a name to norm(du, dv), and the result maps it to
-    the array over the common levels, and 't' to their times (from
-    steps_a).  Only one level's difference is held at a time."""
-    n = min(len(steps_a), len(steps_b))
-    out = {name: np.zeros(n) for name in norms}
-    out['t'] = np.array([s.t for s in steps_a[:n]])
-    for k, (sa, sb) in enumerate(zip(steps_a, steps_b)):
-        du, dv = sa.u - sb.u, sa.v - sb.v
-        for name, norm in norms.items():
-            out[name][k] = norm(du, dv)
+def _trajectory_norms(path_a, path_b, grid, norms: dict) -> dict:
+    """Per-level norms of the difference of two level files on `grid`, read a
+    level at a time: `norms` maps a name to norm(du, dv), and the result maps
+    it to the array over the common levels, and 't' to their times."""
+    n, size = grid.size, grid.size + grid.n_theta + 1
+    levels = min(os.path.getsize(path_a), os.path.getsize(path_b)) // (8 * size)  # float64
+    out = {name: np.zeros(levels) for name in ('t', *norms)}
+    with open(path_a, 'rb') as fa, open(path_b, 'rb') as fb:
+        for k in range(levels):
+            a, b = np.fromfile(fa, count=size), np.fromfile(fb, count=size)
+            du, dv = (a[1:n + 1] - b[1:n + 1]).reshape(grid.n_r, -1), a[n + 1:] - b[n + 1:]
+            out['t'][k] = a[0]
+            for name, norm in norms.items():
+                out[name][k] = norm(du, dv)
     return out
 
 
@@ -441,17 +444,16 @@ def _combined_error(norms) -> tuple:
 # run execution (picklable for worker pools)
 
 def _execute_run(task):
-    """cs.run of a (problem, config) task, each level cut down to copies of
-    the t, u and v that `_trajectory_norms` reads (a view would keep the
-    level's whole Newton vector alive): a worker pickles half a level."""
-    problem, config = task
-    result = cs.run(problem, config)
-    return replace(result, steps=[SimpleNamespace(t=s.t, u=s.u.copy(), v=s.v.copy())
-                                  for s in result.steps])
+    """cs.run of a (problem, config, path) task, each level's [t, u.ravel(), v]
+    appended as float64 to the level file at path; the result holds no level."""
+    problem, config, path = task
+    with open(path, 'wb') as fh:
+        return cs.run(problem, config,
+                      lambda s: np.concatenate(([s.t], s.u.ravel(), s.v)).tofile(fh))
 
 
 def _run_many(tasks, workers: int):
-    """Run (problem, config) tasks preserving input order."""
+    """Run (problem, config, path) tasks preserving input order."""
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_execute_run, tasks))
@@ -459,25 +461,22 @@ def _run_many(tasks, workers: int):
 
 
 def _compare(cfg, tasks, norms, against):
-    """Run the tasks and compare them: (results, compared).  A failure of
+    """Run the (problem, config) tasks, their levels streamed to files in a
+    temporary directory, and compare them: (results, compared).  A failure of
     task 0, the reference, is raised; compared[k - 1] is run k's failure or
     the per-level `norms` of run k less run against(k)."""
-    results = _run_many(tasks, cfg.workers)
-    if results[0].error is not None:
-        raise results[0].error
-    return results, [_trajectory_norms(res.steps, results[against(k)].steps, norms)
-                     if res.error is None else res.error
-                     for k, res in enumerate(results[1:], 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f'{k}.levels') for k in range(len(tasks))]
+        results = _run_many([(*task, path) for task, path in zip(tasks, paths)], cfg.workers)
+        if results[0].error is not None:
+            raise results[0].error
+        return results, [_trajectory_norms(paths[k], paths[against(k)], cfg.grid, norms)
+                         if res.error is None else res.error
+                         for k, res in enumerate(results[1:], 1)]
 
 
 # ---------------------------------------------------------------------------
 # single run artifacts
-
-def _levels(steps, stride):
-    """(level, formatted t) for every stride-th level and the last one."""
-    idx = sorted(set(range(0, len(steps), stride)) | {len(steps) - 1})
-    return [(steps[k], _fmt(steps[k].t)) for k in idx]
-
 
 @lru_cache(maxsize=None)
 def _row_template(shape):
@@ -488,24 +487,18 @@ def _row_template(shape):
     return ''.join(prefix.join(tails) for prefix in prefixes)
 
 
-def _write_field_csv(path, header, steps, values_of, stride):
-    """The bytes `_write_csv` gives for (t, cell index..., value) rows in C
-    order, with `values_of(level)` the array of a kept level: one %-format
-    per level of the shape's row template."""
-    with open(path, 'w', newline='') as fh:
-        fh.write(','.join(header) + '\r\n')
-        for s, t_s in _levels(steps, stride):
-            values = values_of(s)
-            fh.write(_row_template(values.shape).replace('\0', t_s)
-                     % tuple(values.ravel().tolist()))
+def _level_rows(t, values):
+    """One level's rows of a field CSV: the bytes `_write_csv` gives for
+    (t, cell index..., value) rows in C order, by one %-format."""
+    return _row_template(values.shape).replace('\0', _fmt(t)) % tuple(values.ravel().tolist())
 
 
-def _write_bulk_csv(path, steps, values_of, stride):
-    _write_field_csv(path, ('t', 'i', 'j', 'value'), steps, values_of, stride)
+def _write_bulk_csv(fh, k, t, values):
+    fh.write(('t,i,j,value\r\n' if k == 0 else '') + _level_rows(t, values))
 
 
-def _write_trace_csv(path, steps, values_of, stride):
-    _write_field_csv(path, ('t', 'j', 'value'), steps, values_of, stride)
+def _write_trace_csv(fh, k, t, values):
+    fh.write(('t,j,value\r\n' if k == 0 else '') + _level_rows(t, values))
 
 
 def _write_diagnostics_csv(path, diag):
@@ -519,23 +512,38 @@ def run_single(cfg: ExperimentConfig) -> dict:
     (caller exit 3); returns the summary dict on success.
     """
     problem, solver = problem_from_config(cfg), solver_from_config(cfg)
-    result = cs.run(problem, solver)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     # xi = beta_lam(u) and eta = beta_Gamma_lam(v) of the written levels only,
     # each from a whole level array
     fields = {'u': attrgetter('u'), 'mu': attrgetter('mu'),
               'xi': lambda s: mg.yosida(problem.bulk_graph, s.u, solver.lam),
               'v': attrgetter('v'), 'w': attrgetter('w'),
               'eta': lambda s: mg.yosida(problem.boundary_graph, s.v, solver.lam)}
-    for name, values_of in fields.items():
-        write = _write_bulk_csv if name in ('u', 'mu', 'xi') else _write_trace_csv
-        write(os.path.join(cfg.out_dir, f'{name}.csv'), result.steps, values_of, cfg.stride)
+    files, held = {}, [-1, None]        # the newest level's index and level
+    def observe(level):
+        """Write the held level k if it is a stride-th one or the last (level
+        None), then hold this one; level 0 opens the CSVs."""
+        k, last = held
+        if k >= 0 and (k % cfg.stride == 0 or level is None):
+            for name, values_of in fields.items():
+                if k == 0:
+                    os.makedirs(cfg.out_dir, exist_ok=True)
+                    files[name] = open(os.path.join(cfg.out_dir, f'{name}.csv'), 'w', newline='')
+                write = _write_bulk_csv if name in ('u', 'mu', 'xi') else _write_trace_csv
+                write(files[name], k, last.t, values_of(last))
+        held[:] = k + 1, level
+
+    try:
+        result = cs.run(problem, solver, observe)
+        observe(None)
+    finally:
+        for fh in files.values():
+            fh.close()
     _write_diagnostics_csv(os.path.join(cfg.out_dir, 'diagnostics.csv'),
                            result.diagnostics)
 
     rows = result.diagnostics.rows
     summary = {
-        'steps': len(result.steps) - 1,
+        'steps': len(rows) - 1,
         'final_time': rows[-1].t,
         'final_mass_bulk': rows[-1].mass_bulk,
         'final_mass_trace': rows[-1].mass_trace,
@@ -619,13 +627,10 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
     tasks = [(problem, solver_from_config(cfg, delta=d)) for d in [ref_delta, *sweep_deltas]]
     results, compared = _compare(cfg, tasks, _four_norms(dn.NormToolkit(cfg.grid)),
                                  lambda k: 0)
-    rows = []
-    for d, res, c in zip(sweep_deltas, results[1:], compared):
-        if res.error is not None:
-            rows.append(SweepRow(d, *[None] * 6, f'failed: {c}', False))
-        else:
-            rows.append(SweepRow(d, *_combined_error(c),
-                                 max(r.delta_h1v for r in res.diagnostics.rows), 'ok', False))
+    rows = [SweepRow(d, *_combined_error(c), max(r.delta_h1v for r in res.diagnostics.rows),
+                     'ok', False) if res.error is None
+            else SweepRow(d, *[None] * 6, f'failed: {c}', False)
+            for d, res, c in zip(sweep_deltas, results[1:], compared)]
 
     same_growth = mg.check_same_growth(problem.bulk_graph, problem.boundary_graph)
     notes = [] if same_growth.feasible else [

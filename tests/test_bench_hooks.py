@@ -60,8 +60,9 @@ def test_tracer_counts_the_run_and_restores_the_names():
 
 
 @pytest.mark.parametrize('workers', [1, 2])
-def test_run_many_returns_a_list(workers):
+def test_run_many_returns_a_list(tmp_path, workers):
     problem, config = _cubic()
-    results = harness._run_many([(problem, config)] * 2, workers)
+    results = harness._run_many([(problem, config, tmp_path / f'{k}.levels') for k in range(2)],
+                                workers)
     assert type(results) is list and len(results) == 2
-    assert all(r.error is None and len(r.steps) == 4 for r in results)
+    assert all(r.error is None and len(r.diagnostics.rows) == 4 for r in results)

@@ -18,6 +18,8 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -298,15 +300,17 @@ def _reference_csv(steps, name, keep):
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize('n_levels, stride, keep', [
-    (8, 3, [0, 3, 6, 7]),     # every third level plus the last
-    (1, 1, [0]),              # a run that failed its first step
+@pytest.mark.parametrize('n_levels, keep', [
+    (8, [0, 3, 6, 7]),        # every third level plus the last
+    (1, [0]),                 # a run that failed its first step
 ], ids=['stride3', 'one_level'])
 @pytest.mark.parametrize('name', ['u', 'v'])
-def test_field_csv_golden_bytes(tmp_path, n_levels, stride, keep, name):
+def test_field_csv_golden_bytes(tmp_path, n_levels, keep, name):
     steps = _golden_steps(n_levels)
     write = harness._write_bulk_csv if name == 'u' else harness._write_trace_csv
-    write(tmp_path / 'f.csv', steps, lambda s: getattr(s, name), stride)
+    with open(tmp_path / 'f.csv', 'w', newline='') as fh:
+        for k in keep:
+            write(fh, k, steps[k].t, getattr(steps[k], name))
     data = (tmp_path / 'f.csv').read_bytes()
     assert data == _reference_csv(steps, name, keep)
     assert data.count(b'\r\n') == 1 + len(keep) * getattr(steps[0], name).size
@@ -633,20 +637,22 @@ def test_peak_memory_is_that_of_the_largest_process(tmp_path, monkeypatch, self_
         'steps': 3, 'peak_rss_mb': 110_000 * 1024 / 1e6}
 
 
-def test_comparison_run_keeps_t_u_and_v_of_each_level():
+def test_comparison_run_keeps_t_u_and_v_of_each_level(tmp_path):
+    # the level file holds [t, u, v] of every observed level bit for bit;
+    # the result holds no level, so a worker pickles less than one
     problem = cs.preset_problem('cubic', dg.DiskGrid(16, 32), amplitude=0.4)
     config = cs.SolverConfig(delta=0.1, lam=1e-3, dt=1e-3, t_end=1e-2)
-    full = cs.run(problem, config)
-    kept = harness._execute_run((problem, config))
-    assert len(kept.steps) == len(full.steps) == 11
-    for level, s in zip(kept.steps, full.steps):
-        assert sorted(vars(level)) == ['t', 'u', 'v'] and level.t == s.t
-        for name in ('u', 'v'):
-            np.testing.assert_array_equal(getattr(level, name), getattr(s, name))
-            # its own array: a view would keep the level's mu and w alive
-            assert getattr(level, name).base is None
+    levels = []
+    full = cs.run(problem, config, levels.append)
+    kept = harness._execute_run((problem, config, tmp_path / 'run.levels'))
+    stored = np.fromfile(tmp_path / 'run.levels').reshape(len(levels), -1)
+    assert len(levels) == 11
+    for row, s in zip(stored, levels, strict=True):
+        assert row.tobytes() == np.concatenate(([s.t], s.u.ravel(), s.v)).tobytes()
     assert kept.diagnostics == full.diagnostics and kept.record == full.record
-    assert len(pickle.dumps(kept)) <= 0.55 * len(pickle.dumps(full))
+    assert [f.name for f in dataclasses.fields(kept)] == [
+        'diagnostics', 'error', 'wall_time', 'record']
+    assert len(pickle.dumps(kept)) < levels[0].u.nbytes
 
 
 def test_stability_initial_target_mean_corrects(tmp_path):
@@ -826,6 +832,35 @@ def test_cli_stability_pass(tmp_path, capsys):
     assert 'band' in capsys.readouterr().out
 
 
+def _peak_bytes(call) -> int:
+    """The tracemalloc peak of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize('experiment', ['single', 'sweep_delta'])
+def test_peak_memory_does_not_grow_with_steps(tmp_path, experiment):
+    # one level's (u, v) at 16x32 is 4,352 bytes: a run, writer or
+    # comparison that kept its levels would grow by at least that per step
+    raw = {'experiment': experiment, 'grid': {'n_r': 16, 'n_theta': 32},
+           'problem': {'preset': 'cubic'}, 'sweep_delta': {'deltas': [0.1, 0.05, 0.025]}}
+    run = harness.run_single if experiment == 'single' else harness.sweep_delta
+
+    def peak(n_steps):
+        raw['solver'] = {'delta': 0.1, 'lambda': 1e-3, 'dt': 1e-3, 't_end': n_steps * 1e-3}
+        raw['output'] = {'dir': str(tmp_path / str(n_steps))}
+        cfg = harness.ExperimentConfig.from_dict(raw)
+        return _peak_bytes(lambda: run(cfg))
+
+    peak(2)                             # first-call caches
+    growth = (peak(40) - peak(10)) / 30
+    assert growth < (16 * 32 + 32) * 8, growth
+
+
 # ---------------------------------------------------------------------------
 # failed runs and failed assertions of the comparison experiments
 
@@ -839,8 +874,7 @@ def _fail_run(monkeypatch, k):
         result = execute(task)
         if len(calls) != k + 1:
             return result
-        return dataclasses.replace(result, steps=result.steps[:1],
-                                   error=NewtonDivergence('stand-in divergence', t=1e-3))
+        return dataclasses.replace(result, error=NewtonDivergence('stand-in divergence', t=1e-3))
     monkeypatch.setattr(harness, '_execute_run', stand_in)
 
 
@@ -939,6 +973,30 @@ def test_cli_failed_comparison_run_is_exit_3(tmp_path, capsys, monkeypatch, comm
     assert cli.main([command, path, '--out', str(tmp_path / 'fo'), '--workers', '1']) == 3
     assert 'solver failure: stand-in divergence' in capsys.readouterr().err
     assert not (tmp_path / 'fo').exists()
+
+
+def test_comparison_leaves_no_level_file(tmp_path, capsys, monkeypatch):
+    # the level files live in one temporary directory, removed after a
+    # comparison that succeeds and after one whose reference fails
+    tmp = tmp_path / 'tmp'
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, 'tempdir', str(tmp))
+    path = cli_cfg(tmp_path, STABILITY_RAW, 'ok.json')
+    assert cli.main(['stability', path, '--out', str(tmp_path / 'ok'), '--workers', '2']) == 0
+    assert list(tmp.iterdir()) == []
+    paths, execute = [], harness._execute_run
+
+    def recording(task):
+        paths.append(task[2])
+        return execute(task)
+    monkeypatch.setattr(harness, '_execute_run', recording)
+    assert cli.main(['stability', path, '--out', str(tmp_path / 'ok'), '--workers', '1']) == 0
+    assert list(tmp.iterdir()) == []
+    assert len(paths) == 4 and all(Path(p).parent.parent == tmp for p in paths)
+    _fail_run(monkeypatch, 0)
+    assert cli.main(['stability', path, '--out', str(tmp_path / 'fo'), '--workers', '1']) == 3
+    assert 'solver failure: stand-in divergence' in capsys.readouterr().err
+    assert list(tmp.iterdir()) == []
 
 
 @pytest.mark.parametrize('command, section', [
