@@ -2,8 +2,8 @@
 entry of `COMMANDS`.
 
 Exit codes: 0 ok, 2 validation or configuration failure (every
-experiment validates its data), 3 solver failure inside a step, 4
-experiment assertion failed.
+experiment validates its data) or an artifact that cannot be written, 3
+solver failure inside a step, 4 experiment assertion failed.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _cmd_sweep_lambda(cfg) -> int:
 
 
 def _cmd_graph_check(cfg) -> int:
-    problem = harness.problem_from_config(cfg)
+    problem = cfg.problem
     dom = mg.check_domination(problem.bulk_graph, problem.boundary_graph)
     growth = mg.check_same_growth(problem.bulk_graph, problem.boundary_graph)
     out = {'domination': dataclasses.asdict(dom), 'same_growth': dataclasses.asdict(growth)}
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
         at = '' if exc.t is None else f' (failed step target time {_fmt(exc.t)})'
         print(f'solver failure: {exc}{at}', file=sys.stderr)
         return EXIT_SOLVER
-    except ChbError as exc:
+    except (ChbError, OSError) as exc:     # OSError: an artifact could not be written
         print(f'error: {exc}', file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -35,7 +35,7 @@ __all__ = (
     'ExperimentConfig', 'SweepRow', 'SweepReport', 'StabilityRow',
     'StabilityReport', 'LambdaRow', 'LambdaReport', 'fit_rate', 'run_single',
     'sweep_delta', 'stability_experiment', 'sweep_lambda',
-    'section', 'load_config', 'problem_from_config', 'solver_from_config',
+    'section', 'load_config',
 )
 
 
@@ -91,10 +91,15 @@ def _write_report(cfg, name, row_type, report, json_name, chart):
 
 # ---------------------------------------------------------------------------
 # configuration: one reader, `section`; a schema maps each key to (convert,
-# default), where convert(value, 'section.key') returns the typed value
+# default), where convert(value, 'section.key') returns the typed value.
+# `ExperimentConfig.from_dict` checks and builds the whole config, so no
+# command converts or rejects one
 
 _REQUIRED = object()
-EXPERIMENTS = ('single', 'sweep_delta', 'stability', 'sweep_lambda', 'graph_check')
+# experiment -> the optional sections it needs
+EXPERIMENTS = {'single': ('solver',), 'sweep_delta': ('solver', 'sweep_delta'),
+               'stability': ('solver', 'stability'), 'sweep_lambda': ('solver', 'sweep_lambda'),
+               'graph_check': ()}
 
 
 def section(spec, schema: dict, what: str) -> SimpleNamespace:
@@ -135,7 +140,6 @@ def _check(ok, make, expected: str):
 
 
 _keep = _check(lambda x: True, lambda x: x, '')
-_str = _check(lambda x: isinstance(x, str), str, 'a string')
 _bool = _check(lambda x: isinstance(x, bool), bool, 'true or false')
 _float = _check(lambda x: not isinstance(x, bool), float, 'a number')
 _int = _check(lambda x: not isinstance(x, bool) and (not isinstance(x, float) or x.is_integer()),
@@ -243,11 +247,29 @@ _SOLVER = {
     'newton_max_iter': (_int, None),
 }
 _OUTPUT = {
-    'dir': (_str, 'chb-out'),
+    'dir': (_check(lambda x: isinstance(x, str) and x != ''
+                   and (os.path.isdir(x) or not os.path.exists(x)),
+                   str, 'a path to a directory or to nothing yet'), 'chb-out'),
     'stride': (_count, 1),
     'plots': (_bool, False),
     'workers': (_count, 1),
 }
+_GRID = {'n_r': (_int, 32), 'n_theta': (_int, 64)}
+_SWEEP_DELTA = {
+    'deltas': (_ladder(1), _REQUIRED),
+    'reference': (_one_of('delta_zero', 'finest'), 'delta_zero'),
+    'assert_slope': (_float, None),
+    'assert_r2': (_float, None),
+}
+_STABILITY = {
+    'amplitudes': (_amplitudes, _REQUIRED),
+    'target': (_one_of('f', 'g', 'both', 'initial'), 'f'),
+    'band': (_check(lambda x: _float(x, '') > 1, float, 'a number > 1'), 3.0),
+    'shape': (_BULK_PROFILE, {'kind': 'harmonic', 'amplitude': 1.0, 'mode': 2}),
+    'trace_shape': (_TRACE_PROFILE, {'kind': 'mode', 'amplitude': 1.0, 'mode': 2}),
+    'time': (_object(_TIME), {}),
+}
+_SWEEP_LAMBDA = {'lambdas': (_ladder(2), _REQUIRED)}
 
 
 def _problem(x, what):
@@ -257,52 +279,45 @@ def _problem(x, what):
 def _solver(x, what):
     s = section(x, _SOLVER, what)
     s.lam = vars(s).pop('lambda')
-    return s
+    try:
+        return cs.SolverConfig(**_given(s))
+    except ValueError as exc:
+        raise ConfigError(f'bad solver spec: {exc}') from exc
 
 
 _CONFIG = {
     'experiment': (_one_of(*EXPERIMENTS), _REQUIRED),
-    'grid': (_object({'n_r': (_int, 32), 'n_theta': (_int, 64)}, dg.DiskGrid), {}),
+    'grid': (_object(_GRID, dg.DiskGrid), {}),
     'problem': (_problem, _REQUIRED),
     'solver': (_solver, None),
-    'sweep_delta': (_object({
-        'deltas': (_ladder(1), _REQUIRED),
-        'reference': (_one_of('delta_zero', 'finest'), 'delta_zero'),
-        'assert_slope': (_float, None),
-        'assert_r2': (_float, None),
-    }), None),
-    'stability': (_object({
-        'amplitudes': (_amplitudes, _REQUIRED),
-        'target': (_one_of('f', 'g', 'both', 'initial'), 'f'),
-        'band': (_check(lambda x: _float(x, '') > 1, float, 'a number > 1'), 3.0),
-        'shape': (_BULK_PROFILE, {'kind': 'harmonic', 'amplitude': 1.0, 'mode': 2}),
-        'trace_shape': (_TRACE_PROFILE, {'kind': 'mode', 'amplitude': 1.0, 'mode': 2}),
-        'time': (_object(_TIME), {}),
-    }), None),
-    'sweep_lambda': (_object({'lambdas': (_ladder(2), _REQUIRED)}), None),
+    'sweep_delta': (_object(_SWEEP_DELTA), None),
+    'stability': (_object(_STABILITY), None),
+    'sweep_lambda': (_object(_SWEEP_LAMBDA), None),
     'output': (_object(_OUTPUT), {}),
 }
 
 
 class ExperimentConfig(SimpleNamespace):
-    """A read config: the values of `_CONFIG` (an absent optional section is
-    None), with the output entries as `out_dir`, `stride`, `plots`, `workers`."""
+    """A read config, checked whole and built: the values of `_CONFIG` with
+    `problem` a cs.ProblemData, `solver` a cs.SolverConfig and the stability
+    `shape` and `trace_shape` arrays on the grid (an absent optional section
+    is None), and the output entries as `out_dir`, `stride`, `plots`, `workers`."""
 
     @staticmethod
     def from_dict(raw) -> 'ExperimentConfig':
         c = vars(section(raw, _CONFIG, ''))
-        out = c.pop('output')
-        cfg = ExperimentConfig(**c, out_dir=out.dir, stride=out.stride, plots=out.plots,
-                               workers=out.workers)
-        if cfg.experiment in ('sweep_delta', 'stability', 'sweep_lambda'):
-            cfg.needs(cfg.experiment)
-        return cfg
-
-    def needs(self, name: str) -> SimpleNamespace:
-        """The section `name`; ConfigError when the config has none."""
-        if getattr(self, name) is None:
-            raise ConfigError(f'the config has no {name} section')
-        return getattr(self, name)
+        for name in EXPERIMENTS[c['experiment']]:
+            if c[name] is None:
+                raise ConfigError(f'the config has no {name} section')
+        grid, sd, st, out = c['grid'], c['sweep_delta'], c['stability'], c.pop('output')
+        c['problem'] = _problem_data(grid, c['problem'])
+        if st is not None:
+            st.shape = _profile(grid, st.shape)
+            st.trace_shape = _profile(grid, st.trace_shape, trace=True)
+        if sd is not None and sd.reference == 'finest' and len(sd.deltas) < 2:
+            raise ConfigError('a finest ladder needs at least two deltas')
+        return ExperimentConfig(**c, out_dir=out.dir, stride=out.stride, plots=out.plots,
+                                workers=out.workers)
 
 
 def load_config(path: str, **output) -> ExperimentConfig:
@@ -344,8 +359,8 @@ def _source(grid: dg.DiskGrid, trace=False, kind='zero', spatial=None, time=None
     return cs._Source(shape)
 
 
-def problem_from_config(cfg: ExperimentConfig) -> cs.ProblemData:
-    p, grid = cfg.problem, cfg.grid
+def _problem_data(grid: dg.DiskGrid, p) -> cs.ProblemData:
+    """The ProblemData of a read problem section on `grid`."""
     try:
         if hasattr(p, 'preset'):
             return cs.preset_problem(grid=grid, **_given(p))
@@ -358,14 +373,6 @@ def problem_from_config(cfg: ExperimentConfig) -> cs.ProblemData:
                               compat_tol=p.compat_tol)
     except ValueError as exc:
         raise ConfigError(f'bad problem spec: {exc}') from exc
-
-
-def solver_from_config(cfg: ExperimentConfig, **overrides) -> cs.SolverConfig:
-    """The run's SolverConfig; `overrides` (delta, lam) vary it across a sweep."""
-    try:
-        return cs.SolverConfig(**{**_given(cfg.needs('solver')), **overrides})
-    except ValueError as exc:
-        raise ConfigError(f'bad solver spec: {exc}') from exc
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +518,7 @@ def run_single(cfg: ExperimentConfig) -> dict:
     Raises ValidationFailure (caller exit 2) or SolveFailure-family errors
     (caller exit 3); returns the summary dict on success.
     """
-    problem, solver = problem_from_config(cfg), solver_from_config(cfg)
+    problem, solver = cfg.problem, cfg.solver
     # xi = beta_lam(u) and eta = beta_Gamma_lam(v) of the written levels only,
     # each from a whole level array
     fields = {'u': attrgetter('u'), 'mu': attrgetter('mu'),
@@ -616,15 +623,10 @@ def sweep_delta(cfg: ExperimentConfig) -> SweepReport:
     flagged and excluded from the fit; a failed reference run raises its
     SolveFailure.
     """
-    problem = problem_from_config(cfg)
-    sd = cfg.needs('sweep_delta')
-    deltas, ref_mode = sd.deltas, sd.reference
+    problem, deltas, ref_mode = cfg.problem, cfg.sweep_delta.deltas, cfg.sweep_delta.reference
     ref_delta = 0.0 if ref_mode == 'delta_zero' else deltas[-1]
     sweep_deltas = deltas if ref_mode == 'delta_zero' else deltas[:-1]
-    if not sweep_deltas:
-        raise ConfigError('a finest ladder needs at least two deltas')
-
-    tasks = [(problem, solver_from_config(cfg, delta=d)) for d in [ref_delta, *sweep_deltas]]
+    tasks = [(problem, replace(cfg.solver, delta=d)) for d in [ref_delta, *sweep_deltas]]
     results, compared = _compare(cfg, tasks, _four_norms(dn.NormToolkit(cfg.grid)),
                                  lambda k: 0)
     rows = [SweepRow(d, *_combined_error(c), max(r.delta_h1v for r in res.diagnostics.rows),
@@ -697,19 +699,17 @@ class StabilityReport:
 
 def _perturbation_sources(cfg, problem, amplitude):
     """The problem with (f, g, u0, v0) perturbed at one amplitude."""
-    st, grid = cfg.stability, cfg.grid
+    st, grid, time = cfg.stability, cfg.grid, cfg.stability.time
     f, g, u0, v0 = problem.f, problem.g, problem.u0, problem.v0
     if st.target in ('f', 'both'):
-        f_bump = _source(grid, False, 'separable', st.shape, st.time)
-        f = f + replace(f_bump, spatial=amplitude * f_bump.spatial)
+        f = f + cs._Source(f.shape, 'separable', amplitude * st.shape, time.kind, time.rate,
+                           time.omega)
     if st.target in ('g', 'both'):
-        g_bump = _source(grid, True, 'separable', st.trace_shape, st.time)
-        g = g + replace(g_bump, spatial=amplitude * g_bump.spatial)
+        g = g + cs._Source(g.shape, 'separable', amplitude * st.trace_shape, time.kind,
+                           time.rate, time.omega)
     if st.target == 'initial':
-        bump = _profile(grid, st.shape)
-        bump = bump - dg.mean_bulk(grid, bump)
-        tbump = _profile(grid, st.trace_shape, trace=True)
-        tbump = tbump - dg.mean_trace(grid, tbump)
+        bump = st.shape - dg.mean_bulk(grid, st.shape)
+        tbump = st.trace_shape - dg.mean_trace(grid, st.trace_shape)
         u0 = u0 + amplitude * bump
         v0 = v0 + amplitude * tbump
         scale = max(1.0, float(np.max(np.abs(u0))))
@@ -729,12 +729,9 @@ def stability_experiment(cfg: ExperimentConfig) -> StabilityReport:
     + int_0^t |df|^2 + int_0^t |dg|^2; the report carries sup_t LHS/RHS
     per amplitude and checks that the ratios stay within a fixed band.
     """
-    problem = problem_from_config(cfg)
-    st = cfg.needs('stability')
-    solver = solver_from_config(cfg)
-
+    problem, st = cfg.problem, cfg.stability
     pert_data = [_perturbation_sources(cfg, problem, a) for a in st.amplitudes]
-    results, compared = _compare(cfg, [(p, solver) for p in [problem] + pert_data],
+    results, compared = _compare(cfg, [(p, cfg.solver) for p in [problem] + pert_data],
                                  _four_norms(dn.NormToolkit(cfg.grid)), lambda k: 0)
     rows = [_stability_row(cfg.grid, a, problem, p2, c) if res.error is None
             else StabilityRow(a, math.nan, math.nan, math.nan, f'failed: {c}')
@@ -802,12 +799,10 @@ class LambdaReport:
 def sweep_lambda(cfg: ExperimentConfig) -> LambdaReport:
     """Successive-difference norms along a decreasing viscosity ladder; the
     first failed run raises its SolveFailure."""
-    problem = problem_from_config(cfg)
-    lams = cfg.needs('sweep_lambda').lambdas
-    grid = cfg.grid
+    lams, grid = cfg.sweep_lambda.lambdas, cfg.grid
     norms = {'v_bulk': lambda du, dv: dn.v_norm_bulk(grid, du, dv),
              'l2_trace': lambda du, dv: dg.l2_norm_trace(grid, dv)}
-    results, compared = _compare(cfg, [(problem, solver_from_config(cfg, lam=lam))
+    results, compared = _compare(cfg, [(cfg.problem, replace(cfg.solver, lam=lam))
                                        for lam in lams], norms, lambda k: k - 1)
     rows = []
     for hi, lo, res, d in zip(lams, lams[1:], results[1:], compared):

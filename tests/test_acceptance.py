@@ -289,7 +289,7 @@ def test_criterion_8_gradient_damping(delta_sweep, verdict):
 def test_criterion_9_obstacle_overshoot(verdict):
     # the obstacle preset at amplitude 0.95 and offset 0, forced through f and g
     obstacle = {'kind': 'double_obstacle', 'lower': -1.0, 'upper': 1.0}
-    raw = {'experiment': 'single', 'grid': {'n_r': 24, 'n_theta': 48}, 'problem': {
+    raw = {'experiment': 'graph_check', 'grid': {'n_r': 24, 'n_theta': 48}, 'problem': {
         'bulk_graph': obstacle, 'boundary_graph': obstacle,
         'pi': {'kind': 'linear', 'slope': -1.0}, 'pi_gamma': {'kind': 'linear', 'slope': -1.0},
         'u0': {'kind': 'harmonic', 'amplitude': 0.95, 'mode': 2, 'offset': 0.0},
@@ -299,7 +299,7 @@ def test_criterion_9_obstacle_overshoot(verdict):
         'g': {'kind': 'separable',
               'spatial': {'kind': 'mode', 'amplitude': 4.0, 'mode': 2},
               'time': {'kind': 'constant'}}}}
-    problem = harness.problem_from_config(harness.ExperimentConfig.from_dict(raw))
+    problem = harness.ExperimentConfig.from_dict(raw).problem
     overshoots = []
     for lam in (1e-2, 1e-3, 1e-4):
         result = cs.run(problem, cs.SolverConfig(delta=0.5, lam=lam,

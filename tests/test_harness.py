@@ -146,8 +146,9 @@ def test_integral_floats_read_as_integers(tmp_path):
     raw['solver']['newton_max_iter'] = 20.0
     raw['output'] = {'stride': 2.0, 'workers': 1.0}
     cfg = harness.load_config(make_cfg(tmp_path, raw))
-    values = (cfg.grid.n_r, cfg.grid.n_theta, cfg.problem.mode, cfg.stride, cfg.workers,
-              harness.solver_from_config(cfg).newton_max_iter)
+    mode = harness.section(raw['problem'], harness._PRESET, 'problem').mode
+    values = (cfg.grid.n_r, cfg.grid.n_theta, mode, cfg.stride, cfg.workers,
+              cfg.solver.newton_max_iter)
     assert values == (8, 16, 2, 2, 1, 20) and all(type(v) is int for v in values)
 
 
@@ -159,8 +160,7 @@ def test_explicit_problem_spec(tmp_path):
         'pi': {'kind': 'linear', 'slope': -1.0},
         'u0': {'kind': 'harmonic', 'amplitude': 0.2, 'mode': 2, 'offset': 0.05},
     }
-    cfg = harness.load_config(make_cfg(tmp_path, raw))
-    problem = harness.problem_from_config(cfg)
+    problem = harness.load_config(make_cfg(tmp_path, raw)).problem
     # v0 defaults to the trace of the harmonic profile
     assert np.max(np.abs(problem.v0 - problem.u0[-1] * problem.grid.r[-1] ** 0
                          )) < 0.25   # same mode family, nearby values
@@ -174,9 +174,8 @@ def test_tabulated_u0_requires_v0(tmp_path):
         'boundary_graph': {'kind': 'zero'},
         'u0': {'kind': 'tabulated', 'values': [[0.0] * 16] * 8},
     }
-    cfg = harness.load_config(make_cfg(tmp_path, raw))
-    with pytest.raises(ConfigError):
-        harness.problem_from_config(cfg)
+    with pytest.raises(ConfigError, match='v0 is required when u0 is tabulated'):
+        harness.load_config(make_cfg(tmp_path, raw))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +433,7 @@ def test_sweep_fit_newton_iters_match_the_tracer(tmp_path):
     per_run = []
     for delta in (0.0, *cfg.sweep_delta.deltas):
         with tracing.Tracer() as tracer:
-            cs.run(harness.problem_from_config(cfg), harness.solver_from_config(cfg, delta=delta))
+            cs.run(cfg.problem, dataclasses.replace(cfg.solver, delta=delta))
         per_run.append(tracer.newton_iters)
     assert iters == per_run and len(set(per_run)) > 1
 
@@ -1069,7 +1068,8 @@ SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta':
                  'newton_tol_zero': {'newton_tol': 0.0}}
 
 
-@pytest.mark.parametrize('command, update', [
+# (command, config update) of each malformed value
+MALFORMED = [
     ('solve', {'output': {'stride': 'x'}}),
     ('sweep-delta', {'sweep_delta': {'deltas': ['x', 0.1, 0.05]}}),
     ('solve', {'problem': {'preset': 'nosuch'}}),
@@ -1154,16 +1154,21 @@ SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta':
                                  'frames': [[0.0] * 128]}}}),
     # the solver's ranges
     *(('solve', {'solver': dict(BASE_SINGLE['solver'], **bad)}) for bad in SOLVER_RANGES.values()),
-], ids=['stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile',
-        'graph_key', 'pi_key', 'pi_lipschitz_constant', 'preset_log_scale',
-        'preset_anti_slope_c', 'stabilization_negative', 'graph_str', 'plots', 'solver_key',
-        'preset_key', 'problem_key', 'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str',
-        'amplitudes_str', 'lambdas_int', 'grid_list', 'output_list', 'sweep_delta_list',
-        'stability_list', 'sweep_lambda_list', 'n_r_float', 'n_theta_float', 'stride_float',
-        'workers_bool', 'newton_max_iter_float', 'newton_max_iter_zero',
-        'newton_max_iter_negative', 'band_one', 'band_negative', 'mode_float', 'exponent_float',
-        'lambda_and_lam', 'grid_nr', 'output_strid', 'assert_slop', 'shape_amplitud',
-        'u0_amplitud', 'f_spatal', 'f_time_rat', 'source_frames', *SOLVER_RANGES])
+]
+MALFORMED_IDS = [
+    'stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile', 'graph_key',
+    'pi_key', 'pi_lipschitz_constant', 'preset_log_scale', 'preset_anti_slope_c',
+    'stabilization_negative', 'graph_str', 'plots', 'solver_key', 'preset_key', 'problem_key',
+    'preset_compat_tol', 'dt_null', 'problem_list', 'u0_str', 'amplitudes_str', 'lambdas_int',
+    'grid_list', 'output_list', 'sweep_delta_list', 'stability_list', 'sweep_lambda_list',
+    'n_r_float', 'n_theta_float', 'stride_float', 'workers_bool', 'newton_max_iter_float',
+    'newton_max_iter_zero', 'newton_max_iter_negative', 'band_one', 'band_negative',
+    'mode_float', 'exponent_float', 'lambda_and_lam', 'grid_nr', 'output_strid', 'assert_slop',
+    'shape_amplitud', 'u0_amplitud', 'f_spatal', 'f_time_rat', 'source_frames', *SOLVER_RANGES,
+]
+
+
+@pytest.mark.parametrize('command, update', MALFORMED, ids=MALFORMED_IDS)
 def test_cli_malformed_values_are_exit_2(tmp_path, capsys, request, command, update):
     raw = json.loads(json.dumps(BASE_SINGLE))
     raw.update(EXPERIMENT_SECTIONS[command])
@@ -1172,6 +1177,64 @@ def test_cli_malformed_values_are_exit_2(tmp_path, capsys, request, command, upd
     assert cli.main([command, path, '--out', str(tmp_path / 'mo')]) == 2
     out_of_range = request.node.callspec.id in SOLVER_RANGES
     assert ('error: bad solver spec:' if out_of_range else 'error:') in capsys.readouterr().err
+
+
+# Config errors that a command used to raise after the read, or never:
+# graph_check built no solver, so its ranges went unchecked.  A tabulated
+# u0 without v0 is test_tabulated_u0_requires_v0.
+READ_TIME_ERRORS = {
+    'no_solver': ('solve', {'solver': None}),
+    'shape_size': ('stability', {'stability': {
+        'amplitudes': [1e-2], 'shape': {'kind': 'tabulated', 'values': [0.0] * 127}}}),
+    'trace_shape_size': ('stability', {'stability': {
+        'amplitudes': [1e-2], 'trace_shape': {'kind': 'tabulated', 'values': [0.0] * 17}}}),
+    'finest_one_delta': ('sweep-delta', {'sweep_delta': {'deltas': [0.4], 'reference': 'finest'}}),
+    'graph_check_solver': ('graph-check', {'experiment': 'graph_check',
+                                           'solver': dict(BASE_SINGLE['solver'], delta=1.5)}),
+}
+# the malformed values that are data, not config: validation rejects them
+VALIDATED = {'preset_compat_tol'}
+
+
+@pytest.mark.parametrize('command, update', [
+    *(case for case, id_ in zip(MALFORMED, MALFORMED_IDS) if id_ not in VALIDATED),
+    *READ_TIME_ERRORS.values()],
+    ids=[*(id_ for id_ in MALFORMED_IDS if id_ not in VALIDATED), *READ_TIME_ERRORS])
+def test_config_errors_are_raised_by_the_reader(tmp_path, capsys, command, update):
+    # load_config checks and builds the whole config: every config error is
+    # its own, before any command runs or makes its output directory
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    raw.update(EXPERIMENT_SECTIONS.get(command, {}))
+    raw.update(update)
+    path = cli_cfg(tmp_path, raw, 'read.json')
+    with pytest.raises(ConfigError):
+        harness.load_config(path)
+    assert cli.main([command, path, '--out', str(tmp_path / 'ro')]) == 2
+    assert 'error:' in capsys.readouterr().err
+    assert not (tmp_path / 'ro').exists()
+
+
+def _no_run(*args):
+    raise AssertionError('a config rejected at read reached a run')
+
+
+@pytest.mark.parametrize('out', ['', 'file', 'file/sub'], ids=['empty', 'file', 'under_a_file'])
+@pytest.mark.parametrize('command', ['solve', 'sweep-delta'])
+def test_cli_unwritable_output_path_is_exit_2(tmp_path, capsys, monkeypatch, command, out):
+    # an empty dir or an existing file is rejected at read, with no run; a
+    # path under a file fails when the artifacts are written
+    (tmp_path / 'file').write_text('kept')
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    raw.update(EXPERIMENT_SECTIONS[command])
+    path = cli_cfg(tmp_path, raw, 'out.json')
+    target = str(tmp_path / out) if out else ''
+    if out != 'file/sub':
+        with pytest.raises(ConfigError, match='bad output.dir'):
+            harness.load_config(path, dir=target)
+        monkeypatch.setattr(cs, 'run', _no_run)
+    assert cli.main([command, path, '--out', target]) == 2
+    assert 'error:' in capsys.readouterr().err
+    assert (tmp_path / 'file').read_text() == 'kept'
 
 
 @pytest.mark.parametrize('command, experiment', [
@@ -1242,7 +1305,7 @@ def test_benchmark_configs_pass_the_reader(monkeypatch, seed):
     spec.loader.exec_module(workloads)
     for w in workloads.WORKLOADS.values():
         cfg = harness.ExperimentConfig.from_dict(workloads.make_config(w, seed))
-        problem, solver = harness.problem_from_config(cfg), harness.solver_from_config(cfg)
+        problem, solver = cfg.problem, cfg.solver
         assert (problem.grid.n_r, problem.grid.n_theta) == w.grid
         assert (solver.delta, solver.t_end, cfg.workers) == (w.delta, w.t_end, w.workers)
 
@@ -1274,17 +1337,33 @@ def test_readme_config_example_and_exit_codes_match_the_code():
     text = _README.read_text()
     example = re.search(r'One JSON object per experiment:\n\n```json\n(.*?)```', text, re.S)
     cfg = harness.ExperimentConfig.from_dict(json.loads(example.group(1)))
-    problem, solver = harness.problem_from_config(cfg), harness.solver_from_config(cfg)
+    problem, solver = cfg.problem, cfg.solver
     assert (problem.grid.n_r, solver.t_end, cfg.sweep_delta.assert_r2) == (64, 0.25, 0.98)
     exit_codes = re.search(r'\nExit codes:(.*?)\n## ', text, re.S).group(1)
     assert [name for name in errors.__all__ if f'`{name}`' not in exit_codes] == []
-    # "Keys by section" lists every solver and output key, and README names
-    # none that the reader lacks, there or as `section.key`
+    # "Keys by section" lists every key of every section, and README names
+    # none that the reader lacks, there or as `section.key`; a value is
+    # written as JSON (`"finest"`), a key bare (`reference`)
     keys = re.search(r'\nKeys by section(.*?)\n## ', text, re.S).group(1)
-    for name, schema in (('solver', harness._SOLVER), ('output', harness._OUTPUT)):
-        listed = re.search(rf'\n- `{name}`: (.*?)\n(?=- |\n)', keys, re.S).group(1)
-        named = set(re.findall(r'`([a-z_]+)`', listed)) - {'true', 'false', 'null'}
-        assert named | set(re.findall(rf'`{name}\.([a-z_]+)`', text)) == set(schema), name
+
+    def dotted(name):       # `name.key` anywhere in README, less artifact files
+        return set(re.findall(rf'`{name}\.([a-z0-9_]+)`', text)) - {'csv', 'svg', 'json'}
+
+    for head, name, schema in (
+            ('top level', None, harness._CONFIG), ('`grid`', 'grid', harness._GRID),
+            ('`output`', 'output', harness._OUTPUT), ('`solver`', 'solver', harness._SOLVER),
+            ('`sweep_delta`', 'sweep_delta', harness._SWEEP_DELTA),
+            ('`stability`', 'stability', harness._STABILITY),
+            ('`sweep_lambda`', 'sweep_lambda', harness._SWEEP_LAMBDA),
+            ('`problem`, preset form', None, harness._PRESET)):
+        listed = re.search(rf'\n- {head}: (.*?)\n(?=- |\n|\Z)', keys, re.S).group(1)
+        named = set(re.findall(r'`([a-z_][a-z0-9_]*)`', listed)) - {'true', 'false', 'null'}
+        assert named | (dotted(name) if name else set()) == set(schema), head
+    # the explicit form lists its keys as the heads of its sub-items
+    explicit = re.search(r'\n- `problem`, explicit form:\n(.*?)\n(?=- |\n)', keys, re.S).group(1)
+    heads = re.findall(r'^  - ((?:`[a-z0-9_]+`(?: / )?)+)', explicit, re.M)
+    assert set(re.findall(r'`([a-z0-9_]+)`', ' '.join(heads))) == set(harness._EXPLICIT)
+    assert dotted('problem') <= set(harness._PRESET) | set(harness._EXPLICIT)
 
 
 def test_every_name_in_all_is_defined():

@@ -37,10 +37,10 @@ def read_source(grid, spec, trace=False):
     """The bulk source (`f`) or trace source (`g`) that the config reader
     builds from a JSON spec."""
     zero = {'kind': 'zero'}
-    raw = {'experiment': 'single', 'grid': {'n_r': grid.n_r, 'n_theta': grid.n_theta},
+    raw = {'experiment': 'graph_check', 'grid': {'n_r': grid.n_r, 'n_theta': grid.n_theta},
            'problem': {'bulk_graph': zero, 'boundary_graph': zero, 'u0': {},
                        'g' if trace else 'f': spec}}
-    problem = harness.problem_from_config(harness.ExperimentConfig.from_dict(raw))
+    problem = harness.ExperimentConfig.from_dict(raw).problem
     return problem.g if trace else problem.f
 
 
@@ -151,7 +151,7 @@ def forced_obstacle_raw(n_r=16, n_theta=32):
 
 def forced_obstacle(n_r=16, n_theta=32):
     cfg = harness.ExperimentConfig.from_dict(forced_obstacle_raw(n_r, n_theta))
-    return harness.problem_from_config(cfg), harness.solver_from_config(cfg)
+    return cfg.problem, cfg.solver
 
 
 @pytest.fixture
@@ -925,8 +925,7 @@ def test_selection_fields_match_definition(tmp_path):
         (tmp_path / f'{preset}.json').write_text(json.dumps(raw))
         cfg = harness.load_config(tmp_path / f'{preset}.json')
         harness.run_single(cfg)
-        p = harness.problem_from_config(cfg)
-        lam = harness.solver_from_config(cfg).lam
+        p, lam = cfg.problem, cfg.solver.lam
         for state, sel, graph in (('u', 'xi', p.bulk_graph), ('v', 'eta', p.boundary_graph)):
             ts, values = _field_levels(tmp_path / preset / f'{state}.csv', shapes[state])
             ts_sel, selections = _field_levels(tmp_path / preset / f'{sel}.csv', shapes[state])
