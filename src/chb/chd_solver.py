@@ -155,7 +155,6 @@ class ProblemData:
     g: _Source
     u0: np.ndarray
     v0: np.ndarray
-    compat_tol: float | None = None
 
     def __post_init__(self):
         self.u0 = np.asarray(self.u0, dtype=float)
@@ -195,8 +194,7 @@ PRESET_NAMES = ('cubic', 'logarithmic', 'obstacle', 'backward')
 
 
 def preset_problem(preset: str, grid: dg.DiskGrid, amplitude: float = 0.2,
-                   mode: int = 2, offset: float = 0.05,
-                   compat_tol: float | None = None) -> ProblemData:
+                   mode: int = 2, offset: float = 0.05) -> ProblemData:
     """Named problem families with compatible smooth initial data.
 
     u0 = offset + amplitude*r^mode*cos(mode*theta) with the matching trace
@@ -217,7 +215,7 @@ def preset_problem(preset: str, grid: dg.DiskGrid, amplitude: float = 0.2,
     v0 = harmonic(grid, amplitude, mode, offset=offset, trace=True)
     pi = mg.Perturbation.linear(slope)
     return ProblemData(grid, graph, graph, pi, pi, _Source((grid.n_r, grid.n_theta)),
-                       _Source((grid.n_theta,)), u0, v0, compat_tol)
+                       _Source((grid.n_theta,)), u0, v0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +241,7 @@ def validate(problem: ProblemData, config: SolverConfig) -> list:
     ext = u0[-1, :] + 0.5 * (u0[-1, :] - u0[-2, :])
     compat_error = float(np.max(np.abs(ext - v0)))
     scale = max(1.0, float(np.max(np.abs(u0))), float(np.max(np.abs(v0))))
-    compat_tol = problem.compat_tol if problem.compat_tol is not None \
-        else 25.0 * g.dr ** 2 * scale
+    compat_tol = 25.0 * g.dr ** 2 * scale
     if compat_error > compat_tol:
         failures.append(f'TraceIncompatibility: |u0 ring extrapolation - v0| = '
                         f'{compat_error:.3e} exceeds {compat_tol:.3e}')

@@ -168,6 +168,13 @@ def _ladder(n: int):
 _amplitudes = _numbers(lambda v: v and not any(a <= 0 for a in v), 'positive numbers')
 
 
+def _makeable_dir(path: str) -> bool:
+    """Whether path's nearest existing ancestor ('.' for a bare name) is a directory."""
+    while not os.path.exists(path):
+        path = os.path.dirname(path) or '.'
+    return os.path.isdir(path)
+
+
 def _object(schema: dict, build=None):
     """Converter of a nested object: build(**values), or the section itself."""
     def convert(x, what):
@@ -225,7 +232,6 @@ _PRESET = {
     'amplitude': (_float, None),
     'mode': (_int, None),
     'offset': (_float, None),
-    'compat_tol': (_float, None),
 }
 _EXPLICIT = {
     'bulk_graph': (_GRAPH, _REQUIRED),
@@ -236,7 +242,6 @@ _EXPLICIT = {
     'v0': (_TRACE_PROFILE, None),       # the trace of u0 unless u0 is tabulated
     'f': (_source_kind(_BULK_PROFILE), {}),
     'g': (_source_kind(_TRACE_PROFILE), {}),
-    'compat_tol': (_float, None),
 }
 _SOLVER = {
     'delta': (_float, 0.0),
@@ -247,9 +252,8 @@ _SOLVER = {
     'newton_max_iter': (_int, None),
 }
 _OUTPUT = {
-    'dir': (_check(lambda x: isinstance(x, str) and x != ''
-                   and (os.path.isdir(x) or not os.path.exists(x)),
-                   str, 'a path to a directory or to nothing yet'), 'chb-out'),
+    'dir': (_check(lambda x: isinstance(x, str) and x != '' and _makeable_dir(x),
+                   str, 'a directory or a new path under one'), 'chb-out'),
     'stride': (_count, 1),
     'plots': (_bool, False),
     'workers': (_count, 1),
@@ -369,8 +373,7 @@ def _problem_data(grid: dg.DiskGrid, p) -> cs.ProblemData:
         return cs.ProblemData(grid, p.bulk_graph, p.boundary_graph, p.pi, p.pi_gamma,
                               _source(grid, **vars(p.f)), _source(grid, True, **vars(p.g)),
                               _profile(grid, p.u0),
-                              _profile(grid, p.u0 if p.v0 is None else p.v0, trace=True),
-                              compat_tol=p.compat_tol)
+                              _profile(grid, p.u0 if p.v0 is None else p.v0, trace=True))
     except ValueError as exc:
         raise ConfigError(f'bad problem spec: {exc}') from exc
 

@@ -174,17 +174,23 @@ def _resolvent_power(spec, arr, lam):
     a = np.abs(arr)
     if p == 3:
         return np.copysign(_cubic_root(a, k), arr)
-    x = np.minimum(a, (a / k) ** (1.0 / p))
+
+    def step(x):
+        xp = k * _power(x, p - 1)
+        return x + xp * x - a, 1.0 + p * xp
+    return np.copysign(_newton(spec, step, np.minimum(a, (a / k) ** (1.0 / p)), a), arr)
+
+
+def _newton(spec, step, z, a):
+    """Newton z <- z - g/g' elementwise on (g, g') = step(z), a kind's scalar
+    resolvent equation, until |g| <= 1e-13*max(1, a) everywhere."""
     tol = _REL_TOL * np.maximum(1.0, a)
     for _ in range(_MAX_ITER):
-        xp = k * _power(x, p - 1)
-        g = x + xp * x - a
+        g, slope = step(z)
         if np.all(np.abs(g) <= tol):
-            break
-        x = x - g / (1.0 + p * xp)
-    else:
-        raise GraphMapFailure('power_odd resolvent did not converge')
-    return np.copysign(x, arr)
+            return z
+        z = z - g / slope
+    raise GraphMapFailure(f'{spec.kind} resolvent did not converge')
 
 
 def _cubic_root(a, k):
@@ -218,17 +224,11 @@ def _log_resolvent_y(spec, arr, lam):
     # Newton from y=0 (where h = -a <= 0) increases monotonically to the root.
     two_ls = 2.0 * lam * spec.scale
     a = np.abs(arr)
-    y = np.zeros_like(a)
-    tol = _REL_TOL * np.maximum(1.0, a)
-    for _ in range(_MAX_ITER):
+
+    def step(y):
         t = np.tanh(y)
-        h = t + two_ls * y - a
-        if np.all(np.abs(h) <= tol):
-            break
-        y = y - h / ((1.0 - t * t) + two_ls)
-    else:
-        raise GraphMapFailure('logarithmic resolvent did not converge')
-    return np.sign(arr) * y
+        return t + two_ls * y - a, (1.0 - t * t) + two_ls
+    return np.sign(arr) * _newton(spec, step, np.zeros_like(a), a)
 
 
 def yosida(spec: GraphSpec, r, lam: float):
@@ -242,27 +242,24 @@ def yosida(spec: GraphSpec, r, lam: float):
 
 
 def yosida_derivative(spec: GraphSpec, r, lam: float):
-    """A.e. derivative of beta_lam, used as the Newton slope.
+    """A.e. derivative of beta_lam, used as the Newton slope, read at the
+    resolvent point x = J_lam(r).
 
-    Equals beta'(J_lam(r)) / (1 + lam*beta'(J_lam(r))) where beta is
-    differentiable; for the obstacle graph the piecewise-constant slope is
-    0 inside [lower, upper] and 1/lam outside, with the value 1/lam at the
-    kinks (semismooth convention).
+    Equals beta'(x) / (1 + lam*beta'(x)) where beta is differentiable; for
+    the obstacle graph the piecewise-constant slope is 0 inside
+    [lower, upper] and 1/lam where x sits on an end, which the clip gives
+    exactly for r at or past it: 1/lam at the kinks (semismooth convention).
     """
+    x = resolvent(spec, r, lam)      # checks lam and r
+    if spec.kind == 'zero':
+        return np.zeros_like(x)
+    if spec.kind == 'double_obstacle':
+        return np.where((x == spec.lower) | (x == spec.upper), 1.0 / lam, 0.0)
     if spec.kind == 'power_odd':
-        x = resolvent(spec, r, lam)      # checks lam and r
         bp = spec.coefficient * spec.exponent * _power(x, spec.exponent - 1)
         return bp / (1.0 + lam * bp)
-    if spec.kind == 'logarithmic':
-        x = resolvent(spec, r, lam)
-        # 1/beta'(x) = (1 - x^2)/(2*s); J_lam keeps |x| < 1
-        return 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
-    if not lam > 0:
-        raise ValueError('lam must be positive')
-    arr = _as_array(r)
-    if spec.kind == 'zero':
-        return np.zeros_like(arr)
-    return np.where((arr >= spec.upper) | (arr <= spec.lower), 1.0 / lam, 0.0)
+    # 1/beta'(x) = (1 - x^2)/(2*s); J_lam keeps |x| < 1
+    return 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
 
 
 def primitive(spec: GraphSpec, r):

@@ -8,6 +8,7 @@ otherwise, and it is not part of this suite."""
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from chb import chd_solver as cs
 from chb import disk_grid as dg
 from chb import harness
+from chb import monotone_graphs as mg
 
 _TRACING = Path(__file__).resolve().parent.parent / 'perfbench' / 'tracing.py'
 
@@ -48,15 +50,34 @@ def test_stepper_step_returns_iterations_at_index_4():
     assert out[4] == cs.run(problem, config).diagnostics.rows[1].newton_iters
 
 
-def test_tracer_counts_the_run_and_restores_the_names():
+def _problem(name):
+    if name == 'quintic':
+        quintic = mg.power_odd(5, 1.0)
+        return replace(cs.preset_problem('cubic', dg.DiskGrid(8, 16)),
+                       bulk_graph=quintic, boundary_graph=quintic)
+    return cs.preset_problem(name, dg.DiskGrid(8, 16))
+
+
+@pytest.mark.parametrize('name', [*cs.PRESET_NAMES, 'quintic'])
+def test_tracer_counts_the_run_and_restores_the_names(name):
     tracing = _tracing()
-    problem, config = _cubic()
+    problem, config = _problem(name), _cubic()[1]
     originals = {(owner, attr): owner.__dict__[attr] for owner, attr, _ in tracing._targets()}
     with tracing.Tracer() as tracer:
         result = cs.run(problem, config)
     assert tracer.newton_iters == sum(r.newton_iters for r in result.diagnostics.rows) > 0
     assert len(tracer.runs) == 1 and tracer.runs[0]['steps'] == 3
     assert all(owner.__dict__[attr] is fn for (owner, attr), fn in originals.items())
+    # every Yosida map is one resolvent solve, and a root-found resolvent
+    # runs its solve in the inner function the tracer times
+    counts = tracing.layer_metrics(tracer, 0)['counts']
+    assert counts['monotone_graphs.resolvent_calls'] == counts['monotone_graphs.yosida_calls'] > 0
+    spans = tracer.spans
+    solves = [k for k, (span, _, _, parent, _) in enumerate(spans)
+              if span == 'monotone_graphs.resolvent'
+              and (parent < 0 or spans[parent][0] != 'monotone_graphs.resolvent')]
+    inner = [sum(1 for span, _, _, parent, _ in spans if parent == k) for k in solves]
+    assert set(inner) == {1 if problem.bulk_graph.kind in ('power_odd', 'logarithmic') else 0}
 
 
 @pytest.mark.parametrize('workers', [1, 2])

@@ -1100,6 +1100,7 @@ MALFORMED = [
     ('solve', {'problem': {'preset': 'cubic', 'amplitud': 0.3}}),
     ('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
                            'u0': {'kind': 'constant', 'value': 0.1}, 'pi_Gamma': {}}}),
+    # a key that is gone: the compatibility tolerance is always 25*dr**2*scale
     ('solve', {'problem': {'preset': 'cubic', 'compat_tol': 1e-12}}),
     ('solve', {'solver': {'delta': 0.5, 'lambda': 1e-2, 'dt': None, 't_end': 3e-3}}),
     ('solve', {'problem': [{'preset': 'cubic'}]}),
@@ -1192,14 +1193,10 @@ READ_TIME_ERRORS = {
     'graph_check_solver': ('graph-check', {'experiment': 'graph_check',
                                            'solver': dict(BASE_SINGLE['solver'], delta=1.5)}),
 }
-# the malformed values that are data, not config: validation rejects them
-VALIDATED = {'preset_compat_tol'}
 
 
-@pytest.mark.parametrize('command, update', [
-    *(case for case, id_ in zip(MALFORMED, MALFORMED_IDS) if id_ not in VALIDATED),
-    *READ_TIME_ERRORS.values()],
-    ids=[*(id_ for id_ in MALFORMED_IDS if id_ not in VALIDATED), *READ_TIME_ERRORS])
+@pytest.mark.parametrize('command, update', [*MALFORMED, *READ_TIME_ERRORS.values()],
+                         ids=[*MALFORMED_IDS, *READ_TIME_ERRORS])
 def test_config_errors_are_raised_by_the_reader(tmp_path, capsys, command, update):
     # load_config checks and builds the whole config: every config error is
     # its own, before any command runs or makes its output directory
@@ -1221,17 +1218,16 @@ def _no_run(*args):
 @pytest.mark.parametrize('out', ['', 'file', 'file/sub'], ids=['empty', 'file', 'under_a_file'])
 @pytest.mark.parametrize('command', ['solve', 'sweep-delta'])
 def test_cli_unwritable_output_path_is_exit_2(tmp_path, capsys, monkeypatch, command, out):
-    # an empty dir or an existing file is rejected at read, with no run; a
-    # path under a file fails when the artifacts are written
+    # an empty dir, an existing file or a path under a file is rejected at
+    # read, with no run
     (tmp_path / 'file').write_text('kept')
     raw = json.loads(json.dumps(BASE_SINGLE))
     raw.update(EXPERIMENT_SECTIONS[command])
     path = cli_cfg(tmp_path, raw, 'out.json')
     target = str(tmp_path / out) if out else ''
-    if out != 'file/sub':
-        with pytest.raises(ConfigError, match='bad output.dir'):
-            harness.load_config(path, dir=target)
-        monkeypatch.setattr(cs, 'run', _no_run)
+    with pytest.raises(ConfigError, match='bad output.dir'):
+        harness.load_config(path, dir=target)
+    monkeypatch.setattr(cs, 'run', _no_run)
     assert cli.main([command, path, '--out', target]) == 2
     assert 'error:' in capsys.readouterr().err
     assert (tmp_path / 'file').read_text() == 'kept'
