@@ -101,8 +101,6 @@ class _Source:
     parts: tuple = ()
 
     def __post_init__(self):
-        if self.time_kind not in TIME_KINDS:
-            raise ValueError(f'unknown time profile {self.time_kind!r}')
         if self.kind == 'tabulated' and (sorted(self.times) != list(self.times)
                                          or not 0 < len(self.times) == len(self.frames)):
             raise ValueError('a tabulated source needs increasing times, one frame each')
@@ -770,7 +768,7 @@ def initial_state(problem: ProblemData) -> StepSolution:
                         problem.v0.copy(), np.zeros(g.n_theta))
 
 
-def _diag_row(problem, config, state: StepSolution, iters: int, prev_energy: float | None):
+def _diag_row(problem, config, state: StepSolution, iters: int, prev: DiagnosticsRow | None):
     g = problem.grid
     h1v = dg.h1_seminorm_trace(g, state.v)
     e = energy(state, problem, config, h1v)
@@ -779,13 +777,13 @@ def _diag_row(problem, config, state: StepSolution, iters: int, prev_energy: flo
         mass_bulk=dg.mean_bulk(g, state.u),
         mass_trace=dg.mean_trace(g, state.v),
         energy=e,
-        d_energy=0.0 if prev_energy is None else e - prev_energy,
+        d_energy=0.0 if prev is None else e - prev.energy,
         grad_mu=dg.h1_seminorm_bulk(g, state.mu),
         grad_w=dg.h1_seminorm_trace(g, state.w),
         overshoot=_overshoot(state.v, problem.boundary_graph),
         delta_h1v=config.delta * h1v,
         newton_iters=iters,
-    ), e
+    )
 
 
 def run(problem: ProblemData, config: SolverConfig, observe=lambda level: None) -> RunResult:
@@ -809,8 +807,7 @@ def run(problem: ProblemData, config: SolverConfig, observe=lambda level: None) 
 
     diag = Diagnostics()
     state = prev = initial_state(problem)
-    row, e_prev = _diag_row(problem, config, state, 0, None)
-    diag.rows.append(row)
+    diag.rows.append(_diag_row(problem, config, state, 0, None))
     observe(state)
     error = None
 
@@ -832,8 +829,7 @@ def run(problem: ProblemData, config: SolverConfig, observe=lambda level: None) 
             error = exc
             break
         prev, state = state, StepSolution(state.t + dt_k, u, mu, v, w)
-        row, e_prev = _diag_row(problem, config, state, iters, e_prev)
-        diag.rows.append(row)
+        diag.rows.append(_diag_row(problem, config, state, iters, diag.rows[-1]))
         observe(state)
 
     return RunResult(diag, error, time.perf_counter() - t_start, record)

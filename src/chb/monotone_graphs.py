@@ -31,8 +31,8 @@ from .errors import GraphMapFailure
 __all__ = (
     'GraphSpec', 'Perturbation', 'GrowthVerdict',
     'zero', 'power_odd', 'logarithmic', 'double_obstacle',
-    'resolvent', 'yosida', 'yosida_derivative', 'primitive',
-    'yosida_primitive', 'check_domination', 'check_same_growth',
+    'resolvent', 'yosida', 'yosida_derivative', 'yosida_primitive',
+    'check_domination', 'check_same_growth',
 )
 
 _REL_TOL = 1e-13    # relative residual for the scalar resolvent solves
@@ -262,18 +262,13 @@ def yosida_derivative(spec: GraphSpec, r, lam: float):
     return 1.0 / ((1.0 - x * x) / (2.0 * spec.scale) + lam)
 
 
-def primitive(spec: GraphSpec, r):
-    """Convex primitive beta_hat(r), extended-real valued.
+def _primitive(spec, arr):
+    """Convex primitive beta_hat(arr), extended-real valued, of finite floats.
 
     Nonnegative, beta_hat(0) = 0, and +inf outside the closure of the
     domain of the primitive (which may include endpoints excluded from
     D(beta): the logarithmic primitive is finite on the closed interval).
     """
-    return _primitive(spec, _as_array(r))
-
-
-def _primitive(spec, arr):
-    """`primitive` of a float array already checked for finite values."""
     if spec.kind == 'zero':
         return np.zeros_like(arr)
     if spec.kind == 'power_odd':

@@ -141,7 +141,7 @@ def test_criterion_3_regularization_suite(verdict):
             assert np.all(dy <= dr / lam + 1e-9 / lam)        # 1/lam-Lipschitz
             assert np.all(env >= 0.0)
             if name != 'zero':
-                prim = np.asarray(mg.primitive(spec, rs[dom]))
+                prim = mg._primitive(spec, rs[dom])
                 assert np.all(env[dom] <= prim + 1e-10 * (1.0 + prim))
             sel = np.abs(beta0[dom])
             assert np.all(np.abs(y[dom]) <= sel + 1e-10 * (1.0 + sel))

@@ -145,15 +145,19 @@ def test_log_yosida_matches_minimal_section_in_the_limit():
 # ---------------------------------------------------------------------------
 # primitives and envelopes
 
+def primitive(spec, r):
+    return mg._primitive(spec, np.asarray(r, dtype=float))
+
+
 def test_power_primitive_closed_form():
     spec = mg.power_odd(3, 2.0)
     r = np.linspace(-2, 2, 41)
-    assert np.allclose(mg.primitive(spec, r), 2.0 * r ** 4 / 4.0, rtol=1e-14, atol=0)
+    assert np.allclose(primitive(spec, r), 2.0 * r ** 4 / 4.0, rtol=1e-14, atol=0)
 
 
 def test_log_primitive_value():
     # (1+r)log(1+r) + (1-r)log(1-r) at r = 0.9, unit scale
-    val = float(mg.primitive(mg.logarithmic(1.0), 0.9))
+    val = float(primitive(mg.logarithmic(1.0), 0.9))
     ref = 1.9 * math.log(1.9) + 0.1 * math.log(0.1)
     assert abs(val - ref) < 1e-14
     assert abs(val - 0.9892638744281455) < 1e-12
@@ -164,13 +168,13 @@ def test_log_primitive_against_quadrature():
     for r in (0.3, -0.55, 0.85):
         ref, err = quad(lambda s: float(minimal_section(spec, s)), 0.0, r,
                         epsabs=1e-13, epsrel=1e-13)
-        assert abs(float(mg.primitive(spec, r)) - ref) < 1e-10
+        assert abs(float(primitive(spec, r)) - ref) < 1e-10
 
 
 def test_primitive_infinite_outside_domain():
-    assert math.isinf(float(mg.primitive(GRAPHS['obstacle'], 1.5)))
-    assert math.isinf(float(mg.primitive(GRAPHS['log'], 1.5)))
-    assert float(mg.primitive(GRAPHS['obstacle'], 0.5)) == 0.0
+    assert math.isinf(float(primitive(GRAPHS['obstacle'], 1.5)))
+    assert math.isinf(float(primitive(GRAPHS['log'], 1.5)))
+    assert float(primitive(GRAPHS['obstacle'], 0.5)) == 0.0
 
 
 def test_yosida_primitive_against_quadrature():
@@ -191,7 +195,7 @@ def test_envelope_bounds():
         for lam in (1e-3, 0.1, 1.0):
             env = np.asarray(mg.yosida_primitive(spec, r, lam))
             assert np.all(env >= -1e-15), name
-            full = np.asarray(mg.primitive(spec, r))
+            full = np.asarray(primitive(spec, r))
             assert np.all(env <= full + 1e-12), name
 
 
@@ -334,6 +338,11 @@ def test_graph_spec_validation():
         mg.double_obstacle(0.5, 2.0)   # must contain 0
     with pytest.raises(ValueError):
         mg.double_obstacle(-math.inf, 1.0)   # a double obstacle is bounded
+    # every Yosida map solves through the resolvent, which needs lam > 0
+    for f in (mg.resolvent, mg.yosida, mg.yosida_derivative, mg.yosida_primitive):
+        for lam in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match='lam must be positive'):
+                f(GRAPHS['power3'], 0.5, lam)
 
 
 def test_spec_built_directly_has_the_domain_of_its_kind():

@@ -467,6 +467,20 @@ def test_workers_do_not_change_bytes(tmp_path, experiment):
     assert out[0] == out[1]
 
 
+@pytest.mark.parametrize('experiment', sorted(WORKER_RUNS))
+def test_cli_plots_comparison_on_decade_ticks(tmp_path, experiment):
+    _, artifact, section = WORKER_RUNS[experiment]
+    path = cli_cfg(tmp_path, dict(BASE_SINGLE, experiment=experiment, **section), 'p.json')
+    assert cli.main([experiment.replace('_', '-'), path, '--out', str(tmp_path / 'p'),
+                     '--plots', '--workers', '1']) == 0
+    svg = (tmp_path / 'p' / artifact.replace('.csv', '.svg')).read_text()
+    assert svg.startswith('<svg') and 'polyline' in svg
+    # numeric labels of the x ticks (centred) and the y ticks (right-aligned)
+    xs = re.findall(r'text-anchor="middle">([-.e\d]+)</text>', svg)
+    ys = re.findall(r'text-anchor="end">([-.e\d]+)</text>', svg)
+    assert xs and all(math.log10(float(t)).is_integer() for t in xs + ys), (xs, ys)
+
+
 def test_sweep_delta_takes_each_trace_seminorm_once_per_level(tmp_path, monkeypatch):
     # 4 runs (three deltas and the delta = 0 reference) of 11 levels: the
     # diagnostics need |v| and |w| in H^1(Gamma) once each per level
@@ -1067,6 +1081,16 @@ SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta':
                  'dt_zero': {'dt': 0.0}, 't_end_negative': {'t_end': -1e-3},
                  'newton_tol_zero': {'newton_tol': 0.0}}
 
+# Tabulated perturbation samples (xs, ys) that the table rejects, and its message.
+TABLE_SAMPLES = {
+    'table_one_sample': ([0.0], [0.0], 'perturbation needs >= 2 matching samples'),
+    'table_unequal_lengths': ([0.0, 1.0], [0.0], 'perturbation needs >= 2 matching samples'),
+    'table_xs_not_increasing': ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0],
+                                'sample points must be strictly increasing'),
+    'table_xs_infinite': ([0.0, math.inf], [0.0, 1.0], 'samples must be finite'),
+    'table_ys_nan': ([0.0, 1.0], [0.0, math.nan], 'samples must be finite'),
+}
+
 
 # (command, config update) of each malformed value
 MALFORMED = [
@@ -1155,6 +1179,11 @@ MALFORMED = [
                                  'frames': [[0.0] * 128]}}}),
     # the solver's ranges
     *(('solve', {'solver': dict(BASE_SINGLE['solver'], **bad)}) for bad in SOLVER_RANGES.values()),
+    # the table's own checks: the reader passes xs and ys through
+    *(('solve', {'problem': {'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+                             'u0': {'kind': 'constant', 'value': 0.1},
+                             'pi': {'kind': 'tabulated', 'xs': xs, 'ys': ys}}})
+      for xs, ys, _ in TABLE_SAMPLES.values()),
 ]
 MALFORMED_IDS = [
     'stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile', 'graph_key',
@@ -1166,6 +1195,7 @@ MALFORMED_IDS = [
     'newton_max_iter_zero', 'newton_max_iter_negative', 'band_one', 'band_negative',
     'mode_float', 'exponent_float', 'lambda_and_lam', 'grid_nr', 'output_strid', 'assert_slop',
     'shape_amplitud', 'u0_amplitud', 'f_spatal', 'f_time_rat', 'source_frames', *SOLVER_RANGES,
+    *TABLE_SAMPLES,
 ]
 
 
@@ -1176,8 +1206,11 @@ def test_cli_malformed_values_are_exit_2(tmp_path, capsys, request, command, upd
     raw.update(update)
     path = cli_cfg(tmp_path, raw, 'malformed.json')
     assert cli.main([command, path, '--out', str(tmp_path / 'mo')]) == 2
-    out_of_range = request.node.callspec.id in SOLVER_RANGES
-    assert ('error: bad solver spec:' if out_of_range else 'error:') in capsys.readouterr().err
+    case = request.node.callspec.id
+    message = ('bad solver spec:' if case in SOLVER_RANGES
+               else f'bad problem.pi: tabulated {TABLE_SAMPLES[case][2]}' if case in TABLE_SAMPLES
+               else '')
+    assert f'error: {message}' in capsys.readouterr().err
 
 
 # Config errors that a command used to raise after the read, or never:

@@ -1350,6 +1350,9 @@ def test_problem_data_shape_checks():
     with pytest.raises(ValueError, match='u0 shape does not match the grid'):
         cs.ProblemData(g, p.bulk_graph, p.boundary_graph, p.pi, p.pi_gamma,
                        p.f, p.g, p.u0[:-1], p.v0)
+    with pytest.raises(ValueError, match='v0 shape does not match the grid'):
+        cs.ProblemData(g, p.bulk_graph, p.boundary_graph, p.pi, p.pi_gamma,
+                       p.f, p.g, p.u0, p.v0[:-1])
 
 
 # ---------------------------------------------------------------------------
