@@ -488,27 +488,166 @@ def _compare(cfg, tasks, norms, against):
 # ---------------------------------------------------------------------------
 # single run artifacts
 
+# The field CSVs print every value as format(x, '.17g') does.  At 17 digits
+# CPython's dtoa takes its bignum path, so `_format_17g` does the same
+# rounding on whole arrays: with k the decimal exponent of |x|, it forms
+# |x| * 10**(16 - k) as an exact sum p + e (Dekker's product), rounds it half
+# to even to a 17-digit integer n and places n's digits by one gather from a
+# table of layouts.  10**(16 - k) is a double for k = -6..16; elsewhere it is
+# hi + lo, and a value within 1e-6 of a tie takes `format`.
+_SPLIT = 134217729.0            # 2**27 + 1, Dekker's splitter
+_K0 = -283                      # the tables cover k = _K0 .. -_K0 - 1
+_CHUNK = 2048                   # values per template fill: bounds the writer's memory
+# offsets in a value's 32-byte source row: '000', n's 17 digits, '.', '-',
+# 'e', the exponent's sign, '0', three exponent digits, four NULs
+_D, _DOT, _MINUS, _E, _ZERO, _NUL = 3, 20, 21, 22, 24, 28
+
+
+def _layout(negative, k, nd):
+    """Source-row offsets of the text of a value with this sign, decimal
+    exponent k and nd significant digits."""
+    digits = list(range(_D, _D + nd))
+    if -4 <= k < 0:                 # 0.000ddd
+        text = [_ZERO, _DOT] + [_ZERO] * (-k - 1) + digits
+    elif 0 <= k <= 16:              # ddd[.ddd]
+        text = list(range(_D, _D + k + 1)) + ([_DOT] + digits[k + 1:] if nd > k + 1 else [])
+    else:                           # d[.ddd]e±kk[k]
+        text = digits[:1] + ([_DOT] + digits[1:] if nd > 1 else []) + [_E, _E + 1]
+        text += list(range(_ZERO + 2 - (abs(k) >= 100), _ZERO + 4))
+    return [_MINUS] * negative + text
+
+
 @lru_cache(maxsize=None)
-def _row_template(shape):
-    """The rows of one level of a field of this shape ((n_theta,) or
-    (n_r, n_theta)) in C order, with NUL for t and %.17g for the value."""
-    tails = ['', *(f',{j},%.17g\r\n' for j in range(shape[-1]))]
-    prefixes = ['\0'] if len(shape) == 1 else [f'\0,{i}' for i in range(shape[0])]
-    return ''.join(prefix.join(tails) for prefix in prefixes)
+def _g17_tables():
+    """The formatter's tables, built on first use:
+    - scale: columns k - _K0 of the rows hi, hi's Dekker halves, lo (so
+      10**(16 - k) = hi + lo) and the doubt threshold of `_scaled`;
+    - tails: each k's last 12 source-row bytes;
+    - keys: each k's layout key at 17 digits and a positive sign;
+    - groups, zeros: each 4-digit group's text ('<u4') and trailing zeros;
+    - layouts: rows of 24 source-row offsets, one per key, that is per
+      (sign, notation class, digit count)."""
+    ks = range(_K0, -_K0)
+    scale = []
+    for k in ks:
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den                          # correctly rounded
+        p, q = hi.as_integer_ratio()
+        hi_h = _SPLIT * hi - (_SPLIT * hi - hi)
+        lo = (num * q - p * den) / (den * q)
+        scale.append((hi, hi_h, hi - hi_h, lo, 0.5 - 1e-6 if lo else 1.0))
+    tails = b''.join(b'.-e%c0%03d\0\0\0\0' % (b'-+'[k >= 0], abs(k)) for k in ks)
+    # class 0..20: fixed notation at k = -4..16; 21, 22: 2, 3 exponent digits
+    classes = [k + 4 if -4 <= k <= 16 else 21 + (abs(k) >= 100) for k in ks]
+    layouts = np.full((2, 23, 18, 24), _NUL, np.int16)
+    for c, k in enumerate([*range(-4, 17), 17, 100]):
+        for negative in (0, 1):
+            for nd in range(1, 18):
+                text = _layout(negative, k, nd)
+                layouts[negative, c, nd, :len(text)] = text
+    places = np.array([1000, 100, 10, 1], np.uint16)
+    digits = (np.arange(10000, dtype=np.uint16)[:, None] // places % 10).astype(np.uint8)
+    return (np.array(scale).T.copy(), np.frombuffer(tails, 'V12'),
+            18 * np.array(classes) + 17, (digits + 48).view('<u4').ravel(),
+            (digits[:, ::-1] == 0).cumprod(1, np.uint8).sum(1, np.uint8), layouts.reshape(-1, 24))
+
+
+def _scaled(a, kk, scale):
+    """(n, doubt, low) for a > 0 at decimal exponents kk + _K0: n is
+    a * 10**(16 - k) rounded half to even (int64), doubt marks where that
+    rounding may be off (10**(16 - k) is inexact and the fraction is within
+    1e-6 of a half), low where a * 10**(16 - k) < 10**16, so k is too large."""
+    hi, hi_h, hi_l, lo, doubt = scale.take(kk, axis=1)
+    a_h = _SPLIT * a
+    a_h -= a_h - a
+    a_l = a - a_h
+    p = a * hi
+    e = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l + a * lo
+    r = np.rint(e)          # p >= 2**53 is even, so p + r is the half-even rounding
+    return p.astype(np.int64) + r.astype(np.int64), np.abs(e - r) > doubt, e < 1e16 - p
+
+
+def _g17_kernel(x, a):
+    """The text of each x as 'S24', where every a = |x| is in [1e-280, 1e280)."""
+    scale, tails, keys, groups, zeros, layouts = _g17_tables()
+    kk = (np.log10(a) - _K0).astype(np.intp)       # k - _K0, or one off
+    n, doubt, low = _scaled(a, kk, scale)
+    off = np.flatnonzero(low | (n >= 10 ** 17))
+    if off.size:
+        kk[off] += np.where(low[off], -1, 1)
+        n[off], doubt[off], _ = _scaled(a[off], kk[off], scale)
+        up = off[n[off] == 10 ** 17]
+        n[up] = 10 ** 16
+        kk[up] += 1
+    g = np.empty((5, x.size), np.int64)    # n's 4-digit groups, the first of 1 digit
+    for j in (4, 3, 2):
+        n, g[j] = np.divmod(n, 10 ** 4)
+    g[0], g[1] = np.divmod(n, 10 ** 4)
+    src = np.concatenate((groups.take(g.T), tails.take(kk).view('<u4').reshape(-1, 3)), axis=1)
+    nz = zeros.take(g[4])                   # n's trailing zeros; zeros[0] is 4
+    for j in (3, 2, 1):
+        whole = np.flatnonzero(nz == 16 - 4 * j)
+        if not whole.size:
+            break
+        nz[whole] += zeros.take(g[j, whole])
+    key = keys.take(kk) - nz + 23 * 18 * np.signbit(x)
+    idx = layouts.take(key, axis=0) + np.arange(0, 32 * x.size, 32)[:, None]
+    out = src.view(np.uint8).reshape(-1).take(idx).view('S24').ravel()
+    for i in np.flatnonzero(doubt):
+        out[i] = format(x[i], '.17g').encode()
+    return out
+
+
+def _format_17g(values) -> list:
+    """format(x, '.17g') of every entry of a float64 array in C order, as
+    ASCII bytes.  Zeros take a constant; NaN, infinities and |x| outside
+    [1e-280, 1e280) take `format` itself."""
+    x = values.ravel()
+    a = np.abs(x)
+    ok = (a >= 1e-280) & (a < 1e280)
+    if ok.all():
+        return _g17_kernel(x, a).tolist()
+    out = np.full(x.size, b'0', object)
+    i = np.flatnonzero(ok)
+    if i.size:
+        out[i] = _g17_kernel(x[i], a[i])
+    out[(a == 0) & np.signbit(x)] = b'-0'
+    for i in np.flatnonzero(~ok & (a != 0)):
+        out[i] = format(x[i], '.17g').encode()
+    return out.tolist()
+
+
+@lru_cache(maxsize=None)
+def _row_template(shape, i0, i1):
+    """The rows of θ rows i0..i1-1 (of the one row of an (n_theta,) shape)
+    of one level of a field of this shape ((n_theta,) or (n_r, n_theta)) in
+    C order, as bytes with NUL for t and %s for the value."""
+    tails = [b'', *(b',%d,%%s\r\n' % j for j in range(shape[-1]))]
+    prefixes = [b'\0'] if len(shape) == 1 else [b'\0,%d' % i for i in range(i0, i1)]
+    return b''.join(prefix.join(tails) for prefix in prefixes)
 
 
 def _level_rows(t, values):
-    """One level's rows of a field CSV: the bytes `_write_csv` gives for
-    (t, cell index..., value) rows in C order, by one %-format."""
-    return _row_template(values.shape).replace('\0', _fmt(t)) % tuple(values.ravel().tolist())
+    """One level's rows of a field CSV, in chunks of whole θ rows: the bytes
+    `_write_csv` gives for (t, cell index..., value) rows in C order."""
+    rows = values.reshape(-1, values.shape[-1])
+    step = max(1, _CHUNK // rows.shape[1])
+    t_text = _fmt(t).encode()
+    for i in range(0, len(rows), step):
+        text = _row_template(values.shape, i, min(i + step, len(rows))).replace(b'\0', t_text)
+        yield (text % tuple(_format_17g(rows[i:i + step]))).decode('ascii')
 
 
 def _write_bulk_csv(fh, k, t, values):
-    fh.write(('t,i,j,value\r\n' if k == 0 else '') + _level_rows(t, values))
+    if k == 0:
+        fh.write('t,i,j,value\r\n')
+    fh.writelines(_level_rows(t, values))
 
 
 def _write_trace_csv(fh, k, t, values):
-    fh.write(('t,j,value\r\n' if k == 0 else '') + _level_rows(t, values))
+    if k == 0:
+        fh.write('t,j,value\r\n')
+    fh.writelines(_level_rows(t, values))
 
 
 def _write_diagnostics_csv(path, diag):
@@ -534,9 +673,10 @@ def run_single(cfg: ExperimentConfig) -> dict:
         None), then hold this one; level 0 opens the CSVs."""
         k, last = held
         if k >= 0 and (k % cfg.stride == 0 or level is None):
+            if k == 0:
+                os.makedirs(cfg.out_dir, exist_ok=True)
             for name, values_of in fields.items():
                 if k == 0:
-                    os.makedirs(cfg.out_dir, exist_ok=True)
                     files[name] = open(os.path.join(cfg.out_dir, f'{name}.csv'), 'w', newline='')
                 write = _write_bulk_csv if name in ('u', 'mu', 'xi') else _write_trace_csv
                 write(files[name], k, last.t, values_of(last))

@@ -266,20 +266,26 @@ def test_plots_written_when_requested(tmp_path):
     assert svg.startswith('<svg') and 'polyline' in svg
 
 
-# Every value class the field dumps must print exactly: signed zeros, nan,
-# both infinities, the smallest subnormal, the largest float, a value that
-# needs 17 digits and an integral one.
+# Every value class the field dumps must print exactly, and every branch of
+# the array formatter: signed zeros (also in runs), nan, both infinities,
+# the smallest subnormal, the largest float, a value that needs 17 digits,
+# integral ones (1e16 the widest in fixed notation), exponent notation with
+# two- and three-digit exponents, both notation switches and an exact
+# 17-digit tie (2**-25 rounds half to even).
 GOLDEN_VALUES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
-                 1.7976931348623157e308, 0.1, 2.0, -1.0 / 3.0]
+                 1.7976931348623157e308, 0.1, 2.0, -1.0 / 3.0, 1e16, 1e17,
+                 -1.2345e-7, 6.02214076e23, 1e-100, 2.0 ** -25, 1e-4, -1e-5,
+                 0.0, 0.0, -0.0, -0.0, 0.0]
 
 
 def _golden_steps(n_levels):
-    """Levels k = 0..n_levels-1 at t = k*1e-3 with a (2, 5) bulk field `u`
-    and a (10,) trace field `v`, both rotations of GOLDEN_VALUES."""
+    """Levels k = 0..n_levels-1 at t = k*1e-3 with a (3, 700) bulk field `u`
+    and a (23,) trace field `v`, both rotations of GOLDEN_VALUES.  The
+    writer formats `u` in chunks of two and one θ rows."""
     steps = []
     for k in range(n_levels):
         vals = np.roll(GOLDEN_VALUES, k)
-        steps.append(SimpleNamespace(t=k * 1e-3, u=vals.reshape(2, 5), v=vals))
+        steps.append(SimpleNamespace(t=k * 1e-3, u=np.resize(vals, (3, 700)), v=vals))
     return steps
 
 
@@ -313,7 +319,59 @@ def test_field_csv_golden_bytes(tmp_path, n_levels, keep, name):
     data = (tmp_path / 'f.csv').read_bytes()
     assert data == _reference_csv(steps, name, keep)
     assert data.count(b'\r\n') == 1 + len(keep) * getattr(steps[0], name).size
-    assert b'nan' in data and b'-inf' in data and b'4.9406564584124654e-324' in data
+    for text in (b'nan', b'-inf', b'4.9406564584124654e-324', b'10000000000000000', b'1e+17',
+                 b'1e-100', b'2.9802322387695312e-08'):
+        assert text in data
+
+
+# ---------------------------------------------------------------------------
+# the field CSVs' array formatter: format(x, '.17g') of every entry
+
+def _g17(values) -> list:
+    return [text.decode() for text in harness._format_17g(np.asarray(values, dtype=float))]
+
+
+@settings(deadline=None, max_examples=200, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
+def test_format_17g_is_format(xs):
+    assert _g17(xs) == [format(x, '.17g') for x in xs]
+
+
+# exact 17-digit ties at k = -8..15, either way to even: m / 2**n, whose
+# decimal m * 5**n / 10**n has 18 significant digits, the last a 5
+TIES = [m / 2 ** n for n in range(2, 26)
+        for m in range(-(-10 ** 17 // 5 ** n) | 1, 10 ** 18 // 5 ** n, 2)[:3]]
+
+
+@pytest.mark.parametrize('values', [
+    [float(f'1e{k}') for k in range(-300, 301)],
+    [2.0 ** -n for n in range(1075)],
+    TIES,
+    [1e-5, 1e-4, 1e16, 1e17, 0.0, 5e-324, sys.float_info.max],
+], ids=['powers_of_ten', 'powers_of_two', 'ties', 'switches_and_ends'])
+def test_format_17g_with_neighbours_and_signs(values):
+    x = np.array(values)
+    with np.errstate(over='ignore'):        # past the largest float is inf
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)])
+    x = np.concatenate([x, -x])
+    assert _g17(x) == [format(v, '.17g') for v in x.tolist()]
+
+
+def test_format_17g_hands_inexact_near_ties_to_format(monkeypatch):
+    # 2**-25 is a tie at k = -8, where 10**24 is not a double; 2**-24 is no
+    # tie there, and TIES[0] is a tie at k = 15, where 10 is exact
+    seen = []
+    monkeypatch.setattr(harness, 'format', lambda x, spec: seen.append(x) or format(x, spec),
+                        raising=False)
+    values = [0.1, TIES[0], 2.0 ** -24, 2.0 ** -25]
+    assert _g17(values) == [format(x, '.17g') for x in values]
+    assert seen == [2.0 ** -25]
+
+
+def test_format_17g_spellings():
+    assert _g17([2.0 ** -25, 99999999999999992.0, 1e16, -0.0, 0.0, 1e-5]) == [
+        '2.9802322387695312e-08', '1e+17', '10000000000000000', '-0', '0',
+        '1.0000000000000001e-05']
 
 
 # Handmade rows through the report writers: every cell kind (None, both
@@ -872,6 +930,17 @@ def test_peak_memory_does_not_grow_with_steps(tmp_path, experiment):
     peak(2)                             # first-call caches
     growth = (peak(40) - peak(10)) / 30
     assert growth < (16 * 32 + 32) * 8, growth
+
+
+def test_field_writer_peak_memory_is_one_chunk(tmp_path):
+    # a writer that formats a 128x256 level whole holds the text of all
+    # 32,768 values at once, 3.96 MB by this measure; one chunk of 2,048
+    # values stays under 1 MB
+    level = np.random.default_rng(5).standard_normal((128, 256))
+    with open(tmp_path / 'u.csv', 'w', newline='') as fh:
+        harness._write_bulk_csv(fh, 0, 0.0, level)       # first-call caches
+        peak = _peak_bytes(lambda: harness._write_bulk_csv(fh, 1, 1e-3, level))
+    assert peak < 2_000_000, peak
 
 
 # ---------------------------------------------------------------------------
