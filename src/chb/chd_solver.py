@@ -380,7 +380,7 @@ class _SuperLUBase:
     """SuperLU factor of the Jacobian with its equations in the order
     (mu-eq, u-eq, w-eq, v-eq): scaled by the quadrature weights the rows
     are then symmetric, so minimum degree on A+A^T with diagonal pivots
-    is stable.  Solves take and return the natural order.
+    is stable.  `jac` has its rows in that order; solves use the natural one.
 
     Like `dg.ThetaModes` it answers `inverse_block` and `solve_sparse`,
     but from dense columns of the inverse that it keeps: a second
@@ -388,7 +388,7 @@ class _SuperLUBase:
 
     def __init__(self, jac, rows):
         self._rows = rows
-        self._lu = splu(jac[rows], permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
+        self._lu = splu(jac, permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
         self.nnz = self._lu.nnz
         self._z_cols = np.empty(0, dtype=int)
@@ -477,15 +477,25 @@ class NewtonStepper:
         # scaling the Laplacians' entries would round away their exact zero
         # row sums, which conserve both means.  Columns (u, mu, v, w), rows
         # (u-eq, mu-eq, v-eq, w-eq).
-        a_dir, b_dir = dg.dirichlet_laplacian_matrices(g)
+        # L is built in CSR a block row at a time, without COO triplets: each
+        # CSR block keeps its arrays, its column indices shifted to its place,
+        # a row sums its blocks (which never overlap), and a Laplacian goes
+        # once its row exists.
+        def place(block, col):
+            return sps.csr_matrix((block.data, block.indices + col, block.indptr),
+                                  shape=(block.shape[0], 2 * (n + nt)))
+        lap = dg.neumann_laplacian_matrix(g)
+        a_dir, b_dir = dg.dirichlet_laplacian_matrices(g, lap)
+        rows = [-place(lap, n)]
+        del lap
+        rows.append(place(-visc * sps.identity(n) + a_dir, 0) + place(b_dir, 2 * n))
+        del a_dir
         lap_gamma = dg.circle_laplacian_matrix(g)
-        self._lin = sps.bmat(
-            [[None, -dg.neumann_laplacian_matrix(g), None, None],
-             [-visc * sps.identity(n) + a_dir, None, b_dir, None],
-             [None, None, None, -lap_gamma],
-             [(2.0 / g.dr) * sps.eye(nt, n, n - nt), None,
-              -(visc + 2.0 / g.dr) * sps.identity(nt) + config.delta * lap_gamma, None]],
-            format='csc')
+        rows += [-place(lap_gamma, 2 * n + nt),
+                 place((2.0 / g.dr) * sps.eye(nt, n, n - nt, format='csr'), 0)
+                 + place(-(visc + 2.0 / g.dr) * sps.identity(nt) + config.delta * lap_gamma, 2 * n)]
+        self._lin = sps.vstack(rows, format='csr')
+        del rows
         self._row_dt = np.repeat([self.dt, 1.0, self.dt, 1.0], [n, n, nt, nt])
         # the quadrature weight of each equation
         self.weights = np.concatenate([g.weights.ravel()] * 2 + [g.boundary_weights] * 2)
@@ -538,12 +548,12 @@ class NewtonStepper:
         at[rows] = np.arange(rows.size)
         eqs, unknowns = self._slope_map()
         hit = at[eqs] >= 0
-        scaled = sps.csc_matrix((lin.data * self._row_dt[rows][lin.indices], lin.indices,
-                                 lin.indptr), shape=lin.shape)
-        return scaled + sps.csc_matrix(
+        scaled = sps.csr_matrix((lin.data * np.repeat(self._row_dt[rows], np.diff(lin.indptr)),
+                                 lin.indices, lin.indptr), shape=lin.shape)
+        return (scaled + sps.csr_matrix(
             (np.r_[np.ones(rows.size), -d[hit]],
              (np.r_[np.arange(rows.size), at[eqs[hit]]], np.r_[rows, unknowns[hit]])),
-            shape=lin.shape)
+            shape=lin.shape)).tocsc()
 
     def _refresh_lu(self, u, v, factorize=True):
         """Make `_solve` serve the Jacobian at (u, v), or at the ring means
@@ -580,7 +590,7 @@ class NewtonStepper:
                 first = np.arange(0, 2 * d.size, self.nt)
                 self._base = dg.ThetaModes(self._jacobian(d, first), self.nt, _splu_modes)
             else:
-                self._base = _SuperLUBase(self._jacobian(d), self._rows)
+                self._base = _SuperLUBase(self._jacobian(d, self._rows), self._rows)
         except RuntimeError as exc:
             raise LinearSolveFailure(f'sparse factorization failed: {exc}') from exc
         self._base_d = d

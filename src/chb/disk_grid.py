@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sps
@@ -108,7 +107,7 @@ def l2_norm_trace(grid: DiskGrid, v: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator assembly (cached per grid) and the theta-Fourier mode solver
+# operator assembly and the theta-Fourier mode solver
 
 def _face_coefficients(grid: DiskGrid):
     """Transmission coefficients s/d of the interior faces.
@@ -137,7 +136,7 @@ def _interior_faces(grid: DiskGrid):
     """
     n_r, n_th = grid.n_r, grid.n_theta
     kappa_rad, kappa_ang = _face_coefficients(grid)
-    idx = np.arange(n_r * n_th).reshape(n_r, n_th)
+    idx = np.arange(n_r * n_th, dtype=np.int32).reshape(n_r, n_th)
 
     rad_me = idx[:-1].ravel()
     rad_nb = idx[1:].ravel()
@@ -180,14 +179,12 @@ def _assemble(grid, rows, cols, vals):
     return sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-@lru_cache(maxsize=None)
 def neumann_laplacian_matrix(grid: DiskGrid) -> sps.csr_matrix:
     """Zero-flux finite-volume Laplacian; row sums are exactly zero."""
     rows, cols, vals = _flux_divergence_coo(grid, weighted=False)
     return _assemble(grid, rows, cols, vals)
 
 
-@lru_cache(maxsize=None)
 def stiffness_matrix_bulk(grid: DiskGrid) -> sps.csr_matrix:
     """S = -W*Laplacian_zero_flux, symmetric positive semidefinite.
 
@@ -198,12 +195,12 @@ def stiffness_matrix_bulk(grid: DiskGrid) -> sps.csr_matrix:
     return _assemble(grid, rows, cols, vals)
 
 
-@lru_cache(maxsize=None)
-def dirichlet_laplacian_matrices(grid: DiskGrid):
+def dirichlet_laplacian_matrices(grid: DiskGrid, neumann=None):
     """Laplacian with a Dirichlet boundary ring: Lap u = A @ u + B @ v.
 
     A is (N, N), B is (N, n_theta); the boundary face uses the one-sided
-    difference (v_j - u_{n_r, j})/(dr/2).
+    difference (v_j - u_{n_r, j})/(dr/2).  `neumann`, the grid's Neumann
+    Laplacian, is assembled unless a caller that holds it passes it.
     """
     n_r, n_th = grid.n_r, grid.n_theta
     w_last = grid.r[-1] * grid.dr * grid.dtheta
@@ -211,13 +208,12 @@ def dirichlet_laplacian_matrices(grid: DiskGrid):
     last = np.arange((n_r - 1) * n_th, n_r * n_th)
     diag = np.zeros(grid.size)
     diag[last] = kb
-    A = neumann_laplacian_matrix(grid) - sps.diags(diag)
+    A = (neumann_laplacian_matrix(grid) if neumann is None else neumann) - sps.diags(diag)
     B = sps.coo_matrix((np.full(n_th, kb), (last, np.arange(n_th))),
                        shape=(grid.size, n_th))
     return A.tocsr(), B.tocsr()
 
 
-@lru_cache(maxsize=None)
 def circle_laplacian_matrix(grid: DiskGrid) -> sps.csr_matrix:
     """Periodic central-difference Laplace-Beltrami on the unit circle."""
     n = grid.n_theta
@@ -262,12 +258,21 @@ class ThetaModes:
         """x for b of shape (n_lines*n_theta,) or (n_lines*n_theta, m)."""
         lines = b.reshape(self._lines, self._nt, -1)
         m = lines.shape[2]
-        # modes outermost, so the factor's right-hand side needs no copy
-        bh = np.fft.rfft(lines, axis=1).transpose(1, 0, 2)
-        rhs = np.concatenate([bh.real, bh.imag], axis=2).reshape(-1, 2 * m)
-        xh = self._lu.solve(rhs).reshape(-1, self._lines, 2 * m)
-        x = np.fft.irfft(xh[..., :m] + 1j * xh[..., m:], n=self._nt, axis=0)
-        return x.transpose(1, 0, 2).reshape(b.shape)
+        bh = np.fft.rfft(lines, axis=1).T
+        # the real parts, then the imaginary ones, modes outermost: transposed,
+        # the factor's Fortran-ordered right-hand side; each array goes once
+        # the next exists
+        shape = (2 * m,) + bh.shape[1:]
+        rhs = np.empty(shape)
+        rhs[:m], rhs[m:] = bh.real, bh.imag
+        del bh
+        xh = self._lu.solve(rhs.reshape(2 * m, -1).T)
+        del rhs
+        xh = xh.T.reshape(shape).T
+        x = np.multiply(1j, xh[..., m:], order='C')
+        x += xh[..., :m]
+        del xh
+        return np.fft.irfft(x, n=self._nt, axis=1).reshape(b.shape)
 
     def inverse_block(self, rows, cols):
         """Entries (rows[i], cols[j]) of the inverse, shape (rows.size, cols.size).

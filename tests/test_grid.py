@@ -184,7 +184,17 @@ def test_grid_validation():
         dg.DiskGrid(8, 4)       # too few angles
 
 
-def test_grid_is_hashable_and_cached():
+def test_equal_grids_are_hashable_and_give_equal_matrices():
+    # no matrix is cached: each call assembles its own, with the same bits
     a, b = dg.DiskGrid(8, 16), dg.DiskGrid(8, 16)
     assert a == b and hash(a) == hash(b)
-    assert dg.neumann_laplacian_matrix(a) is dg.neumann_laplacian_matrix(b)
+    for build in (dg.neumann_laplacian_matrix, dg.stiffness_matrix_bulk,
+                  dg.circle_laplacian_matrix, lambda g: dg.dirichlet_laplacian_matrices(g)[0],
+                  lambda g: dg.dirichlet_laplacian_matrices(g)[1]):
+        x, y = build(a), build(b)
+        assert x is not y
+        assert all(np.array_equal(p, q) for p, q in
+                   ((x.data, y.data), (x.indices, y.indices), (x.indptr, y.indptr)))
+    lap = dg.neumann_laplacian_matrix(a)
+    for x, y in zip(dg.dirichlet_laplacian_matrices(a, lap), dg.dirichlet_laplacian_matrices(b)):
+        assert (x != y).nnz == 0

@@ -17,6 +17,7 @@ from scipy.sparse.linalg import splu
 from chb import chd_solver as cs
 from chb import cli
 from chb import disk_grid as dg
+from chb import dual_norms as dn
 from chb import harness
 from chb import monotone_graphs as mg
 from chb.errors import (LinearSolveFailure, NewtonDivergence, SolveFailure,
@@ -303,6 +304,148 @@ def test_fourier_base_assembles_no_whole_jacobian():
         tracemalloc.stop()
     assert isinstance(stepper._base, dg.ThetaModes)
     assert peak < 16 * np.empty(2 * (stepper.n + stepper.nt)).nbytes
+
+
+def test_stepper_construction_peak_memory():
+    # the bound was fixed before the first run: the blocks, L's block rows
+    # and L itself, about 16 N-vectors (N unknowns) at 64x128 in all.  The
+    # COO assembly of L through `sps.bmat` peaks at 28 N-vectors from cached
+    # grid matrices and at 39 with their assembly.
+    problem, solver = forced_obstacle(64, 128)
+    tracemalloc.start()
+    try:
+        stepper = cs.NewtonStepper(problem, solver, solver.dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * np.empty(2 * (stepper.n + stepper.nt)).nbytes
+
+
+def test_theta_modes_solve_peak_memory():
+    # bounds fixed before the first run: the rfft, its real and imaginary
+    # parts, SuperLU's copy of them and the irfft's complex input hold about
+    # one N-vector per column each, but never all at once.  The concatenate
+    # and transpose copies peaked at 6 N-vectors for one column and 15 for 3.
+    problem, solver = forced_obstacle(64, 128)
+    stepper = cs.NewtonStepper(problem, solver, solver.dt)
+    stepper._refresh_lu(problem.u0, problem.v0)
+    assert isinstance(stepper._base, dg.ThetaModes)
+    n_vector = np.empty(2 * (stepper.n + stepper.nt)).nbytes
+    rng = np.random.default_rng(6)
+    for shape, bound in (((n_vector // 8,), 4.5), ((n_vector // 8, 3), 10)):
+        b = rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            stepper._base.solve(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n_vector, shape
+
+
+# The solver's operator as it was assembled through COO, and the theta-mode
+# code with its concatenate and transpose copies: the CSR build and the
+# copy-free solve must give the same bits.
+
+def _coo_lin(stepper):
+    """L through `sps.bmat` with None for the empty blocks, in CSC."""
+    g, n, nt, visc = stepper.problem.grid, stepper.n, stepper.nt, stepper.visc
+    a_dir, b_dir = dg.dirichlet_laplacian_matrices(g)
+    lap_gamma = dg.circle_laplacian_matrix(g)
+    return sps.bmat(
+        [[None, -dg.neumann_laplacian_matrix(g), None, None],
+         [-visc * sps.identity(n) + a_dir, None, b_dir, None],
+         [None, None, None, -lap_gamma],
+         [(2.0 / g.dr) * sps.eye(nt, n, n - nt), None,
+          -(visc + 2.0 / g.dr) * sps.identity(nt) + stepper.config.delta * lap_gamma, None]],
+        format='csc')
+
+
+def _csc_jacobian(stepper, lin, d, rows=None):
+    """`_jacobian` on the CSC L: its rows scaled through the column indices."""
+    size = lin.shape[0]
+    lin, rows = (lin, np.arange(size)) if rows is None else (lin[rows], rows)
+    at = np.full(size, -1)
+    at[rows] = np.arange(rows.size)
+    eqs, unknowns = stepper._slope_map()
+    hit = at[eqs] >= 0
+    scaled = sps.csc_matrix((lin.data * stepper._row_dt[rows][lin.indices], lin.indices,
+                             lin.indptr), shape=lin.shape)
+    return scaled + sps.csc_matrix(
+        (np.r_[np.ones(rows.size), -d[hit]],
+         (np.r_[np.arange(rows.size), at[eqs[hit]]], np.r_[rows, unknowns[hit]])),
+        shape=lin.shape)
+
+
+def _copying_solve(modes, b):
+    """`ThetaModes.solve` with a concatenated right-hand side and transposes."""
+    lines = b.reshape(modes._lines, modes._nt, -1)
+    m = lines.shape[2]
+    bh = np.fft.rfft(lines, axis=1).transpose(1, 0, 2)
+    rhs = np.concatenate([bh.real, bh.imag], axis=2).reshape(-1, 2 * m)
+    xh = modes._lu.solve(rhs).reshape(-1, modes._lines, 2 * m)
+    x = np.fft.irfft(xh[..., :m] + 1j * xh[..., m:], n=modes._nt, axis=0)
+    return x.transpose(1, 0, 2).reshape(b.shape)
+
+
+def _same_csc(a, b):
+    return (a.format == b.format == 'csc' and a.shape == b.shape
+            and all(np.array_equal(x, y) for x, y in
+                    ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr))))
+
+
+BIT_CASES = [((16, 32), 0.5, 'obstacle'), ((12, 24), 0.0, 'obstacle'),
+             ((64, 128), 0.5, 'obstacle'), ((16, 32), 0.0, 'cubic')]
+
+
+def _bit_case(grid, delta, preset):
+    if preset == 'obstacle':
+        problem, solver = forced_obstacle(*grid)
+        solver = dataclasses.replace(solver, delta=delta)
+    else:
+        problem, solver = cs.preset_problem(preset, dg.DiskGrid(*grid)), config(delta=delta)
+    return problem, cs.NewtonStepper(problem, solver, solver.dt)
+
+
+@pytest.mark.parametrize('grid, delta, preset', BIT_CASES)
+def test_csr_operator_matches_the_coo_assembly_bit_for_bit(grid, delta, preset):
+    problem, stepper = _bit_case(grid, delta, preset)
+    lin = _coo_lin(stepper)
+    assert stepper._lin.format == 'csr'
+    assert _same_csc(stepper._lin.tocsc(), lin)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(lin.shape[0])
+    assert np.array_equal(stepper._lin @ x, lin @ x)
+    assert np.array_equal(abs(stepper._lin) @ np.abs(x), abs(lin) @ np.abs(x))
+    # the Fourier base's first rows, and the SuperLU base's permuted Jacobian
+    # as splu reads it (canonical CSC), at theta-varying slopes
+    d = stepper._yosida(mg.yosida_derivative, problem.u0, problem.v0)
+    first = np.arange(0, 2 * d.size, stepper.nt)
+    assert _same_csc(stepper._jacobian(d, first), _csc_jacobian(stepper, lin, d, first))
+    d = np.where(rng.random(d.size) < 0.3, 1.0 / stepper.config.lam, 0.0)
+    want = _csc_jacobian(stepper, lin, d)[stepper._rows]
+    want.sum_duplicates()
+    assert _same_csc(stepper._jacobian(d, stepper._rows), want)
+    assert _same_csc(stepper.jacobian_at(problem.u0, problem.v0),
+                     _csc_jacobian(stepper, lin, stepper._yosida(
+                         mg.yosida_derivative, problem.u0, problem.v0)))
+
+
+@pytest.mark.parametrize('grid, delta, preset', BIT_CASES)
+def test_theta_modes_match_the_copying_solve_bit_for_bit(grid, delta, preset):
+    problem, stepper = _bit_case(grid, delta, preset)
+    d = stepper._yosida(mg.yosida_derivative, problem.u0, problem.v0)
+    first = np.arange(0, 2 * d.size, stepper.nt)
+    newton = dg.ThetaModes(stepper._jacobian(d, first), stepper.nt, cs._splu_modes)
+    toolkit = dn.NormToolkit(problem.grid)
+    g = problem.grid
+    rng = np.random.default_rng(8)
+    for modes, size in ((newton, 2 * (stepper.n + stepper.nt)), (toolkit._modes, g.size)):
+        for shape in ((size,), (size, 1), (size, 3)):
+            b = rng.standard_normal(shape)
+            x = modes.solve(b)
+            assert x.shape == b.shape
+            assert np.array_equal(x, _copying_solve(modes, b))
 
 
 def test_update_past_the_budget_refactorizes(splu_calls):
