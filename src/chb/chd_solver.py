@@ -68,7 +68,10 @@ __all__ = (
 # ---------------------------------------------------------------------------
 # sources and analytic profiles
 
-TIME_KINDS = ('constant', 'exp', 'cos')
+_TIME_FACTORS = {'constant': lambda src, t: 1.0,
+                 'exp': lambda src, t: math.exp(src.rate * t),
+                 'cos': lambda src, t: math.cos(src.omega * t)}
+TIME_KINDS = tuple(_TIME_FACTORS)
 
 
 def harmonic(grid: dg.DiskGrid, amplitude: float, mode: int, phase: float = 0.0,
@@ -111,13 +114,7 @@ class _Source:
         if self.kind == 'sum':
             return self.parts[0](t) + self.parts[1](t)
         if self.kind == 'separable':
-            if self.time_kind == 'constant':
-                factor = 1.0
-            elif self.time_kind == 'exp':
-                factor = math.exp(self.rate * t)
-            else:
-                factor = math.cos(self.omega * t)
-            return factor * self.spatial
+            return _TIME_FACTORS[self.time_kind](self, t) * self.spatial
         # tabulated: linear interpolation in t, constant continuation
         ts = np.asarray(self.times)
         idx = np.searchsorted(ts, t)
@@ -188,7 +185,12 @@ class SolverConfig:
             raise ValueError('newton_max_iter must be at least 1')
 
 
-PRESET_NAMES = ('cubic', 'logarithmic', 'obstacle', 'backward')
+# each preset's graph (bulk and boundary alike) and the slope of its pi
+_PRESETS = {'cubic': (mg.power_odd(3, 1.0), -1.0),
+            'logarithmic': (mg.logarithmic(0.5), -2.0),
+            'obstacle': (mg.double_obstacle(-1.0, 1.0), -1.0),
+            'backward': (mg.zero(), -1.0)}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_problem(preset: str, grid: dg.DiskGrid, amplitude: float = 0.2,
@@ -199,16 +201,9 @@ def preset_problem(preset: str, grid: dg.DiskGrid, amplitude: float = 0.2,
     ring; f = g = 0; beta = beta_Gamma and pi = pi_Gamma.  The logarithmic
     family has scale 0.5 and pi = -2r.
     """
-    if preset == 'cubic':
-        graph, slope = mg.power_odd(3, 1.0), -1.0
-    elif preset == 'logarithmic':
-        graph, slope = mg.logarithmic(0.5), -2.0
-    elif preset == 'obstacle':
-        graph, slope = mg.double_obstacle(-1.0, 1.0), -1.0
-    elif preset == 'backward':
-        graph, slope = mg.zero(), -1.0
-    else:
+    if preset not in _PRESETS:
         raise ValueError(f'unknown preset {preset!r}; choose from {PRESET_NAMES}')
+    graph, slope = _PRESETS[preset]
     u0 = harmonic(grid, amplitude, mode, offset=offset)
     v0 = harmonic(grid, amplitude, mode, offset=offset, trace=True)
     pi = mg.Perturbation.linear(slope)
@@ -821,11 +816,10 @@ def run(problem: ProblemData, config: SolverConfig, observe=lambda level: None) 
     observe(state)
     error = None
 
-    record = RunRecord()
-    stepper = NewtonStepper(problem, config, config.dt, record)
+    record, stepper = RunRecord(), None
     plan = [config.dt] * n_full + ([remainder] if remainder else [])
     for k, dt_k in enumerate(plan):
-        if dt_k != stepper.dt:
+        if stepper is None or dt_k != stepper.dt:
             stepper = NewtonStepper(problem, config, dt_k, record)
         # Newton starts at the linear extrapolation of the last two levels,
         # scaled to this step's length; the first two steps start at the

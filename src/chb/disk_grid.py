@@ -195,12 +195,12 @@ def stiffness_matrix_bulk(grid: DiskGrid) -> sps.csr_matrix:
     return _assemble(grid, rows, cols, vals)
 
 
-def dirichlet_laplacian_matrices(grid: DiskGrid, neumann=None):
+def dirichlet_laplacian_matrices(grid: DiskGrid, neumann: sps.csr_matrix):
     """Laplacian with a Dirichlet boundary ring: Lap u = A @ u + B @ v.
 
     A is (N, N), B is (N, n_theta); the boundary face uses the one-sided
-    difference (v_j - u_{n_r, j})/(dr/2).  `neumann`, the grid's Neumann
-    Laplacian, is assembled unless a caller that holds it passes it.
+    difference (v_j - u_{n_r, j})/(dr/2).  `neumann` is the grid's
+    `neumann_laplacian_matrix`, which the caller holds.
     """
     n_r, n_th = grid.n_r, grid.n_theta
     w_last = grid.r[-1] * grid.dr * grid.dtheta
@@ -208,7 +208,7 @@ def dirichlet_laplacian_matrices(grid: DiskGrid, neumann=None):
     last = np.arange((n_r - 1) * n_th, n_r * n_th)
     diag = np.zeros(grid.size)
     diag[last] = kb
-    A = (neumann_laplacian_matrix(grid) if neumann is None else neumann) - sps.diags(diag)
+    A = neumann - sps.diags(diag)
     B = sps.coo_matrix((np.full(n_th, kb), (last, np.arange(n_th))),
                        shape=(grid.size, n_th))
     return A.tocsr(), B.tocsr()

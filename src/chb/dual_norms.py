@@ -23,8 +23,8 @@ from .errors import SolveFailure
 __all__ = ('NormToolkit', 'v_norm_bulk')
 
 
-def v_norm_bulk(grid: dg.DiskGrid, u: np.ndarray, v: np.ndarray | None = None) -> float:
-    """Full H1 norm sqrt(seminorm^2 + L2^2); boundary faces enter when v is given."""
+def v_norm_bulk(grid: dg.DiskGrid, u: np.ndarray, v: np.ndarray) -> float:
+    """sqrt(|u|_{H1}^2 + ||u||_{L2}^2), the seminorm with its boundary faces to the trace v."""
     return math.hypot(dg.h1_seminorm_bulk(grid, u, v), dg.l2_norm_bulk(grid, u))
 
 

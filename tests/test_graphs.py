@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from chb import harness
 from chb import monotone_graphs as mg
+from chb.errors import GraphMapFailure
 from graph_oracles import bisect_log_y, bisect_power_resolvent, minimal_section
 
 
@@ -130,6 +131,16 @@ def test_log_resolvent_against_bisection():
             assert abs(x - x_ref) <= 1e-11
         # the Yosida value 2*s*y is exact in either case
         assert abs(beta - 2.0 * y_ref) <= 1e-9 * max(1.0, abs(2.0 * y_ref))
+
+
+@pytest.mark.parametrize('name', ['power5', 'log'])
+def test_root_found_resolvent_reports_no_convergence(monkeypatch, name):
+    # the quintic and logarithmic resolvents are root-found by one guarded
+    # Newton loop; a single iteration cannot reach its tolerance
+    monkeypatch.setattr(mg, '_MAX_ITER', 1)
+    spec = GRAPHS[name]
+    with pytest.raises(GraphMapFailure, match=f'^{spec.kind} resolvent did not converge$'):
+        mg.resolvent(spec, np.array([0.3, 2.0]), 0.1)
 
 
 def test_log_yosida_matches_minimal_section_in_the_limit():
@@ -338,6 +349,10 @@ def test_graph_spec_validation():
         mg.double_obstacle(0.5, 2.0)   # must contain 0
     with pytest.raises(ValueError):
         mg.double_obstacle(-math.inf, 1.0)   # a double obstacle is bounded
+    with pytest.raises(ValueError, match="unknown graph kind 'cubic'"):
+        mg.GraphSpec('cubic')
+    with pytest.raises(ValueError, match="unknown perturbation kind 'quadratic'"):
+        mg.Perturbation('quadratic')
     # every Yosida map solves through the resolvent, which needs lam > 0
     for f in (mg.resolvent, mg.yosida, mg.yosida_derivative, mg.yosida_primitive):
         for lam in (0.0, -1e-3, math.nan):

@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import chb
 from chb import chd_solver as cs
-from chb import cli, errors, harness
+from chb import cli, errors, harness, svg_plots
 from chb import disk_grid as dg
 from chb.errors import ConfigError, NewtonDivergence
 
@@ -264,6 +264,30 @@ def test_plots_written_when_requested(tmp_path):
     harness.run_single(cfg)
     svg = (tmp_path / 'p' / 'energy.svg').read_text()
     assert svg.startswith('<svg') and 'polyline' in svg
+
+
+# Degenerate charts: (series, loglog, polyline points, tick labels).  With no
+# point to draw the axes centre on (1, 1); a single point is centred; log
+# axes drop the points with a non-positive coordinate.
+DEGENERATE_CHARTS = {
+    'empty': ([], False, [], ['0.45', '0.725', '1', '1.28', '1.55',
+                              '0.42', '0.71', '1', '1.29', '1.58']),
+    'no_points': ([('a', [], [])], False, [], ['0.45', '0.725', '1', '1.28', '1.55',
+                                               '0.42', '0.71', '1', '1.29', '1.58']),
+    'one_point': ([('a', [2.0], [3.0])], False, ['347.00,233.00'],
+                  ['1.45', '1.72', '2', '2.27', '2.55', '2.42', '2.71', '3', '3.29', '3.58']),
+    'log_non_positive': ([('a', [0.0, 1.0, 1.0, 10.0], [1.0, -1.0, 1.0, 100.0])], True,
+                         ['102.45,397.66 591.55,68.34'], ['1', '10', '1', '10', '100']),
+}
+
+
+@pytest.mark.parametrize('name', sorted(DEGENERATE_CHARTS))
+def test_degenerate_chart(name):
+    series, loglog, points, ticks = DEGENERATE_CHARTS[name]
+    svg = svg_plots.line_chart(series, loglog=loglog)
+    assert svg.startswith('<svg') and svg.endswith('</svg>\n')
+    assert re.findall(r'points="([^"]*)"', svg) == points
+    assert re.findall(r'anchor="(?:middle|end)">([-.e\d]+)<', svg) == ticks
 
 
 # Every value class the field dumps must print exactly, and every branch of

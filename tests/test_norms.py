@@ -11,6 +11,7 @@ from scipy.sparse.linalg import spsolve
 from chb import chd_solver as cs
 from chb import disk_grid as dg
 from chb import dual_norms as dn
+from chb.errors import SolveFailure
 
 
 @pytest.fixture(scope='module')
@@ -107,6 +108,16 @@ def test_f_inverse_rejects_nonzero_mean(grid, toolkit):
         toolkit.f_inverse_bulk(z)
 
 
+def test_f_inverse_rejects_a_wrong_mode_solve(grid, monkeypatch):
+    # the residual check catches a Poisson solve that is off by 1e-6
+    toolkit = dn.NormToolkit(grid)
+    solve = toolkit._modes.solve
+    monkeypatch.setattr(toolkit._modes, 'solve', lambda b: (1.0 + 1e-6) * solve(b))
+    z = np.cos(grid.theta)[None, :] * grid.r[:, None]
+    with pytest.raises(SolveFailure, match=r'^zero-mean Poisson residual \S+ too large$'):
+        toolkit.f_inverse_bulk(z)
+
+
 def test_dual_norm_bulk_of_mean_is_the_mean(grid, toolkit):
     c = -0.625
     z = np.full((grid.n_r, grid.n_theta), c)
@@ -144,8 +155,9 @@ def test_norm_interpolation_ordering(grid, toolkit):
 def test_v_norm_bulk_hypot(grid):
     rng = np.random.default_rng(21)
     u = rng.standard_normal((grid.n_r, grid.n_theta))
-    ref = np.hypot(dg.h1_seminorm_bulk(grid, u), dg.l2_norm_bulk(grid, u))
-    assert abs(dn.v_norm_bulk(grid, u) - ref) < 1e-13
+    v = rng.standard_normal(grid.n_theta)
+    ref = np.hypot(dg.h1_seminorm_bulk(grid, u, v), dg.l2_norm_bulk(grid, u))
+    assert abs(dn.v_norm_bulk(grid, u, v) - ref) < 1e-13
 
 
 def test_v_norm_includes_boundary_jump(grid):

@@ -350,7 +350,7 @@ def test_theta_modes_solve_peak_memory():
 def _coo_lin(stepper):
     """L through `sps.bmat` with None for the empty blocks, in CSC."""
     g, n, nt, visc = stepper.problem.grid, stepper.n, stepper.nt, stepper.visc
-    a_dir, b_dir = dg.dirichlet_laplacian_matrices(g)
+    a_dir, b_dir = dg.dirichlet_laplacian_matrices(g, dg.neumann_laplacian_matrix(g))
     lap_gamma = dg.circle_laplacian_matrix(g)
     return sps.bmat(
         [[None, -dg.neumann_laplacian_matrix(g), None, None],
@@ -1086,7 +1086,7 @@ def test_chemical_potential_equation_residual():
     levels = []
     cs.run(p, cfg, levels.append)
     s0, s1 = levels[0], levels[1]
-    A, B = dg.dirichlet_laplacian_matrices(g)
+    A, B = dg.dirichlet_laplacian_matrices(g, dg.neumann_laplacian_matrix(g))
     lap_u = (A @ s1.u.ravel() + B @ s1.v).reshape(s1.u.shape)
     lhs = s1.mu
     rhs = (cfg.lam / cfg.dt) * (s1.u - s0.u) - lap_u \
@@ -1303,6 +1303,24 @@ def test_partial_final_step(monkeypatch):
         np.testing.assert_allclose(getattr(starts[-1], name), x + 0.5 * (x - x_prev),
                                    rtol=1e-12, atol=1e-15)
     assert np.max(np.abs(starts[-1].u - final.u)) < np.max(np.abs(last.u - final.u))
+
+
+@pytest.mark.parametrize('t_end, lengths', [(5e-4, [5e-4]), (2.5e-3, [1e-3, 5e-4]),
+                                             (3e-3, [1e-3])],
+                         ids=['shorter_than_dt', 'trailing_half_step', 'multiple_of_dt'])
+def test_run_builds_a_stepper_per_step_length_it_takes(monkeypatch, t_end, lengths):
+    # each stepper is built when a step first needs its length, so a run
+    # shorter than dt assembles no operator at dt
+    built = []
+    init = cs.NewtonStepper.__init__
+
+    def spy(self, problem, config, dt, record=None):
+        built.append(dt)
+        init(self, problem, config, dt, record)
+    monkeypatch.setattr(cs.NewtonStepper, '__init__', spy)
+    result = cs.run(cs.preset_problem('cubic', dg.DiskGrid(8, 16)), config(t_end=t_end))
+    assert result.error is None and len(result.diagnostics.rows) == 1 + math.ceil(t_end / 1e-3)
+    assert built == pytest.approx(lengths, rel=1e-9)
 
 
 def test_extrapolated_start_gives_the_same_levels_in_fewer_iterations():
