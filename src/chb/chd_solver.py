@@ -19,26 +19,28 @@ data and conserves both means exactly (conservative stencils).
 
 Newton uses the a.e. derivative of the Yosida terms and starts each step
 (from the third on) at the linear extrapolation of the last two levels.
-A factorization is kept across iterations and steps.  For the
-piecewise-linear graphs (zero, double obstacle) each slope is 0 or 1/lam,
-so the Jacobian at an iterate's own slopes differs from the kept one only
-where the active set moved; whenever that is a low-rank update, each
-iteration takes it, which makes the iteration semismooth Newton, the
-primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J.
-Optim. 13, 2002; Blank, Butz & Garcke, ESAIM COCV 17, 2011, for the
-obstacle Cahn-Hilliard system).  Otherwise Newton is a chord method, its
-factorization refreshed only when the residual stalls.  When the slopes are
-constant on every ring and on the circle the Jacobian does not depend on
-theta, and it is factorized exactly in theta-Fourier modes
-(`disk_grid.ThetaModes`); else SuperLU factorizes it in the row order
-that makes it symmetric quasi-definite.  Smooth graphs' slopes vary in
-theta, and their chord runs on a Fourier base at the slopes' ring means
-(a few ms to build at 64x128, against 57 ms for SuperLU) until it fails;
-then the step goes over to the exact Jacobian.  A refresh that changes
-few slopes (an obstacle's moving active set) updates the kept LU through
-a small capacitance matrix instead of factorizing again.  Convergence is
-always judged on the true nonlinear residual, so the reuse and the mean
-slopes are a pure economy.
+A factorization is kept across iterations and steps, and each graph keeps
+its own slope policy.  For the piecewise-linear graphs (zero, double
+obstacle) each slope is 0 or 1/lam, so the Jacobian at an iterate's own
+slopes differs from the kept one only where the active set moved;
+whenever that is a low-rank update, each iteration takes it, which makes
+the iteration semismooth Newton, the primal-dual active-set method
+(Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002; Blank, Butz &
+Garcke, ESAIM COCV 17, 2011, for the obstacle Cahn-Hilliard system).  A
+smooth graph's slopes are taken only when the residual stalls: at their
+ring means (a chord) until that chord fails, then at their own values.
+When the slopes are constant on every ring and on the circle the Jacobian
+does not depend on theta, and it is factorized exactly in theta-Fourier
+modes (`disk_grid.ThetaModes`), in 5 ms at 64x128 against 100 ms for
+SuperLU.  A new base is built so at each line's most frequent slope, and
+every update runs on it: a Jacobian whose slopes differ from the base's in
+few places (an obstacle's moving active set) is served through a small
+capacitance matrix instead of factorizing again.  Only when too many
+slopes differ (a smooth graph's own slopes) does SuperLU factorize the
+Jacobian, in the row order that makes it symmetric quasi-definite, and a
+change of its slopes refactorizes.  Convergence is always judged on the
+true nonlinear residual, so the reuse and the mean slopes are a pure
+economy.
 """
 
 from __future__ import annotations
@@ -350,17 +352,17 @@ def energy(state: StepSolution, problem: ProblemData, config: SolverConfig,
 # the Newton stepper
 
 # A refresh that changes at most this many Yosida slopes against the kept
-# factorization is served by a capacitance update instead of a new LU.  The
-# break-even is the SuperLU base's, the one a factorization at
-# theta-varying slopes gets: on the 128x256 obstacle Jacobian (66,048
-# unknowns, 2 cores) SuperLU takes about 0.95 s to factorize and 13 ms per
-# new column of Z, so about 70 new columns cost as much as one
-# factorization.  On the theta-Fourier base an update costs one solve per
-# distinct line among the changed slopes, and each updated solve one more
-# solve, so there the budget is not a break-even.
-# On small grids the budget is half the slopes: an update of nearly full
-# rank is no cheaper than a new LU.
-UPDATE_BUDGET = 64
+# theta-Fourier base is served by a capacitance update instead of a new LU.
+# Its cost is set by the dense |K|x|K| capacitance inverse (1 thread):
+# 133 ms and 8.4 MB at |K| 1024, 743 ms and 33.6 MB at 2048.  One Fourier
+# factorization takes 5 ms at 64x128 and 20 ms at 128x256; one SuperLU
+# factorization at theta-varying slopes 100 ms and 753 ms (1.5 M and 7.3 M
+# nonzeros), and since a SuperLU base is never updated, it takes that again
+# at every change of its slopes, and each of its solves costs 4 to 7
+# Fourier solves.  At 2048 the inverse alone would cost as much as SuperLU
+# at 128x256.  On small grids the budget is half the slopes: an update of
+# nearly full rank is no cheaper than a new LU.
+UPDATE_BUDGET = 1024
 
 
 def _splu_modes(modes):
@@ -375,44 +377,17 @@ class _SuperLUBase:
     """SuperLU factor of the Jacobian with its equations in the order
     (mu-eq, u-eq, w-eq, v-eq): scaled by the quadrature weights the rows
     are then symmetric, so minimum degree on A+A^T with diagonal pivots
-    is stable.  `jac` has its rows in that order; solves use the natural one.
-
-    Like `dg.ThetaModes` it answers `inverse_block` and `solve_sparse`,
-    but from dense columns of the inverse that it keeps: a second
-    SuperLU solve costs more than a product with them."""
+    is stable.  `jac` has its rows in that order; solves use the natural
+    one.  It is never updated: a change of its slopes refactorizes."""
 
     def __init__(self, jac, rows):
         self._rows = rows
         self._lu = splu(jac, permc_spec='MMD_AT_PLUS_A', diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
         self.nnz = self._lu.nnz
-        self._z_cols = np.empty(0, dtype=int)
-        self._z = np.empty((0, rows.size))
 
     def solve(self, b):
         return self._lu.solve(b[self._rows])
-
-    def _columns(self, cols):
-        """The inverse's columns `cols` (ascending), transposed.  Each is
-        solved once and kept while its index stays among the columns
-        asked for."""
-        if not np.array_equal(cols, self._z_cols):
-            hit = np.isin(cols, self._z_cols)
-            z = np.empty((cols.size, self._rows.size))
-            z[hit] = self._z[np.searchsorted(self._z_cols, cols[hit])]
-            new = cols[~hit]
-            if new.size:
-                b = np.zeros((self._rows.size, new.size))
-                b[new, np.arange(new.size)] = 1.0
-                z[~hit] = self.solve(b).T
-            self._z, self._z_cols = z, cols
-        return self._z
-
-    def inverse_block(self, rows, cols):
-        return self._columns(cols)[:, rows].T
-
-    def solve_sparse(self, cols, c):
-        return c @ self._columns(cols)
 
 
 class NewtonStepper:
@@ -427,30 +402,35 @@ class NewtonStepper:
 
     :meth:`jacobian_at` assembles the whole Jacobian at an iterate, the
     reference that the factorized solves are checked against.  A step
-    factorizes it (in theta-Fourier modes when its slopes are constant on
-    every ring and on the circle, else with SuperLU in the symmetric row
-    order) and refreshes it once an iteration cuts the residual by less
-    than 4.  It counts its work into `record`, a fresh `RunRecord` unless
-    one is given.
+    refreshes the served Jacobian once an iteration cuts the residual by
+    less than 4.  A refresh that changes at most the update budget of
+    slopes against the kept base is a capacitance update of it; else a new
+    base is factorized in theta-Fourier modes at each line's most frequent
+    slope, with the other slopes served as an update, or with SuperLU in the
+    symmetric row order when those are past the budget.  A SuperLU base is
+    never updated.  The stepper counts its work into `record`, a fresh
+    `RunRecord` unless one is given.
 
-    When a graph is piecewise-linear, every iteration that is not due that
-    refresh takes the slopes at its iterate, and if they differ from the
-    served ones in at most the update budget against the base, solves at
-    them through a capacitance update: the primal-dual active-set method
-    (module docstring).  A change past the budget keeps the chord until
-    it stalls.
+    Each graph keeps its own slope policy.  A piecewise-linear graph's
+    slopes (zero, double obstacle) are always its own: every iteration that
+    is not due a refresh takes them at its iterate and, if the Jacobian
+    there differs from the base in at most the update budget, solves at it
+    through a capacitance update, the smooth graph's slopes staying as
+    served: the primal-dual active-set method (module docstring).  A change
+    past the budget keeps the chord until it stalls.
 
-    When neither graph is piecewise-linear, each step starts on the mean
-    chord: a refresh factorizes the Jacobian at the ring means of the
-    slopes (one per ring and one for the circle), a Fourier base, and the
-    line search tries the full step only.  The chord fails when a full
-    step is rejected, or when a fresh mean base (refreshed at the last
-    iteration) does not cut the residual by 4; the step then refreshes at
-    the iterate's own slopes, with SuperLU, and stays on that exact path,
-    with its damped retries, for the rest of the step.  The mean chord's
-    first iteration of a step is not judged: it cuts the predictor's error
-    by only about 2, on a kept base and a fresh one alike, and the next
-    ones by about 50 (cubic, amplitude 0.9, 32x64).
+    A smooth graph's slopes are taken only in a refresh.  Each step starts
+    on the mean chord when a graph is smooth: a refresh serves the smooth
+    slopes' ring means (one per ring and one for the circle), and the line
+    search tries the full step only.  The chord fails when a full step is
+    rejected, or when a fresh mean base (refreshed at the last iteration)
+    does not cut the residual by 4; the step then refreshes at the
+    iterate's own slopes, which vary in theta and so take SuperLU, and stays
+    on that exact path, with its damped retries, for the rest of the step.
+    A pair of piecewise-linear graphs is always on the exact path.  The mean
+    chord's first iteration of a step is not judged: it cuts the
+    predictor's error by only about 2, on a kept base and a fresh one
+    alike, and the next ones by about 50 (cubic, amplitude 0.9, 32x64).
 
     A rejected step refreshes at the same iterate and retries; at a fresh
     Jacobian it takes the full step anyway, once per new lowest residual
@@ -501,13 +481,16 @@ class NewtonStepper:
         self._beta_at = ((slice(n, 2 * n), slice(0, n), problem.bulk_graph),
                          (slice(2 * n + nt, None), slice(2 * n, 2 * n + nt),
                           problem.boundary_graph))
-        # neither graph piecewise-linear: no kinks, and a chord at the slopes'
-        # ring means until it fails (class docstring)
-        self._mean_chord = not {problem.bulk_graph.kind, problem.boundary_graph.kind} \
-            & {'zero', 'double_obstacle'}
-        self._exact = not self._mean_chord   # refreshes take the iterate's own slopes
-        self._base = None          # dg.ThetaModes or _SuperLUBase at slopes _base_d
-        self._base_d = None
+        # the slopes of a smooth graph, which take their ring means off the
+        # exact path; a piecewise-linear graph's are always its own (class
+        # docstring)
+        self._smooth = np.repeat([graph.kind not in ('zero', 'double_obstacle')
+                                  for graph in (problem.bulk_graph, problem.boundary_graph)],
+                                 [n, nt])
+        self._exact = not self._smooth.any()   # refreshes take the iterate's own slopes
+        self._budget = min(UPDATE_BUDGET, (n + nt) // 2)
+        self._base = None          # dg.ThetaModes at slopes _base_d, or _SuperLUBase
+        self._base_d = None        # None for a SuperLU base, which is never updated
         self._d = None             # slopes of the Jacobian that _solve serves
         self._eqs = np.empty(0, dtype=int)   # U's rows: the equations of the slopes K
         self._unknowns = None      # V's rows: the unknowns of the slopes K
@@ -550,22 +533,24 @@ class NewtonStepper:
              (np.r_[np.arange(rows.size), at[eqs[hit]]], np.r_[rows, unknowns[hit]])),
             shape=lin.shape)).tocsc()
 
-    def _refresh_lu(self, u, v, factorize=True):
-        """Make `_solve` serve the Jacobian at (u, v), or at the ring means
-        of its slopes off the exact path; False when it already does, to a
-        relative 1e-8 in each slope: below the round-off floor, where each
-        iterate moves the slopes by a few ulps, a new factorization would
-        change nothing that the chord's test can see.  With `factorize`
-        False only an update is made, and a refresh that needs a new LU
-        returns False."""
+    def _refresh_lu(self, u, v, refresh=True):
+        """Make `_solve` serve the Jacobian at (u, v), with the smooth
+        slopes at their ring means off the exact path; without `refresh`,
+        with the smooth slopes as served, and only as an update.  False when
+        it already serves it, to a relative 1e-8 in each slope: below the
+        round-off floor, where each iterate moves the slopes by a few ulps,
+        a new factorization would change nothing that the chord's test can
+        see; False too when, without `refresh`, it needs a new base."""
         d = self._yosida(mg.yosida_derivative, u, v)
-        if not self._exact:
-            d = np.repeat(d.reshape(-1, self.nt).mean(axis=1), self.nt)
+        if not refresh:
+            d = np.where(self._smooth, self._d, d)
+        elif not self._exact:
+            d = np.where(self._smooth, np.repeat(d.reshape(-1, self.nt).mean(axis=1), self.nt), d)
         if self._d is not None and np.all(np.abs(d - self._d) <= 1e-8 * np.abs(d)):
             return False
-        changed = None if self._base is None else np.flatnonzero(d != self._base_d)
-        if changed is None or changed.size > min(UPDATE_BUDGET, d.size // 2):
-            if not factorize:
+        changed = None if self._base_d is None else np.flatnonzero(d != self._base_d)
+        if changed is None or changed.size > self._budget:
+            if not refresh:
                 return False
             self._factorize(d)
         else:
@@ -574,26 +559,34 @@ class NewtonStepper:
         return True
 
     def _factorize(self, d):
+        """A new base for the slopes d: theta-Fourier modes at each line's
+        most frequent slope, the others served as an update, or SuperLU at
+        d when those are past the update budget."""
         # release the kept factorization first, so two never coexist
         self._base = self._cap = None
         self._eqs = np.empty(0, dtype=int)
-        lines = d.reshape(-1, self.nt)   # the slopes on each ring, then on the circle
+        # each line's most frequent slope, the lines being the rings, then the circle
+        base_d = np.repeat([values[counts.argmax()] for values, counts in (
+            np.unique(line, return_counts=True) for line in d.reshape(-1, self.nt))], self.nt)
+        changed = np.flatnonzero(d != base_d)
+        fourier = changed.size <= self._budget
         try:
-            if np.all(lines == lines[:, :1]):
+            if fourier:
                 # the theta-index-0 row of each line of equations: the u-eq
                 # and mu-eq rings, then the v-eq and w-eq circles
                 first = np.arange(0, 2 * d.size, self.nt)
-                self._base = dg.ThetaModes(self._jacobian(d, first), self.nt, _splu_modes)
+                self._base = dg.ThetaModes(self._jacobian(base_d, first), self.nt, _splu_modes)
             else:
                 self._base = _SuperLUBase(self._jacobian(d, self._rows), self._rows)
         except RuntimeError as exc:
             raise LinearSolveFailure(f'sparse factorization failed: {exc}') from exc
-        self._base_d = d
-        superlu = isinstance(self._base, _SuperLUBase)
+        self._base_d = base_d if fourier else None
         self.record.lu_factorizations += 1
-        self.record.superlu_factorizations += superlu
-        self.record.fourier_factorizations += not superlu
+        self.record.superlu_factorizations += not fourier
+        self.record.fourier_factorizations += fourier
         self.record.lu_nnz = max(self.record.lu_nnz, self._base.nnz)
+        if fourier and changed.size:
+            self._update(changed, d)
 
     def _update(self, changed, d):
         """Serve J = J_base - U diag(d - d_base) V^T, U and V picking the
@@ -688,7 +681,7 @@ class NewtonStepper:
             prev_res = math.inf
             best_res = res
             fallback_left = True        # one non-monotone step per new lowest residual
-            self._exact = not self._mean_chord
+            self._exact = not self._smooth.any()
             fresh_mean = False          # the last iteration refreshed a mean base
 
             while res > cfg.newton_tol:
@@ -703,12 +696,12 @@ class NewtonStepper:
                     res > 0.25 * prev_res and (self._exact or iters > 1)
                 self._exact |= refresh and fresh_mean   # a fresh mean base failed
                 u, v = x[:n], x[2 * n:2 * n + nt]
-                if refresh or not self._mean_chord:
+                if refresh or not self._smooth.all():
                     # piecewise-linear graphs take the iterate's own slopes at
                     # every iteration when they are an update of the base (the
                     # active-set step, class docstring); smooth ones only in a
                     # refresh
-                    self._refresh_lu(u, v, factorize=refresh)
+                    self._refresh_lu(u, v, refresh)
                 fresh_mean = refresh and not self._exact
                 dx = self._solve(-r)
                 accepted = False

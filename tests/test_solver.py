@@ -9,6 +9,7 @@ import math
 import pickle
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -83,6 +84,40 @@ def test_energy_dissipates(preset):
     res = cs.run(p, cfg)
     for r in res.diagnostics.rows[1:]:
         assert r.d_energy <= 10.0 * cfg.newton_tol
+
+
+_KINDS = {'zero': mg.zero(), 'cubic': mg.power_odd(3), 'quintic': mg.power_odd(5),
+          'logarithmic': mg.logarithmic(0.5), 'obstacle': mg.double_obstacle(-1.0, 1.0)}
+DOMINATED_PAIRS = [(bulk, boundary) for bulk in _KINDS for boundary in _KINDS
+                   if mg.check_domination(_KINDS[bulk], _KINDS[boundary]).feasible]
+
+
+@settings(deadline=None, max_examples=3, derandomize=True, database=None)
+@given(n_r=st.integers(8, 16), lam=st.sampled_from([1e-2, 1e-3, 1e-4]),
+       dt=st.sampled_from([1e-3, 1e-2]), delta=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+       amplitude=st.floats(0.1, 0.9), offset=st.floats(-0.05, 0.05),
+       forcing=st.sampled_from([0.0, 4.0]))
+@pytest.mark.parametrize('bulk, boundary', DOMINATED_PAIRS,
+                         ids=[f'{b}-{g}' for b, g in DOMINATED_PAIRS])
+def test_invariants_hold_on_every_dominated_pair(bulk, boundary, n_r, lam, dt, delta,
+                                                 amplitude, offset, forcing):
+    # bounds fixed before the first run: convergence, both means to 1e-11,
+    # and for autonomous data no energy increment above 1e-9
+    assert len(DOMINATED_PAIRS) == 15
+    g = dg.DiskGrid(n_r, 2 * n_r)
+    problem = dataclasses.replace(
+        cs.preset_problem('cubic', g, amplitude=amplitude, offset=offset),
+        bulk_graph=_KINDS[bulk], boundary_graph=_KINDS[boundary],
+        f=cs._Source((g.n_r, g.n_theta), 'separable', spatial=cs.harmonic(g, forcing, 2)),
+        g=cs._Source((g.n_theta,), 'separable', spatial=cs.harmonic(g, forcing, 2, trace=True)))
+    result = cs.run(problem, config(delta=delta, lam=lam, dt=dt, t_end=0.03))
+    assert result.error is None
+    rows = result.diagnostics.rows
+    assert len(rows) == round(0.03 / dt) + 1
+    for r in rows:
+        assert abs(r.mass_bulk - rows[0].mass_bulk) <= 1e-11
+        assert abs(r.mass_trace - rows[0].mass_trace) <= 1e-11
+        assert forcing or r.d_energy <= 1e-9
 
 
 def test_diagnostics_columns_and_initial_row():
@@ -179,17 +214,19 @@ def _contact(problem, k):
     return u.reshape(problem.u0.shape), v
 
 
-@pytest.mark.parametrize('k, base, base_contacts', [
-    (k, base, contacts) for base, contacts in ((dg.ThetaModes, 0), (cs._SuperLUBase, 2))
-    for k in (0, 1, 8)], ids=['0', '1', '8', 'superlu-0', 'superlu-1', 'superlu-8'])
-def test_updated_solve_matches_fresh_factorization(splu_calls, k, base, base_contacts):
+@pytest.mark.parametrize('k, base_contacts', [
+    (k, contacts) for contacts in (0, 2) for k in (0, 1, 8)],
+    ids=['0', '1', '8', 'contacts-0', 'contacts-1', 'contacts-8'])
+def test_updated_solve_matches_fresh_factorization(splu_calls, k, base_contacts):
     problem, solver = forced_obstacle()
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
-    # the base: zero slopes, or two contacts that make the slopes vary in theta
+    # the base: zero slopes, or two contacts that make the slopes vary in
+    # theta, served as an update of the Fourier base at each line's most
+    # frequent slope
     assert stepper._refresh_lu(*_contact(problem, base_contacts))
-    assert isinstance(stepper._base, base)
-    # four contacts first; the k-set then reuses their columns of Z, and
-    # k = 0 goes back to the initial slopes
+    assert isinstance(stepper._base, dg.ThetaModes)
+    assert not stepper._base_d.any() and stepper.record.lu_updates == (base_contacts > 0)
+    # four contacts first, then the k-set; k = 0 goes back to the initial slopes
     target = _contact(problem, k) if k else (problem.u0, problem.v0)
     b = np.random.default_rng(k).standard_normal(2 * (stepper.n + stepper.nt))
     for u, v in (_contact(problem, 4), target):
@@ -197,7 +234,7 @@ def test_updated_solve_matches_fresh_factorization(splu_calls, k, base, base_con
         fresh = splu(stepper.jacobian_at(u, v)).solve(b)
         assert np.linalg.norm(stepper._solve(b) - fresh) <= 1e-10 * np.linalg.norm(fresh)
     assert len(splu_calls) == 1 == stepper.record.lu_factorizations
-    assert stepper.record.lu_updates == 2
+    assert stepper.record.lu_updates == 2 + (base_contacts > 0)
 
 
 class _CountingFactor:
@@ -211,16 +248,15 @@ class _CountingFactor:
         return self._lu.solve(b)
 
 
-def _unit_vector_solves(contacts):
-    """A forced-obstacle stepper whose base is factorized at `contacts`
-    contacts, the equation rows of three lines, and the base's solve for
-    each of their unit vectors."""
+def test_fourier_inverse_block_matches_solves_of_unit_vectors():
     problem, solver = forced_obstacle()
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
-    stepper._refresh_lu(*_contact(problem, contacts))
+    stepper._refresh_lu(problem.u0, problem.v0)
+    assert isinstance(stepper._base, dg.ThetaModes)
     n, nt = stepper.n, stepper.nt
     # the mu-eq rows of rings 3 and 15 and the w-eq rows, at theta-indices
-    # from 0 to nt - 1: three distinct lines
+    # from 0 to nt - 1: three distinct lines, and the base's solve for each
+    # of their unit vectors
     j = np.array([0, 1, 7, nt - 1])
     eqs = np.concatenate([n + 3 * nt + j, n + 15 * nt + j[::3], 2 * n + nt + j])
     want = []
@@ -228,13 +264,6 @@ def _unit_vector_solves(contacts):
         e = np.zeros(2 * (n + nt))
         e[row] = 1.0
         want.append(stepper._base.solve(e))
-    return stepper, eqs, want
-
-
-def test_fourier_inverse_block_matches_solves_of_unit_vectors():
-    stepper, eqs, want = _unit_vector_solves(0)
-    assert isinstance(stepper._base, dg.ThetaModes)
-    n, nt = stepper.n, stepper.nt
     # the block at the unknowns on the same lines and theta-indices, a
     # u-ring and the v-line among them
     unknowns = np.concatenate([eqs[eqs < 2 * n] - n, eqs[eqs >= 2 * n] - nt])
@@ -248,20 +277,6 @@ def test_fourier_inverse_block_matches_solves_of_unit_vectors():
     # entries far from the unit vector's cell sit at the FFT's round-off
     for col, x in zip(block.T, want, strict=True):
         assert np.max(np.abs(col - x[unknowns])) <= 1e-12 * np.max(np.abs(x))
-
-
-def test_superlu_columns_match_solves_of_unit_vectors():
-    stepper, eqs, want = _unit_vector_solves(2)
-    assert isinstance(stepper._base, cs._SuperLUBase)
-    factor = stepper._base._lu = _CountingFactor(stepper._base._lu)
-    z = stepper._base._columns(eqs)
-    assert factor.columns == [eqs.size]
-    assert z.shape == (eqs.size, 2 * (stepper.n + stepper.nt))
-    for got, x in zip(z, want, strict=True):
-        assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
-    # kept: a subset of the same columns takes no solve
-    np.testing.assert_array_equal(stepper._base._columns(eqs[::2]), z[::2])
-    assert factor.columns == [eqs.size]
 
 
 def test_fourier_update_keeps_no_column_of_z():
@@ -448,15 +463,28 @@ def test_theta_modes_match_the_copying_solve_bit_for_bit(grid, delta, preset):
             assert np.array_equal(x, _copying_solve(modes, b))
 
 
-def test_update_past_the_budget_refactorizes(splu_calls):
+def test_update_past_the_budget_refactorizes(monkeypatch, splu_calls):
+    # a budget of 64 slopes, set before the stepper reads it
+    monkeypatch.setattr(cs, 'UPDATE_BUDGET', 64)
     problem, solver = forced_obstacle()
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
     stepper._refresh_lu(problem.u0, problem.v0)
-    stepper._refresh_lu(*_contact(problem, cs.UPDATE_BUDGET))
+    stepper._refresh_lu(*_contact(problem, 64))
     assert len(splu_calls) == 1 and stepper.record.lu_updates == 1
-    stepper._refresh_lu(*_contact(problem, cs.UPDATE_BUDGET + 1))
-    assert len(splu_calls) == 2 and stepper.record.lu_factorizations == 2
+    # 65 contacts, none a line's most frequent slope: past the budget against
+    # the new Fourier base too, so SuperLU factorizes them
+    stepper._refresh_lu(*_contact(problem, 65))
+    assert len(splu_calls) == 2 and stepper.record.superlu_factorizations == 1
     assert stepper.record.lu_updates == 1
+    # a SuperLU base is never updated: 8 contacts refactorize, on a Fourier
+    # base with the contacts as its update
+    u, v = _contact(problem, 8)
+    assert stepper._refresh_lu(u, v)
+    assert len(splu_calls) == 3 and stepper.record.fourier_factorizations == 2
+    assert stepper.record.lu_updates == 2
+    b = np.random.default_rng(9).standard_normal(2 * (stepper.n + stepper.nt))
+    fresh = splu(stepper.jacobian_at(u, v)).solve(b)
+    assert np.linalg.norm(stepper._solve(b) - fresh) <= 1e-10 * np.linalg.norm(fresh)
 
 
 def test_forced_obstacle_run_factorizes_once(splu_calls):
@@ -478,6 +506,19 @@ def test_forced_obstacle_at_large_lambda_converges_without_damping():
     assert result.error is None and len(levels) == 101
     assert result.record.newton_iters <= 150
     assert result.record.line_search_halvings == 0
+
+
+def test_forced_obstacle_at_delta_zero_keeps_one_fourier_base():
+    # check 9's forced data at lambda 1e-2 and delta 0; bounds fixed before
+    # the first run.  With 64 slopes as the update budget, 489 of its 524
+    # iterations declined the update and ran the chord at stale slopes.
+    problem, solver = forced_obstacle(32, 64)
+    solver = dataclasses.replace(solver, delta=0.0, lam=1e-2)
+    result = cs.run(problem, solver)
+    assert result.error is None
+    record = result.record
+    assert (record.lu_factorizations, record.fourier_factorizations) == (1, 1)
+    assert record.newton_iters <= 150
 
 
 def test_obstacle_solves_serve_the_iterates_own_slopes(monkeypatch):
@@ -693,11 +734,14 @@ def test_fourier_base_rows_are_the_jacobians_first_rows(monkeypatch, preset, sca
 
 
 def test_symmetric_order_factor_has_less_fill():
-    # contacts make the slopes vary in theta, so the base is SuperLU's
-    problem, solver = forced_obstacle(32, 64)
-    stepper = cs.NewtonStepper(problem, solver, solver.dt)
-    u, v = _contact(problem, 8)
+    # the cubic's own slopes vary in theta, so the exact path's base is
+    # SuperLU's
+    problem = cs.preset_problem('cubic', dg.DiskGrid(32, 64), amplitude=0.8)
+    stepper = cs.NewtonStepper(problem, config(), 1e-3)
+    u, v = problem.u0, problem.v0
+    stepper._exact = True
     stepper._refresh_lu(u, v)
+    assert stepper.record.superlu_factorizations == 1
     default = splu(stepper.jacobian_at(u, v))
     assert stepper.record.lu_nnz == stepper._base.nnz <= 0.6 * default.nnz
 
@@ -716,14 +760,14 @@ class _NegatedSolve:
 
 
 def test_rejected_direction_refreshes_and_retries_at_the_same_iterate():
-    # a base kept from slopes 1/lambda on the last three rings and the
-    # circle (128 slopes, past the update budget) whose solves are negated:
-    # no step length decreases the residual, so the step refactorizes at
-    # the same iterate and goes on as a fresh stepper does
+    # a base kept from slopes 1/lambda everywhere, whose solves are negated;
+    # the zero slopes of the initial data differ from it in every slope,
+    # past the update budget (at most half of them).  No step length
+    # decreases the residual, so the step refactorizes at the same iterate
+    # and goes on as a fresh stepper does
     problem, solver = forced_obstacle()
     stepper = cs.NewtonStepper(problem, solver, solver.dt)
-    u, v = problem.u0.copy(), np.full_like(problem.v0, 1.5)
-    u[-3:] = 1.5
+    u, v = np.full_like(problem.u0, 1.5), np.full_like(problem.v0, 1.5)
     assert stepper._refresh_lu(u, v) and stepper.record.lu_factorizations == 1
     stepper._base = _NegatedSolve(stepper._base)
     state = cs.initial_state(problem)
@@ -842,18 +886,49 @@ def test_mean_chord_keeps_one_base_across_steps():
     assert (record.fourier_factorizations, record.superlu_factorizations) == (1, 0)
 
 
-@pytest.mark.parametrize('bulk, boundary, base', [
-    (mg.power_odd(3), mg.logarithmic(0.5), dg.ThetaModes),
-    (mg.power_odd(3), mg.double_obstacle(-2.0, 2.0), cs._SuperLUBase),
-    (mg.zero(), mg.power_odd(3), cs._SuperLUBase)], ids=['smooth', 'obstacle', 'zero'])
-def test_mean_chord_only_when_neither_graph_is_piecewise_linear(bulk, boundary, base):
-    # the cubic's u0 makes the slopes vary in theta on the rings, so only a
-    # pair of smooth graphs gets its first base at the ring means
+@pytest.mark.parametrize('bulk, boundary', [
+    (mg.power_odd(3), mg.logarithmic(0.5)),
+    (mg.power_odd(3), mg.double_obstacle(-1.0, 1.0)),
+    (mg.zero(), mg.power_odd(3))], ids=['smooth', 'obstacle', 'zero'])
+def test_each_graph_keeps_its_own_slope_policy(bulk, boundary):
+    # off the exact path a refresh serves a smooth graph's slopes at their
+    # ring means and a piecewise-linear graph's as they are, on a Fourier
+    # base; 1.5 times the cubic's v0 puts part of the circle past the
+    # obstacle, whose slopes then vary in theta and are served as an update
     problem = dataclasses.replace(cs.preset_problem('cubic', dg.DiskGrid(8, 16), amplitude=0.8),
                                   bulk_graph=bulk, boundary_graph=boundary)
     stepper = cs.NewtonStepper(problem, config(), 1e-3)
-    assert stepper._refresh_lu(problem.u0, problem.v0)
-    assert isinstance(stepper._base, base)
+    u, v = problem.u0, 1.5 * problem.v0
+    assert stepper._refresh_lu(u, v)
+    assert isinstance(stepper._base, dg.ThetaModes)
+    d = stepper._yosida(mg.yosida_derivative, u, v)
+    means = np.repeat(d.reshape(-1, stepper.nt).mean(axis=1), stepper.nt)
+    smooth = np.repeat([bulk.kind != 'zero', boundary.kind != 'double_obstacle'],
+                       [stepper.n, stepper.nt])
+    np.testing.assert_array_equal(stepper._d, np.where(smooth, means, d))
+    assert stepper.record.lu_updates == (boundary.kind == 'double_obstacle')
+    b = np.random.default_rng(10).standard_normal(2 * (stepper.n + stepper.nt))
+    r = stepper._jacobian(stepper._d) @ stepper._solve(b) - b
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_mixed_pair_updates_its_obstacle_on_a_fourier_base(monkeypatch):
+    # the cubic in the bulk, the obstacle on the boundary, and g = 4 cos 3theta,
+    # which drives part of the circle into contact.  Bounds fixed before the
+    # first run: the whole pair once went to SuperLU at its first iteration;
+    # now its first base is a Fourier one, the obstacle's contacts are
+    # updates of it, and SuperLU stays rare
+    g = dg.DiskGrid(16, 32)
+    problem = dataclasses.replace(
+        cs.preset_problem('cubic', g, amplitude=0.9), boundary_graph=mg.double_obstacle(),
+        g=cs._Source((g.n_theta,), 'separable', spatial=cs.harmonic(g, 4.0, 3, trace=True)))
+    solver = config(delta=0.1, lam=1e-3, t_end=0.05)
+    kinds = _base_kinds(monkeypatch)
+    result = cs.run(problem, solver)
+    assert result.error is None
+    record = result.record
+    assert kinds[0] == 'fourier' and record.lu_updates > 0
+    assert record.superlu_factorizations <= 10
 
 
 # ---------------------------------------------------------------------------
@@ -1042,6 +1117,44 @@ def test_cli_linear_solve_failure_is_exit_3(monkeypatch, tmp_path, capsys, insta
     summary = json.loads((tmp_path / 'o' / 'summary.json').read_text())
     assert summary['solver_error'] == message
     assert (summary['steps'] == 0) == first_step
+
+
+def test_failing_update_inside_a_factorization_is_exit_3(monkeypatch, tmp_path):
+    # the mixed pair at 8x16, delta 0, lambda 1e-2: its second Fourier base
+    # is built when the obstacle is in contact, and serves the contacts as
+    # an update inside `_factorize`; that base's inverse block fails
+    raw = {'experiment': 'single', 'grid': {'n_r': 8, 'n_theta': 16}, 'problem': {
+        'bulk_graph': {'kind': 'power_odd', 'exponent': 3}, 'boundary_graph': OBSTACLE,
+        'pi': {'kind': 'linear', 'slope': -1.0}, 'pi_gamma': {'kind': 'linear', 'slope': -1.0},
+        'u0': {'kind': 'harmonic', 'amplitude': 0.9, 'mode': 2, 'offset': 0.05},
+        'g': {'kind': 'separable', 'spatial': {'kind': 'mode', 'amplitude': 4.0, 'mode': 3}}},
+        'solver': {'delta': 0.0, 'lambda': 1e-2, 'dt': 1e-3, 't_end': 0.05}}
+    theta_modes, built = dg.ThetaModes, []
+
+    def second_fails(*args):
+        built.append(theta_modes(*args))
+        return built[-1] if len(built) == 1 else _FailingBase(built[-1], 'inverse_block')
+    monkeypatch.setattr(dg, 'ThetaModes', second_fails)
+    cfg = harness.ExperimentConfig.from_dict(raw)
+    levels = []
+    result = cs.run(cfg.problem, cfg.solver, levels.append)
+    err = result.error
+    assert isinstance(err, LinearSolveFailure) and len(built) == 2
+    assert str(err) == 'triangular solve failed: stand-in solve failure'
+    frames, tb = [], err.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert frames[-2:] == ['_factorize', '_update']
+    assert err.t == levels[-1].t + cfg.solver.dt and len(levels) > 1
+
+    path = tmp_path / 'mixed.json'
+    path.write_text(json.dumps(raw))
+    built.clear()
+    assert cli.main(['solve', str(path), '--out', str(tmp_path / 'o')]) == 3
+    summary = json.loads((tmp_path / 'o' / 'summary.json').read_text())
+    assert summary['steps'] == len(levels) - 1
+    assert summary['solver_error'] == str(err)
 
 
 # ---------------------------------------------------------------------------
