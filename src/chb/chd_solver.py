@@ -26,9 +26,10 @@ slopes differs from the kept one only where the active set moved;
 whenever that is a low-rank update, each iteration takes it, which makes
 the iteration semismooth Newton, the primal-dual active-set method
 (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002; Blank, Butz &
-Garcke, ESAIM COCV 17, 2011, for the obstacle Cahn-Hilliard system).  A
-smooth graph's slopes are taken only when the residual stalls: at their
-ring means (a chord) until that chord fails, then at their own values.
+Garcke, ESAIM COCV 17, 2011, for the obstacle Cahn-Hilliard system).  So
+are a smooth graph's when the pair's smooth slopes fit that update (the
+circle's alone); else they are taken only when the residual stalls: at
+their ring means (a chord) until that chord fails, then at their own values.
 When the slopes are constant on every ring and on the circle the Jacobian
 does not depend on theta, and it is factorized exactly in theta-Fourier
 modes (`disk_grid.ThetaModes`), in 5 ms at 64x128 against 100 ms for
@@ -412,22 +413,24 @@ class NewtonStepper:
     `RunRecord` unless one is given.
 
     Each graph keeps its own slope policy.  A piecewise-linear graph's
-    slopes (zero, double obstacle) are always its own: every iteration that
-    is not due a refresh takes them at its iterate and, if the Jacobian
-    there differs from the base in at most the update budget, solves at it
-    through a capacitance update, the smooth graph's slopes staying as
-    served: the primal-dual active-set method (module docstring).  A change
-    past the budget keeps the chord until it stalls.
+    slopes (zero, double obstacle) are always its own, and so are a smooth
+    graph's when the pair's smooth slopes fit the update budget (the
+    circle's alone): every iteration that is not due a refresh takes them
+    at its iterate and, if the Jacobian there differs from the base in at
+    most the update budget, solves at it through a capacitance update, the
+    other slopes staying as served: the primal-dual active-set method
+    (module docstring).  A change past the budget keeps the chord until it
+    stalls.
 
-    A smooth graph's slopes are taken only in a refresh.  Each step starts
-    on the mean chord when a graph is smooth: a refresh serves the smooth
-    slopes' ring means (one per ring and one for the circle), and the line
+    Other smooth slopes are taken only in a refresh.  Each step starts
+    on the mean chord when there are such slopes: a refresh serves their
+    ring means (one per ring and one for the circle), and the line
     search tries the full step only.  The chord fails when a full step is
     rejected, or when a fresh mean base (refreshed at the last iteration)
     does not cut the residual by 4; the step then refreshes at the
     iterate's own slopes, which vary in theta and so take SuperLU, and stays
     on that exact path, with its damped retries, for the rest of the step.
-    A pair of piecewise-linear graphs is always on the exact path.  The mean
+    A pair without them is always on the exact path.  The mean
     chord's first iteration of a step is not judged: it cuts the
     predictor's error by only about 2, on a kept base and a fresh one
     alike, and the next ones by about 50 (cubic, amplitude 0.9, 32x64).
@@ -449,8 +452,8 @@ class NewtonStepper:
         self.visc = visc = config.lam / self.dt
         # L: the Jacobian at zero slopes less its unit main diagonal, and with
         # the u-eq and v-eq rows' factor dt kept apart in T = diag(row_dt):
-        # scaling the Laplacians' entries would round away their exact zero
-        # row sums, which conserve both means.  Columns (u, mu, v, w), rows
+        # scaling the Laplacians' entries would round each once more, and the
+        # means' drift grew tenfold with it (README).  Columns (u, mu, v, w), rows
         # (u-eq, mu-eq, v-eq, w-eq).
         # L is built in CSR a block row at a time, without COO triplets: each
         # CSR block keeps its arrays, its column indices shifted to its place,
@@ -477,18 +480,16 @@ class NewtonStepper:
         # the equations in the order (mu-eq, u-eq, w-eq, v-eq): the Jacobian's
         # rows then make it symmetric once scaled by the quadrature weights
         self._rows = np.r_[n:2 * n, :n, 2 * n + nt:2 * (n + nt), 2 * n:2 * n + nt]
-        # the slope map's equations and unknowns as slices, graph by graph
-        self._beta_at = ((slice(n, 2 * n), slice(0, n), problem.bulk_graph),
-                         (slice(2 * n + nt, None), slice(2 * n, 2 * n + nt),
-                          problem.boundary_graph))
+        self._beta_eqs = self._slope_map()[0]   # the equations of the Yosida terms
+        self._budget = min(UPDATE_BUDGET, (n + nt) // 2)
         # the slopes of a smooth graph, which take their ring means off the
-        # exact path; a piecewise-linear graph's are always its own (class
-        # docstring)
+        # exact path when the pair's smooth slopes are past the budget; all
+        # others are always their own (class docstring)
         self._smooth = np.repeat([graph.kind not in ('zero', 'double_obstacle')
                                   for graph in (problem.bulk_graph, problem.boundary_graph)],
                                  [n, nt])
+        self._smooth &= self._smooth.sum() > self._budget
         self._exact = not self._smooth.any()   # refreshes take the iterate's own slopes
-        self._budget = min(UPDATE_BUDGET, (n + nt) // 2)
         self._base = None          # dg.ThetaModes at slopes _base_d, or _SuperLUBase
         self._base_d = None        # None for a SuperLU base, which is never updated
         self._d = None             # slopes of the Jacobian that _solve serves
@@ -618,7 +619,9 @@ class NewtonStepper:
             c = self._cap @ y[self._unknowns]
             if not np.all(np.isfinite(c)):
                 raise LinearSolveFailure('non-finite capacitance solve')
-            return y + self._base.solve_sparse(self._eqs, c)
+            uc = np.zeros_like(y)
+            uc[self._eqs] = c
+            return y + self._base.solve(uc)
         except RuntimeError as exc:
             raise LinearSolveFailure(f'triangular solve failed: {exc}') from exc
 
@@ -638,8 +641,7 @@ class NewtonStepper:
     def _residual(self, x, c):
         """x + T L x + c, less the Yosida terms; c from `_constant`."""
         r = x + c + self._row_dt * (self._lin @ x)
-        for eqs, unknowns, graph in self._beta_at:
-            r[eqs] -= mg.yosida(graph, x[unknowns], self.config.lam)
+        r[self._beta_eqs] -= self._yosida(mg.yosida, x[:self.n], x[2 * self.n:-self.nt])
         return r
 
     def _floor_note(self, x, t1, u0, v0):
@@ -650,8 +652,7 @@ class NewtonStepper:
         a = np.abs(x)
         m = a + self._row_dt * (abs(self._lin) @ a) + np.concatenate(
             [sum(map(np.abs, terms)) for terms in self._data(t1, u0, v0)])
-        for eqs, unknowns, graph in self._beta_at:
-            m[eqs] += np.abs(mg.yosida(graph, x[unknowns], self.config.lam))
+        m[self._beta_eqs] += np.abs(self._yosida(mg.yosida, x[:self.n], x[2 * self.n:-self.nt]))
         floor = np.finfo(float).eps * self._res_norm(m)
         tol = self.config.newton_tol
         return '' if tol >= floor else (f'; newton_tol {tol:.3e} is below the '

@@ -7,9 +7,9 @@ circle carries its own unknown ring (the trace variable), coupled to the
 bulk through one-sided fluxes across r = 1.
 
 All discrete operators are assembled in conservative flux form, so the
-zero-flux Laplacian has exact row sums zero, quadrature of the divergence
-telescopes to the boundary, and summation by parts holds exactly against
-the matching face-based H1 seminorms.
+zero-flux Laplacian has row sums zero to round-off, quadrature of the
+divergence telescopes to the boundary, and summation by parts holds
+exactly against the matching face-based H1 seminorms.
 """
 
 from __future__ import annotations
@@ -152,47 +152,34 @@ def _interior_faces(grid: DiskGrid):
     return me, nb, k
 
 
-def _flux_divergence_coo(grid: DiskGrid, weighted: bool):
-    """COO triplets over the interior faces.
-
-    weighted=True assembles S = -W*Lap (symmetric PSD, entries +-kappa);
-    weighted=False assembles the Laplacian itself (each row scaled by the
-    receiving cell's measure w_ij, giving row sums exactly zero).
+def _flux_divergence(grid: DiskGrid, measure: np.ndarray) -> sps.csr_matrix:
+    """Sum over the interior faces of the fluxes kappa*(u_nb - u_me), each
+    entering one cell and leaving the other, with each row divided by its
+    cell's `measure` (shape (N,)).  Every cell's row then sums to zero up
+    to round-off: its diagonal is the rounded sum of its face terms.
     """
     me, nb, k = _interior_faces(grid)
-    if weighted:
-        c_me = c_nb = k
-    else:
-        w = np.repeat(grid.r * grid.dr * grid.dtheta, grid.n_theta)
-        c_me = k / w[me]
-        c_nb = k / w[nb]
-    rows = np.concatenate([me, me, nb, nb])
-    cols = np.concatenate([nb, me, me, nb])
-    vals = np.concatenate([c_me, -c_me, c_nb, -c_nb])
-    if weighted:
-        vals = -vals
-    return rows, cols, vals
-
-
-def _assemble(grid, rows, cols, vals):
-    n = grid.size
-    return sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    rows, cols = np.concatenate([me, me, nb, nb]), np.concatenate([nb, me, me, nb])
+    vals = np.concatenate([k, -k, k, -k])
+    del me, nb, k               # the faces go before the CSR's arrays exist
+    vals /= measure[rows]
+    return sps.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsr()
 
 
 def neumann_laplacian_matrix(grid: DiskGrid) -> sps.csr_matrix:
-    """Zero-flux finite-volume Laplacian; row sums are exactly zero."""
-    rows, cols, vals = _flux_divergence_coo(grid, weighted=False)
-    return _assemble(grid, rows, cols, vals)
+    """Zero-flux finite-volume Laplacian; row sums and the weighted column
+    sums w^T Lap are zero to round-off."""
+    return _flux_divergence(grid, grid.weights.ravel())
 
 
 def stiffness_matrix_bulk(grid: DiskGrid) -> sps.csr_matrix:
     """S = -W*Laplacian_zero_flux, symmetric positive semidefinite.
 
     Kernel is the constants; (u, S u) equals the squared interior-face
-    H1 seminorm exactly.
+    H1 seminorm exactly.  The negation copies out the summed entries, so
+    its arrays hold exactly nnz of them.
     """
-    rows, cols, vals = _flux_divergence_coo(grid, weighted=True)
-    return _assemble(grid, rows, cols, vals)
+    return -_flux_divergence(grid, np.ones(grid.size))
 
 
 def dirichlet_laplacian_matrices(grid: DiskGrid, neumann: sps.csr_matrix):
@@ -291,13 +278,6 @@ class ThetaModes:
         x = self.solve(b).reshape(self._lines, self._nt, -1)
         row_lines, row_shifts = np.divmod(rows, self._nt)
         return x[row_lines[:, None], (row_shifts[:, None] - shifts) % self._nt, which]
-
-    def solve_sparse(self, cols, c):
-        """The inverse's columns `cols` times c: one solve of the right-hand
-        side that holds c at `cols` and zeros elsewhere."""
-        b = np.zeros(self._lines * self._nt)
-        b[cols] = c
-        return self.solve(b)
 
 
 # ---------------------------------------------------------------------------

@@ -463,9 +463,10 @@ def _execute_run(task):
 
 
 def _run_many(tasks, workers: int):
-    """Run (problem, config, path) tasks preserving input order."""
+    """Run (problem, config, path) tasks preserving input order, on at most
+    one worker process per task."""
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             return list(pool.map(_execute_run, tasks))
     return [_execute_run(t) for t in tasks]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from chb import disk_grid as dg
 
@@ -130,6 +131,50 @@ def test_summation_by_parts_with_boundary(grid):
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+def _face_by_face(grid, laplacian):
+    """The zero-flux Laplacian, or the stiffness S = -W*Lap, from a list of
+    its faces.  The face between cells a and b with transmission
+    coefficient kappa (face length over center distance) puts the flux
+    kappa*(u_b - u_a) in row a and its negative in row b, each divided by
+    the row cell's area (1 for S).  A diagonal entry is the rounded sum of
+    its face terms, so they are summed in the assembly's order: every
+    face's (a, b) term, then every face's (a, a), (b, a) and (b, b)."""
+    n_r, nt, dr, dth = grid.n_r, grid.n_theta, grid.dr, grid.dtheta
+    faces = [(i * nt + j, (i + 1) * nt + j, (i + 1) * dr * dth / dr)
+             for i in range(n_r - 1) for j in range(nt)]
+    faces += [(i * nt + j, i * nt + (j + 1) % nt, dr / ((i + 0.5) * dr * dth))
+              for i in range(n_r) for j in range(nt)]
+    sign = 1.0 if laplacian else -1.0
+
+    def area(cell):
+        return (cell // nt + 0.5) * dr * dr * dth if laplacian else 1.0
+
+    def terms(a, b, k):
+        return ((a, b, sign * k / area(a)), (a, a, -sign * k / area(a)),
+                (b, a, sign * k / area(b)), (b, b, -sign * k / area(b)))
+    rows, cols, vals = zip(*[terms(*face)[part] for part in range(4) for face in faces])
+    return sps.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsr()
+
+
+def _slots(a):
+    """The length of the buffer that the array a is a view of."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.size
+
+
+@pytest.mark.parametrize('n_r, n_theta', [(8, 16), (64, 128)])
+def test_flux_divergence_matches_a_face_by_face_assembly(n_r, n_theta):
+    g = dg.DiskGrid(n_r, n_theta)
+    for laplacian, build in ((True, dg.neumann_laplacian_matrix),
+                             (False, dg.stiffness_matrix_bulk)):
+        x, ref = build(g), _face_by_face(g, laplacian)
+        assert all(np.array_equal(p, q) for p, q in
+                   ((x.data, ref.data), (x.indices, ref.indices), (x.indptr, ref.indptr)))
+    # the stiffness, which a sweep's norms keep, holds its entries only
+    assert _slots(x.data) == _slots(x.indices) == x.nnz == 5 * g.size - 2 * n_theta
+
+
 def test_stiffness_matrix_is_spd_kernel_constants(grid):
     S = dg.stiffness_matrix_bulk(grid)
     x = np.ones(grid.size)
@@ -151,7 +196,6 @@ def test_h1_trace_seminorm_of_mode(grid):
 
 def test_m_matrix_monotonicity(grid):
     # (I - c*Lap_h) preserves nonnegativity: inverse-positivity of the scheme
-    import scipy.sparse as sps
     from scipy.sparse.linalg import spsolve
     A = sps.identity(grid.size, format='csc') - 0.1 * dg.neumann_laplacian_matrix(grid).tocsc()
     rng = np.random.default_rng(6)

@@ -549,6 +549,32 @@ def test_workers_do_not_change_bytes(tmp_path, experiment):
     assert out[0] == out[1]
 
 
+def test_pool_asks_for_no_more_workers_than_tasks(monkeypatch):
+    # under the fork start method a pool forks every worker it is asked for
+    # at its first map; a serial stand-in records the count and forks none
+    asked = []
+
+    class Serial:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, 'ProcessPoolExecutor', Serial)
+    monkeypatch.setattr(harness, '_execute_run', lambda task: -task)
+    assert harness._run_many([1, 2, 3], 64) == [-1, -2, -3]
+    assert harness._run_many([1, 2, 3, 4, 5], 2) == [-1, -2, -3, -4, -5]
+    assert harness._run_many([1], 64) == [-1]          # one task runs in-process
+    assert asked == [3, 2]
+
+
 @pytest.mark.parametrize('experiment', sorted(WORKER_RUNS))
 def test_cli_plots_comparison_on_decade_ticks(tmp_path, experiment):
     _, artifact, section = WORKER_RUNS[experiment]

@@ -894,7 +894,9 @@ def test_each_graph_keeps_its_own_slope_policy(bulk, boundary):
     # off the exact path a refresh serves a smooth graph's slopes at their
     # ring means and a piecewise-linear graph's as they are, on a Fourier
     # base; 1.5 times the cubic's v0 puts part of the circle past the
-    # obstacle, whose slopes then vary in theta and are served as an update
+    # obstacle, whose slopes then vary in theta and are served as an update.
+    # A smooth graph on the circle alone (zero/cubic) has 16 slopes, within
+    # the budget of 72: they are its own too, served as an update
     problem = dataclasses.replace(cs.preset_problem('cubic', dg.DiskGrid(8, 16), amplitude=0.8),
                                   bulk_graph=bulk, boundary_graph=boundary)
     stepper = cs.NewtonStepper(problem, config(), 1e-3)
@@ -903,13 +905,29 @@ def test_each_graph_keeps_its_own_slope_policy(bulk, boundary):
     assert isinstance(stepper._base, dg.ThetaModes)
     d = stepper._yosida(mg.yosida_derivative, u, v)
     means = np.repeat(d.reshape(-1, stepper.nt).mean(axis=1), stepper.nt)
-    smooth = np.repeat([bulk.kind != 'zero', boundary.kind != 'double_obstacle'],
+    smooth = np.repeat([bulk.kind == 'power_odd', boundary.kind == 'logarithmic'],
                        [stepper.n, stepper.nt])
     np.testing.assert_array_equal(stepper._d, np.where(smooth, means, d))
-    assert stepper.record.lu_updates == (boundary.kind == 'double_obstacle')
+    assert stepper.record.lu_updates == (not smooth.all())
     b = np.random.default_rng(10).standard_normal(2 * (stepper.n + stepper.nt))
     r = stepper._jacobian(stepper._d) @ stepper._solve(b) - b
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_smooth_circle_alone_takes_newton_on_one_fourier_base(monkeypatch):
+    # zero in the bulk, the cubic on the boundary, g = 4 cos 3theta: the
+    # circle's 32 slopes fit the budget, so every iteration serves them as
+    # an update.  Their ring mean, a linear chord, took 696 iterations; the
+    # bound was fixed before the first run
+    g = dg.DiskGrid(16, 32)
+    problem = dataclasses.replace(
+        cs.preset_problem('cubic', g, amplitude=0.9), bulk_graph=mg.zero(),
+        g=cs._Source((g.n_theta,), 'separable', spatial=cs.harmonic(g, 4.0, 3, trace=True)))
+    kinds = _base_kinds(monkeypatch)
+    result = cs.run(problem, config(delta=0.1, lam=1e-3, t_end=0.1))
+    assert result.error is None
+    assert result.record.newton_iters <= 250
+    assert 'superlu' not in kinds and result.record.superlu_factorizations == 0
 
 
 def test_mixed_pair_updates_its_obstacle_on_a_fourier_base(monkeypatch):
@@ -1002,9 +1020,6 @@ class _BadColumns:
 
     def solve(self, b):
         return self._base.solve(b)
-
-    def solve_sparse(self, cols, c):
-        return self._base.solve_sparse(cols, c)
 
     def inverse_block(self, rows, cols):
         if self._kind == 'nan':
