@@ -6,8 +6,9 @@ innermost face flux vanishes through the metric factor r.  The boundary
 circle carries its own unknown ring (the trace variable), coupled to the
 bulk through one-sided fluxes across r = 1.
 
-All discrete operators are assembled in conservative flux form, so the
-zero-flux Laplacian has row sums zero to round-off, quadrature of the
+The Laplacians (zero-flux, stiffness and the circle's) are one flux
+divergence, written straight into CSR from its five-point stencil in
+conservative form, so its rows sum to zero to round-off, quadrature of the
 divergence telescopes to the boundary, and summation by parts holds
 exactly against the matching face-based H1 seminorms.
 """
@@ -129,57 +130,49 @@ def _boundary_kappa(grid: DiskGrid) -> float:
     return grid.dtheta / (grid.dr / 2.0)
 
 
-def _interior_faces(grid: DiskGrid):
-    """(cell, neighbor, kappa) triplets over all interior faces.
+def _flux_divergence(kappa_rad, kappa_ang, measure) -> sps.csr_matrix:
+    """Flux divergence of `lines` lines of n_theta cells, written straight
+    into CSR: the sum over the interior faces of kappa*(u_nb - u_me), each
+    row divided by its cell's `measure` (shape (lines, n_theta)).
 
-    kappa = s/d is the transmission coefficient; each face appears once.
+    Line a's angular faces have kappa_ang[a] (shape (lines,)); the radial
+    face between lines a and a + 1 has kappa_rad[a] (shape (lines - 1,)).
+    A row holds its cell, its two angular and at most two radial
+    neighbours.  Its diagonal sums the face terms as
+    ((-up - fwd) - down) - back, the order of a face-by-face assembly, with
+    an absent radial face as an exact 0, so every row sums to zero to
+    round-off.  No row repeats a column.
     """
-    n_r, n_th = grid.n_r, grid.n_theta
-    kappa_rad, kappa_ang = _face_coefficients(grid)
-    idx = np.arange(n_r * n_th, dtype=np.int32).reshape(n_r, n_th)
-
-    rad_me = idx[:-1].ravel()
-    rad_nb = idx[1:].ravel()
-    rad_k = np.repeat(kappa_rad, n_th)
-
-    ang_me = idx.ravel()
-    ang_nb = np.roll(idx, -1, axis=1).ravel()
-    ang_k = np.repeat(kappa_ang, n_th)
-
-    me = np.concatenate([rad_me, ang_me])
-    nb = np.concatenate([rad_nb, ang_nb])
-    k = np.concatenate([rad_k, ang_k])
-    return me, nb, k
-
-
-def _flux_divergence(grid: DiskGrid, measure: np.ndarray) -> sps.csr_matrix:
-    """Sum over the interior faces of the fluxes kappa*(u_nb - u_me), each
-    entering one cell and leaving the other, with each row divided by its
-    cell's `measure` (shape (N,)).  Every cell's row then sums to zero up
-    to round-off: its diagonal is the rounded sum of its face terms.
-    """
-    me, nb, k = _interior_faces(grid)
-    rows, cols = np.concatenate([me, me, nb, nb]), np.concatenate([nb, me, me, nb])
-    vals = np.concatenate([k, -k, k, -k])
-    del me, nb, k               # the faces go before the CSR's arrays exist
-    vals /= measure[rows]
-    return sps.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsr()
+    lines, n = measure.shape
+    up = np.r_[kappa_rad, 0.0][:, None] / measure
+    down = np.r_[0.0, kappa_rad][:, None] / measure
+    ang = kappa_ang[:, None] / measure
+    idx = np.arange(lines * n, dtype=np.int32).reshape(lines, n)
+    cols = np.stack([idx - n, np.roll(idx, 1, axis=1), idx, np.roll(idx, -1, axis=1),
+                     idx + n], axis=-1)
+    vals = np.stack([down, ang, -up - ang - down - ang, ang, up], axis=-1)
+    keep = np.ones((lines, n, 5), dtype=bool)
+    keep[0, :, 0] = keep[-1, :, 4] = False      # no line below the first, above the last
+    indptr = np.zeros(lines * n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2), out=indptr[1:])
+    mat = sps.csr_matrix((vals[keep], cols[keep], indptr), shape=(lines * n, lines * n))
+    mat.sort_indices()          # the wrapped angular neighbours
+    return mat
 
 
 def neumann_laplacian_matrix(grid: DiskGrid) -> sps.csr_matrix:
     """Zero-flux finite-volume Laplacian; row sums and the weighted column
     sums w^T Lap are zero to round-off."""
-    return _flux_divergence(grid, grid.weights.ravel())
+    return _flux_divergence(*_face_coefficients(grid), grid.weights)
 
 
 def stiffness_matrix_bulk(grid: DiskGrid) -> sps.csr_matrix:
     """S = -W*Laplacian_zero_flux, symmetric positive semidefinite.
 
     Kernel is the constants; (u, S u) equals the squared interior-face
-    H1 seminorm exactly.  The negation copies out the summed entries, so
-    its arrays hold exactly nnz of them.
+    H1 seminorm exactly.
     """
-    return -_flux_divergence(grid, np.ones(grid.size))
+    return -_flux_divergence(*_face_coefficients(grid), np.ones((grid.n_r, grid.n_theta)))
 
 
 def dirichlet_laplacian_matrices(grid: DiskGrid, neumann: sps.csr_matrix):
@@ -202,14 +195,10 @@ def dirichlet_laplacian_matrices(grid: DiskGrid, neumann: sps.csr_matrix):
 
 
 def circle_laplacian_matrix(grid: DiskGrid) -> sps.csr_matrix:
-    """Periodic central-difference Laplace-Beltrami on the unit circle."""
-    n = grid.n_theta
-    h2 = grid.dtheta ** 2
-    main = np.full(n, -2.0 / h2)
-    off = np.full(n, 1.0 / h2)
-    mat = sps.diags([main, off[:-1], off[:-1], [1.0 / h2], [1.0 / h2]],
-                    [0, 1, -1, n - 1, -(n - 1)], format='csr')
-    return mat
+    """Periodic central-difference Laplace-Beltrami on the unit circle: the
+    flux divergence of one line with unit measure."""
+    return _flux_divergence(np.empty(0), np.array([1.0 / grid.dtheta ** 2]),
+                            np.ones((1, grid.n_theta)))
 
 
 class ThetaModes:

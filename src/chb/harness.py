@@ -141,7 +141,8 @@ def _check(ok, make, expected: str):
 
 _keep = _check(lambda x: True, lambda x: x, '')
 _bool = _check(lambda x: isinstance(x, bool), bool, 'true or false')
-_float = _check(lambda x: not isinstance(x, bool), float, 'a number')
+_float = _check(lambda x: not isinstance(x, bool) and math.isfinite(float(x)), float,
+                'a finite number')
 _int = _check(lambda x: not isinstance(x, bool) and (not isinstance(x, float) or x.is_integer()),
                int, 'an integer')
 _count = _check(lambda x: _int(x, '') >= 1, int, 'an integer >= 1')

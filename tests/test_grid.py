@@ -3,6 +3,8 @@ summation-by-parts duality, and refinement behavior."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -163,16 +165,46 @@ def _slots(a):
     return a.size
 
 
+def _same_bits(x, y):
+    return all(p.dtype == q.dtype and np.array_equal(p, q) for p, q in
+               ((x.data, y.data), (x.indices, y.indices), (x.indptr, y.indptr)))
+
+
 @pytest.mark.parametrize('n_r, n_theta', [(8, 16), (64, 128)])
 def test_flux_divergence_matches_a_face_by_face_assembly(n_r, n_theta):
     g = dg.DiskGrid(n_r, n_theta)
     for laplacian, build in ((True, dg.neumann_laplacian_matrix),
                              (False, dg.stiffness_matrix_bulk)):
         x, ref = build(g), _face_by_face(g, laplacian)
-        assert all(np.array_equal(p, q) for p, q in
-                   ((x.data, ref.data), (x.indices, ref.indices), (x.indptr, ref.indptr)))
-    # the stiffness, which a sweep's norms keep, holds its entries only
-    assert _slots(x.data) == _slots(x.indices) == x.nnz == 5 * g.size - 2 * n_theta
+        assert _same_bits(x, ref)
+        # written straight into CSR, the arrays hold the entries only
+        assert _slots(x.data) == _slots(x.indices) == x.nnz == 5 * g.size - 2 * n_theta
+
+
+@pytest.mark.parametrize('n_r, n_theta', [(4, 8), (12, 30), (64, 128)])
+def test_circle_laplacian_is_the_periodic_central_difference(n_r, n_theta):
+    # the flux divergence of one line gives the central difference's bits:
+    # its diagonal -k - k is -2/h**2 exactly
+    g = dg.DiskGrid(n_r, n_theta)
+    h2 = g.dtheta ** 2
+    off = np.full(n_theta, 1.0 / h2)
+    ref = sps.diags([np.full(n_theta, -2.0 / h2), off[:-1], off[:-1], [1.0 / h2], [1.0 / h2]],
+                    [0, 1, -1, n_theta - 1, -(n_theta - 1)], format='csr')
+    assert _same_bits(dg.circle_laplacian_matrix(g), ref)
+
+
+def test_neumann_laplacian_build_peak_memory():
+    # a bound fixed before the first run: the COO assembly peaked at 29.3
+    # grid-size float vectors, the triplets beside the CSR summing them
+    g = dg.DiskGrid(64, 128)
+    dg.neumann_laplacian_matrix(g)
+    tracemalloc.start()
+    try:
+        dg.neumann_laplacian_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 8 * g.size
 
 
 def test_stiffness_matrix_is_spd_kernel_constants(grid):

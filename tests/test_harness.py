@@ -1200,14 +1200,37 @@ SOLVER_RANGES = {'delta_negative': {'delta': -0.1}, 'delta_above_one': {'delta':
                  'dt_zero': {'dt': 0.0}, 't_end_negative': {'t_end': -1e-3},
                  'newton_tol_zero': {'newton_tol': 0.0}}
 
-# Tabulated perturbation samples (xs, ys) that the table rejects, and its message.
+# Tabulated perturbation samples (xs, ys) that are rejected, and the message:
+# the table's own, or the reader's for a non-finite sample, which it meets first.
 TABLE_SAMPLES = {
-    'table_one_sample': ([0.0], [0.0], 'perturbation needs >= 2 matching samples'),
-    'table_unequal_lengths': ([0.0, 1.0], [0.0], 'perturbation needs >= 2 matching samples'),
-    'table_xs_not_increasing': ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0],
-                                'sample points must be strictly increasing'),
-    'table_xs_infinite': ([0.0, math.inf], [0.0, 1.0], 'samples must be finite'),
-    'table_ys_nan': ([0.0, 1.0], [0.0, math.nan], 'samples must be finite'),
+    'table_one_sample': ([0.0], [0.0],
+                         'bad problem.pi: tabulated perturbation needs >= 2 matching samples'),
+    'table_unequal_lengths': ([0.0, 1.0], [0.0],
+                              'bad problem.pi: tabulated perturbation needs >= 2 matching samples'),
+    'table_xs_not_increasing': (
+        [0.0, 1.0, 1.0], [0.0, 1.0, 2.0],
+        'bad problem.pi: tabulated sample points must be strictly increasing'),
+    'table_xs_infinite': ([0.0, math.inf], [0.0, 1.0],
+                          'bad problem.pi.xs: expected a finite number, got inf'),
+    'table_ys_nan': ([0.0, 1.0], [0.0, math.nan],
+                     'bad problem.pi.ys: expected a finite number, got nan'),
+}
+
+# Non-finite numbers, which json reads as NaN and Infinity: (command, config
+# update, message).  Unchecked, they ran into a traceback, a NaN row, a gate
+# that never fires or a step with no Newton iteration.
+NON_FINITE = {
+    't_end_infinite': ('solve', {'solver': dict(BASE_SINGLE['solver'], t_end=math.inf)},
+                       'bad solver.t_end: expected a finite number, got inf'),
+    'deltas_nan': ('sweep-delta', {'sweep_delta': {'deltas': [0.1, math.nan, 0.025]}},
+                   'bad sweep_delta.deltas: expected a finite number, got nan'),
+    'assert_slope_nan': ('sweep-delta',
+                         {'sweep_delta': {'deltas': [0.4, 0.2, 0.1], 'assert_slope': math.nan}},
+                         'bad sweep_delta.assert_slope: expected a finite number, got nan'),
+    'newton_tol_infinite': ('solve', {'solver': dict(BASE_SINGLE['solver'], newton_tol=math.inf)},
+                            'bad solver.newton_tol: expected a finite number, got inf'),
+    'amplitudes_nan': ('stability', {'stability': {'amplitudes': [math.nan, 0.1]}},
+                       'bad stability.amplitudes: expected a finite number, got nan'),
 }
 
 
@@ -1303,6 +1326,7 @@ MALFORMED = [
                              'u0': {'kind': 'constant', 'value': 0.1},
                              'pi': {'kind': 'tabulated', 'xs': xs, 'ys': ys}}})
       for xs, ys, _ in TABLE_SAMPLES.values()),
+    *((command, update) for command, update, _ in NON_FINITE.values()),
 ]
 MALFORMED_IDS = [
     'stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile', 'graph_key',
@@ -1314,7 +1338,7 @@ MALFORMED_IDS = [
     'newton_max_iter_zero', 'newton_max_iter_negative', 'band_one', 'band_negative',
     'mode_float', 'exponent_float', 'lambda_and_lam', 'grid_nr', 'output_strid', 'assert_slop',
     'shape_amplitud', 'u0_amplitud', 'f_spatal', 'f_time_rat', 'source_frames', *SOLVER_RANGES,
-    *TABLE_SAMPLES,
+    *TABLE_SAMPLES, *NON_FINITE,
 ]
 
 
@@ -1327,8 +1351,7 @@ def test_cli_malformed_values_are_exit_2(tmp_path, capsys, request, command, upd
     assert cli.main([command, path, '--out', str(tmp_path / 'mo')]) == 2
     case = request.node.callspec.id
     message = ('bad solver spec:' if case in SOLVER_RANGES
-               else f'bad problem.pi: tabulated {TABLE_SAMPLES[case][2]}' if case in TABLE_SAMPLES
-               else '')
+               else {**TABLE_SAMPLES, **NON_FINITE}.get(case, ('',))[-1])
     assert f'error: {message}' in capsys.readouterr().err
 
 
