@@ -71,9 +71,9 @@ __all__ = (
 # ---------------------------------------------------------------------------
 # sources and analytic profiles
 
-_TIME_FACTORS = {'constant': lambda src, t: 1.0,
-                 'exp': lambda src, t: math.exp(src.rate * t),
-                 'cos': lambda src, t: math.cos(src.omega * t)}
+_TIME_FACTORS = {'constant': lambda rate, omega, t: 1.0,
+                 'exp': lambda rate, omega, t: math.exp(rate * t),
+                 'cos': lambda rate, omega, t: math.cos(omega * t)}
 TIME_KINDS = tuple(_TIME_FACTORS)
 
 
@@ -89,52 +89,37 @@ def harmonic(grid: dg.DiskGrid, amplitude: float, mode: int, phase: float = 0.0,
 
 @dataclass(frozen=True)
 class _Source:
-    """Time-dependent source: zero, separable profile*T(t), tabulated
-    frames, or the sum of two sources.
+    """Time-dependent source: the sum of separable terms T(t)*profile, each
+    term (profile, time kind, rate, omega), and of the linear interpolation
+    in t of tabulated frames (constant continuation) when frames is not
+    None; with neither it is zero.
 
     Picklable (plain data only) so runs can be farmed out to worker
     processes by the harness.
     """
 
     shape: tuple
-    kind: str = 'zero'
-    spatial: np.ndarray | None = None
-    time_kind: str = 'constant'
-    rate: float = 0.0
-    omega: float = 0.0
+    terms: tuple = ()
     times: tuple = ()
     frames: np.ndarray | None = None
-    parts: tuple = ()
 
     def __post_init__(self):
-        if self.kind == 'tabulated' and (sorted(self.times) != list(self.times)
-                                         or not 0 < len(self.times) == len(self.frames)):
+        if self.frames is not None and (sorted(self.times) != list(self.times)
+                                        or not 0 < len(self.times) == len(self.frames)):
             raise ValueError('a tabulated source needs increasing times, one frame each')
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.kind == 'zero':
-            return np.zeros(self.shape)
-        if self.kind == 'sum':
-            return self.parts[0](t) + self.parts[1](t)
-        if self.kind == 'separable':
-            return _TIME_FACTORS[self.time_kind](self, t) * self.spatial
-        # tabulated: linear interpolation in t, constant continuation
-        ts = np.asarray(self.times)
-        idx = np.searchsorted(ts, t)
-        if idx == 0:
-            return self.frames[0].copy()
-        if idx >= ts.size:
-            return self.frames[-1].copy()
-        t0, t1 = ts[idx - 1], ts[idx]
-        lam = (t - t0) / (t1 - t0)
-        return (1.0 - lam) * self.frames[idx - 1] + lam * self.frames[idx]
-
-    def __add__(self, other: '_Source') -> '_Source':
-        if self.kind == 'zero':
-            return other
-        if other.kind == 'zero':
-            return self
-        return _Source(self.shape, 'sum', parts=(self, other))
+        parts = [_TIME_FACTORS[kind](rate, omega, t) * profile
+                 for profile, kind, rate, omega in self.terms]
+        if self.frames is not None:
+            ts = np.asarray(self.times)
+            idx = np.searchsorted(ts, t)
+            if 0 < idx < ts.size:
+                lam = (t - ts[idx - 1]) / (ts[idx] - ts[idx - 1])
+                parts.append((1.0 - lam) * self.frames[idx - 1] + lam * self.frames[idx])
+            else:
+                parts.append(self.frames[min(idx, ts.size - 1)].copy())
+        return sum(parts[1:], parts[0]) if parts else np.zeros(self.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +227,9 @@ def validate(problem: ProblemData, config: SolverConfig) -> list:
         failures.append(f'TraceIncompatibility: |u0 ring extrapolation - v0| = '
                         f'{compat_error:.3e} exceeds {compat_tol:.3e}')
 
-    if not np.all(problem.bulk_graph.contains(u0, strict_margin=1e-12)):
+    if not np.all(problem.bulk_graph.contains(u0)):
         failures.append('IncompatibleRange: essential range of u0 not inside int D(beta)')
-    if not np.all(problem.boundary_graph.contains(v0, strict_margin=1e-12)):
+    if not np.all(problem.boundary_graph.contains(v0)):
         failures.append('IncompatibleRange: range of v0 not inside int D(beta_Gamma)')
 
     domination = mg.check_domination(problem.bulk_graph, problem.boundary_graph)

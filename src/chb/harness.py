@@ -141,13 +141,13 @@ def _check(ok, make, expected: str):
 
 _keep = _check(lambda x: True, lambda x: x, '')
 _bool = _check(lambda x: isinstance(x, bool), bool, 'true or false')
-_float = _check(lambda x: not isinstance(x, bool) and math.isfinite(float(x)), float,
-                'a finite number')
-_int = _check(lambda x: not isinstance(x, bool) and (not isinstance(x, float) or x.is_integer()),
-               int, 'an integer')
+_float = _check(lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+                and math.isfinite(x), float, 'a finite number')
+_int = _check(lambda x: isinstance(x, int) and not isinstance(x, bool)
+              or isinstance(x, float) and x.is_integer(), int, 'an integer')
 _count = _check(lambda x: _int(x, '') >= 1, int, 'an integer >= 1')
-_array = _check(lambda x: isinstance(x, list), lambda x: np.array(x, dtype=float),
-                'a JSON array')
+_array = _check(lambda x: isinstance(x, list) and np.array(x).dtype.kind in 'iuf',
+                lambda x: np.array(x, dtype=float), 'a JSON array of numbers')
 
 
 def _one_of(*choices):
@@ -356,12 +356,15 @@ def _source(grid: dg.DiskGrid, trace=False, kind='zero', spatial=None, time=None
     """The source of a read `f` or `g` section, given as keywords."""
     shape = (grid.n_theta,) if trace else (grid.n_r, grid.n_theta)
     if kind == 'separable':
-        return cs._Source(shape, 'separable', _profile(grid, spatial, trace), time.kind,
-                          time.rate, time.omega)
+        return cs._Source(shape, (_term(_profile(grid, spatial, trace), time),))
     if kind == 'tabulated':
-        return cs._Source(shape, 'tabulated', times=tuple(times),
-                          frames=frames.reshape((len(frames),) + shape))
+        return cs._Source(shape, times=tuple(times), frames=frames.reshape((len(frames),) + shape))
     return cs._Source(shape)
+
+
+def _term(profile: np.ndarray, time) -> tuple:
+    """The source term T(t)*profile with T of a read `time` section."""
+    return profile, time.kind, time.rate, time.omega
 
 
 def _problem_data(grid: dg.DiskGrid, p) -> cs.ProblemData:
@@ -844,11 +847,9 @@ def _perturbation_sources(cfg, problem, amplitude):
     st, grid, time = cfg.stability, cfg.grid, cfg.stability.time
     f, g, u0, v0 = problem.f, problem.g, problem.u0, problem.v0
     if st.target in ('f', 'both'):
-        f = f + cs._Source(f.shape, 'separable', amplitude * st.shape, time.kind, time.rate,
-                           time.omega)
+        f = replace(f, terms=f.terms + (_term(amplitude * st.shape, time),))
     if st.target in ('g', 'both'):
-        g = g + cs._Source(g.shape, 'separable', amplitude * st.trace_shape, time.kind,
-                           time.rate, time.omega)
+        g = replace(g, terms=g.terms + (_term(amplitude * st.trace_shape, time),))
     if st.target == 'initial':
         bump = st.shape - dg.mean_bulk(grid, st.shape)
         tbump = st.trace_shape - dg.mean_trace(grid, st.trace_shape)

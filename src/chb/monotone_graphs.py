@@ -79,12 +79,11 @@ class GraphSpec:
             return -1.0, 1.0, False
         return -math.inf, math.inf, False
 
-    def contains(self, r, strict_margin=0.0):
-        """Elementwise test r in the interior of D(beta), optionally
-        shrunk by a margin."""
+    def contains(self, r):
+        """Elementwise test r in the interior of D(beta) shrunk by 1e-12."""
         r = np.asarray(r, dtype=float)
         lo, hi, _ = self.domain
-        return (r > lo + strict_margin) & (r < hi - strict_margin)
+        return (r > lo + 1e-12) & (r < hi - 1e-12)
 
 
 def zero() -> GraphSpec:

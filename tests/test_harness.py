@@ -126,7 +126,7 @@ def test_config_validation_failures(tmp_path, mutate, exp):
 def test_section_checks_keys_converts_and_fills_defaults():
     schema = {'n': (harness._int, 3), 'x': (harness._float, harness._REQUIRED),
               'xs': (harness._numbers(), None)}
-    got = harness.section({'x': '0.5', 'xs': [1, 2.5]}, schema, 'demo')
+    got = harness.section({'x': 0.5, 'xs': [1, 2.5]}, schema, 'demo')
     assert (got.n, got.x, got.xs) == (3, 0.5, [1.0, 2.5])
     assert harness.section({'x': 1, 'n': 4.0, 'xs': None}, schema, 'demo').xs is None
     assert type(harness.section({'x': 1, 'n': 4.0}, schema, 'demo').n) is int
@@ -134,7 +134,9 @@ def test_section_checks_keys_converts_and_fills_defaults():
                           ({'x': 1, 'm': 2}, "unknown demo key(s) ['m']"),
                           ({'x': None}, 'demo.x is required'),
                           ({'x': 1, 'n': 2.5}, 'bad demo.n'), ({'x': 1, 'n': True}, 'bad demo.n'),
-                          ({'x': True}, 'bad demo.x'), ({'x': 1, 'xs': '12'}, 'bad demo.xs')):
+                          ({'x': True}, 'bad demo.x'), ({'x': 1, 'xs': '12'}, 'bad demo.xs'),
+                          ({'x': '0.5'}, 'bad demo.x'), ({'x': 1, 'n': '4'}, 'bad demo.n'),
+                          ({'x': 1, 'xs': ['1']}, 'bad demo.xs')):
         with pytest.raises(ConfigError, match=re.escape(message)):
             harness.section(spec, schema, 'demo')
 
@@ -776,6 +778,31 @@ def test_comparison_run_keeps_t_u_and_v_of_each_level(tmp_path):
     assert len(pickle.dumps(kept)) < levels[0].u.nbytes
 
 
+def test_perturbation_appends_one_term_and_keeps_the_frames(tmp_path):
+    # f is separable and g tabulated: each gains exactly one term, amplitude
+    # times the stability shape with the stability time, on top of its own
+    cubic = {'kind': 'power_odd', 'exponent': 3, 'coefficient': 1.0}
+    raw = json.loads(json.dumps(BASE_SINGLE))
+    raw.update(experiment='stability', stability={
+        'amplitudes': [1e-2], 'target': 'both', 'time': {'kind': 'exp', 'rate': -2.0}})
+    raw['problem'] = {
+        'bulk_graph': cubic, 'boundary_graph': cubic,
+        'u0': {'kind': 'harmonic', 'amplitude': 0.3, 'mode': 2},
+        'f': {'kind': 'separable', 'spatial': {'kind': 'harmonic', 'mode': 3},
+              'time': {'kind': 'cos', 'omega': 3.0}},
+        'g': {'kind': 'tabulated', 'times': [0.0, 0.01, 0.02],
+              'frames': [[0.0] * 16, [1.0] * 16, [0.5] * 16]}}
+    cfg = harness.load_config(make_cfg(tmp_path, raw))
+    base, st = cfg.problem, cfg.stability
+    moved = harness._perturbation_sources(cfg, base, 0.1)
+    for old, new, shape in ((base.f, moved.f, st.shape), (base.g, moved.g, st.trace_shape)):
+        assert new.terms[:-1] == old.terms and len(new.terms) == len(old.terms) + 1
+        profile, *time = new.terms[-1]
+        assert np.array_equal(profile, 0.1 * shape) and time == ['exp', -2.0, 0.0]
+        assert new.times == old.times and new.frames is old.frames
+    assert base.g.frames is not None and moved.u0 is base.u0 and moved.v0 is base.v0
+
+
 def test_stability_initial_target_mean_corrects(tmp_path):
     raw = {
         'experiment': 'stability',
@@ -1233,6 +1260,37 @@ NON_FINITE = {
                        'bad stability.amplitudes: expected a finite number, got nan'),
 }
 
+# Quoted numbers, which the reader once converted: only JSON numbers are
+# numbers.  (command, config update, message)
+QUOTED = {
+    'dt_quoted': ('solve', {'solver': dict(BASE_SINGLE['solver'], dt='1e-3')},
+                  "bad solver.dt: expected a finite number, got '1e-3'"),
+    'amplitude_quoted': ('solve', {'problem': {'preset': 'backward', 'amplitude': '0.1'}},
+                         "bad problem.amplitude: expected a finite number, got '0.1'"),
+    'n_r_quoted': ('solve', {'grid': {'n_r': '8', 'n_theta': 16}},
+                   "bad grid.n_r: expected an integer, got '8'"),
+    'newton_max_iter_quoted': ('solve', {'solver': dict(BASE_SINGLE['solver'],
+                                                        newton_max_iter='20')},
+                               "bad solver.newton_max_iter: expected an integer, got '20'"),
+    'stride_quoted': ('solve', {'output': {'stride': '2'}},
+                      "bad output.stride: expected an integer, got '2'"),
+    'deltas_quoted': ('sweep-delta', {'sweep_delta': {'deltas': [0.4, '0.2', 0.1]}},
+                      "bad sweep_delta.deltas: expected a finite number, got '0.2'"),
+    'lambdas_quoted': ('sweep-lambda', {'sweep_lambda': {'lambdas': ['1e-2', 1e-3]}},
+                       "bad sweep_lambda.lambdas: expected a finite number, got '1e-2'"),
+    'amplitudes_quoted': ('stability', {'stability': {'amplitudes': ['0.1']}},
+                          "bad stability.amplitudes: expected a finite number, got '0.1'"),
+    'band_quoted': ('stability', {'stability': {'amplitudes': [1e-2], 'band': '3'}},
+                    "bad stability.band: expected a finite number, got '3'"),
+    'values_quoted': ('solve', {'problem': {
+        'bulk_graph': {'kind': 'zero'}, 'boundary_graph': {'kind': 'zero'},
+        'u0': {'kind': 'tabulated', 'values': ['0.0'] * 128}, 'v0': {'kind': 'constant'}}},
+        'bad problem.u0.values: expected a JSON array of numbers'),
+    # a 400-digit integer is a JSON number, but no float
+    't_end_400_digits': ('solve', {'solver': dict(BASE_SINGLE['solver'], t_end=10 ** 400)},
+                         'bad solver.t_end: int too large to convert to float'),
+}
+
 
 # (command, config update) of each malformed value
 MALFORMED = [
@@ -1327,6 +1385,7 @@ MALFORMED = [
                              'pi': {'kind': 'tabulated', 'xs': xs, 'ys': ys}}})
       for xs, ys, _ in TABLE_SAMPLES.values()),
     *((command, update) for command, update, _ in NON_FINITE.values()),
+    *((command, update) for command, update, _ in QUOTED.values()),
 ]
 MALFORMED_IDS = [
     'stride', 'deltas', 'preset', 'assert_r2', 'band', 'target', 'time_profile', 'graph_key',
@@ -1338,7 +1397,7 @@ MALFORMED_IDS = [
     'newton_max_iter_zero', 'newton_max_iter_negative', 'band_one', 'band_negative',
     'mode_float', 'exponent_float', 'lambda_and_lam', 'grid_nr', 'output_strid', 'assert_slop',
     'shape_amplitud', 'u0_amplitud', 'f_spatal', 'f_time_rat', 'source_frames', *SOLVER_RANGES,
-    *TABLE_SAMPLES, *NON_FINITE,
+    *TABLE_SAMPLES, *NON_FINITE, *QUOTED,
 ]
 
 
@@ -1351,7 +1410,7 @@ def test_cli_malformed_values_are_exit_2(tmp_path, capsys, request, command, upd
     assert cli.main([command, path, '--out', str(tmp_path / 'mo')]) == 2
     case = request.node.callspec.id
     message = ('bad solver spec:' if case in SOLVER_RANGES
-               else {**TABLE_SAMPLES, **NON_FINITE}.get(case, ('',))[-1])
+               else {**TABLE_SAMPLES, **NON_FINITE, **QUOTED}.get(case, ('',))[-1])
     assert f'error: {message}' in capsys.readouterr().err
 
 

@@ -108,8 +108,9 @@ def test_invariants_hold_on_every_dominated_pair(bulk, boundary, n_r, lam, dt, d
     problem = dataclasses.replace(
         cs.preset_problem('cubic', g, amplitude=amplitude, offset=offset),
         bulk_graph=_KINDS[bulk], boundary_graph=_KINDS[boundary],
-        f=cs._Source((g.n_r, g.n_theta), 'separable', spatial=cs.harmonic(g, forcing, 2)),
-        g=cs._Source((g.n_theta,), 'separable', spatial=cs.harmonic(g, forcing, 2, trace=True)))
+        f=cs._Source((g.n_r, g.n_theta), ((cs.harmonic(g, forcing, 2), 'constant', 0.0, 0.0),)),
+        g=cs._Source((g.n_theta,),
+                     ((cs.harmonic(g, forcing, 2, trace=True), 'constant', 0.0, 0.0),)))
     result = cs.run(problem, config(delta=delta, lam=lam, dt=dt, t_end=0.03))
     assert result.error is None
     rows = result.diagnostics.rows
@@ -922,7 +923,7 @@ def test_smooth_circle_alone_takes_newton_on_one_fourier_base(monkeypatch):
     g = dg.DiskGrid(16, 32)
     problem = dataclasses.replace(
         cs.preset_problem('cubic', g, amplitude=0.9), bulk_graph=mg.zero(),
-        g=cs._Source((g.n_theta,), 'separable', spatial=cs.harmonic(g, 4.0, 3, trace=True)))
+        g=cs._Source((g.n_theta,), ((cs.harmonic(g, 4.0, 3, trace=True), 'constant', 0.0, 0.0),)))
     kinds = _base_kinds(monkeypatch)
     result = cs.run(problem, config(delta=0.1, lam=1e-3, t_end=0.1))
     assert result.error is None
@@ -939,7 +940,7 @@ def test_mixed_pair_updates_its_obstacle_on_a_fourier_base(monkeypatch):
     g = dg.DiskGrid(16, 32)
     problem = dataclasses.replace(
         cs.preset_problem('cubic', g, amplitude=0.9), boundary_graph=mg.double_obstacle(),
-        g=cs._Source((g.n_theta,), 'separable', spatial=cs.harmonic(g, 4.0, 3, trace=True)))
+        g=cs._Source((g.n_theta,), ((cs.harmonic(g, 4.0, 3, trace=True), 'constant', 0.0, 0.0),)))
     solver = config(delta=0.1, lam=1e-3, t_end=0.05)
     kinds = _base_kinds(monkeypatch)
     result = cs.run(problem, solver)
@@ -1288,9 +1289,8 @@ def _exact(grid, m=2, s=-1.0, lam=1e-2, delta=0.1):
     mu = -(r ** (m + 2) / (4 * (m + 1)) - (m + 2) * r ** m / (4 * m * (m + 1))) \
         * np.cos(m * grid.theta)
     v = cs.harmonic(grid, 1.0, m, trace=True)
-    f = cs._Source(u.shape, 'separable', (s - lam) * u - mu, time_kind='exp', rate=-1.0)
-    g = cs._Source(v.shape, 'separable', (s - lam + m + delta * m ** 2 - 1 / m ** 2) * v,
-                   time_kind='exp', rate=-1.0)
+    f = cs._Source(u.shape, (((s - lam) * u - mu, 'exp', -1.0, 0.0),))
+    g = cs._Source(v.shape, (((s - lam + m + delta * m ** 2 - 1 / m ** 2) * v, 'exp', -1.0, 0.0),))
     pi = mg.Perturbation.linear(s)
     return cs.ProblemData(grid, mg.zero(), mg.zero(), pi, pi, f, g, u, v), (u, mu, v)
 
@@ -1304,11 +1304,11 @@ def _on_the_cubic(problem, u, v, lam, dt, t_end):
     for _ in range(round(t_end / dt)):
         times.append(times[-1] + dt)
 
-    def frames(profile):
-        return cs._Source(profile.shape, 'tabulated', times=tuple(times), frames=np.array(
+    def framed(source, profile):
+        return dataclasses.replace(source, times=tuple(times), frames=np.array(
             [mg.yosida(cubic, math.exp(-t) * profile, lam) for t in times]))
     return dataclasses.replace(problem, bulk_graph=cubic, boundary_graph=cubic,
-                               f=problem.f + frames(u), g=problem.g + frames(v))
+                               f=framed(problem.f, u), g=framed(problem.g, v))
 
 
 def _exact_errors(grid, dt, t_end, cubic=False):
@@ -1669,7 +1669,9 @@ def test_tabulated_source_interpolates():
     assert np.allclose(src(-1.0), 0.0)
 
 
-def test_source_sum_skips_zero_and_pickles():
+def test_source_of_a_term_and_frames_sums_and_pickles():
+    # a read term and read frames held in one source sum as the two read
+    # sources do, also in the copy that a worker process gets
     g = small_grid()
     shape = (g.n_r, g.n_theta)
     a = read_source(g, {'kind': 'separable',
@@ -1677,10 +1679,29 @@ def test_source_sum_skips_zero_and_pickles():
                         'time': {'kind': 'exp', 'rate': -1.0}})
     b = read_source(g, {'kind': 'tabulated', 'times': [0.0, 1.0],
                         'frames': [np.zeros(shape).tolist(), np.ones(shape).tolist()]})
-    zero = read_source(g, None)
-    assert zero + a is a and a + zero is a
-    total = pickle.loads(pickle.dumps(a + b))   # worker processes get a copy
+    total = pickle.loads(pickle.dumps(dataclasses.replace(b, terms=a.terms)))
+    assert [f.name for f in dataclasses.fields(total)] == ['shape', 'terms', 'times', 'frames']
     assert np.array_equal(total(0.25), a(0.25) + b(0.25))
+
+
+def test_source_terms_and_frames_sum_bit_for_bit():
+    # T1*p1 + T2*p2; and a term plus frames is the sum that a separable
+    # source and a tabulated one made (IEEE addition commutes): T*p plus
+    # the frames' linear interpolation in t, held constant outside the times
+    g = small_grid()
+    p1, p2 = cs.harmonic(g, 0.7, 2), cs.harmonic(g, -0.3, 3, offset=0.1)
+    fr = np.stack([cs.harmonic(g, c, 1) for c in (0.0, 1.0, 0.5)])
+    two = cs._Source(p1.shape, ((p1, 'exp', -2.0, 0.0), (p2, 'cos', 0.0, 3.0)))
+    framed = cs._Source(p1.shape, ((p1, 'cos', 0.0, 3.0),), (0.0, 0.01, 0.02), fr)
+    for t in (0.0, 0.004, 0.013, 0.5):
+        assert two(t).tobytes() == (math.exp(-2.0 * t) * p1 + math.cos(3.0 * t) * p2).tobytes()
+    frames = {0.0: fr[0], 0.004: (1.0 - 0.004 / 0.01) * fr[0] + 0.004 / 0.01 * fr[1],
+              0.013: (1.0 - (0.013 - 0.01) / (0.02 - 0.01)) * fr[1]
+              + (0.013 - 0.01) / (0.02 - 0.01) * fr[2], 0.5: fr[2]}
+    for t, frame in frames.items():
+        assert framed(t).tobytes() == (math.cos(3.0 * t) * p1 + frame).tobytes()
+    assert cs._Source(p2.shape, ((p2, 'constant', 0.0, 0.0),))(0.3).tobytes() == p2.tobytes()
+    assert np.array_equal(cs._Source(p1.shape)(0.3), np.zeros(p1.shape))
 
 
 def test_preset_rejects_unknown_name():
